@@ -2,8 +2,7 @@
 
 Retrieval over image keys, scene/object/keyword association, a two-stage
 cross-modal masked language model, and probe tasks, all on a small
-reverse-mode autodiff core. Hot kernels run on numba when available; set
-GLM_BACKEND=numpy to force the portable path.
+reverse-mode autodiff core with its hot kernels in NumPy.
 """
 
 from .kernels import backend_name

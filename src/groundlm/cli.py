@@ -16,18 +16,15 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .associate import (AssociationCache, associate_keyword_baseline,
-                        associate_object, associate_scene, build_caption_index,
-                        build_synset_index, load_caption_corpus,
-                        load_noun_lexicon, load_synsets)
+from .associate import (AssociationCache, build_caption_index, build_synset_index,
+                        load_caption_corpus, load_noun_lexicon, load_synsets)
 from .embeddings import load_word_vectors
 from .finetune import finetune, load_task_file
 from .index import ImageFeatureStore, load_index, save_index
 from .model import CrossModalModel, ModelConfig, load_checkpoint, save_checkpoint
 from .toydata import ToySpec, generate_grounded_corpus
-from .train import (STRATEGY_NAMES, Corpora, Strategy, TrainConfig,
-                    evaluate_perplexity, pretrain, strategy_visual_mode,
-                    write_metrics_csv)
+from .train import (STRATEGIES, Corpora, Strategy, TrainConfig, associate_query,
+                    evaluate_perplexity, pretrain, write_metrics_csv)
 from .vocab import Vocab
 
 
@@ -121,7 +118,7 @@ def _require(path, what: str):
 # -- corpora assembly ---------------------------------------------------------
 
 
-def _load_corpora(args, cfg: RunConfig, mode: str, need_text: bool) -> Corpora:
+def _load_corpora(args, strategy: Strategy, need_text: bool) -> Corpora:
     vocab = Vocab.load(_require(args.vocab, "--vocab file"))
     co = Corpora(vocab=vocab)
     if args.corpus:
@@ -137,10 +134,11 @@ def _load_corpora(args, cfg: RunConfig, mode: str, need_text: bool) -> Corpora:
         co.table = load_word_vectors(_require(args.vectors, "--vectors file"))
     if getattr(args, "nouns", None):
         co.lexicon = load_noun_lexicon(_require(args.nouns, "--nouns file"))
-    if mode == "scene" and co.caption_corpus is not None and co.table is not None:
+    needs = strategy.spec.needs
+    if "caption_index" in needs and co.caption_corpus is not None and co.table is not None:
         offsets = co.store.offsets if co.store is not None else None
         co.caption_index = build_caption_index(co.caption_corpus, co.table, offsets)
-    if mode == "object" and getattr(args, "synsets", None):
+    if "synset_index" in needs and getattr(args, "synsets", None):
         synsets = load_synsets(_require(args.synsets, "--synsets file"))
         offsets = co.store.offsets if co.store is not None else None
         co.synset_index = build_synset_index(synsets, co.table, offsets) \
@@ -186,14 +184,14 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_associate(args) -> int:
-    table = load_word_vectors(_require(args.vectors, "--vectors file"))
-    index = lexicon = captions = None
-    if args.strategy in ("scene", "object"):
-        index = load_index(_require(args.index, "--index file"))
-    if args.strategy == "object":
-        lexicon = load_noun_lexicon(_require(args.nouns, "--nouns file"))
-    if args.strategy == "keyword":
-        captions = load_caption_corpus(_require(args.captions, "--captions file"))
+    co = Corpora(vocab=None, table=load_word_vectors(_require(args.vectors, "--vectors file")))
+    if args.strategy == "scene":
+        co.caption_index = load_index(_require(args.index, "--index file"))
+    elif args.strategy == "object":
+        co.synset_index = load_index(_require(args.index, "--index file"))
+        co.lexicon = load_noun_lexicon(_require(args.nouns, "--nouns file"))
+    else:
+        co.caption_corpus = load_caption_corpus(_require(args.captions, "--captions file"))
     if args.queries == "-":
         lines = [line.rstrip("\n") for line in sys.stdin]
     else:
@@ -205,16 +203,8 @@ def cmd_associate(args) -> int:
         for query in lines:
             record = {"query": query, "strategy": args.strategy, "items": []}
             try:
-                if args.strategy == "scene":
-                    assoc = associate_scene(query, index, table, args.k,
-                                            threads=args.threads)
-                elif args.strategy == "object":
-                    assoc = associate_object(query, index, table, lexicon, args.k,
-                                             min(args.kappa, args.k),
-                                             seed=args.seed, threads=args.threads)
-                else:
-                    assoc = associate_keyword_baseline(query, captions, args.k,
-                                                       table=table)
+                assoc = associate_query(args.strategy, query, co, args.k, args.kappa,
+                                        args.seed, threads=args.threads)
                 if assoc.is_empty:
                     record["reason"] = "degenerate query: no usable tokens"
                 else:
@@ -251,8 +241,7 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
 def cmd_pretrain(args) -> int:
     cfg = RunConfig(args)
     strategy = Strategy(args.strategy, k=cfg.k)
-    mode = strategy_visual_mode(strategy.name)
-    corpora = _load_corpora(args, cfg, mode, need_text=True)
+    corpora = _load_corpora(args, strategy, need_text=True)
     model = CrossModalModel(_model_config(cfg, len(corpora.vocab)), seed=cfg.seed)
     cache = AssociationCache()
     model, metrics = pretrain(strategy, corpora, model, _train_config(cfg),
@@ -272,9 +261,8 @@ def cmd_eval_ppl(args) -> int:
     cfg = RunConfig(args)
     model = load_checkpoint(_require(args.model, "--model file"))
     strategy = Strategy(args.strategy, k=cfg.k)
-    mode = strategy_visual_mode(strategy.name)
-    corpora = _load_corpora(args, cfg, mode, need_text=False)
-    if mode == "paired":
+    corpora = _load_corpora(args, strategy, need_text=False)
+    if strategy.spec.mode == "paired":
         examples = corpora.paired
     else:
         examples = corpora.text_only or [text for _id, text in corpora.paired]
@@ -282,8 +270,8 @@ def cmd_eval_ppl(args) -> int:
         raise UsageError("no evaluation text: pass --corpus or --captions")
     cache = AssociationCache()
     ppl = evaluate_perplexity(model, examples, corpora.vocab, seed=cfg.seed,
-                              mode=mode, corpora=corpora, k=cfg.k, kappa=cfg.kappa,
-                              batch_size=cfg.batch_size, cache=cache,
+                              mode=strategy.spec.mode, corpora=corpora, k=cfg.k,
+                              kappa=cfg.kappa, batch_size=cfg.batch_size, cache=cache,
                               threads=cfg.threads)
     print(f"{strategy.name}\t{ppl!r}")
     return 0
@@ -297,8 +285,7 @@ def cmd_finetune(args) -> int:
     if args.eval_task:
         eval_examples = load_task_file(_require(args.eval_task, "--eval-task file")).examples
     strategy = Strategy(args.strategy, k=cfg.k)
-    mode = strategy_visual_mode(strategy.name)
-    corpora = _load_corpora(args, cfg, mode, need_text=False)
+    corpora = _load_corpora(args, strategy, need_text=False)
     cache = AssociationCache()
     report = finetune(model, task, strategy, _train_config(cfg), corpora=corpora,
                       eval_examples=eval_examples, n_runs=cfg.runs, cache=cache,
@@ -378,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("finetune", cmd_finetune, "8-run downstream probe from a checkpoint")):
         p = sub.add_parser(name, help=extra, epilog=_CONFIG_HELP,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
-        p.add_argument("--strategy", choices=STRATEGY_NAMES, required=True)
+        p.add_argument("--strategy", choices=STRATEGIES, required=True)
         _add_corpora_flags(p)
         _add_config_flags(p)
         if name == "pretrain":

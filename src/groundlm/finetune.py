@@ -22,7 +22,7 @@ from .associate import AssociationCache
 from .model import CrossModalModel, MaskedBatch
 from .optim import Adam
 from .tensor import Tensor, masked_cross_entropy, mean_all, mul, no_grad
-from .train import Corpora, Strategy, TrainConfig, build_batch, strategy_visual_mode
+from .train import Corpora, Strategy, TrainConfig, build_batch
 from .vocab import Vocab
 
 
@@ -173,22 +173,18 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
     once (same split for every run). The model's weights are restored to
     their entry state afterwards; only the report is kept.
     """
-    mode = strategy_visual_mode(strategy.name)
-    if mode == "paired":
-        # task sentences have no image pairings; transferred models keep
-        # their pretrained weights but see the placeholder slot here
-        mode = "placeholder"
+    # task sentences have no image pairings; transferred models keep their
+    # pretrained weights but see the placeholder slot here
+    mode = "placeholder" if strategy.spec.mode == "paired" else strategy.spec.mode
     if mode != "placeholder" and strategy.k > model.config.k_max:
         raise ValueError(
             f"strategy K={strategy.k} exceeds model k_max={model.config.k_max}")
-    vocab = corpora.vocab if corpora is not None and mode != "placeholder" else None
-    if mode != "placeholder":
-        if corpora is None or corpora.store is None or corpora.table is None:
-            raise ValueError(f"strategy {strategy.name} requires a corpora with store and table")
-    if vocab is None:
-        if corpora is None or corpora.vocab is None:
-            raise ValueError("finetune needs a Corpora carrying the model vocab")
-        vocab = corpora.vocab
+    if mode != "placeholder" and (corpora is None or corpora.store is None
+                                  or corpora.table is None):
+        raise ValueError(f"strategy {strategy.name} requires a corpora with store and table")
+    if corpora is None or corpora.vocab is None:
+        raise ValueError("finetune needs a Corpora carrying the model vocab")
+    vocab = corpora.vocab
 
     if task.metric == "accuracy":
         classes = task.label_set or sorted({ex.label for ex in task.examples})

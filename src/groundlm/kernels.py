@@ -1,47 +1,29 @@
-"""Hot numeric kernels with two interchangeable backends.
-
-Every kernel exists twice: a pure-NumPy implementation (``numpy_impl``) and a
-Numba ``@njit`` implementation (``numba_impl``). The active backend is chosen
-at import time from the ``GLM_BACKEND`` environment variable:
-
-    GLM_BACKEND=numba   use JIT-compiled kernels (default when numba imports)
-    GLM_BACKEND=numpy   force the pure-NumPy fallback
+"""Hot numeric kernels, in NumPy.
 
 Matrix multiplication is deliberately *not* here: BLAS already wins, and the
 autodiff layer calls ``np.matmul`` directly. These kernels cover the
-elementwise and row-wise loops that NumPy cannot fuse: layer norm, GELU,
-softmax, masked cross-entropy, Adam updates, embedding-gradient scatter and
-the Gaussian-mixture E-step.
+elementwise and row-wise loops around it: layer norm, GELU, softmax, masked
+cross-entropy, Adam updates, embedding-gradient scatter and the
+Gaussian-mixture E-step.
 
-``benchmarks/bench_kernels.py`` compares the two backends head to head.
+Callers look every kernel up through the ``active`` namespace at call time
+(``kernels.active.gelu_forward(x)``), so one kernel can be swapped for a
+wrapper without touching its call sites.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import erf as _erf
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
 INV_SQRT2 = 0.7071067811865476
 INV_SQRT_2PI = 0.3989422804014327
 
 
-# ---------------------------------------------------------------------------
-# NumPy backend
-# ---------------------------------------------------------------------------
-
-
-def _np_layernorm_forward(x, gain, bias, eps):
+def _layernorm_forward(x, gain, bias, eps):
     """Row-wise layer norm over the last axis of a 2-D array.
 
     Returns (y, mean, rstd); mean/rstd are cached for the backward pass.
@@ -54,7 +36,7 @@ def _np_layernorm_forward(x, gain, bias, eps):
     return y, mean, rstd
 
 
-def _np_layernorm_backward(dy, x, mean, rstd, gain):
+def _layernorm_backward(dy, x, mean, rstd, gain):
     xhat = (x - mean[:, None]) * rstd[:, None]
     dgain = (dy * xhat).sum(axis=0)
     dbias = dy.sum(axis=0)
@@ -65,29 +47,29 @@ def _np_layernorm_backward(dy, x, mean, rstd, gain):
     return dx, dgain, dbias
 
 
-def _np_gelu_forward(x):
+def _gelu_forward(x):
     return 0.5 * x * (1.0 + _erf(x * INV_SQRT2))
 
 
-def _np_gelu_backward(dy, x):
+def _gelu_backward(dy, x):
     cdf = 0.5 * (1.0 + _erf(x * INV_SQRT2))
     pdf = np.exp(-0.5 * x * x) * INV_SQRT_2PI
     return dy * (cdf + x * pdf)
 
 
-def _np_softmax_forward(x):
+def _softmax_forward(x):
     """Row-wise softmax of a 2-D array (stable, max-shifted)."""
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _np_softmax_backward(dy, y):
+def _softmax_backward(dy, y):
     inner = (dy * y).sum(axis=1, keepdims=True)
     return y * (dy - inner)
 
 
-def _np_masked_ce_forward(logits, targets):
+def _masked_ce_forward(logits, targets):
     """Per-row cross-entropy of already-gathered masked rows.
 
     logits: (M, V) rows for the M masked positions, targets: (M,) ids.
@@ -102,14 +84,14 @@ def _np_masked_ce_forward(logits, targets):
     return losses, probs
 
 
-def _np_masked_ce_backward(probs, targets, scale):
+def _masked_ce_backward(probs, targets, scale):
     dlogits = probs * scale
     rows = np.arange(probs.shape[0])
     dlogits[rows, targets] -= scale
     return dlogits
 
 
-def _np_adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
+def _adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
     """One bias-corrected Adam step, in place on param/m/v (flat arrays)."""
     m *= beta1
     m += (1.0 - beta1) * grad
@@ -120,12 +102,12 @@ def _np_adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
     param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def _np_scatter_add_rows(table, ids, rows):
+def _scatter_add_rows(table, ids, rows):
     """table[ids[i]] += rows[i] with repeated ids accumulated."""
     np.add.at(table, ids, rows)
 
 
-def _np_gmm_estep(points, means, variances, log_weights):
+def _gmm_estep(points, means, variances, log_weights):
     """Log responsibilities and total log-likelihood for a diagonal GMM.
 
     points: (n, d), means/variances: (k, d), log_weights: (k,).
@@ -142,242 +124,20 @@ def _np_gmm_estep(points, means, variances, log_weights):
     return resp, float(lse.sum())
 
 
-numpy_impl = SimpleNamespace(
+active = SimpleNamespace(
     name="numpy",
-    layernorm_forward=_np_layernorm_forward,
-    layernorm_backward=_np_layernorm_backward,
-    gelu_forward=_np_gelu_forward,
-    gelu_backward=_np_gelu_backward,
-    softmax_forward=_np_softmax_forward,
-    softmax_backward=_np_softmax_backward,
-    masked_ce_forward=_np_masked_ce_forward,
-    masked_ce_backward=_np_masked_ce_backward,
-    adam_update=_np_adam_update,
-    scatter_add_rows=_np_scatter_add_rows,
-    gmm_estep=_np_gmm_estep,
+    layernorm_forward=_layernorm_forward,
+    layernorm_backward=_layernorm_backward,
+    gelu_forward=_gelu_forward,
+    gelu_backward=_gelu_backward,
+    softmax_forward=_softmax_forward,
+    softmax_backward=_softmax_backward,
+    masked_ce_forward=_masked_ce_forward,
+    masked_ce_backward=_masked_ce_backward,
+    adam_update=_adam_update,
+    scatter_add_rows=_scatter_add_rows,
+    gmm_estep=_gmm_estep,
 )
-
-
-# ---------------------------------------------------------------------------
-# Numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_layernorm_forward(x, gain, bias, eps):
-        n, d = x.shape
-        y = np.empty_like(x)
-        mean = np.empty(n, dtype=x.dtype)
-        rstd = np.empty(n, dtype=x.dtype)
-        for i in range(n):
-            s = 0.0
-            for j in range(d):
-                s += x[i, j]
-            mu = s / d
-            sq = 0.0
-            for j in range(d):
-                diff = x[i, j] - mu
-                sq += diff * diff
-            r = 1.0 / math.sqrt(sq / d + eps)
-            mean[i] = mu
-            rstd[i] = r
-            for j in range(d):
-                y[i, j] = (x[i, j] - mu) * r * gain[j] + bias[j]
-        return y, mean, rstd
-
-    @njit(cache=True)
-    def _nb_layernorm_backward(dy, x, mean, rstd, gain):
-        n, d = x.shape
-        dx = np.empty_like(x)
-        dgain = np.zeros(d, dtype=x.dtype)
-        dbias = np.zeros(d, dtype=x.dtype)
-        for i in range(n):
-            mu = mean[i]
-            r = rstd[i]
-            m1 = 0.0
-            m2 = 0.0
-            for j in range(d):
-                xh = (x[i, j] - mu) * r
-                dxh = dy[i, j] * gain[j]
-                m1 += dxh
-                m2 += dxh * xh
-                dgain[j] += dy[i, j] * xh
-                dbias[j] += dy[i, j]
-            m1 /= d
-            m2 /= d
-            for j in range(d):
-                xh = (x[i, j] - mu) * r
-                dxh = dy[i, j] * gain[j]
-                dx[i, j] = (dxh - m1 - xh * m2) * r
-        return dx, dgain, dbias
-
-    @njit(cache=True)
-    def _nb_gelu_forward(x):
-        out = np.empty_like(x)
-        flat_x = x.ravel()
-        flat_o = out.ravel()
-        for i in range(flat_x.size):
-            v = flat_x[i]
-            flat_o[i] = 0.5 * v * (1.0 + math.erf(v * INV_SQRT2))
-        return out
-
-    @njit(cache=True)
-    def _nb_gelu_backward(dy, x):
-        out = np.empty_like(x)
-        flat_x = x.ravel()
-        flat_dy = dy.ravel()
-        flat_o = out.ravel()
-        for i in range(flat_x.size):
-            v = flat_x[i]
-            cdf = 0.5 * (1.0 + math.erf(v * INV_SQRT2))
-            pdf = math.exp(-0.5 * v * v) * INV_SQRT_2PI
-            flat_o[i] = flat_dy[i] * (cdf + v * pdf)
-        return out
-
-    @njit(cache=True)
-    def _nb_softmax_forward(x):
-        n, d = x.shape
-        y = np.empty_like(x)
-        for i in range(n):
-            top = x[i, 0]
-            for j in range(1, d):
-                if x[i, j] > top:
-                    top = x[i, j]
-            s = 0.0
-            for j in range(d):
-                e = math.exp(x[i, j] - top)
-                y[i, j] = e
-                s += e
-            for j in range(d):
-                y[i, j] /= s
-        return y
-
-    @njit(cache=True)
-    def _nb_softmax_backward(dy, y):
-        n, d = y.shape
-        dx = np.empty_like(y)
-        for i in range(n):
-            inner = 0.0
-            for j in range(d):
-                inner += dy[i, j] * y[i, j]
-            for j in range(d):
-                dx[i, j] = y[i, j] * (dy[i, j] - inner)
-        return dx
-
-    @njit(cache=True)
-    def _nb_masked_ce_forward(logits, targets):
-        n, v = logits.shape
-        losses = np.empty(n, dtype=logits.dtype)
-        probs = np.empty_like(logits)
-        for i in range(n):
-            top = logits[i, 0]
-            for j in range(1, v):
-                if logits[i, j] > top:
-                    top = logits[i, j]
-            z = 0.0
-            for j in range(v):
-                e = math.exp(logits[i, j] - top)
-                probs[i, j] = e
-                z += e
-            for j in range(v):
-                probs[i, j] /= z
-            losses[i] = math.log(z) - (logits[i, targets[i]] - top)
-        return losses, probs
-
-    @njit(cache=True)
-    def _nb_masked_ce_backward(probs, targets, scale):
-        n, v = probs.shape
-        dlogits = np.empty_like(probs)
-        for i in range(n):
-            for j in range(v):
-                dlogits[i, j] = probs[i, j] * scale
-            dlogits[i, targets[i]] -= scale
-        return dlogits
-
-    @njit(cache=True)
-    def _nb_adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
-        c1 = 1.0 - beta1**t
-        c2 = 1.0 - beta2**t
-        for i in range(param.size):
-            g = grad[i]
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
-            param[i] -= lr * (m[i] / c1) / (math.sqrt(v[i] / c2) + eps)
-
-    @njit(cache=True)
-    def _nb_scatter_add_rows(table, ids, rows):
-        d = table.shape[1]
-        for i in range(ids.shape[0]):
-            r = ids[i]
-            for j in range(d):
-                table[r, j] += rows[i, j]
-
-    @njit(cache=True)
-    def _nb_gmm_estep(points, means, variances, log_weights):
-        n, d = points.shape
-        k = means.shape[0]
-        const = d * math.log(2.0 * math.pi)
-        logdet = np.empty(k, dtype=points.dtype)
-        for c in range(k):
-            s = 0.0
-            for j in range(d):
-                s += math.log(variances[c, j])
-            logdet[c] = s
-        resp = np.empty((n, k), dtype=points.dtype)
-        loglik = 0.0
-        for i in range(n):
-            top = -1e300
-            for c in range(k):
-                quad = 0.0
-                for j in range(d):
-                    diff = points[i, j] - means[c, j]
-                    quad += diff * diff / variances[c, j]
-                lp = log_weights[c] - 0.5 * (quad + logdet[c] + const)
-                resp[i, c] = lp
-                if lp > top:
-                    top = lp
-            s = 0.0
-            for c in range(k):
-                s += math.exp(resp[i, c] - top)
-            lse = top + math.log(s)
-            loglik += lse
-            for c in range(k):
-                resp[i, c] = math.exp(resp[i, c] - lse)
-        return resp, loglik
-
-    numba_impl = SimpleNamespace(
-        name="numba",
-        layernorm_forward=_nb_layernorm_forward,
-        layernorm_backward=_nb_layernorm_backward,
-        gelu_forward=_nb_gelu_forward,
-        gelu_backward=_nb_gelu_backward,
-        softmax_forward=_nb_softmax_forward,
-        softmax_backward=_nb_softmax_backward,
-        masked_ce_forward=_nb_masked_ce_forward,
-        masked_ce_backward=_nb_masked_ce_backward,
-        adam_update=_nb_adam_update,
-        scatter_add_rows=_nb_scatter_add_rows,
-        gmm_estep=_nb_gmm_estep,
-    )
-else:
-    numba_impl = None
-
-
-def _select_backend():
-    choice = os.environ.get("GLM_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return numpy_impl
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("GLM_BACKEND=numba but numba is not importable")
-        return numba_impl
-    if choice not in ("", "auto"):
-        raise RuntimeError(f"unknown GLM_BACKEND value {choice!r} (expected numba or numpy)")
-    return numba_impl if HAVE_NUMBA else numpy_impl
-
-
-active = _select_backend()
 
 
 def backend_name() -> str:

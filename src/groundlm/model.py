@@ -367,21 +367,6 @@ def masked_ce_stats(token_logits: np.ndarray, original_tokens: np.ndarray,
     return float(losses.astype(np.float64).sum()), int(idx.size)
 
 
-def perplexity(model: CrossModalModel, eval_stream) -> float:
-    """exp(total masked cross-entropy / total masked count) over a batch stream."""
-    total = 0.0
-    count = 0
-    with T.no_grad():
-        for batch in eval_stream:
-            logits, _, _ = model.forward(batch)
-            s, n = masked_ce_stats(logits.data, batch.original_tokens, batch.token_mask_flags)
-            total += s
-            count += n
-    if count == 0:
-        raise ValueError("perplexity: empty evaluation stream")
-    return float(np.exp(total / count))
-
-
 # -- checkpoints --------------------------------------------------------------
 
 
@@ -411,7 +396,10 @@ def load_checkpoint(path) -> CrossModalModel:
         if version != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-        config = ModelConfig(**json.loads(_read_exact(fh, config_len, "config")))
+        try:
+            config = ModelConfig(**json.loads(_read_exact(fh, config_len, "config")))
+        except TypeError as exc:  # unknown or missing keys, or not a JSON object
+            raise ValueError(f"{path}: checkpoint config does not fit ModelConfig: {exc}")
         model = CrossModalModel(config, seed=0)
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
         seen = set()
@@ -434,6 +422,11 @@ def load_checkpoint(path) -> CrossModalModel:
         missing = set(model.params) - seen
         if missing:
             raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
+        end = fh.tell()
+        trailing = len(fh.read())
+        if trailing:
+            raise ValueError(
+                f"{path}: {trailing} trailing byte(s) after the last parameter at offset {end}")
     if config.freeze_text:
         model.set_text_encoder_frozen(True)
     return model

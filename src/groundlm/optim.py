@@ -1,9 +1,9 @@
 """Adam optimizer with bias correction.
 
-Moments are kept per parameter name and updated in place by the active
-kernel backend. The epsilon sits outside the square root, so the very first
-step moves each weight by lr * g / (|g| + eps), i.e. almost exactly lr in
-magnitude wherever the gradient is nonzero.
+Moments are kept per parameter name and updated in place by the
+``adam_update`` kernel. The epsilon sits outside the square root, so the
+very first step moves each weight by lr * g / (|g| + eps), i.e. almost
+exactly lr in magnitude wherever the gradient is nonzero.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ topological order and accumulates gradients into every reachable tensor with
 parameters, constants, masks) prune the graph behind them.
 
 Elementwise hot paths (gelu, softmax, layer norm, the fused loss ops) run on
-the kernel backend selected in :mod:`groundlm.kernels`; matrix products go
-straight to ``np.matmul``.
+the kernels in :mod:`groundlm.kernels`; matrix products go straight to
+``np.matmul``.
 """
 
 from __future__ import annotations

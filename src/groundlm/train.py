@@ -1,7 +1,7 @@
 """Pretraining orchestration for the grounding strategies.
 
-Seven strategies share one loop; they differ in how visual slots are filled
-and which losses apply:
+Seven strategies share one loop. The ``STRATEGIES`` table says, as data, how
+each fills the visual slots, which losses apply and which examples it reads:
 
 * NoGrounding          — masked-LM only, placeholder visual slot.
 * TransferredI2T       — masked-LM with the paired image attached.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,18 +32,37 @@ from .associate import (Association, AssociationCache, NounLexicon,
                         associate_scene, association_cache_key)
 from .embeddings import WordEmbeddingTable
 from .index import ImageFeatureStore, ImageKeyIndex
-from .model import (CrossModalModel, MaskedBatch, mask_tokens,
+from .model import (CrossModalModel, MaskedBatch, mask_regions, mask_tokens,
                     masked_ce_stats, masked_lm_loss, masked_region_loss)
 from .optim import Adam
 from .vocab import CLS_ID, MASKED_ID, PAD_ID, SEP_ID, Vocab
 
-STRATEGY_NAMES = ("NoGrounding", "TransferredI2T", "TransferredT2I", "TransferredBoth",
-                  "AssociativeScene", "AssociativeObject", "AssociativeKeyword")
 
-_TRANSFERRED = {"TransferredI2T", "TransferredT2I", "TransferredBoth"}
-_ASSOCIATIVE = {"AssociativeScene", "AssociativeObject", "AssociativeKeyword"}
+@dataclass(frozen=True)
+class StrategySpec:
+    """What one strategy does; plain data, read by every stage that differs."""
+    mode: str                # visual side: placeholder, paired, scene, object, keyword
+    lm_loss: bool            # mask text and train the masked-token loss
+    region_loss: bool        # mask regions and train the region reconstruction loss
+    stream: str              # examples: "text" (text-only), "paired" or "mixed"
+    needs: Tuple[str, ...]   # Corpora fields the strategy cannot run without
 
-VISUAL_MODES = ("placeholder", "paired", "scene", "object", "keyword")
+
+STRATEGIES: Dict[str, StrategySpec] = {
+    "NoGrounding": StrategySpec("placeholder", True, False, "text", ("text_only",)),
+    "TransferredI2T": StrategySpec("paired", True, False, "mixed", ("paired", "store")),
+    "TransferredT2I": StrategySpec("paired", False, True, "paired", ("paired", "store")),
+    "TransferredBoth": StrategySpec("paired", True, True, "mixed", ("paired", "store")),
+    "AssociativeScene": StrategySpec(
+        "scene", True, False, "text", ("text_only", "store", "caption_index", "table")),
+    "AssociativeObject": StrategySpec(
+        "object", True, False, "text",
+        ("text_only", "store", "synset_index", "table", "lexicon")),
+    "AssociativeKeyword": StrategySpec(
+        "keyword", True, False, "text", ("text_only", "store", "caption_corpus")),
+}
+
+VISUAL_MODES = tuple(dict.fromkeys(spec.mode for spec in STRATEGIES.values()))
 
 
 @dataclass
@@ -52,12 +71,16 @@ class Strategy:
     k: int = 16
 
     def __post_init__(self):
-        if self.name not in STRATEGY_NAMES:
-            raise ValueError(f"unknown strategy {self.name!r}; choose from {STRATEGY_NAMES}")
-        if self.name == "NoGrounding":
+        if self.name not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.name!r}; choose from {tuple(STRATEGIES)}")
+        if self.spec.mode == "placeholder":
             self.k = 0
         elif self.k < 1:
             raise ValueError(f"strategy {self.name} needs K >= 1, got {self.k}")
+
+    @property
+    def spec(self) -> StrategySpec:
+        return STRATEGIES[self.name]
 
 
 @dataclass
@@ -96,31 +119,27 @@ class Corpora:
     caption_corpus: Optional[Dict[str, str]] = None
 
 
+_NEED_TEXT = {
+    "text_only": "a non-empty text-only corpus",
+    "paired": "a caption-paired corpus",
+    "store": "an image feature store",
+    "caption_index": "a caption-keyed index",
+    "synset_index": "a synset-keyed index",
+    "table": "a word-embedding table",
+    "lexicon": "a noun lexicon",
+    "caption_corpus": "a caption corpus for keyword matching",
+}
+
+
 def validate_strategy_corpora(strategy: Strategy, corpora: Corpora,
                               mix_ratio: float = 0.5) -> None:
-    name = strategy.name
-    def need(cond, what):
-        if not cond:
-            raise ValueError(f"strategy {name} requires {what}")
-    if name == "NoGrounding":
-        need(corpora.text_only, "a non-empty text-only corpus")
-    elif name in _TRANSFERRED:
-        need(corpora.paired, "a caption-paired corpus")
-        need(corpora.store is not None, "an image feature store")
-        if name != "TransferredT2I" and 0.0 < mix_ratio < 1.0:
-            need(corpora.text_only, "a text-only corpus when mix_ratio is in (0, 1)")
-    else:
-        need(corpora.text_only, "a non-empty text-only corpus")
-        need(corpora.store is not None, "an image feature store")
-        if name == "AssociativeScene":
-            need(corpora.caption_index is not None, "a caption-keyed index")
-            need(corpora.table is not None, "a word-embedding table")
-        elif name == "AssociativeObject":
-            need(corpora.synset_index is not None, "a synset-keyed index")
-            need(corpora.table is not None, "a word-embedding table")
-            need(corpora.lexicon is not None, "a noun lexicon")
-        else:
-            need(corpora.caption_corpus is not None, "a caption corpus for keyword matching")
+    for name in strategy.spec.needs:
+        value = getattr(corpora, name)
+        if value is None or (isinstance(value, list) and not value):
+            raise ValueError(f"strategy {strategy.name} requires {_NEED_TEXT[name]}")
+    if strategy.spec.stream == "mixed" and 0.0 < mix_ratio < 1.0 and not corpora.text_only:
+        raise ValueError(f"strategy {strategy.name} requires "
+                         "a text-only corpus when mix_ratio is in (0, 1)")
 
 
 # -- example streams ----------------------------------------------------------
@@ -163,9 +182,9 @@ def mix_corpora(paired: Sequence[Tuple[str, str]], text_only: Sequence[str],
 
 def _example_stream(strategy: Strategy, corpora: Corpora,
                     config: TrainConfig) -> List[ExampleTuple]:
-    if strategy.name == "TransferredT2I":
+    if strategy.spec.stream == "paired":
         return [(image_id, text) for image_id, text in corpora.paired]
-    if strategy.name in _TRANSFERRED:
+    if strategy.spec.stream == "mixed":
         return mix_corpora(corpora.paired, corpora.text_only, config.mix_ratio, config.seed)
     return [(None, text) for text in corpora.text_only]
 
@@ -199,6 +218,19 @@ def _query_text(corrupted_row: np.ndarray, flag_row: np.ndarray,
     return " ".join(keep)
 
 
+def associate_query(mode: str, query: str, corpora: Corpora, k: int, kappa: int,
+                    seed: int, threads: Optional[int] = None) -> Association:
+    """Run the scene, object or keyword association for one query string."""
+    if mode == "scene":
+        return associate_scene(query, corpora.caption_index, corpora.table, k,
+                               threads=threads)
+    if mode == "object":
+        return associate_object(query, corpora.synset_index, corpora.table,
+                                corpora.lexicon, k, min(kappa, k), seed=seed,
+                                threads=threads)
+    return associate_keyword_baseline(query, corpora.caption_corpus, k, table=corpora.table)
+
+
 def _associate_for_row(mode: str, query: str, corpora: Corpora, k: int, kappa: int,
                        assoc_seed: int, cache: Optional[AssociationCache],
                        threads: Optional[int]) -> List[Tuple[str, float]]:
@@ -207,16 +239,7 @@ def _associate_for_row(mode: str, query: str, corpora: Corpora, k: int, kappa: i
         hit = cache.get(key)
         if hit is not None:
             return hit
-    if mode == "scene":
-        assoc = associate_scene(query, corpora.caption_index, corpora.table, k,
-                                threads=threads)
-    elif mode == "object":
-        assoc = associate_object(query, corpora.synset_index, corpora.table,
-                                 corpora.lexicon, k, min(kappa, k), seed=assoc_seed,
-                                 threads=threads)
-    else:
-        assoc = associate_keyword_baseline(query, corpora.caption_corpus, k,
-                                           table=corpora.table)
+    assoc = associate_query(mode, query, corpora, k, kappa, assoc_seed, threads)
     ranked = [(it.image_id, it.similarity) for it in assoc.items]
     if cache is not None:
         cache.put(key, ranked)
@@ -289,31 +312,20 @@ def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[
             rank_ids[b, lo:lo + n] = rank
             slot_valid[b, lo:lo + n] = True
 
-    original_regions = regions.copy()
-    real_rows = slot_valid & ~placeholder_slots
     if mask_region_rng is not None:
-        region_flags = (mask_region_rng.random((b_sz, n_slots)) < cfg.mask_rate) & real_rows
-        regions[region_flags] = 0.0
+        masked, region_flags = mask_regions(regions, cfg.mask_rate, mask_region_rng)
+        region_flags &= slot_valid & ~placeholder_slots
     else:
-        region_flags = np.zeros((b_sz, n_slots), dtype=bool)
+        masked, region_flags = regions.copy(), np.zeros((b_sz, n_slots), dtype=bool)
 
     text_valid = ids != PAD_ID
-    batch.regions = regions
-    batch.original_regions = original_regions
+    batch.regions = masked
+    batch.original_regions = regions
     batch.region_mask_flags = region_flags
     batch.rank_ids = rank_ids
     batch.placeholder_slots = placeholder_slots
     batch.attention_pad_mask = np.concatenate([text_valid, slot_valid], axis=1)
     return batch
-
-
-def strategy_visual_mode(name: str) -> str:
-    if name == "NoGrounding":
-        return "placeholder"
-    if name in _TRANSFERRED:
-        return "paired"
-    return {"AssociativeScene": "scene", "AssociativeObject": "object",
-            "AssociativeKeyword": "keyword"}[name]
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -423,11 +435,9 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     train_rows = [e[0] for e in encoded]
     train_raw = [e[1] for e in encoded]
 
-    mode = strategy_visual_mode(strategy.name)
-    mask_text = strategy.name != "TransferredT2I"
-    mask_regions_too = strategy.name in ("TransferredT2I", "TransferredBoth")
-    region_loss_on = mask_regions_too
-    lm_loss_on = mask_text
+    mode = strategy.spec.mode
+    lm_loss_on = strategy.spec.lm_loss
+    region_loss_on = strategy.spec.region_loss
 
     opt = Adam(model.trainable_params(), lr=config.lr)
     metrics: List[MetricsRow] = []
@@ -480,8 +490,8 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
             batch = build_batch(
                 chunk, rows, vocab, model, mode,
                 raw_rows=[train_raw[i] for i in picks],
-                mask_text_rng=mask_rng if mask_text else None,
-                mask_region_rng=mask_rng if mask_regions_too else None,
+                mask_text_rng=mask_rng if lm_loss_on else None,
+                mask_region_rng=mask_rng if region_loss_on else None,
                 corpora=corpora, k=strategy.k, kappa=config.kappa,
                 assoc_seed=config.seed, cache=cache, threads=threads)
             logits, preds, _cls = model.forward(batch)

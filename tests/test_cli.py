@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -212,6 +213,24 @@ class TestTrainEvalRoundTrip:
         name, val = line.split("\t")
         assert name == "NoGrounding"
         assert float(val.replace("ppl ", "")) > 1.0
+
+    def test_eval_ppl_unknown_checkpoint_config_key_exits_1(self, bundle, checkpoint,
+                                                             tmp_path, capsys):
+        model, _ = checkpoint
+        blob = model.read_bytes()
+        (config_len,) = struct.unpack("<I", blob[8:12])
+        config = json.loads(blob[12:12 + config_len])
+        config["bogus_key"] = 1
+        raw = json.dumps(config, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "bad.glmc"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + config_len:])
+        rc = main(["eval-ppl", "--strategy", "NoGrounding",
+                   "--vocab", str(bundle / "vocab.txt"),
+                   "--corpus", str(bundle / "corpus.txt"),
+                   "--model", str(bad), "--seed", "7"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "bogus_key" in err
 
     def test_finetune_report(self, bundle, checkpoint, tmp_path, capsys):
         model, _ = checkpoint

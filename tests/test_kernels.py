@@ -1,132 +1,12 @@
-import subprocess
-import sys
-
-import numpy as np
-import pytest
-
 from groundlm import kernels
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
+KERNEL_NAMES = ("layernorm_forward", "layernorm_backward", "gelu_forward",
+                "gelu_backward", "softmax_forward", "softmax_backward",
+                "masked_ce_forward", "masked_ce_backward", "adam_update",
+                "scatter_add_rows", "gmm_estep")
 
 
-def rand(shape, rng, dtype=np.float64):
-    return rng.normal(size=shape).astype(dtype)
-
-
-@needs_numba
-class TestBackendEquivalence:
-    """Every kernel: numba output must match the plain-numpy reference."""
-
-    def test_layernorm_forward_backward(self, rng):
-        x = rand((6, 16), rng)
-        gain, bias = rand(16, rng), rand(16, rng)
-        y_np, mu_np, r_np = kernels.numpy_impl.layernorm_forward(x, gain, bias, 1e-5)
-        y_nb, mu_nb, r_nb = kernels.numba_impl.layernorm_forward(x, gain, bias, 1e-5)
-        np.testing.assert_allclose(y_nb, y_np, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(mu_nb, mu_np, rtol=1e-12)
-        np.testing.assert_allclose(r_nb, r_np, rtol=1e-12)
-        dy = rand((6, 16), rng)
-        out_np = kernels.numpy_impl.layernorm_backward(dy, x, mu_np, r_np, gain)
-        out_nb = kernels.numba_impl.layernorm_backward(dy, x, mu_nb, r_nb, gain)
-        for a, b in zip(out_np, out_nb):
-            np.testing.assert_allclose(b, a, rtol=1e-10, atol=1e-12)
-
-    def test_gelu_forward_backward(self, rng):
-        x = rand((5, 9), rng)
-        np.testing.assert_allclose(kernels.numba_impl.gelu_forward(x),
-                                   kernels.numpy_impl.gelu_forward(x),
-                                   rtol=1e-12, atol=1e-12)
-        dy = rand((5, 9), rng)
-        np.testing.assert_allclose(kernels.numba_impl.gelu_backward(dy, x),
-                                   kernels.numpy_impl.gelu_backward(dy, x),
-                                   rtol=1e-10, atol=1e-12)
-
-    def test_softmax_forward_backward(self, rng):
-        x = rand((7, 11), rng) * 4
-        y_np = kernels.numpy_impl.softmax_forward(x)
-        y_nb = kernels.numba_impl.softmax_forward(x)
-        np.testing.assert_allclose(y_nb, y_np, rtol=1e-12, atol=1e-15)
-        dy = rand((7, 11), rng)
-        np.testing.assert_allclose(kernels.numba_impl.softmax_backward(dy, y_nb),
-                                   kernels.numpy_impl.softmax_backward(dy, y_np),
-                                   rtol=1e-10, atol=1e-14)
-
-    def test_masked_ce_forward_backward(self, rng):
-        logits = rand((8, 13), rng) * 3
-        targets = rng.integers(0, 13, size=8)
-        losses_np, probs_np = kernels.numpy_impl.masked_ce_forward(logits, targets)
-        losses_nb, probs_nb = kernels.numba_impl.masked_ce_forward(logits, targets)
-        np.testing.assert_allclose(losses_nb, losses_np, rtol=1e-12)
-        np.testing.assert_allclose(probs_nb, probs_np, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(
-            kernels.numba_impl.masked_ce_backward(probs_nb, targets, 0.125),
-            kernels.numpy_impl.masked_ce_backward(probs_np, targets, 0.125),
-            rtol=1e-12, atol=1e-15)
-
-    def test_adam_update(self, rng):
-        p_np, p_nb = rand(40, rng), None
-        g = rand(40, rng)
-        m, v = np.zeros(40), np.zeros(40)
-        m2, v2 = np.zeros(40), np.zeros(40)
-        p_nb = p_np.copy()
-        kernels.numpy_impl.adam_update(p_np, g, m, v, 3, 1e-3, 0.9, 0.999, 1e-8)
-        kernels.numba_impl.adam_update(p_nb, g, m2, v2, 3, 1e-3, 0.9, 0.999, 1e-8)
-        np.testing.assert_allclose(p_nb, p_np, rtol=1e-12)
-        np.testing.assert_allclose(m2, m, rtol=1e-12)
-        np.testing.assert_allclose(v2, v, rtol=1e-12)
-
-    def test_scatter_add_rows(self, rng):
-        table_np = rand((9, 5), rng)
-        table_nb = table_np.copy()
-        ids = rng.integers(0, 9, size=14)
-        rows = rand((14, 5), rng)
-        kernels.numpy_impl.scatter_add_rows(table_np, ids, rows)
-        kernels.numba_impl.scatter_add_rows(table_nb, ids, rows)
-        np.testing.assert_allclose(table_nb, table_np, rtol=1e-12)
-
-    def test_gmm_estep(self, rng):
-        pts = rand((30, 4), rng)
-        means = rand((3, 4), rng)
-        variances = np.abs(rand((3, 4), rng)) + 0.1
-        logw = np.log(np.full(3, 1 / 3))
-        resp_np, ll_np = kernels.numpy_impl.gmm_estep(pts, means, variances, logw)
-        resp_nb, ll_nb = kernels.numba_impl.gmm_estep(pts, means, variances, logw)
-        np.testing.assert_allclose(resp_nb, resp_np, rtol=1e-10, atol=1e-14)
-        assert abs(ll_nb - ll_np) < 1e-8 * max(1.0, abs(ll_np))
-
-
-SNIPPET = "import groundlm.kernels as k; print(k.backend_name())"
-
-
-class TestBackendSelection:
-    def run_with_env(self, value):
-        import os
-        env = dict(os.environ)
-        if value is None:
-            env.pop("GLM_BACKEND", None)
-        else:
-            env["GLM_BACKEND"] = value
-        return subprocess.run([sys.executable, "-c", SNIPPET], env=env,
-                              capture_output=True, text=True)
-
-    def test_numpy_forced(self):
-        out = self.run_with_env("numpy")
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
-
-    @needs_numba
-    def test_numba_forced(self):
-        out = self.run_with_env("numba")
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numba"
-
-    def test_auto_picks_available(self):
-        out = self.run_with_env("auto")
-        assert out.returncode == 0
-        expected = "numba" if kernels.HAVE_NUMBA else "numpy"
-        assert out.stdout.strip() == expected
-
-    def test_unknown_value_rejected(self):
-        out = self.run_with_env("cuda")
-        assert out.returncode != 0
-        assert "GLM_BACKEND" in out.stderr
+def test_active_exposes_every_kernel():
+    for name in KERNEL_NAMES:
+        assert callable(getattr(kernels.active, name)), name
+    assert kernels.backend_name() == "numpy"

@@ -4,12 +4,13 @@ import pytest
 from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig,
                             load_checkpoint, mask_regions, mask_tokens,
                             masked_ce_stats, masked_lm_loss,
-                            masked_region_loss, perplexity, save_checkpoint)
+                            masked_region_loss, save_checkpoint)
 from groundlm.optim import Adam
 from groundlm.tensor import Tensor, no_grad
-from groundlm.vocab import MASKED_ID, N_RESERVED
+from groundlm.train import evaluate_perplexity
+from groundlm.vocab import MASKED_ID, N_RESERVED, RESERVED, Vocab
 
-from conftest import tiny_model
+from conftest import tiny_model, tiny_vocab
 
 
 def token_rows(rng, b, t, vocab_size):
@@ -245,39 +246,20 @@ class TestLosses:
 
 
 class TestPerplexity:
-    def test_uniform_head_matches_vocab_size(self, rng):
+    def test_uniform_head_matches_vocab_size(self):
+        words = [f"w{i:02d}" for i in range(95)]
+        vocab = Vocab(list(RESERVED) + words)
         model = tiny_model(vocab_size=100, max_len=8)
         model.params["lm_head.W"].data[:] = 0.0
         model.params["lm_head.b"].data[:] = 0.0
-
-        def stream():
-            gen = np.random.default_rng(5)
-            for _ in range(30):
-                ids = token_rows(gen, 4, 8, 100)
-                corrupted, flags = mask_tokens(ids, 0.15, gen, 100)
-                yield MaskedBatch(token_ids=corrupted, token_mask_flags=flags,
-                                  original_tokens=ids)
-
-        ppl = perplexity(model, stream())
+        gen = np.random.default_rng(5)
+        texts = [" ".join(gen.choice(words, size=7)) for _ in range(120)]
+        ppl = evaluate_perplexity(model, texts, vocab, seed=5)
         assert 95.0 <= ppl <= 105.0
 
-    def test_same_stream_same_value(self, rng):
-        model = tiny_model()
-
-        def stream():
-            gen = np.random.default_rng(3)
-            for _ in range(5):
-                ids = token_rows(gen, 2, 6, 11)
-                corrupted, flags = mask_tokens(ids, 0.2, gen, 11)
-                yield MaskedBatch(token_ids=corrupted, token_mask_flags=flags,
-                                  original_tokens=ids)
-
-        assert perplexity(model, stream()) == perplexity(model, stream())
-
     def test_empty_stream_rejected(self):
-        model = tiny_model()
-        with pytest.raises(ValueError):
-            perplexity(model, iter(()))
+        with pytest.raises(ValueError, match="empty"):
+            evaluate_perplexity(tiny_model(), [], tiny_vocab(), seed=0)
 
 
 class TestFreezeAndTraining:
@@ -355,6 +337,14 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(ValueError, match="unexpected end"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.glmc"
+        save_checkpoint(tiny_model(), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(ValueError, match=f"3 trailing byte.*offset {size}"):
             load_checkpoint(path)
 
 

@@ -5,13 +5,23 @@ from groundlm.associate import AssociationCache, build_caption_index
 from groundlm.embeddings import WordEmbeddingTable
 from groundlm.index import ImageFeatureStore, write_feature_store
 from groundlm.model import CrossModalModel, ModelConfig
-from groundlm.train import (STRATEGY_NAMES, Corpora, Strategy, TrainConfig,
+from groundlm.train import (STRATEGIES, Corpora, Strategy, TrainConfig,
                             build_batch, evaluate_perplexity, mix_corpora,
-                            pretrain, strategy_visual_mode,
-                            validate_strategy_corpora, write_metrics_csv)
+                            pretrain, validate_strategy_corpora,
+                            write_metrics_csv)
 from groundlm.vocab import RESERVED, Vocab
 
 WORDS = ["red", "dog", "cat", "sat", "mat", "hat", "sun", "sky"]
+
+TABLE_ROWS = {  # visual mode, LM loss, region loss, example stream
+    "NoGrounding": ("placeholder", True, False, "text"),
+    "TransferredI2T": ("paired", True, False, "mixed"),
+    "TransferredT2I": ("paired", False, True, "paired"),
+    "TransferredBoth": ("paired", True, True, "mixed"),
+    "AssociativeScene": ("scene", True, False, "text"),
+    "AssociativeObject": ("object", True, False, "text"),
+    "AssociativeKeyword": ("keyword", True, False, "text"),
+}
 
 
 def small_world(tmp_path, rng, n_pairs=24):
@@ -75,7 +85,7 @@ class TestMixCorpora:
 
 class TestValidation:
     def test_strategy_names_fixed(self):
-        assert set(STRATEGY_NAMES) == {
+        assert set(STRATEGIES) == {
             "NoGrounding", "TransferredI2T", "TransferredT2I", "TransferredBoth",
             "AssociativeScene", "AssociativeObject", "AssociativeKeyword"}
 
@@ -100,12 +110,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="NoGrounding"):
             validate_strategy_corpora(Strategy("NoGrounding"), Corpora(vocab=vocab))
 
-    def test_visual_modes(self):
-        assert strategy_visual_mode("NoGrounding") == "placeholder"
-        assert strategy_visual_mode("TransferredI2T") == "paired"
-        assert strategy_visual_mode("AssociativeScene") == "scene"
-        assert strategy_visual_mode("AssociativeObject") == "object"
-        assert strategy_visual_mode("AssociativeKeyword") == "keyword"
+    @pytest.mark.parametrize("name", list(TABLE_ROWS))
+    def test_visual_modes(self, name):
+        spec = Strategy(name, k=1).spec
+        assert (spec.mode, spec.lm_loss, spec.region_loss, spec.stream) == TABLE_ROWS[name]
 
 
 class TestPretrain:
