@@ -206,10 +206,13 @@ def associate_object(text: str, synset_index: ImageKeyIndex, table: WordEmbeddin
     Distinct in-vocabulary nouns feed a diagonal GMM with kappa capped at
     their count; each component (heaviest first) nominates its closest noun,
     which retrieves ceil(k / kappa') images; the concatenation is truncated
-    to k. Texts with no usable nouns yield an empty Association.
+    to k. A single distinct noun skips the fit, which could only nominate it
+    for all k images. Texts with no usable nouns yield an empty Association.
     """
     if kappa > k:
         raise ValueError(f"kappa ({kappa}) must not exceed K ({k})")
+    if kappa < 1:
+        raise ValueError(f"kappa must be >= 1, got {kappa}")
     nouns_in_order = extract_nouns(text, lexicon)
     distinct: List[str] = []
     for noun in nouns_in_order:
@@ -217,23 +220,24 @@ def associate_object(text: str, synset_index: ImageKeyIndex, table: WordEmbeddin
             distinct.append(noun)
     if not distinct:
         return Association("object")
-    vectors = np.stack([table.entries[n] for n in distinct]).astype(np.float64)
-    eff_kappa = min(kappa, len(distinct))
-    model = fit_gmm(vectors, eff_kappa, seed=_gmm_seed(seed, text))
-
-    unit = vectors / np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1e-12)
-    per_component = math.ceil(k / model.kappa)
-    order = np.argsort(-model.weights, kind="stable")
+    if len(distinct) == 1:
+        # a one-point, one-component mixture always nominates that point
+        reps, per_component = distinct, k
+    else:
+        vectors = np.stack([table.entries[n] for n in distinct]).astype(np.float64)
+        model = fit_gmm(vectors, min(kappa, len(distinct)), seed=_gmm_seed(seed, text))
+        unit = vectors / np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1e-12)
+        per_component = math.ceil(k / model.kappa)
+        reps = []
+        for comp in np.argsort(-model.weights, kind="stable"):
+            mean = model.means[comp]
+            mean_norm = np.linalg.norm(mean)
+            rep_idx = 0 if mean_norm < 1e-12 else int(np.argmax(unit @ (mean / mean_norm)))
+            reps.append(distinct[rep_idx])
     items: List[AssociationItem] = []
-    for comp in order:
-        mean = model.means[comp]
-        mean_norm = np.linalg.norm(mean)
-        if mean_norm < 1e-12:
-            rep_idx = 0
-        else:
-            rep_idx = int(np.argmax(unit @ (mean / mean_norm)))
-        rep_vec = table.entries[distinct[rep_idx]]
-        for image_id, sim in top_k(synset_index, rep_vec, per_component, threads=threads):
+    for noun in reps:
+        for image_id, sim in top_k(synset_index, table.entries[noun], per_component,
+                                   threads=threads):
             items.append(AssociationItem(image_id, len(items), sim))
             if len(items) == k:
                 break

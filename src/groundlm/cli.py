@@ -12,9 +12,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict
 
 from .associate import (AssociationCache, build_caption_index, build_synset_index,
                         load_caption_corpus, load_noun_lexicon, load_synsets)

@@ -83,7 +83,9 @@ def load_word_vectors(path, stopwords: Optional[Iterable[str]] = None) -> WordEm
 
     An optional first line `count dim` (two integer fields) declares the
     dimension; otherwise it is inferred from the first data line. Duplicate
-    tokens (case-insensitive) keep their first occurrence.
+    tokens (case-insensitive) keep their first occurrence. Non-numeric and
+    non-finite (nan, inf, float32 overflow) components are rejected with
+    their line number.
     """
     entries: Dict[str, np.ndarray] = {}
     dim: Optional[int] = None
@@ -105,6 +107,8 @@ def load_word_vectors(path, stopwords: Optional[Iterable[str]] = None) -> WordEm
                 vec = np.array(parts[1:], dtype=np.float32)
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric vector component") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"line {lineno}: non-finite vector component")
             if dim is None:
                 dim = vec.shape[0]
             if vec.shape[0] != dim:

@@ -13,16 +13,16 @@ import hashlib
 import json
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
 from .associate import AssociationCache
-from .model import CrossModalModel, MaskedBatch
+from .model import CrossModalModel
 from .optim import Adam
 from .tensor import Tensor, masked_cross_entropy, mean_all, mul, no_grad
-from .train import Corpora, Strategy, TrainConfig, build_batch
+from .train import Corpora, Strategy, TrainConfig, build_batch, require_corpora
 from .vocab import Vocab
 
 
@@ -179,11 +179,12 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
     if mode != "placeholder" and strategy.k > model.config.k_max:
         raise ValueError(
             f"strategy K={strategy.k} exceeds model k_max={model.config.k_max}")
-    if mode != "placeholder" and (corpora is None or corpora.store is None
-                                  or corpora.table is None):
-        raise ValueError(f"strategy {strategy.name} requires a corpora with store and table")
     if corpora is None or corpora.vocab is None:
         raise ValueError("finetune needs a Corpora carrying the model vocab")
+    if mode != "placeholder":
+        # task sentences replace the pretraining streams; everything else is needed
+        require_corpora(strategy, corpora, [name for name in strategy.spec.needs
+                                            if name not in ("text_only", "paired")])
     vocab = corpora.vocab
 
     if task.metric == "accuracy":

@@ -1,9 +1,15 @@
 """Image-key archive: exact top-K cosine retrieval plus binary persistence.
 
 Keys are unit-normalized at build time, so cosine similarity is a single
-matrix-vector product. Retrieval is exact: every shard is fully scanned and
-the shard winners re-sorted, which makes the ranked list independent of the
-thread count and lets tests compare against a brute-force sort.
+matrix-vector product. Retrieval is exact: every shard is fully scanned, then
+the K best are selected rather than sorted. ``np.partition`` finds the K-th
+best similarity, every row at least that good is kept (so a tie group that
+straddles position K survives whole), and only those candidates are sorted,
+by similarity and then by each id's precomputed integer rank. Shard winners
+are merged the same way, so the ranked list is independent of the thread
+count and equal to a brute-force sort by (similarity desc, id asc). Keys and
+queries must be finite; non-finite ones are rejected, because they have no
+place in that order.
 
 File formats (all little-endian):
   index  — magic ``VIDX``, u32 version=1, u32 dim, u64 count, then per item
@@ -54,10 +60,16 @@ class ImageKeyIndex:
         self.skipped = skipped
         if items:
             self._keys = np.ascontiguousarray(np.stack([it.key for it in items]))
-            self._ids = np.array([it.id for it in items])
+            finite = np.isfinite(self._keys).all(axis=1)
+            if not finite.all():
+                bad = items[int(np.argmin(finite))].id
+                raise ValueError(f"non-finite key for id {bad!r}")
         else:
             self._keys = np.zeros((0, dim), dtype=np.float32)
-            self._ids = np.array([], dtype=str)
+        # each row's position in ascending id order: ties break on an int
+        ids = np.array([it.id for it in items], dtype=str)
+        self._id_rank = np.empty(len(items), dtype=np.int64)
+        self._id_rank[np.argsort(ids, kind="stable")] = np.arange(len(items))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -105,15 +117,32 @@ def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]],
     return ImageKeyIndex(dim, items, shard_size=shard_size, skipped=skipped)
 
 
-def _rank(ids: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best (similarity desc, id asc) entries."""
-    order = np.lexsort((ids, -sims))
-    return order[:k]
+def _rank(id_rank: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k best entries by (similarity desc, id rank asc).
+
+    Selection, not a full sort: the k-th best similarity is found with
+    ``np.partition``, every entry at least that good is a candidate (the
+    whole tie group at the boundary included), and only the candidates are
+    sorted.
+    """
+    n = sims.shape[0]
+    if k < n:
+        kth = np.partition(sims, n - k)[n - k]
+        cand = np.flatnonzero(sims >= kth)
+    else:
+        cand = np.arange(n)
+    order = np.lexsort((id_rank[cand], -sims[cand]))
+    return cand[order[:k]]
 
 
 def top_k(index: ImageKeyIndex, query, k: int,
           threads: Optional[int] = None) -> List[Tuple[str, float]]:
-    """Exact K-nearest by cosine, descending, ties broken by ascending id."""
+    """Exact K-nearest by cosine, descending, ties broken by ascending id.
+
+    Each shard is scanned with one matrix-vector product and reduced to its
+    K best by ``_rank``; the shard winners are ranked again the same way.
+    Non-finite queries are rejected.
+    """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
     if isinstance(query, QueryVector):
@@ -124,6 +153,8 @@ def top_k(index: ImageKeyIndex, query, k: int,
         q = np.asarray(query, dtype=np.float32).reshape(-1)
     if q.shape[0] != index.dim:
         raise ValueError(f"query dim {q.shape[0]} != index dim {index.dim}")
+    if not np.isfinite(q).all():
+        raise ValueError("top_k: non-finite query")
     norm = float(np.linalg.norm(q))
     if norm < 1e-12:
         raise ValueError("top_k: zero-norm query")
@@ -138,19 +169,22 @@ def top_k(index: ImageKeyIndex, query, k: int,
     def scan(bounds):
         lo, hi = bounds
         sims = index._keys[lo:hi] @ q
-        local = _rank(index._ids[lo:hi], sims, k)
+        local = _rank(index._id_rank[lo:hi], sims, k)
         return local + lo, sims[local]
 
-    if threads == 1 or len(shards) == 1:
-        parts = [scan(b) for b in shards]
+    if len(shards) == 1:
+        best_idx, best_sim = scan(shards[0])
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan, shards))
-
-    cand_idx = np.concatenate([p[0] for p in parts])
-    cand_sim = np.concatenate([p[1] for p in parts])
-    best = _rank(index._ids[cand_idx], cand_sim, k)
-    return [(str(index._ids[cand_idx[i]]), float(cand_sim[i])) for i in best]
+        if threads == 1:
+            parts = [scan(b) for b in shards]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                parts = list(pool.map(scan, shards))
+        cand_idx = np.concatenate([p[0] for p in parts])
+        cand_sim = np.concatenate([p[1] for p in parts])
+        best = _rank(index._id_rank[cand_idx], cand_sim, k)
+        best_idx, best_sim = cand_idx[best], cand_sim[best]
+    return [(index.items[i].id, float(s)) for i, s in zip(best_idx.tolist(), best_sim)]
 
 
 # -- index persistence -------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import struct
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np

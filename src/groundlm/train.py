@@ -131,12 +131,17 @@ _NEED_TEXT = {
 }
 
 
-def validate_strategy_corpora(strategy: Strategy, corpora: Corpora,
-                              mix_ratio: float = 0.5) -> None:
-    for name in strategy.spec.needs:
+def require_corpora(strategy: Strategy, corpora: Corpora, fields: Sequence[str]) -> None:
+    """Raise naming the first of ``fields`` that ``corpora`` lacks or has empty."""
+    for name in fields:
         value = getattr(corpora, name)
         if value is None or (isinstance(value, list) and not value):
             raise ValueError(f"strategy {strategy.name} requires {_NEED_TEXT[name]}")
+
+
+def validate_strategy_corpora(strategy: Strategy, corpora: Corpora,
+                              mix_ratio: float = 0.5) -> None:
+    require_corpora(strategy, corpora, strategy.spec.needs)
     if strategy.spec.stream == "mixed" and 0.0 < mix_ratio < 1.0 and not corpora.text_only:
         raise ValueError(f"strategy {strategy.name} requires "
                          "a text-only corpus when mix_ratio is in (0, 1)")

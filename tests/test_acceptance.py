@@ -9,7 +9,6 @@ The trend/null tests train real models and take a few minutes total.
 import contextlib
 import filecmp
 import io
-import json
 import time
 
 import numpy as np

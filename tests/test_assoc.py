@@ -7,9 +7,10 @@ from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
                                 build_caption_index, build_synset_index,
                                 extract_nouns, load_caption_corpus,
                                 load_noun_lexicon, load_synsets)
+from groundlm import associate as associate_mod
 from groundlm.embeddings import WordEmbeddingTable, encode_cbow
-
-from conftest import make_table
+from groundlm.gmm import fit_gmm
+from groundlm.index import top_k
 
 
 def table_of(entries) -> WordEmbeddingTable:
@@ -144,6 +145,22 @@ class TestObject:
         assert got & {"c1", "c2", "c3", "c4"}
         assert len(assoc) == 4
 
+    def test_single_noun_skips_gmm_exactly(self, monkeypatch):
+        """One distinct noun retrieves its own top K without a fit, and a fit
+        on that one point could only have nominated the same noun."""
+        table = table_of(OBJ_VECS)
+        index = self.make_index(table)
+        point = fit_gmm(np.array([OBJ_VECS["dog"]]), 2, seed=[0, 1])
+        assert point.kappa == 1 and point.weights.tolist() == [1.0]
+        np.testing.assert_array_equal(point.means[0], OBJ_VECS["dog"])
+
+        def no_fit(*_a, **_kw):
+            raise AssertionError("fit_gmm called for a single noun")
+        monkeypatch.setattr(associate_mod, "fit_gmm", no_fit)
+        assoc = associate_object("the dog and the dog", index, table, self.LEX, 3, 2)
+        assert [(it.image_id, it.rank, it.similarity) for it in assoc.items] == \
+            [(i, r, s) for r, (i, s) in enumerate(top_k(index, table.entries["dog"], 3))]
+
     def test_no_nouns_empty(self):
         table = table_of(OBJ_VECS)
         index = self.make_index(table)
@@ -154,6 +171,12 @@ class TestObject:
         index = self.make_index(table)
         with pytest.raises(ValueError):
             associate_object("dog", index, table, self.LEX, 2, 5, seed=0)
+
+    def test_kappa_below_one_rejected_for_single_noun(self):
+        table = table_of(OBJ_VECS)
+        index = self.make_index(table)
+        with pytest.raises(ValueError, match="kappa"):
+            associate_object("dog", index, table, self.LEX, 2, 0, seed=0)
 
     def test_determinism_across_calls(self):
         table = table_of(OBJ_VECS)

@@ -1,12 +1,9 @@
 import json
-import os
 import struct
 
-import numpy as np
 import pytest
 
 from groundlm.cli import CONFIG_KEYS, RunConfig, build_parser, main
-from groundlm.index import write_feature_store
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +99,20 @@ class TestBuildIndex:
                    str(bundle / "wordvecs.txt"), "--out", str(tmp_path / "x.vidx")])
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_non_finite_vectors_exit_1_naming_line(self, bundle, tmp_path, capsys):
+        vectors = tmp_path / "nan.txt"
+        lines = (bundle / "wordvecs.txt").read_text().splitlines()[:3]
+        word, *comps = lines[1].split()
+        lines[1] = " ".join([word, "nan"] + comps[1:])
+        vectors.write_text("\n".join(lines) + "\n")
+        rc = main(["build-index", "--kind", "caption", "--input",
+                   str(bundle / "captions.tsv"), "--vectors", str(vectors),
+                   "--out", str(tmp_path / "x.vidx")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "line 2: non-finite" in err and "Traceback" not in err
+        assert not (tmp_path / "x.vidx").exists()
 
     def test_rerun_byte_identical(self, bundle, tmp_path):
         a, b = tmp_path / "a.vidx", tmp_path / "b.vidx"
@@ -251,3 +262,35 @@ class TestTrainEvalRoundTrip:
         assert blob["n_runs"] == 2
         assert blob["strategy"] == "NoGrounding"
         assert "median" in blob
+
+    def _finetune_argv(self, bundle, checkpoint, tmp_path, strategy, *extra):
+        model, _ = checkpoint
+        task = tmp_path / "task.tsv"
+        rows = ["metric=accuracy labels=0,1"]
+        for j in range(12):
+            rows.append(f"{j % 2}\tc{j % 2:03d} f000 f001")
+        task.write_text("\n".join(rows) + "\n")
+        return ["finetune", "--strategy", strategy,
+                "--vocab", str(bundle / "vocab.txt"), "--model", str(model),
+                "--task", str(task), "--out-report", str(tmp_path / "rep.json"),
+                "--features", str(bundle / "features.vftr"), "--k", "2",
+                "--runs", "2", "--max-steps", "2", "--max-epochs", "1",
+                "--batch-size", "4", "--val-fraction", "0.25", *extra]
+
+    def test_finetune_scene_without_captions_names_index(self, bundle, checkpoint,
+                                                         tmp_path, capsys):
+        rc = main(self._finetune_argv(bundle, checkpoint, tmp_path, "AssociativeScene",
+                                      "--vectors", str(bundle / "wordvecs.txt")))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "requires a caption-keyed index" in err
+        assert "fine-tune runs failed" not in err
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_finetune_keyword_needs_no_vectors(self, bundle, checkpoint, tmp_path):
+        rc = main(self._finetune_argv(bundle, checkpoint, tmp_path, "AssociativeKeyword",
+                                      "--captions", str(bundle / "captions.tsv")))
+        assert rc == 0
+        blob = json.loads((tmp_path / "rep.json").read_text())
+        assert blob["strategy"] == "AssociativeKeyword"
+        assert blob["n_completed"] == 2

@@ -7,7 +7,7 @@ from groundlm.embeddings import (WordEmbeddingTable, encode_cbow,
                                  encode_synset_key, load_word_vectors,
                                  tokenize)
 
-from conftest import make_table, write_wordvecs
+from conftest import make_table
 
 BASE = {"dog": [1.0, 0.0, 0.0], "cat": [0.0, 1.0, 0.0], "house": [0.0, 0.0, 1.0]}
 
@@ -35,6 +35,14 @@ class TestLoader:
         path = tmp_path / "bad.txt"
         path.write_text("a 1.0 x\n")
         with pytest.raises(ValueError, match="line 1"):
+            load_word_vectors(path)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e40"])
+    def test_non_finite_component_names_line(self, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"a 1.0 2.0\nb 0.5 {bad}\nc 3.0 4.0\n")
+        with pytest.raises(ValueError, match="line 2: non-finite"):
             load_word_vectors(path)
 
     def test_empty_file_rejected(self, tmp_path):

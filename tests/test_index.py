@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundlm.embeddings import QueryVector
 from groundlm.index import (ImageFeatureStore, build_index, load_index,
@@ -45,6 +47,13 @@ class TestBuild:
     def test_bad_source_kind_rejected(self):
         with pytest.raises(ValueError):
             build_index([("a", np.ones(2, dtype=np.float32), 0, "banana")])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_key_rejected_naming_id(self, bad):
+        rows = entries_from([[1.0, 0.0], [bad, 1.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="non-finite key for id 'img0001'"):
+            build_index(rows)
 
 
 class TestTopK:
@@ -101,12 +110,71 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k(index, QueryVector(np.zeros(4, dtype=np.float32), True), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, rng, bad):
+        index = build_index(entries_from(rng.normal(size=(3, 4))))
+        with pytest.raises(ValueError, match="non-finite query"):
+            top_k(index, qv([1.0, bad, 0.0, 0.0]), 2)
+
     def test_dim_mismatch_and_bad_k(self, rng):
         index = build_index(entries_from(rng.normal(size=(3, 4))))
         with pytest.raises(ValueError):
             top_k(index, qv(np.ones(5)), 2)
         with pytest.raises(ValueError):
             top_k(index, qv(np.ones(4)), 0)
+
+
+# Distinct directions whose unit vectors and pairwise dot products are exact
+# in float32 (components 0, +-1/2 or +-1), so the oracle's similarities are
+# the same floats however the scan splits rows into shards and BLAS blocks.
+DYADIC_DIRS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1), (1, 1, 1, 1),
+               (1, -1, 1, -1), (-1, -1, 1, 1), (1, 1, -1, 1), (-1, 0, 0, 0)]
+ID_TEXT = st.text(alphabet="ab0", min_size=1, max_size=4)
+
+
+def oracle_top_k(ids, raw_keys, query, k):
+    """Brute force: float32 cosine, similarity desc then id asc, exact floats."""
+    keys = np.stack([v / np.float32(float(np.linalg.norm(v))) for v in raw_keys])
+    q = query / np.float32(float(np.linalg.norm(query)))
+    sims = keys @ q.astype(np.float32)
+    order = np.lexsort((np.array(ids), -sims))[:k]
+    return [(ids[i], float(sims[i])) for i in order]
+
+
+@st.composite
+def tie_heavy_case(draw, dirs):
+    n_dirs = draw(st.integers(1, 4))
+    picked = draw(st.lists(st.sampled_from(range(len(dirs))), min_size=n_dirs,
+                           max_size=n_dirs, unique=True))
+    ids = draw(st.lists(ID_TEXT, min_size=1, max_size=24, unique=True))
+    rows = draw(st.lists(st.sampled_from(picked), min_size=len(ids), max_size=len(ids)))
+    scales = draw(st.lists(st.sampled_from([0.5, 1.0, 4.0]), min_size=len(ids),
+                           max_size=len(ids)))
+    raw = [np.asarray(dirs[r], dtype=np.float32) * np.float32(c)
+           for r, c in zip(rows, scales)]
+    query = np.asarray(dirs[draw(st.sampled_from(range(len(dirs))))], dtype=np.float32)
+    k = draw(st.integers(1, len(ids) + 1))
+    return ids, raw, query, k
+
+
+class TestTieHeavyOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=tie_heavy_case(DYADIC_DIRS), shard_size=st.sampled_from([1, 3, 64]),
+           threads=st.sampled_from([1, 3]))
+    def test_sharded_top_k_equals_oracle(self, case, shard_size, threads):
+        ids, raw, query, k = case
+        index = build_index([(i, v, 0, "caption") for i, v in zip(ids, raw)],
+                            shard_size=shard_size)
+        assert top_k(index, qv(query), k, threads=threads) == \
+            oracle_top_k(ids, raw, query, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tie_heavy_case([tuple(r) for r in
+                                np.random.default_rng(5).normal(size=(6, 5))]))
+    def test_single_shard_top_k_equals_oracle(self, case):
+        ids, raw, query, k = case
+        index = build_index([(i, v, 0, "caption") for i, v in zip(ids, raw)])
+        assert top_k(index, qv(query), k) == oracle_top_k(ids, raw, query, k)
 
 
 class TestPersistence:
@@ -143,6 +211,17 @@ class TestPersistence:
         blob[4] = 99  # little-endian u32 version right after magic
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="99"):
+            load_index(path)
+
+    def test_non_finite_key_on_disk_rejected_naming_id(self, tmp_path):
+        index = build_index(entries_from([[1.0, 0.0], [3.0, 4.0]]))
+        path = tmp_path / "x.vidx"
+        save_index(index, path)
+        blob = path.read_bytes()
+        key = index.items[1].key.astype("<f4").tobytes()
+        assert blob.count(key) == 1
+        path.write_bytes(blob.replace(key, np.array([0.6, np.nan], dtype="<f4").tobytes()))
+        with pytest.raises(ValueError, match="img0001"):
             load_index(path)
 
     def test_bad_magic_rejected(self, tmp_path):

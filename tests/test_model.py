@@ -6,7 +6,7 @@ from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig,
                             masked_ce_stats, masked_lm_loss,
                             masked_region_loss, save_checkpoint)
 from groundlm.optim import Adam
-from groundlm.tensor import Tensor, no_grad
+from groundlm.tensor import Tensor
 from groundlm.train import evaluate_perplexity
 from groundlm.vocab import MASKED_ID, N_RESERVED, RESERVED, Vocab
 
