@@ -27,7 +27,7 @@ import numpy as np
 
 from .embeddings import WordEmbeddingTable, encode_cbow, encode_synset_key, tokenize
 from .gmm import fit_gmm
-from .index import ImageFeatureStore, ImageKeyIndex, build_index, top_k
+from .index import ImageKeyIndex, build_index, top_k
 
 MASK_TOKEN_TEXT = "[masked]"
 
@@ -40,7 +40,6 @@ class AssociationItem:
     image_id: str
     rank: int
     similarity: float
-    regions: Optional[np.ndarray] = None   # (N, d_v) once resolved
 
 
 @dataclass
@@ -166,16 +165,8 @@ def build_synset_index(synsets: Sequence[SynsetEntry], table: WordEmbeddingTable
 # -- strategies ---------------------------------------------------------------
 
 
-def _resolve(items: List[AssociationItem], store: Optional[ImageFeatureStore]) -> None:
-    if store is None:
-        return
-    for it in items:
-        it.regions = store.get(it.image_id)
-
-
 def associate_scene(masked_text: str, index: ImageKeyIndex, table: WordEmbeddingTable,
-                    k: int, store: Optional[ImageFeatureStore] = None,
-                    mask_token: str = MASK_TOKEN_TEXT,
+                    k: int, mask_token: str = MASK_TOKEN_TEXT,
                     threads: Optional[int] = None) -> Association:
     """Whole-text CBOW retrieval over caption keys.
 
@@ -189,7 +180,6 @@ def associate_scene(masked_text: str, index: ImageKeyIndex, table: WordEmbedding
     ranked = top_k(index, query, k, threads=threads)
     items = [AssociationItem(image_id, rank, sim)
              for rank, (image_id, sim) in enumerate(ranked)]
-    _resolve(items, store)
     return Association("scene", items)
 
 
@@ -197,17 +187,32 @@ def _gmm_seed(run_seed: int, text: str) -> list:
     return [int(run_seed) & 0xFFFFFFFF, zlib.crc32(text.encode("utf-8"))]
 
 
+def _noun_ranking(index: ImageKeyIndex, vector: np.ndarray, k: int,
+                  threads: Optional[int]) -> List[Tuple[str, float]]:
+    """``top_k(index, vector, k)``, computed once per index and noun vector.
+
+    The result is kept in ``index.rankings`` under the vector's float32 bytes
+    and ``k``. Its first m entries equal ``top_k(index, vector, m)``, because
+    (similarity desc, id rank asc) is a strict total order.
+    """
+    key = (np.asarray(vector, dtype=np.float32).tobytes(), k)
+    ranked = index.rankings.get(key)
+    if ranked is None:
+        ranked = index.rankings[key] = top_k(index, vector, k, threads=threads)
+    return ranked
+
+
 def associate_object(text: str, synset_index: ImageKeyIndex, table: WordEmbeddingTable,
-                     lexicon: NounLexicon, k: int, kappa: int,
-                     store: Optional[ImageFeatureStore] = None, seed: int = 0,
+                     lexicon: NounLexicon, k: int, kappa: int, seed: int = 0,
                      threads: Optional[int] = None) -> Association:
     """Noun clustering + representatives over synset keys.
 
     Distinct in-vocabulary nouns feed a diagonal GMM with kappa capped at
     their count; each component (heaviest first) nominates its closest noun,
-    which retrieves ceil(k / kappa') images; the concatenation is truncated
-    to k. A single distinct noun skips the fit, which could only nominate it
-    for all k images. Texts with no usable nouns yield an empty Association.
+    which retrieves ceil(k / kappa') images, the head of that noun's top-k
+    ranking; the concatenation is truncated to k. A single distinct noun
+    skips the fit, which could only nominate it for all k images. Texts with
+    no usable nouns yield an empty Association.
     """
     if kappa > k:
         raise ValueError(f"kappa ({kappa}) must not exceed K ({k})")
@@ -236,20 +241,18 @@ def associate_object(text: str, synset_index: ImageKeyIndex, table: WordEmbeddin
             reps.append(distinct[rep_idx])
     items: List[AssociationItem] = []
     for noun in reps:
-        for image_id, sim in top_k(synset_index, table.entries[noun], per_component,
-                                   threads=threads):
+        ranked = _noun_ranking(synset_index, table.entries[noun], k, threads)
+        for image_id, sim in ranked[:per_component]:
             items.append(AssociationItem(image_id, len(items), sim))
             if len(items) == k:
                 break
         if len(items) == k:
             break
-    _resolve(items, store)
     return Association("object", items)
 
 
 def associate_keyword_baseline(text: str, caption_corpus: Mapping[str, Union[str, set]],
-                               k: int, table: Optional[WordEmbeddingTable] = None,
-                               store: Optional[ImageFeatureStore] = None) -> Association:
+                               k: int, table: Optional[WordEmbeddingTable] = None) -> Association:
     """Rank images by shared-keyword count, ties by ascending id.
 
     The text contributes its non-stopword tokens (stopwords from ``table``
@@ -269,7 +272,6 @@ def associate_keyword_baseline(text: str, caption_corpus: Mapping[str, Union[str
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     items = [AssociationItem(image_id, rank, float(score))
              for rank, (score, image_id) in enumerate(scored[:k])]
-    _resolve(items, store)
     return Association("keyword_baseline", items)
 
 
@@ -285,8 +287,8 @@ def association_cache_key(strategy: str, text: str, k: int, seed: int = 0) -> st
 class AssociationCache:
     """Content-hash -> ranked (id, similarity) list, with binary persistence.
 
-    Regions are never cached; they are re-resolved from the feature store so
-    the cache stays small and store swaps take effect.
+    Regions are never cached; batches gather them from the feature store by
+    id, so the cache stays small and store swaps take effect.
     """
 
     def __init__(self):

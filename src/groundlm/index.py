@@ -1,15 +1,16 @@
 """Image-key archive: exact top-K cosine retrieval plus binary persistence.
 
 Keys are unit-normalized at build time, so cosine similarity is a single
-matrix-vector product. Retrieval is exact: every shard is fully scanned, then
-the K best are selected rather than sorted. ``np.partition`` finds the K-th
-best similarity, every row at least that good is kept (so a tie group that
-straddles position K survives whole), and only those candidates are sorted,
-by similarity and then by each id's precomputed integer rank. Shard winners
-are merged the same way, so the ranked list is independent of the thread
-count and equal to a brute-force sort by (similarity desc, id asc). Keys and
-queries must be finite; non-finite ones are rejected, because they have no
-place in that order.
+matrix-vector product over all keys. Retrieval is exact: each shard of that
+similarity vector is reduced to its K best by selection rather than a full
+sort. ``np.partition`` finds the K-th best similarity, every row at least
+that good is kept (so a tie group that straddles position K survives whole),
+and only those candidates are sorted, by similarity and then by each id's
+precomputed integer rank. Shard winners are merged the same way, so the
+ranked list is independent of the shard size and the thread count and equal
+to a brute-force sort by (similarity desc, id asc). Keys and queries must be
+finite; non-finite ones are rejected, because they have no place in that
+order.
 
 File formats (all little-endian):
   index  — magic ``VIDX``, u32 version=1, u32 dim, u64 count, then per item
@@ -18,7 +19,8 @@ File formats (all little-endian):
   store  — magic ``VFTR``, u32 version=1, u32 n_regions, u32 feat_dim,
            u64 count, then per image u32-length-prefixed id followed by
            n_regions*feat_dim float32s. A JSON sidecar (``<path>.manifest.json``)
-           maps id to the byte offset of its record.
+           maps id to the byte offset of its record; the id stored at each
+           offset is checked against it when the rows are loaded.
 """
 
 from __future__ import annotations
@@ -70,6 +72,9 @@ class ImageKeyIndex:
         ids = np.array([it.id for it in items], dtype=str)
         self._id_rank = np.empty(len(items), dtype=np.int64)
         self._id_rank[np.argsort(ids, kind="stable")] = np.arange(len(items))
+        # (query bytes, K) -> top_k result, filled by callers whose queries
+        # repeat (object association's nouns); lives and dies with the index
+        self.rankings: Dict[Tuple[bytes, int], List[Tuple[str, float]]] = {}
 
     def __len__(self) -> int:
         return len(self.items)
@@ -139,9 +144,10 @@ def top_k(index: ImageKeyIndex, query, k: int,
           threads: Optional[int] = None) -> List[Tuple[str, float]]:
     """Exact K-nearest by cosine, descending, ties broken by ascending id.
 
-    Each shard is scanned with one matrix-vector product and reduced to its
-    K best by ``_rank``; the shard winners are ranked again the same way.
-    Non-finite queries are rejected.
+    All keys are scored with one matrix-vector product, so a similarity does
+    not depend on how rows are sharded; each shard's slice of the scores is
+    reduced to its K best by ``_rank`` and the shard winners are ranked
+    again the same way. Non-finite queries are rejected.
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
@@ -166,25 +172,23 @@ def top_k(index: ImageKeyIndex, query, k: int,
     threads = default_threads() if threads is None else max(1, threads)
     shards = [(s, min(s + index.shard_size, n)) for s in range(0, n, index.shard_size)]
 
+    sims = index._keys @ q
+
     def scan(bounds):
         lo, hi = bounds
-        sims = index._keys[lo:hi] @ q
-        local = _rank(index._id_rank[lo:hi], sims, k)
-        return local + lo, sims[local]
+        return _rank(index._id_rank[lo:hi], sims[lo:hi], k) + lo
 
     if len(shards) == 1:
-        best_idx, best_sim = scan(shards[0])
+        best_idx = scan(shards[0])
     else:
         if threads == 1:
             parts = [scan(b) for b in shards]
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 parts = list(pool.map(scan, shards))
-        cand_idx = np.concatenate([p[0] for p in parts])
-        cand_sim = np.concatenate([p[1] for p in parts])
-        best = _rank(index._id_rank[cand_idx], cand_sim, k)
-        best_idx, best_sim = cand_idx[best], cand_sim[best]
-    return [(index.items[i].id, float(s)) for i, s in zip(best_idx.tolist(), best_sim)]
+        cand_idx = np.concatenate(parts)
+        best_idx = cand_idx[_rank(index._id_rank[cand_idx], sims[cand_idx], k)]
+    return [(index.items[i].id, float(sims[i])) for i in best_idx.tolist()]
 
 
 # -- index persistence -------------------------------------------------------
@@ -260,10 +264,14 @@ def write_feature_store(path, images: Sequence[Tuple[str, np.ndarray]],
 
 
 class ImageFeatureStore:
-    """Random-access reader over the binary region-feature file.
+    """Reader over the binary region-feature file.
 
-    Every ``get`` increments ``reads``, which lets tests prove a training
-    mode never touched image features.
+    The first read loads every image into one dense (count, n_regions,
+    feat_dim) float32 array with a single pass in file order, checking the
+    id stored at each offset against the manifest; after that a batch of
+    images is one fancy index into that array. Every image handed out by
+    ``get`` or ``gather`` increments ``reads``, which lets tests prove a
+    training mode never touched image features.
     """
 
     def __init__(self, path):
@@ -280,7 +288,8 @@ class ImageFeatureStore:
             raise ValueError(f"unsupported store version {version}, expected {STORE_VERSION}")
         self.offsets = self._load_manifest()
         self.reads = 0
-        self._cache: Dict[str, np.ndarray] = {}
+        self._features: Optional[np.ndarray] = None
+        self._rows: Dict[str, int] = {}
 
     def _load_manifest(self) -> Dict[str, int]:
         manifest_path = self.path + ".manifest.json"
@@ -301,6 +310,31 @@ class ImageFeatureStore:
             self._fh.seek(payload, os.SEEK_CUR)
         return offsets
 
+    def _dense(self) -> Tuple[np.ndarray, Dict[str, int]]:
+        """(features, id -> row), loaded on first use."""
+        if self._features is None:
+            order = sorted(self.offsets, key=self.offsets.__getitem__)
+            payload = 4 * self.n_regions * self.feat_dim
+            out = np.empty((len(order), self.n_regions, self.feat_dim), dtype=np.float32)
+            for row, image_id in enumerate(order):
+                offset = self.offsets[image_id]
+                where = f"image {image_id!r} at offset {offset} of {self.path}"
+                want = image_id.encode("utf-8")
+                self._fh.seek(offset)
+                (id_len,) = struct.unpack("<I", _read_exact(self._fh, 4, f"id length of {where}"))
+                stored = _read_exact(self._fh, id_len, f"id of {where}") \
+                    if id_len == len(want) else None
+                if stored != want:
+                    found = (f"an id of {id_len} bytes" if stored is None
+                             else repr(stored.decode("utf-8", "replace")))
+                    raise ValueError(f"{self.path}: expected image id {image_id!r} at offset "
+                                     f"{offset}, found {found}; the manifest is stale")
+                out[row] = np.frombuffer(_read_exact(self._fh, payload, f"features of {where}"),
+                                         dtype="<f4").reshape(self.n_regions, self.feat_dim)
+            self._features = out
+            self._rows = {image_id: row for row, image_id in enumerate(order)}
+        return self._features, self._rows
+
     def __contains__(self, image_id: str) -> bool:
         return image_id in self.offsets
 
@@ -308,34 +342,19 @@ class ImageFeatureStore:
         return list(self.offsets)
 
     def get(self, image_id: str) -> np.ndarray:
-        """Region features (n_regions, feat_dim) float32 for one image.
+        """Region features (n_regions, feat_dim) float32 for one image."""
+        return self.gather([image_id])[0]
 
-        Rows are cached in memory after the first fetch; treat the returned
-        array as read-only.
-        """
+    def gather(self, image_ids: Sequence[str]) -> np.ndarray:
+        """Region features of many images, (len(image_ids), n_regions,
+        feat_dim), taken with one fancy index."""
+        features, rows = self._dense()
         try:
-            offset = self.offsets[image_id]
-        except KeyError:
-            raise KeyError(f"image id {image_id!r} not in feature store") from None
-        self.reads += 1
-        cached = self._cache.get(image_id)
-        if cached is not None:
-            return cached
-        self._fh.seek(offset)
-        (id_len,) = struct.unpack("<I", _read_exact(self._fh, 4, "id length"))
-        self._fh.seek(id_len, os.SEEK_CUR)
-        raw = _read_exact(self._fh, 4 * self.n_regions * self.feat_dim, f"features of {image_id!r}")
-        rows = np.frombuffer(raw, dtype="<f4").reshape(self.n_regions, self.feat_dim).copy()
-        self._cache[image_id] = rows
-        return rows
-
-    def get_by_ref(self, payload_ref: int) -> np.ndarray:
-        self.reads += 1
-        self._fh.seek(payload_ref)
-        (id_len,) = struct.unpack("<I", _read_exact(self._fh, 4, "id length"))
-        self._fh.seek(id_len, os.SEEK_CUR)
-        raw = _read_exact(self._fh, 4 * self.n_regions * self.feat_dim, "features")
-        return np.frombuffer(raw, dtype="<f4").reshape(self.n_regions, self.feat_dim).copy()
+            picks = [rows[image_id] for image_id in image_ids]
+        except KeyError as exc:
+            raise KeyError(f"image id {exc.args[0]!r} not in feature store") from None
+        self.reads += len(picks)
+        return features[picks]
 
     def close(self) -> None:
         self._fh.close()

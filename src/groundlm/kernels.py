@@ -48,11 +48,13 @@ def _layernorm_backward(dy, x, mean, rstd, gain):
 
 
 def _gelu_forward(x):
-    return 0.5 * x * (1.0 + _erf(x * INV_SQRT2))
+    """Returns (y, 1 + erf(x / sqrt 2)); the second is cached for backward."""
+    onepe = 1.0 + _erf(x * INV_SQRT2)
+    return 0.5 * x * onepe, onepe
 
 
-def _gelu_backward(dy, x):
-    cdf = 0.5 * (1.0 + _erf(x * INV_SQRT2))
+def _gelu_backward(dy, x, onepe):
+    cdf = 0.5 * onepe
     pdf = np.exp(-0.5 * x * x) * INV_SQRT_2PI
     return dy * (cdf + x * pdf)
 

@@ -344,10 +344,10 @@ def relu(x: Tensor):
 
 def gelu(x: Tensor):
     kern = kernels.active
-    data = kern.gelu_forward(x.data)
+    data, onepe = kern.gelu_forward(x.data)
 
     def backward(g):
-        _accumulate(x, kern.gelu_backward(g, x.data))
+        _accumulate(x, kern.gelu_backward(g, x.data, onepe))
 
     return _node(data, (x,), backward, "gelu")
 

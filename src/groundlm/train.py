@@ -282,46 +282,40 @@ def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[
     b_sz = ids.shape[0]
     store = corpora.store if corpora is not None else None
     n = store.n_regions if store is not None else cfg.n_regions
-    d_v = cfg.d_v
     if mode == "paired":
-        n_slots = n
-        per_example: List[List[Tuple[int, np.ndarray]]] = []
-        for image_id, _text in examples:
-            if image_id is None:
-                per_example.append([])
-            else:
-                per_example.append([(0, store.get(image_id))])
+        n_images = 1
+        per_example = [[] if image_id is None else [image_id] for image_id, _text in examples]
     else:
         if raw_rows is None:
             raise ValueError(f"visual mode {mode!r} needs raw_rows to build queries")
-        n_slots = k * n
+        n_images = k
         per_example = []
-        for b, (image_id, _text) in enumerate(examples):
+        for b in range(b_sz):
             query = _query_text(corrupted[b], flags[b], raw_rows[b], vocab)
             ranked = _associate_for_row(mode, query, corpora, k, kappa, assoc_seed,
                                         cache, threads)
-            per_example.append([(rank, store.get(img)) for rank, (img, _s) in enumerate(ranked)])
+            per_example.append([image_id for image_id, _sim in ranked])
 
-    regions = np.zeros((b_sz, n_slots, d_v), dtype=np.float32)
-    rank_ids = np.zeros((b_sz, n_slots), dtype=np.int64)
-    placeholder_slots = np.zeros((b_sz, n_slots), dtype=bool)
-    slot_valid = np.zeros((b_sz, n_slots), dtype=bool)
-    for b, slots in enumerate(per_example):
-        if not slots:
-            placeholder_slots[b, 0] = True
-            slot_valid[b, 0] = True
-            continue
-        for j, (rank, rows) in enumerate(slots):
-            lo = j * n
-            regions[b, lo:lo + n] = rows
-            rank_ids[b, lo:lo + n] = rank
-            slot_valid[b, lo:lo + n] = True
+    # image j of row b fills slots j*n .. j*n+n-1 with rank j; a row without
+    # images gets one valid placeholder slot
+    counts = np.array([len(images) for images in per_example], dtype=np.int64)
+    filled = np.arange(n_images) < counts[:, None]
+    regions = np.zeros((b_sz, n_images, n, cfg.d_v), dtype=np.float32)
+    if counts.any():
+        regions[filled] = store.gather([img for images in per_example for img in images])
+    regions = regions.reshape(b_sz, n_images * n, cfg.d_v)
+    slot_valid = np.repeat(filled, n, axis=1)
+    rank_ids = np.where(slot_valid, np.repeat(np.arange(n_images), n), 0)
+    empty = counts == 0
+    placeholder_slots = np.zeros_like(slot_valid)
+    placeholder_slots[empty, 0] = True
+    slot_valid[empty, 0] = True
 
     if mask_region_rng is not None:
         masked, region_flags = mask_regions(regions, cfg.mask_rate, mask_region_rng)
         region_flags &= slot_valid & ~placeholder_slots
     else:
-        masked, region_flags = regions.copy(), np.zeros((b_sz, n_slots), dtype=bool)
+        masked, region_flags = regions.copy(), np.zeros(slot_valid.shape, dtype=bool)
 
     text_valid = ids != PAD_ID
     batch.regions = masked

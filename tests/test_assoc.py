@@ -187,6 +187,67 @@ class TestObject:
                [(i.image_id, i.rank, i.similarity) for i in b.items]
 
 
+class TestNounRankings:
+    NOUNS = [f"n{j}" for j in range(12)]
+    K = 16
+
+    def make_world(self, rng):
+        vecs = {w: rng.normal(size=8) for w in self.NOUNS}
+        table = table_of(vecs)
+        # five images per synset share one key, so every ranking is tie-heavy;
+        # ids are shuffled so that id order differs from row order
+        ids = [f"img{j:03d}" for j in rng.permutation(60)]
+        synsets = [SynsetEntry(f"s{j}", [w], w, ids[5 * j:5 * j + 5])
+                   for j, w in enumerate(self.NOUNS)]
+        return table, build_synset_index(synsets, table)
+
+    def test_head_of_each_ranking_equals_direct_top_k(self, rng):
+        table, index = self.make_world(rng)
+        for noun in self.NOUNS:
+            vec = table.entries[noun]
+            ranked = associate_mod._noun_ranking(index, vec, self.K, None)
+            for kappa in range(1, 9):
+                m = -(-self.K // kappa)
+                assert ranked[:m] == top_k(index, vec, m), (noun, kappa)
+        assert len(index.rankings) == len(self.NOUNS)
+
+    def test_other_vector_or_k_never_gets_a_stale_entry(self, rng):
+        table, index = self.make_world(rng)
+        vec = table.entries["n0"]
+        associate_mod._noun_ranking(index, vec, self.K, None)
+        nudged = vec.copy()
+        nudged[0] = np.nextafter(nudged[0], np.float32(np.inf))
+        assert associate_mod._noun_ranking(index, nudged, self.K, None) == \
+            top_k(index, nudged, self.K)
+        assert associate_mod._noun_ranking(index, vec, 5, None) == top_k(index, vec, 5)
+        other = table.entries["n1"]
+        assert associate_mod._noun_ranking(index, other, self.K, None) == \
+            top_k(index, other, self.K)
+        assert len(index.rankings) == 4
+
+    def test_one_top_k_per_noun_and_index(self, rng, monkeypatch):
+        table, index = self.make_world(rng)
+        lexicon = NounLexicon(frozenset(self.NOUNS))
+        texts = [" ".join(rng.choice(self.NOUNS, size=3)) for _ in range(40)]
+        want = [associate_object(t, index, table, lexicon, self.K, 8, seed=2).items
+                for t in texts]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].tobytes())
+            return top_k(*args, **kwargs)
+        monkeypatch.setattr(associate_mod, "top_k", counted)
+        fresh = build_synset_index(
+            [SynsetEntry(f"s{j}", [w], w, [it.id for it in index.items[5 * j:5 * j + 5]])
+             for j, w in enumerate(self.NOUNS)], table)
+        for _ in range(2):
+            got = [associate_object(t, fresh, table, lexicon, self.K, 8, seed=2).items
+                   for t in texts]
+            assert got == want
+        assert len(calls) == len(set(calls)) == len(fresh.rankings)
+        assert 1 < len(calls) <= len(self.NOUNS)
+
+
 class TestKeywordBaseline:
     CAPS = {"A": "red dog in the park", "B": "a red ball", "C": "blue sky"}
 

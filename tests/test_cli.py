@@ -4,6 +4,7 @@ import struct
 import pytest
 
 from groundlm.cli import CONFIG_KEYS, RunConfig, build_parser, main
+from groundlm.index import ImageFeatureStore, write_feature_store
 
 
 @pytest.fixture(scope="module")
@@ -294,3 +295,33 @@ class TestTrainEvalRoundTrip:
         blob = json.loads((tmp_path / "rep.json").read_text())
         assert blob["strategy"] == "AssociativeKeyword"
         assert blob["n_completed"] == 2
+
+
+class TestStaleFeatureManifest:
+    def test_pretrain_on_store_under_stale_manifest_exits_1(self, bundle, tmp_path, capsys):
+        src = ImageFeatureStore(bundle / "features.vftr")
+        ids = src.ids()
+        rows = [(image_id, src.get(image_id)) for image_id in ids]
+        src.close()
+        features = tmp_path / "features.vftr"
+        offsets = write_feature_store(features, rows, src.n_regions, src.feat_dim)
+        manifest = (tmp_path / "features.vftr.manifest.json").read_bytes()
+        # same ids in reverse order; the sidecar still maps the old offsets
+        write_feature_store(features, rows[::-1], src.n_regions, src.feat_dim)
+        (tmp_path / "features.vftr.manifest.json").write_bytes(manifest)
+        rc = main(["pretrain", "--strategy", "TransferredI2T",
+                   "--vocab", str(bundle / "vocab.txt"),
+                   "--corpus", str(bundle / "corpus.txt"),
+                   "--captions", str(bundle / "captions.tsv"),
+                   "--features", str(features),
+                   "--out-model", str(tmp_path / "m.glmc"),
+                   "--d", "8", "--d-v", "8", "--n-layers-text", "1",
+                   "--n-layers-cross", "1", "--n-heads", "2", "--max-len", "8",
+                   "--k", "1", "--k-max", "2", "--max-steps", "2", "--batch-size", "8"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        first = min(offsets, key=offsets.get)
+        assert str(features) in err
+        assert f"expected image id {first!r} at offset {offsets[first]}" in err
+        assert not (tmp_path / "m.glmc").exists()

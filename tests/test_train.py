@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from groundlm.associate import AssociationCache, build_caption_index
+from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
+                                build_caption_index, build_synset_index)
 from groundlm.embeddings import WordEmbeddingTable
 from groundlm.index import ImageFeatureStore, write_feature_store
-from groundlm.model import CrossModalModel, ModelConfig
+from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig, mask_regions,
+                            mask_tokens)
 from groundlm.train import (STRATEGIES, Corpora, Strategy, TrainConfig,
+                            _associate_for_row, _pad_rows, _query_text,
                             build_batch, evaluate_perplexity, mix_corpora,
                             pretrain, validate_strategy_corpora,
                             write_metrics_csv)
-from groundlm.vocab import RESERVED, Vocab
+from groundlm.vocab import PAD_ID, RESERVED, Vocab
 
 WORDS = ["red", "dog", "cat", "sat", "mat", "hat", "sun", "sky"]
 
@@ -211,3 +214,159 @@ class TestEvaluate:
                             mode="scene", corpora=corpora, k=2, cache=cache)
         assert cache.misses == before
         assert cache.hits > 0
+
+
+def reference_build_batch(examples, token_rows, vocab, model, mode, *, raw_rows=None,
+                          mask_text_rng=None, mask_region_rng=None, corpora=None,
+                          k=0, kappa=8, assoc_seed=0):
+    """The per-slot loop build_batch used before it gathered a batch's regions
+    with one index: one ``store.get`` and one slice write per image."""
+    cfg = model.config
+    ids = _pad_rows(token_rows)
+    if mask_text_rng is not None:
+        corrupted, flags = mask_tokens(ids, cfg.mask_rate, mask_text_rng, cfg.vocab_size)
+    else:
+        corrupted, flags = ids.copy(), np.zeros(ids.shape, dtype=bool)
+    batch = MaskedBatch(token_ids=corrupted, token_mask_flags=flags, original_tokens=ids)
+    if mode == "placeholder":
+        return batch
+    b_sz = ids.shape[0]
+    store = corpora.store
+    n = store.n_regions
+    if mode == "paired":
+        n_slots = n
+        per_example = [[] if image_id is None else [(0, store.get(image_id))]
+                       for image_id, _text in examples]
+    else:
+        n_slots = k * n
+        per_example = []
+        for b in range(b_sz):
+            query = _query_text(corrupted[b], flags[b], raw_rows[b], vocab)
+            ranked = _associate_for_row(mode, query, corpora, k, kappa, assoc_seed,
+                                        None, None)
+            per_example.append([(rank, store.get(img))
+                                for rank, (img, _s) in enumerate(ranked)])
+    regions = np.zeros((b_sz, n_slots, cfg.d_v), dtype=np.float32)
+    rank_ids = np.zeros((b_sz, n_slots), dtype=np.int64)
+    placeholder_slots = np.zeros((b_sz, n_slots), dtype=bool)
+    slot_valid = np.zeros((b_sz, n_slots), dtype=bool)
+    for b, slots in enumerate(per_example):
+        if not slots:
+            placeholder_slots[b, 0] = True
+            slot_valid[b, 0] = True
+            continue
+        for j, (rank, rows) in enumerate(slots):
+            lo = j * n
+            regions[b, lo:lo + n] = rows
+            rank_ids[b, lo:lo + n] = rank
+            slot_valid[b, lo:lo + n] = True
+    if mask_region_rng is not None:
+        masked, region_flags = mask_regions(regions, cfg.mask_rate, mask_region_rng)
+        region_flags &= slot_valid & ~placeholder_slots
+    else:
+        masked, region_flags = regions.copy(), np.zeros((b_sz, n_slots), dtype=bool)
+    batch.regions = masked
+    batch.original_regions = regions
+    batch.region_mask_flags = region_flags
+    batch.rank_ids = rank_ids
+    batch.placeholder_slots = placeholder_slots
+    batch.attention_pad_mask = np.concatenate([ids != PAD_ID, slot_valid], axis=1)
+    return batch
+
+
+BATCH_FIELDS = ("token_ids", "token_mask_flags", "original_tokens", "regions",
+                "original_regions", "region_mask_flags", "rank_ids",
+                "placeholder_slots", "attention_pad_mask")
+
+# Rows chosen so that every retrieval mode meets an empty association: no
+# usable word for scene ("zzz qqq"), only stopwords for keyword ("sat mat"),
+# no lexicon noun for object ("red sat mat", "zzz qqq").
+EQUIV_TEXTS = ["red dog sat cat", "zzz qqq", "sat mat", "sun sky dog hat",
+               "cat cat mat", "red sat mat", "hat sun", "dog red sky sun cat"]
+
+
+def two_region_world(tmp_path, rng):
+    """Six images of two regions each; five have captions, and three
+    synsets key all six."""
+    vocab = Vocab(list(RESERVED) + WORDS)
+    images = [f"i{j:03d}" for j in range(6)]
+    write_feature_store(tmp_path / "f2.vftr",
+                        [(img, rng.normal(size=(2, 4)).astype(np.float32)) for img in images],
+                        n_regions=2, feat_dim=4)
+    captions = {img: " ".join(rng.choice(WORDS, size=3)) for img in images[:5]}
+    table = WordEmbeddingTable(
+        6, {w: rng.normal(size=6).astype(np.float32) for w in WORDS}, {"sat", "mat"})
+    synsets = [SynsetEntry("s0", ["dog"], "a red dog", images[:2]),
+               SynsetEntry("s1", ["cat"], "a cat on a mat", images[2:4]),
+               SynsetEntry("s2", ["sun"], "the sun in the sky", images[4:])]
+    return Corpora(vocab=vocab, text_only=EQUIV_TEXTS, paired=list(captions.items()),
+                   store=ImageFeatureStore(tmp_path / "f2.vftr"),
+                   caption_index=build_caption_index(captions, table),
+                   synset_index=build_synset_index(synsets, table),
+                   table=table, lexicon=NounLexicon(frozenset({"dog", "cat", "sun", "hat"})),
+                   caption_corpus=captions)
+
+
+class TestBuildBatchEquivalence:
+    def assert_same(self, corpora, model, mode, examples, k, masks_regions=False, seed=5):
+        vocab = corpora.vocab
+        encoded = [vocab.encode_with_raw(text, model.config.max_len) for _img, text in examples]
+        batches, reads = [], []
+        for build in (reference_build_batch, build_batch):
+            before = corpora.store.reads
+            batches.append(build(
+                examples, [e[0] for e in encoded], vocab, model, mode,
+                raw_rows=[e[1] for e in encoded],
+                mask_text_rng=np.random.default_rng(seed),
+                mask_region_rng=np.random.default_rng(seed + 1) if masks_regions else None,
+                corpora=corpora, k=k, kappa=8, assoc_seed=3))
+            reads.append(corpora.store.reads - before)
+        want, got = batches
+        for name in BATCH_FIELDS:
+            a, b = getattr(want, name), getattr(got, name)
+            if a is None:
+                assert b is None, name
+                continue
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert reads[0] == reads[1]
+        return got
+
+    def test_placeholder(self, tmp_path, rng):
+        corpora = two_region_world(tmp_path, rng)
+        model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
+        got = self.assert_same(corpora, model, "placeholder",
+                               [(None, t) for t in EQUIV_TEXTS], k=0)
+        assert got.regions is None and corpora.store.reads == 0
+
+    def test_paired_with_region_masking(self, tmp_path, rng):
+        corpora = two_region_world(tmp_path, rng)
+        model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
+        examples = [(img if j % 3 else None, text)
+                    for j, (img, text) in enumerate(corpora.paired * 3)]
+        got = self.assert_same(corpora, model, "paired", examples, k=1, masks_regions=True)
+        assert got.placeholder_slots[:, 0].any() and not got.placeholder_slots[:, 0].all()
+        assert got.region_mask_flags.any()
+
+    @pytest.mark.parametrize("mode", ["scene", "object", "keyword"])
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_retrieval_modes(self, tmp_path, rng, mode, k):
+        corpora = two_region_world(tmp_path, rng)
+        model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
+        got = self.assert_same(corpora, model, mode, [(None, t) for t in EQUIV_TEXTS], k=k)
+        slots = got.attention_pad_mask[:, -got.rank_ids.shape[1]:]
+        images_per_row = slots.sum(axis=1) // 2
+        empty = got.placeholder_slots[:, 0]
+        assert empty.any() and not empty.all()
+        if k == 8:  # six images exist, so some associations are shorter than K
+            assert (images_per_row[~empty] < k).any()
+        else:
+            assert (images_per_row[~empty] == k).all()
+
+    def test_without_store_placeholder_rows_only(self, tmp_path, rng):
+        corpora = two_region_world(tmp_path, rng)
+        model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
+        rows = [corpora.vocab.encode(t, 8) for t in EQUIV_TEXTS[:2]]
+        batch = build_batch([(None, t) for t in EQUIV_TEXTS[:2]], rows, corpora.vocab,
+                            model, "paired", corpora=Corpora(vocab=corpora.vocab))
+        assert batch.regions.shape == (2, 2, 4) and not batch.regions.any()
+        assert batch.placeholder_slots[:, 0].all()
