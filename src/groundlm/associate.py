@@ -16,9 +16,7 @@ the placeholder" to the model layer.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -30,9 +28,6 @@ from .gmm import fit_gmm
 from .index import ImageKeyIndex, build_index, top_k
 
 MASK_TOKEN_TEXT = "[masked]"
-
-CACHE_MAGIC = b"GLAC"
-CACHE_VERSION = 1
 
 
 @dataclass
@@ -275,31 +270,30 @@ def associate_keyword_baseline(text: str, caption_corpus: Mapping[str, Union[str
     return Association("keyword_baseline", items)
 
 
-# -- on-disk association cache -----------------------------------------------
+# -- association cache ---------------------------------------------------------
 
 
-def association_cache_key(strategy: str, text: str, k: int, seed: int = 0) -> str:
-    digest = hashlib.sha256(
-        f"{strategy}\x1f{k}\x1f{seed}\x1f{text}".encode("utf-8")).hexdigest()
-    return digest
+# (visual mode, query text, K, kappa, association seed): every input that
+# changes a ranking, given the corpora of one session
+CacheKey = Tuple[str, str, int, int, int]
 
 
 class AssociationCache:
-    """Content-hash -> ranked (id, similarity) list, with binary persistence.
+    """In-memory ``CacheKey`` -> ranked (id, similarity) list.
 
-    Regions are never cached; batches gather them from the feature store by
-    id, so the cache stays small and store swaps take effect.
+    A cache serves one session's corpora; it is not persisted. Regions are
+    never cached: batches gather them from the feature store by id.
     """
 
     def __init__(self):
-        self._data: Dict[str, List[Tuple[str, float]]] = {}
+        self._data: Dict[CacheKey, List[Tuple[str, float]]] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, key: str) -> Optional[List[Tuple[str, float]]]:
+    def get(self, key: CacheKey) -> Optional[List[Tuple[str, float]]]:
         hit = self._data.get(key)
         if hit is None:
             self.misses += 1
@@ -307,45 +301,5 @@ class AssociationCache:
             self.hits += 1
         return hit
 
-    def put(self, key: str, ranked: Iterable[Tuple[str, float]]) -> None:
+    def put(self, key: CacheKey, ranked: Iterable[Tuple[str, float]]) -> None:
         self._data[key] = [(str(i), float(s)) for i, s in ranked]
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<IQ", CACHE_VERSION, len(self._data)))
-            for key in sorted(self._data):
-                ranked = self._data[key]
-                raw_key = key.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw_key)))
-                fh.write(raw_key)
-                fh.write(struct.pack("<I", len(ranked)))
-                for image_id, sim in ranked:
-                    raw_id = image_id.encode("utf-8")
-                    fh.write(struct.pack("<I", len(raw_id)))
-                    fh.write(raw_id)
-                    fh.write(struct.pack("<f", sim))
-
-    @classmethod
-    def load(cls, path) -> "AssociationCache":
-        from .index import _read_exact
-        cache = cls()
-        with open(path, "rb") as fh:
-            magic = _read_exact(fh, 4, "magic")
-            if magic != CACHE_MAGIC:
-                raise ValueError(f"bad magic {magic!r}, expected {CACHE_MAGIC!r}")
-            version, count = struct.unpack("<IQ", _read_exact(fh, 12, "header"))
-            if version != CACHE_VERSION:
-                raise ValueError(f"unsupported cache version {version}, expected {CACHE_VERSION}")
-            for _ in range(count):
-                (key_len,) = struct.unpack("<I", _read_exact(fh, 4, "key length"))
-                key = _read_exact(fh, key_len, "key").decode("utf-8")
-                (n_items,) = struct.unpack("<I", _read_exact(fh, 4, "item count"))
-                ranked = []
-                for _ in range(n_items):
-                    (id_len,) = struct.unpack("<I", _read_exact(fh, 4, "id length"))
-                    image_id = _read_exact(fh, id_len, "image id").decode("utf-8")
-                    (sim,) = struct.unpack("<f", _read_exact(fh, 4, "similarity"))
-                    ranked.append((image_id, sim))
-                cache._data[key] = ranked
-        return cache

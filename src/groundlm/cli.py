@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("caption", "synset"), required=True)
     p.add_argument("--input", required=True, help="caption or synset TSV")
     p.add_argument("--vectors", required=True, help="word-vector file")
-    p.add_argument("--features", help="feature store, wires payload offsets")
+    p.add_argument("--features", help="feature store; payload refs become record offsets")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_index)
 

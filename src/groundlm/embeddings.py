@@ -51,17 +51,6 @@ class WordEmbeddingTable:
         return self.entries.get(token.lower())
 
 
-def load_stopwords(path) -> set:
-    """One token per line; blank lines and `#` comments are skipped."""
-    out = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("#", 1)[0].strip().lower()
-            if word:
-                out.add(word)
-    return out
-
-
 _DEFAULT_STOPWORDS: Optional[FrozenSet[str]] = None
 
 

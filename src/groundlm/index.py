@@ -17,15 +17,17 @@ File formats (all little-endian):
            u32-length-prefixed UTF-8 id, u8 source kind, u64 payload ref,
            dim float32 key components.
   store  — magic ``VFTR``, u32 version=1, u32 n_regions, u32 feat_dim,
-           u64 count, then per image u32-length-prefixed id followed by
-           n_regions*feat_dim float32s. A JSON sidecar (``<path>.manifest.json``)
-           maps id to the byte offset of its record; the id stored at each
-           offset is checked against it when the rows are loaded.
+           u64 count, then per image u32-length-prefixed UTF-8 id followed
+           by n_regions*feat_dim float32s. The file is the whole store: ids
+           and record offsets are found by reading it in order.
+
+Both files, and the GLMC checkpoints of ``model``, are read through
+``ByteReader``: a short, overlong or otherwise malformed file raises one
+``ValueError`` naming the file, what was being read and the byte offset.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import warnings
@@ -191,14 +193,58 @@ def top_k(index: ImageKeyIndex, query, k: int,
     return [(index.items[i].id, float(sims[i])) for i in best_idx.tolist()]
 
 
-# -- index persistence -------------------------------------------------------
+# -- binary files ------------------------------------------------------------
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ValueError(f"unexpected end of file while reading {what}")
-    return buf
+class ByteReader:
+    """A binary file read whole, with a read position.
+
+    ``take`` and ``unpack`` advance the position; ``done`` rejects trailing
+    bytes. Every failure is a ``ValueError`` naming the file, what was being
+    read and the byte offset, so the CLI exits 1 with one line.
+    """
+
+    def __init__(self, path):
+        self.path = str(path)
+        with open(path, "rb") as fh:
+            self.data = memoryview(fh.read())
+        self.pos = 0
+
+    def error(self, message: str, offset: Optional[int] = None) -> ValueError:
+        return ValueError(f"{self.path}: {message} at offset "
+                          f"{self.pos if offset is None else offset}")
+
+    def take(self, n: int, what: str) -> memoryview:
+        start = self.pos
+        if n > len(self.data) - start:
+            raise self.error(f"unexpected end of file while reading {what}")
+        self.pos = start + n
+        return self.data[start:self.pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, what: str) -> str:
+        """A u32-length-prefixed UTF-8 string."""
+        (n,) = self.unpack("<I", what)
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"{what} is not UTF-8", self.pos - n) from None
+
+    def header(self, magic: bytes, version: int) -> None:
+        """Check the 4-byte magic and the u32 version that open every format."""
+        found = bytes(self.take(4, "magic"))
+        if found != magic:
+            raise self.error(f"bad magic {found!r}, expected {magic!r}", 0)
+        (found_version,) = self.unpack("<I", "version")
+        if found_version != version:
+            raise self.error(f"unsupported {magic.decode()} version {found_version}, "
+                             f"expected {version}", 4)
+
+    def done(self) -> None:
+        if self.pos != len(self.data):
+            raise self.error(f"{len(self.data) - self.pos} trailing byte(s)")
 
 
 def save_index(index: ImageKeyIndex, path) -> None:
@@ -214,24 +260,23 @@ def save_index(index: ImageKeyIndex, path) -> None:
 
 
 def load_index(path, shard_size: int = 65536) -> ImageKeyIndex:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != INDEX_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {INDEX_MAGIC!r}")
-        version, dim, count = struct.unpack("<IIQ", _read_exact(fh, 16, "header"))
-        if version != INDEX_VERSION:
-            raise ValueError(f"unsupported index version {version}, expected {INDEX_VERSION}")
-        items: List[KeyedImage] = []
-        for i in range(count):
-            (id_len,) = struct.unpack("<I", _read_exact(fh, 4, f"id length of item {i}"))
-            item_id = _read_exact(fh, id_len, f"id of item {i}").decode("utf-8")
-            kind_byte, payload_ref = struct.unpack("<BQ", _read_exact(fh, 9, f"item {i} header"))
-            if kind_byte >= len(_SOURCE_KINDS):
-                raise ValueError(f"bad source_kind byte {kind_byte} for item {i}")
-            key = np.frombuffer(
-                _read_exact(fh, 4 * dim, f"key of item {i}"), dtype="<f4").copy()
-            items.append(KeyedImage(item_id, key, payload_ref, _SOURCE_KINDS[kind_byte]))
-    return ImageKeyIndex(dim, items, shard_size=shard_size)
+    reader = ByteReader(path)
+    reader.header(INDEX_MAGIC, INDEX_VERSION)
+    dim, count = reader.unpack("<IQ", "header")
+    items: List[KeyedImage] = []
+    for i in range(count):
+        start = reader.pos
+        item_id = reader.text(f"id of item {i}")
+        kind_byte, payload_ref = reader.unpack("<BQ", f"header of item {i}")
+        if kind_byte >= len(_SOURCE_KINDS):
+            raise reader.error(f"bad source_kind byte {kind_byte} for item {i}", start)
+        key = np.frombuffer(reader.take(4 * dim, f"key of item {i}"), dtype="<f4").copy()
+        items.append(KeyedImage(item_id, key, payload_ref, _SOURCE_KINDS[kind_byte]))
+    reader.done()
+    try:
+        return ImageKeyIndex(dim, items, shard_size=shard_size)
+    except ValueError as exc:
+        raise ValueError(f"{reader.path}: {exc}") from None
 
 
 # -- region-feature store -----------------------------------------------------
@@ -239,7 +284,7 @@ def load_index(path, shard_size: int = 65536) -> ImageKeyIndex:
 
 def write_feature_store(path, images: Sequence[Tuple[str, np.ndarray]],
                         n_regions: int, feat_dim: int) -> Dict[str, int]:
-    """Write the binary store plus its JSON offset manifest; returns offsets."""
+    """Write the binary store; returns id -> byte offset of its record."""
     offsets: Dict[str, int] = {}
     with open(path, "wb") as fh:
         fh.write(STORE_MAGIC)
@@ -256,90 +301,40 @@ def write_feature_store(path, images: Sequence[Tuple[str, np.ndarray]],
             fh.write(struct.pack("<I", len(raw_id)))
             fh.write(raw_id)
             fh.write(arr.tobytes())
-    manifest = {"version": STORE_VERSION, "n_regions": n_regions,
-                "feat_dim": feat_dim, "offsets": offsets}
-    with open(str(path) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=0)
     return offsets
 
 
 class ImageFeatureStore:
-    """Reader over the binary region-feature file.
+    """Every image of a binary region-feature file, in memory.
 
-    The first read loads every image into one dense (count, n_regions,
-    feat_dim) float32 array with a single pass in file order, checking the
-    id stored at each offset against the manifest; after that a batch of
-    images is one fancy index into that array. Every image handed out by
-    ``get`` or ``gather`` increments ``reads``, which lets tests prove a
-    training mode never touched image features.
+    The constructor reads the file once, in record order, into one dense
+    (count, n_regions, feat_dim) float32 array, an id -> row map and
+    ``offsets`` (id -> byte offset of the record); no file handle stays open.
+    A batch of images is one fancy index into the array. Every image handed
+    out by ``get`` or ``gather`` increments ``reads``, which lets tests prove
+    a training mode never touched image features.
     """
 
     def __init__(self, path):
         self.path = str(path)
-        self._fh = open(path, "rb")
-        magic = _read_exact(self._fh, 4, "magic")
-        if magic != STORE_MAGIC:
-            self._fh.close()
-            raise ValueError(f"bad magic {magic!r}, expected {STORE_MAGIC!r}")
-        version, self.n_regions, self.feat_dim, self.count = struct.unpack(
-            "<IIIQ", _read_exact(self._fh, 20, "header"))
-        if version != STORE_VERSION:
-            self._fh.close()
-            raise ValueError(f"unsupported store version {version}, expected {STORE_VERSION}")
-        self.offsets = self._load_manifest()
-        self.reads = 0
-        self._features: Optional[np.ndarray] = None
-        self._rows: Dict[str, int] = {}
-
-    def _load_manifest(self) -> Dict[str, int]:
-        manifest_path = self.path + ".manifest.json"
-        if os.path.exists(manifest_path):
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            if manifest.get("n_regions") != self.n_regions or manifest.get("feat_dim") != self.feat_dim:
-                raise ValueError("manifest geometry disagrees with store header")
-            return {k: int(v) for k, v in manifest["offsets"].items()}
-        # no sidecar: rebuild offsets with one sequential scan
-        offsets: Dict[str, int] = {}
+        reader = ByteReader(path)
+        reader.header(STORE_MAGIC, STORE_VERSION)
+        self.n_regions, self.feat_dim, self.count = reader.unpack("<IIQ", "header")
         payload = 4 * self.n_regions * self.feat_dim
+        self.offsets: Dict[str, int] = {}
+        chunks = []
         for i in range(self.count):
-            offsets_at = self._fh.tell()
-            (id_len,) = struct.unpack("<I", _read_exact(self._fh, 4, f"id length of image {i}"))
-            image_id = _read_exact(self._fh, id_len, f"id of image {i}").decode("utf-8")
-            offsets[image_id] = offsets_at
-            self._fh.seek(payload, os.SEEK_CUR)
-        return offsets
-
-    def _dense(self) -> Tuple[np.ndarray, Dict[str, int]]:
-        """(features, id -> row), loaded on first use."""
-        if self._features is None:
-            order = sorted(self.offsets, key=self.offsets.__getitem__)
-            payload = 4 * self.n_regions * self.feat_dim
-            out = np.empty((len(order), self.n_regions, self.feat_dim), dtype=np.float32)
-            for row, image_id in enumerate(order):
-                offset = self.offsets[image_id]
-                where = f"image {image_id!r} at offset {offset} of {self.path}"
-                want = image_id.encode("utf-8")
-                self._fh.seek(offset)
-                (id_len,) = struct.unpack("<I", _read_exact(self._fh, 4, f"id length of {where}"))
-                stored = _read_exact(self._fh, id_len, f"id of {where}") \
-                    if id_len == len(want) else None
-                if stored != want:
-                    found = (f"an id of {id_len} bytes" if stored is None
-                             else repr(stored.decode("utf-8", "replace")))
-                    raise ValueError(f"{self.path}: expected image id {image_id!r} at offset "
-                                     f"{offset}, found {found}; the manifest is stale")
-                out[row] = np.frombuffer(_read_exact(self._fh, payload, f"features of {where}"),
-                                         dtype="<f4").reshape(self.n_regions, self.feat_dim)
-            self._features = out
-            self._rows = {image_id: row for row, image_id in enumerate(order)}
-        return self._features, self._rows
-
-    def __contains__(self, image_id: str) -> bool:
-        return image_id in self.offsets
-
-    def ids(self) -> List[str]:
-        return list(self.offsets)
+            start = reader.pos
+            image_id = reader.text(f"id of image {i}")
+            if image_id in self.offsets:
+                raise reader.error(f"duplicate image id {image_id!r}", start)
+            self.offsets[image_id] = start
+            chunks.append(reader.take(payload, f"features of image {image_id!r}"))
+        reader.done()
+        self._rows = {image_id: row for row, image_id in enumerate(self.offsets)}
+        self._features = np.frombuffer(b"".join(chunks), dtype="<f4").reshape(
+            self.count, self.n_regions, self.feat_dim)
+        self.reads = 0
 
     def get(self, image_id: str) -> np.ndarray:
         """Region features (n_regions, feat_dim) float32 for one image."""
@@ -348,19 +343,13 @@ class ImageFeatureStore:
     def gather(self, image_ids: Sequence[str]) -> np.ndarray:
         """Region features of many images, (len(image_ids), n_regions,
         feat_dim), taken with one fancy index."""
-        features, rows = self._dense()
         try:
-            picks = [rows[image_id] for image_id in image_ids]
+            picks = [self._rows[image_id] for image_id in image_ids]
         except KeyError as exc:
-            raise KeyError(f"image id {exc.args[0]!r} not in feature store") from None
+            raise ValueError(f"{self.path}: image id {exc.args[0]!r} not in feature store") \
+                from None
         self.reads += len(picks)
-        return features[picks]
+        return self._features[picks]
 
     def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        """Nothing to release: the constructor read the file and closed it."""

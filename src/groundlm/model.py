@@ -24,6 +24,7 @@ import numpy as np
 
 from . import kernels
 from . import tensor as T
+from .index import ByteReader
 from .tensor import ShapeError, Tensor
 from .vocab import MASKED_ID, N_RESERVED, PAD_ID
 
@@ -89,14 +90,6 @@ class MaskedBatch:
     @property
     def batch_size(self) -> int:
         return self.token_ids.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.token_ids.shape[1]
-
-    @property
-    def n_visual_slots(self) -> int:
-        return 1 if self.regions is None else self.regions.shape[1]
 
 
 # -- masking ------------------------------------------------------------------
@@ -387,46 +380,35 @@ def save_checkpoint(model: CrossModalModel, path) -> None:
 
 
 def load_checkpoint(path) -> CrossModalModel:
-    from .index import _read_exact
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        version, config_len = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-        try:
-            config = ModelConfig(**json.loads(_read_exact(fh, config_len, "config")))
-        except TypeError as exc:  # unknown or missing keys, or not a JSON object
-            raise ValueError(f"{path}: checkpoint config does not fit ModelConfig: {exc}")
-        model = CrossModalModel(config, seed=0)
-        (n_params,) = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))
-        seen = set()
-        for _ in range(n_params):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, name_len, "parameter name").decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "shape"))
-            data = np.frombuffer(
-                _read_exact(fh, 4 * int(np.prod(shape, dtype=np.int64)), f"data of {name!r}"),
-                dtype="<f4").reshape(shape).copy()
-            if name not in model.params:
-                raise ValueError(f"checkpoint parameter {name!r} unknown to this config")
-            if model.params[name].data.shape != data.shape:
-                raise ValueError(
-                    f"parameter {name!r}: checkpoint shape {data.shape} != model shape "
-                    f"{model.params[name].data.shape}")
-            model.params[name].data = data
-            seen.add(name)
-        missing = set(model.params) - seen
-        if missing:
-            raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
-        end = fh.tell()
-        trailing = len(fh.read())
-        if trailing:
-            raise ValueError(
-                f"{path}: {trailing} trailing byte(s) after the last parameter at offset {end}")
+    reader = ByteReader(path)
+    reader.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    (config_len,) = reader.unpack("<I", "config length")
+    raw_config = reader.take(config_len, "config")
+    try:
+        config = ModelConfig(**json.loads(bytes(raw_config)))
+    except (TypeError, ValueError) as exc:  # not a JSON object, or unknown or missing keys
+        raise reader.error(f"checkpoint config does not fit ModelConfig: {exc}",
+                           reader.pos - config_len) from None
+    model = CrossModalModel(config, seed=0)
+    (n_params,) = reader.unpack("<I", "parameter count")
+    seen = set()
+    for _ in range(n_params):
+        start = reader.pos
+        name = reader.text("parameter name")
+        (ndim,) = reader.unpack("<B", f"ndim of {name!r}")
+        shape = reader.unpack(f"<{ndim}I", f"shape of {name!r}")
+        if name not in model.params:
+            raise reader.error(f"checkpoint parameter {name!r} unknown to this config", start)
+        if model.params[name].data.shape != shape:
+            raise reader.error(f"parameter {name!r}: checkpoint shape {shape} != model shape "
+                               f"{model.params[name].data.shape}", start)
+        data = reader.take(4 * model.params[name].data.size, f"data of {name!r}")
+        model.params[name].data = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+        seen.add(name)
+    missing = set(model.params) - seen
+    if missing:
+        raise reader.error(f"checkpoint missing parameters: {sorted(missing)}")
+    reader.done()
     if config.freeze_text:
         model.set_text_encoder_frozen(True)
     return model

@@ -110,9 +110,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- operator sugar -----------------------------------------------------
 
     def __add__(self, other):

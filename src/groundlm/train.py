@@ -29,7 +29,7 @@ import numpy as np
 from . import tensor as T
 from .associate import (Association, AssociationCache, NounLexicon,
                         associate_keyword_baseline, associate_object,
-                        associate_scene, association_cache_key)
+                        associate_scene)
 from .embeddings import WordEmbeddingTable
 from .index import ImageFeatureStore, ImageKeyIndex
 from .model import (CrossModalModel, MaskedBatch, mask_regions, mask_tokens,
@@ -239,7 +239,7 @@ def associate_query(mode: str, query: str, corpora: Corpora, k: int, kappa: int,
 def _associate_for_row(mode: str, query: str, corpora: Corpora, k: int, kappa: int,
                        assoc_seed: int, cache: Optional[AssociationCache],
                        threads: Optional[int]) -> List[Tuple[str, float]]:
-    key = association_cache_key(mode, query, k, assoc_seed)
+    key = (mode, query, k, kappa, assoc_seed)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:

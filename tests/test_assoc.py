@@ -3,7 +3,7 @@ import pytest
 
 from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
                                 associate_keyword_baseline, associate_object,
-                                associate_scene, association_cache_key,
+                                associate_scene,
                                 build_caption_index, build_synset_index,
                                 extract_nouns, load_caption_corpus,
                                 load_noun_lexicon, load_synsets)
@@ -283,31 +283,19 @@ class TestKeywordBaseline:
 class TestCache:
     def test_round_trip_counters(self):
         cache = AssociationCache()
-        key = association_cache_key("scene", "red dog", 4, seed=1)
+        key = ("scene", "red dog", 4, 8, 1)
         assert cache.get(key) is None
         cache.put(key, [("i1", 0.9), ("i2", 0.5)])
         assert cache.get(key) == [("i1", 0.9), ("i2", 0.5)]
         assert cache.misses == 1 and cache.hits == 1
 
     def test_key_separates_fields(self):
-        a = association_cache_key("scene", "x", 4, seed=1)
-        assert a != association_cache_key("object", "x", 4, seed=1)
-        assert a != association_cache_key("scene", "x", 5, seed=1)
-        assert a != association_cache_key("scene", "x", 4, seed=2)
-        assert a != association_cache_key("scene", "y", 4, seed=1)
-
-    def test_binary_save_load(self, tmp_path):
         cache = AssociationCache()
-        cache.put("k1", [("img1", 0.5)])
-        cache.put("k0", [])
-        path = tmp_path / "a.glac"
-        cache.save(path)
-        back = AssociationCache.load(path)
-        assert back.get("k1") == [("img1", np.float32(0.5))]
-        assert back.get("k0") == []
-
-    def test_load_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "a.glac"
-        path.write_bytes(b"XXXX\x01\x00\x00\x00")
-        with pytest.raises(ValueError, match="magic"):
-            AssociationCache.load(path)
+        base = ("scene", "x", 4, 8, 1)
+        cache.put(base, [("i1", 0.9)])
+        for other in (("object", "x", 4, 8, 1), ("scene", "y", 4, 8, 1),
+                      ("scene", "x", 5, 8, 1), ("scene", "x", 4, 2, 1),
+                      ("scene", "x", 4, 8, 2)):
+            assert cache.get(other) is None, other
+        assert cache.get(base) == [("i1", 0.9)]
+        assert (cache.hits, cache.misses, len(cache)) == (1, 5, 1)

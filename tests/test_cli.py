@@ -297,31 +297,89 @@ class TestTrainEvalRoundTrip:
         assert blob["n_completed"] == 2
 
 
+def pretrain_argv(bundle, tmp_path, strategy, name, *extra):
+    return ["pretrain", "--strategy", strategy,
+            "--vocab", str(bundle / "vocab.txt"),
+            "--corpus", str(bundle / "corpus.txt"),
+            "--out-model", str(tmp_path / f"{name}.glmc"),
+            "--metrics", str(tmp_path / f"{name}.csv"),
+            "--d", "8", "--d-v", "8", "--n-layers-text", "1",
+            "--n-layers-cross", "1", "--n-heads", "2", "--max-len", "8",
+            "--k-max", "2", "--max-steps", "2", "--batch-size", "8", *extra]
+
+
+def assert_one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+    for needle in needles:
+        assert needle in err, (needle, err)
+
+
 class TestStaleFeatureManifest:
-    def test_pretrain_on_store_under_stale_manifest_exits_1(self, bundle, tmp_path, capsys):
+    def test_reordered_store_under_stale_manifest_trains_identically(self, bundle, tmp_path):
         src = ImageFeatureStore(bundle / "features.vftr")
-        ids = src.ids()
-        rows = [(image_id, src.get(image_id)) for image_id in ids]
-        src.close()
+        rows = [(image_id, src.get(image_id)) for image_id in src.offsets]
+        # same ids in reverse order, next to an older bundle's offset sidecar
+        # that still maps the original offsets
         features = tmp_path / "features.vftr"
-        offsets = write_feature_store(features, rows, src.n_regions, src.feat_dim)
-        manifest = (tmp_path / "features.vftr.manifest.json").read_bytes()
-        # same ids in reverse order; the sidecar still maps the old offsets
         write_feature_store(features, rows[::-1], src.n_regions, src.feat_dim)
-        (tmp_path / "features.vftr.manifest.json").write_bytes(manifest)
-        rc = main(["pretrain", "--strategy", "TransferredI2T",
-                   "--vocab", str(bundle / "vocab.txt"),
-                   "--corpus", str(bundle / "corpus.txt"),
-                   "--captions", str(bundle / "captions.tsv"),
-                   "--features", str(features),
-                   "--out-model", str(tmp_path / "m.glmc"),
-                   "--d", "8", "--d-v", "8", "--n-layers-text", "1",
-                   "--n-layers-cross", "1", "--n-heads", "2", "--max-len", "8",
-                   "--k", "1", "--k-max", "2", "--max-steps", "2", "--batch-size", "8"])
+        sidecar = {"version": 1, "n_regions": src.n_regions, "feat_dim": src.feat_dim,
+                   "offsets": src.offsets}
+        (tmp_path / "features.vftr.manifest.json").write_text(json.dumps(sidecar))
+        for name, store in (("orig", bundle / "features.vftr"), ("rev", features)):
+            run_ok(pretrain_argv(bundle, tmp_path, "TransferredI2T", name,
+                                 "--captions", str(bundle / "captions.tsv"),
+                                 "--features", str(store), "--k", "1"))
+        for ext in ("glmc", "csv"):
+            assert (tmp_path / f"orig.{ext}").read_bytes() == \
+                (tmp_path / f"rev.{ext}").read_bytes()
+
+
+class TestMissingImage:
+    """An image id that the feature store lacks is a runtime error naming
+    the store and the id: exit 1, one line, no checkpoint."""
+
+    def test_object_association_retrieves_absent_image(self, bundle, tmp_path, capsys):
+        # every synset also keys a ghost image, which sorts first among its ties
+        ghosted = []
+        for n, line in enumerate((bundle / "synsets.tsv").read_text().splitlines()):
+            *head, images = line.split("\t")
+            ghosted.append("\t".join(head + [f"ghost{n:02d},{images}"]))
+        synsets = tmp_path / "synsets.tsv"
+        synsets.write_text("\n".join(ghosted) + "\n")
+        rc = main(pretrain_argv(bundle, tmp_path, "AssociativeObject", "m",
+                                "--features", str(bundle / "features.vftr"),
+                                "--vectors", str(bundle / "wordvecs.txt"),
+                                "--synsets", str(synsets), "--nouns", str(bundle / "nouns.txt"),
+                                "--k", "2", "--kappa", "2"))
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        first = min(offsets, key=offsets.get)
-        assert str(features) in err
-        assert f"expected image id {first!r} at offset {offsets[first]}" in err
+        assert_one_error_line(capsys, str(bundle / "features.vftr"), "'ghost",
+                              "not in feature store")
         assert not (tmp_path / "m.glmc").exists()
+
+    def test_paired_caption_names_absent_image(self, bundle, tmp_path, capsys):
+        captions = tmp_path / "captions.tsv"
+        captions.write_text("".join(
+            f"ghost{line}\n" for line in (bundle / "captions.tsv").read_text().splitlines()))
+        rc = main(pretrain_argv(bundle, tmp_path, "TransferredI2T", "m",
+                                "--captions", str(captions),
+                                "--features", str(bundle / "features.vftr"), "--k", "1"))
+        assert rc == 1
+        assert_one_error_line(capsys, str(bundle / "features.vftr"), "'ghostimg",
+                              "not in feature store")
+        assert not (tmp_path / "m.glmc").exists()
+
+
+class TestTrailingBytes:
+    def test_associate_rejects_index_with_appended_bytes(self, bundle, caption_index,
+                                                         tmp_path, capsys):
+        index = tmp_path / "junk.vidx"
+        index.write_bytes(caption_index.read_bytes() + b"\x00" * 8)
+        queries = tmp_path / "q.txt"
+        queries.write_text("c000 u000\n")
+        rc = main(["associate", "--strategy", "scene", "--queries", str(queries),
+                   "--index", str(index), "--vectors", str(bundle / "wordvecs.txt"),
+                   "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert_one_error_line(capsys, str(index), "8 trailing byte(s)",
+                              f"offset {caption_index.stat().st_size}")

@@ -1,0 +1,81 @@
+"""Edge cases shared by the three binary formats: VIDX (image-key index),
+VFTR (region-feature store) and GLMC (model checkpoint).
+
+A file either loads exactly what was written or raises one ``ValueError``
+whose message names the file. Every strict prefix of a small file and the
+file with one byte appended are checked. Byte flips inside float payloads
+cannot be detected without a checksum and are not covered here.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import tiny_model
+from groundlm.index import (ImageFeatureStore, build_index, load_index, save_index,
+                            write_feature_store)
+from groundlm.model import load_checkpoint, save_checkpoint
+
+
+def write_vidx(path):
+    rng = np.random.default_rng(1)
+    entries = [(f"img{i}", rng.normal(size=3), 7 * i, ("caption", "synset")[i % 2])
+               for i in range(3)]
+    save_index(build_index(entries), path)
+
+
+def write_vftr(path):
+    rng = np.random.default_rng(2)
+    write_feature_store(path, [(image_id, rng.normal(size=(2, 3)))
+                               for image_id in ("a", "bb", "ccc")], n_regions=2, feat_dim=3)
+
+
+def write_glmc(path):
+    save_checkpoint(tiny_model(vocab_size=8, d=2, d_v=2, n_heads=1, max_len=2, k_max=1),
+                    path)
+
+
+FORMATS = {
+    "vidx": (write_vidx, load_index),
+    "vftr": (write_vftr, ImageFeatureStore),
+    "glmc": (write_glmc, load_checkpoint),
+}
+
+
+@pytest.fixture(params=sorted(FORMATS))
+def written(request, tmp_path):
+    write, load = FORMATS[request.param]
+    path = tmp_path / f"x.{request.param}"
+    write(path)
+    return path, path.read_bytes(), load
+
+
+def test_every_strict_prefix_rejected_naming_file(written):
+    path, blob, load = written
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(ValueError, match="unexpected end of file") as err:
+            load(path)
+        assert str(path) in str(err.value), n
+
+
+def test_appended_byte_rejected_naming_file_and_offset(written):
+    path, blob, load = written
+    load(path)  # the file as written loads
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: 1 trailing byte(s) at offset {len(blob)}"
+
+
+def test_store_rejects_duplicate_and_non_utf8_ids(tmp_path):
+    path = tmp_path / "x.vftr"
+    write_feature_store(path, [("a", np.zeros((1, 1))), ("b", np.ones((1, 1)))],
+                        n_regions=1, feat_dim=1)
+    blob = path.read_bytes()
+    second = blob.index(b"b")
+    path.write_bytes(blob[:second] + b"a" + blob[second + 1:])
+    with pytest.raises(ValueError, match=f"duplicate image id 'a' at offset {second - 4}"):
+        ImageFeatureStore(path)
+    path.write_bytes(blob[:second] + b"\xff" + blob[second + 1:])
+    with pytest.raises(ValueError, match=f"id of image 1 is not UTF-8 at offset {second}"):
+        ImageFeatureStore(path)

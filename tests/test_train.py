@@ -215,6 +215,21 @@ class TestEvaluate:
         assert cache.misses == before
         assert cache.hits > 0
 
+    def test_object_cache_keyed_by_kappa(self, tmp_path, rng):
+        corpora = two_region_world(tmp_path, rng)
+        model = small_model(corpora.vocab, d_v=4, n_regions=2)
+
+        def ppl(kappa, cache):
+            return evaluate_perplexity(model, EQUIV_TEXTS, corpora.vocab, seed=7,
+                                       mode="object", corpora=corpora, k=2, kappa=kappa,
+                                       cache=cache)
+
+        shared = AssociationCache()
+        at_one = ppl(1, shared)
+        fresh = ppl(2, AssociationCache())
+        assert fresh != at_one  # kappa changes which images rows see
+        assert ppl(2, shared) == fresh
+
 
 def reference_build_batch(examples, token_rows, vocab, model, mode, *, raw_rows=None,
                           mask_text_rng=None, mask_region_rng=None, corpora=None,
