@@ -1,6 +1,7 @@
 """Diagonal-covariance Gaussian mixtures fit with EM.
 
-Used to cluster word vectors of retrieved captions into scene prototypes.
+Object association uses it to cluster the word vectors of a text's distinct
+nouns; each component nominates one noun, whose ranking retrieves images.
 Internals run in float64 regardless of the caller's dtype; with a fixed seed
 the fit is bit-identical run to run.
 """

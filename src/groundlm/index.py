@@ -264,9 +264,13 @@ def load_index(path, shard_size: int = 65536) -> ImageKeyIndex:
     reader.header(INDEX_MAGIC, INDEX_VERSION)
     dim, count = reader.unpack("<IQ", "header")
     items: List[KeyedImage] = []
+    seen = set()
     for i in range(count):
         start = reader.pos
         item_id = reader.text(f"id of item {i}")
+        if item_id in seen:
+            raise reader.error(f"duplicate id {item_id!r}", start)
+        seen.add(item_id)
         kind_byte, payload_ref = reader.unpack("<BQ", f"header of item {i}")
         if kind_byte >= len(_SOURCE_KINDS):
             raise reader.error(f"bad source_kind byte {kind_byte} for item {i}", start)

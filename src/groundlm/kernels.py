@@ -1,10 +1,10 @@
 """Hot numeric kernels, in NumPy.
 
 Matrix multiplication is deliberately *not* here: BLAS already wins, and the
-autodiff layer calls ``np.matmul`` directly. These kernels cover the
-elementwise and row-wise loops around it: layer norm, GELU, softmax, masked
-cross-entropy, Adam updates, embedding-gradient scatter and the
-Gaussian-mixture E-step.
+autodiff layer's ``linear`` and ``attention`` ops call ``np.matmul``
+directly. These kernels cover the elementwise and row-wise loops around it:
+layer norm, GELU, softmax (inside ``attention``), masked cross-entropy, Adam
+updates, embedding-gradient scatter and the Gaussian-mixture E-step.
 
 Callers look every kernel up through the ``active`` namespace at call time
 (``kernels.active.gelu_forward(x)``), so one kernel can be swapped for a
@@ -26,18 +26,17 @@ INV_SQRT_2PI = 0.3989422804014327
 def _layernorm_forward(x, gain, bias, eps):
     """Row-wise layer norm over the last axis of a 2-D array.
 
-    Returns (y, mean, rstd); mean/rstd are cached for the backward pass.
+    Returns (y, xhat, rstd); xhat/rstd are cached for the backward pass.
     """
     mean = x.mean(axis=1)
     var = x.var(axis=1)
     rstd = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean[:, None]) * rstd[:, None]
     y = xhat * gain + bias
-    return y, mean, rstd
+    return y, xhat, rstd
 
 
-def _layernorm_backward(dy, x, mean, rstd, gain):
-    xhat = (x - mean[:, None]) * rstd[:, None]
+def _layernorm_backward(dy, xhat, rstd, gain):
     dgain = (dy * xhat).sum(axis=0)
     dbias = dy.sum(axis=0)
     dxhat = dy * gain

@@ -15,6 +15,7 @@ position 0.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
@@ -32,6 +33,8 @@ CHECKPOINT_MAGIC = b"GLMC"
 CHECKPOINT_VERSION = 1
 
 NEG_INF = -1e9
+
+ParamSpec = Tuple[str, Tuple[int, ...], Optional[float]]
 
 
 @dataclass
@@ -143,70 +146,57 @@ def mask_regions(regions: np.ndarray, rate: float,
 # -- the model ----------------------------------------------------------------
 
 
+def _linear_specs(prefix: str, n_in: int, n_out: int) -> List[ParamSpec]:
+    return [(f"{prefix}.W", (n_in, n_out), None), (f"{prefix}.b", (n_out,), 0.0)]
+
+
+def _ln_specs(prefix: str, d: int) -> List[ParamSpec]:
+    return [(f"{prefix}.g", (d,), 1.0), (f"{prefix}.b", (d,), 0.0)]
+
+
+def _block_specs(prefix: str, d: int) -> List[ParamSpec]:
+    return (_ln_specs(f"{prefix}.ln1", d) + _linear_specs(f"{prefix}.attn.qkv", d, 3 * d)
+            + _linear_specs(f"{prefix}.attn.out", d, d) + _ln_specs(f"{prefix}.ln2", d)
+            + _linear_specs(f"{prefix}.mlp.fc1", d, 4 * d)
+            + _linear_specs(f"{prefix}.mlp.fc2", 4 * d, d))
+
+
+def param_specs(c: ModelConfig) -> List[ParamSpec]:
+    """(name, shape, fill) of every parameter of a model with config ``c``,
+    in construction order; fill None means N(0, 0.02) draws, else a constant."""
+    specs = [("token_embeddings", (c.vocab_size, c.d), None),
+             ("position_embeddings", (c.max_len, c.d), None)]
+    for i in range(c.n_layers_text):
+        specs += _block_specs(f"text.{i}", c.d)
+    specs += _linear_specs("region_projection", c.d_v, c.d)
+    specs += [("placeholder", (c.d,), None), ("rank_embeddings", (c.k_max, c.d), None)]
+    for i in range(c.n_layers_cross):
+        specs += _block_specs(f"cross.{i}", c.d)
+    specs += _ln_specs("final_ln", c.d) + _linear_specs("lm_head", c.d, c.vocab_size)
+    specs += _linear_specs("region_head", c.d, c.d_v)
+    if c.n_labels > 0:
+        specs += _linear_specs("cls_head", c.d, c.n_labels)
+    return specs
+
+
 class CrossModalModel:
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
         self.params: "OrderedDict[str, Tensor]" = OrderedDict()
-        rng = np.random.default_rng(seed)
-        c = config
-
-        self._matrix("token_embeddings", (c.vocab_size, c.d), rng)
-        self._matrix("position_embeddings", (c.max_len, c.d), rng)
-        for i in range(c.n_layers_text):
-            self._block(f"text.{i}", rng)
-        self._matrix("region_projection.W", (c.d_v, c.d), rng)
-        self._zeros("region_projection.b", (c.d,))
-        self._matrix("placeholder", (c.d,), rng)
-        self._matrix("rank_embeddings", (c.k_max, c.d), rng)
-        for i in range(c.n_layers_cross):
-            self._block(f"cross.{i}", rng)
-        self._ones("final_ln.g", (c.d,))
-        self._zeros("final_ln.b", (c.d,))
-        self._matrix("lm_head.W", (c.d, c.vocab_size), rng)
-        self._zeros("lm_head.b", (c.vocab_size,))
-        self._matrix("region_head.W", (c.d, c.d_v), rng)
-        self._zeros("region_head.b", (c.d_v,))
-        if c.n_labels > 0:
-            self._matrix("cls_head.W", (c.d, c.n_labels), rng)
-            self._zeros("cls_head.b", (c.n_labels,))
-        if c.freeze_text:
+        self._init_params(param_specs(config), np.random.default_rng(seed))
+        if config.freeze_text:
             self.set_text_encoder_frozen(True)
 
-    # parameter construction
-
-    def _add(self, name: str, data: np.ndarray) -> None:
-        self.params[name] = Tensor(data.astype(self.dtype), requires_grad=True, name=name)
-
-    def _matrix(self, name: str, shape, rng) -> None:
-        self._add(name, rng.normal(0.0, 0.02, size=shape))
-
-    def _zeros(self, name: str, shape) -> None:
-        self._add(name, np.zeros(shape))
-
-    def _ones(self, name: str, shape) -> None:
-        self._add(name, np.ones(shape))
-
-    def _block(self, prefix: str, rng) -> None:
-        d = self.config.d
-        self._ones(f"{prefix}.ln1.g", (d,))
-        self._zeros(f"{prefix}.ln1.b", (d,))
-        self._matrix(f"{prefix}.attn.qkv.W", (d, 3 * d), rng)
-        self._zeros(f"{prefix}.attn.qkv.b", (3 * d,))
-        self._matrix(f"{prefix}.attn.out.W", (d, d), rng)
-        self._zeros(f"{prefix}.attn.out.b", (d,))
-        self._ones(f"{prefix}.ln2.g", (d,))
-        self._zeros(f"{prefix}.ln2.b", (d,))
-        self._matrix(f"{prefix}.mlp.fc1.W", (d, 4 * d), rng)
-        self._zeros(f"{prefix}.mlp.fc1.b", (4 * d,))
-        self._matrix(f"{prefix}.mlp.fc2.W", (4 * d, d), rng)
-        self._zeros(f"{prefix}.mlp.fc2.b", (d,))
+    def _init_params(self, specs: List[ParamSpec], rng: np.random.Generator) -> None:
+        for name, shape, fill in specs:
+            data = rng.normal(0.0, 0.02, size=shape) if fill is None else np.full(shape, fill)
+            self.params[name] = Tensor(data.astype(self.dtype), requires_grad=True, name=name)
 
     def add_cls_head(self, n_labels: int, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
         self.config.n_labels = n_labels
-        self._matrix("cls_head.W", (self.config.d, n_labels), rng)
-        self._zeros("cls_head.b", (n_labels,))
+        self._init_params(_linear_specs("cls_head", self.config.d, n_labels),
+                          np.random.default_rng(seed))
 
     # freezing
 
@@ -223,38 +213,27 @@ class CrossModalModel:
 
     # forward pieces
 
-    def _attention(self, prefix: str, x: Tensor, bias: Optional[Tensor]) -> Tensor:
-        c = self.config
-        b_sz, t, d = x.shape
-        h, dh = c.n_heads, c.d // c.n_heads
-        qkv = x @ self.params[f"{prefix}.attn.qkv.W"] + self.params[f"{prefix}.attn.qkv.b"]
-        qkv = qkv.reshape(b_sz, t, 3, h, dh).transpose(2, 0, 3, 1, 4)  # (3, B, H, T, dh)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
-        if bias is not None:
-            scores = scores + bias
-        att = T.softmax(scores)
-        out = (att @ v).transpose(0, 2, 1, 3).reshape(b_sz, t, d)
-        return out @ self.params[f"{prefix}.attn.out.W"] + self.params[f"{prefix}.attn.out.b"]
+    def _linear(self, prefix: str, x: Tensor) -> Tensor:
+        return T.linear(x, self.params[f"{prefix}.W"], self.params[f"{prefix}.b"])
+
+    def _attention(self, prefix: str, x: Tensor, bias: Optional[np.ndarray]) -> Tensor:
+        context = T.attention(self._linear(f"{prefix}.attn.qkv", x), bias, self.config.n_heads)
+        return self._linear(f"{prefix}.attn.out", context)
 
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
         return T.layernorm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
-    def _encoder_block(self, prefix: str, x: Tensor, bias: Optional[Tensor]) -> Tensor:
+    def _encoder_block(self, prefix: str, x: Tensor, bias: Optional[np.ndarray]) -> Tensor:
         x = x + self._attention(prefix, self._ln(f"{prefix}.ln1", x), bias)
-        hidden = self._ln(f"{prefix}.ln2", x) @ self.params[f"{prefix}.mlp.fc1.W"] \
-            + self.params[f"{prefix}.mlp.fc1.b"]
-        hidden = T.gelu(hidden) @ self.params[f"{prefix}.mlp.fc2.W"] \
-            + self.params[f"{prefix}.mlp.fc2.b"]
-        return x + hidden
+        hidden = T.gelu(self._linear(f"{prefix}.mlp.fc1", self._ln(f"{prefix}.ln2", x)))
+        return x + self._linear(f"{prefix}.mlp.fc2", hidden)
 
     @staticmethod
-    def _attn_bias(valid: np.ndarray, dtype) -> Optional[Tensor]:
+    def _attn_bias(valid: np.ndarray, dtype) -> Optional[np.ndarray]:
         """(B, S) validity -> additive (B, 1, 1, S) key bias, or None if all valid."""
         if valid.all():
             return None
-        bias = np.where(valid[:, None, None, :], 0.0, NEG_INF).astype(dtype)
-        return Tensor(bias)
+        return np.where(valid[:, None, None, :], 0.0, NEG_INF).astype(dtype)
 
     def _visual_slots(self, batch: MaskedBatch) -> Tensor:
         c = self.config
@@ -271,9 +250,8 @@ class CrossModalModel:
             raise ShapeError(f"region feature dim {regions.shape[2]} != d_v {c.d_v}")
         rank_ids = batch.rank_ids if batch.rank_ids is not None \
             else np.zeros((b_sz, r), dtype=np.int64)
-        proj = Tensor(regions) @ self.params["region_projection.W"] \
-            + self.params["region_projection.b"]
-        vis = proj + T.embedding(self.params["rank_embeddings"], rank_ids)
+        vis = self._linear("region_projection", Tensor(regions)) \
+            + T.embedding(self.params["rank_embeddings"], rank_ids)
         if batch.placeholder_slots is not None and batch.placeholder_slots.any():
             ph = np.asarray(batch.placeholder_slots, dtype=self.dtype)[:, :, None]
             vis = vis * Tensor(1.0 - ph) + placeholder.reshape(1, 1, c.d) * Tensor(ph)
@@ -311,15 +289,15 @@ class CrossModalModel:
 
         text_out = joint[:, :length, :]
         vis_out = joint[:, length:, :]
-        token_logits = text_out @ self.params["lm_head.W"] + self.params["lm_head.b"]
-        region_preds = vis_out @ self.params["region_head.W"] + self.params["region_head.b"]
+        token_logits = self._linear("lm_head", text_out)
+        region_preds = self._linear("region_head", vis_out)
         cls_vec = joint[:, 0, :]
         return token_logits, region_preds, cls_vec
 
     def cls_logits(self, cls_vec: Tensor) -> Tensor:
         if "cls_head.W" not in self.params:
             raise ValueError("model has no classification head; call add_cls_head first")
-        return cls_vec @ self.params["cls_head.W"] + self.params["cls_head.b"]
+        return self._linear("cls_head", cls_vec)
 
 
 # -- losses & metrics ---------------------------------------------------------
@@ -389,6 +367,11 @@ def load_checkpoint(path) -> CrossModalModel:
     except (TypeError, ValueError) as exc:  # not a JSON object, or unknown or missing keys
         raise reader.error(f"checkpoint config does not fit ModelConfig: {exc}",
                            reader.pos - config_len) from None
+    need = 4 * sum(math.prod(shape) for _name, shape, _fill in param_specs(config))
+    left = len(reader.data) - reader.pos
+    if need > left:
+        raise reader.error(f"unexpected end of file: the config needs {need} bytes of "
+                           f"parameters, {left} follow it")
     model = CrossModalModel(config, seed=0)
     (n_params,) = reader.unpack("<I", "parameter count")
     seen = set()

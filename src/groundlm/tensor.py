@@ -6,9 +6,12 @@ topological order and accumulates gradients into every reachable tensor with
 ``requires_grad=True``. Leaves with ``requires_grad=False`` (frozen
 parameters, constants, masks) prune the graph behind them.
 
-Elementwise hot paths (gelu, softmax, layer norm, the fused loss ops) run on
-the kernels in :mod:`groundlm.kernels`; matrix products go straight to
-``np.matmul``.
+A transformer layer is a few coarse nodes rather than a chain of generic
+ones: ``linear`` is one weight product plus bias, and ``attention`` takes the
+fused query/key/value projection to the attention context in one node, with a
+hand-derived backward. Their matrix products go straight to ``np.matmul``;
+the row-wise hot paths (gelu, softmax, layer norm, the fused loss ops) run on
+the kernels in :mod:`groundlm.kernels`.
 """
 
 from __future__ import annotations
@@ -64,16 +67,8 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -127,17 +122,11 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take_slice(self, key)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if len(axes) != 1 else axes[0])
 
     def sum(self):
         return sum_all(self)
@@ -198,8 +187,10 @@ def add(a, b):
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _node(data, (a, b), backward, "add")
 
@@ -213,51 +204,12 @@ def mul(a, b):
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(data, (a, b), backward, "mul")
-
-
-def matmul(a, b):
-    a = a if isinstance(a, Tensor) else Tensor(np.asarray(a))
-    b = _as_tensor(b, a)
-    a_vec = a.ndim == 1
-    b_vec = b.ndim == 1
-    ad = a.data[None, :] if a_vec else a.data
-    bd = b.data[:, None] if b_vec else b.data
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ for shapes {a.shape} and {b.shape}")
-    if ad.ndim > 2 and bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul: batch dims differ for shapes {a.shape} and {b.shape}")
-    data = np.matmul(ad, bd)
-    out_data = data
-    if a_vec:
-        out_data = out_data[..., 0, :]
-    if b_vec:
-        out_data = out_data[..., 0] if a_vec else out_data[..., :, 0]
-
-    def backward(g):
-        gm = g
-        if a_vec and b_vec:
-            gm = g.reshape(1, 1)
-        elif a_vec:
-            gm = g[..., None, :]
-        elif b_vec:
-            gm = g[..., :, None]
-        if a.requires_grad:
-            ga = np.matmul(gm, np.swapaxes(bd, -1, -2))
-            if ga.ndim > ad.ndim:
-                ga = ga.sum(axis=tuple(range(ga.ndim - ad.ndim)))
-            _accumulate(a, ga[0] if a_vec else ga)
-        if b.requires_grad:
-            if bd.ndim == 2 and ad.ndim > 2:
-                gb = np.matmul(ad.reshape(-1, ad.shape[-1]).T, gm.reshape(-1, gm.shape[-1]))
-            else:
-                gb = np.matmul(np.swapaxes(ad, -1, -2), gm)
-            _accumulate(b, gb[:, 0] if b_vec else gb)
-
-    return _node(out_data, (a, b), backward, "matmul")
 
 
 def reshape(x: Tensor, shape):
@@ -268,17 +220,6 @@ def reshape(x: Tensor, shape):
         _accumulate(x, g.reshape(old))
 
     return _node(data, (x,), backward, "reshape")
-
-
-def transpose(x: Tensor, axes):
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    data = x.data.transpose(axes)
-
-    def backward(g):
-        _accumulate(x, g.transpose(inverse))
-
-    return _node(data, (x,), backward, "transpose")
 
 
 def take_slice(x: Tensor, key):
@@ -330,15 +271,6 @@ def mean_all(x: Tensor):
 # -- neural ops ------------------------------------------------------------
 
 
-def relu(x: Tensor):
-    data = np.maximum(x.data, 0)
-
-    def backward(g):
-        _accumulate(x, g * (x.data > 0))
-
-    return _node(data, (x,), backward, "relu")
-
-
 def gelu(x: Tensor):
     kern = kernels.active
     data, onepe = kern.gelu_forward(x.data)
@@ -349,18 +281,62 @@ def gelu(x: Tensor):
     return _node(data, (x,), backward, "gelu")
 
 
-def softmax(x: Tensor):
-    """Softmax over the last axis; rows sum to one."""
-    kern = kernels.active
-    flat = np.ascontiguousarray(x.data.reshape(-1, x.shape[-1]))
-    y = kern.softmax_forward(flat).reshape(x.shape)
+def linear(x: Tensor, w: Tensor, b: Tensor):
+    """``x @ w + b`` for a (n_in, n_out) weight and an (n_out,) bias, as one node."""
+    n_in, n_out = w.shape
+    if x.shape[-1] != n_in or b.shape != (n_out,):
+        raise ShapeError(f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} "
+                         f"do not conform")
+    data = np.matmul(x.data, w.data) + b.data
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.reshape(-1, x.shape[-1]))
-        y2 = np.ascontiguousarray(y.reshape(-1, x.shape[-1]))
-        _accumulate(x, kern.softmax_backward(g2, y2).reshape(x.shape))
+        if x.requires_grad:
+            _accumulate(x, np.matmul(g, w.data.T))
+        if w.requires_grad:
+            _accumulate(w, np.matmul(x.data.reshape(-1, n_in).T, g.reshape(-1, n_out)))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
-    return _node(y, (x,), backward, "softmax")
+    return _node(data, (x, w, b), backward, "linear")
+
+
+def attention(qkv: Tensor, bias, n_heads: int):
+    """Multi-head scaled dot-product self-attention, from the fused projection.
+
+    qkv: (B, T, 3d), laid out as [q | k | v] with the heads side by side in
+    each third; bias: an additive (B, 1, 1, T) key bias ndarray, or None.
+    Returns the (B, T, d) context with the heads side by side. The backward
+    is the hand-derived one (FlashAttention's Algorithm 4 without the
+    tiling) and writes dq, dk and dv into one (3, B, H, T, dh) array.
+    """
+    b_sz, t, width = qkv.shape
+    if width % (3 * n_heads):
+        raise ShapeError(f"attention: width {width} does not split into q, k and v "
+                         f"of {n_heads} heads")
+    kern = kernels.active
+    d = width // 3
+    dh = d // n_heads
+    heads = qkv.data.reshape(b_sz, t, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    q, k, v = heads
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=qkv.dtype)
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
+    if bias is not None:
+        scores = scores + bias
+    att = kern.softmax_forward(np.ascontiguousarray(scores.reshape(-1, t))).reshape(scores.shape)
+    data = np.matmul(att, v).transpose(0, 2, 1, 3).reshape(b_sz, t, d)
+
+    def backward(g):
+        dctx = np.ascontiguousarray(g.reshape(b_sz, t, n_heads, dh).transpose(0, 2, 1, 3))
+        datt = np.matmul(dctx, np.swapaxes(v, -1, -2))
+        dscores = kern.softmax_backward(datt.reshape(-1, t), att.reshape(-1, t))
+        dscores = dscores.reshape(att.shape) * scale
+        dheads = np.empty_like(heads)   # laid out like qkv, so the reshape below is free
+        dheads[0] = np.matmul(dscores, k)
+        dheads[1] = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), dscores), -1, -2)
+        dheads[2] = np.matmul(np.swapaxes(att, -1, -2), dctx)
+        _accumulate(qkv, dheads.transpose(1, 3, 0, 2, 4).reshape(qkv.shape))
+
+    return _node(data, (qkv,), backward, "attention")
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5):
@@ -372,11 +348,11 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5):
     kern = kernels.active
     d = x.shape[-1]
     flat = np.ascontiguousarray(x.data.reshape(-1, d))
-    y, mu, rstd = kern.layernorm_forward(flat, gain.data, bias.data, eps)
+    y, xhat, rstd = kern.layernorm_forward(flat, gain.data, bias.data, eps)
 
     def backward(g):
         g2 = np.ascontiguousarray(g.reshape(-1, d))
-        dx, dgain, dbias = kern.layernorm_backward(g2, flat, mu, rstd, gain.data)
+        dx, dgain, dbias = kern.layernorm_backward(g2, xhat, rstd, gain.data)
         _accumulate(x, dx.reshape(x.shape))
         _accumulate(gain, dgain)
         _accumulate(bias, dbias)

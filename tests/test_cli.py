@@ -4,7 +4,8 @@ import struct
 import pytest
 
 from groundlm.cli import CONFIG_KEYS, RunConfig, build_parser, main
-from groundlm.index import ImageFeatureStore, write_feature_store
+from groundlm.index import (ImageFeatureStore, load_index, save_index,
+                            write_feature_store)
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +245,23 @@ class TestTrainEvalRoundTrip:
         err = capsys.readouterr().err
         assert str(bad) in err and "bogus_key" in err
 
+    def test_eval_ppl_config_larger_than_file_exits_1(self, bundle, checkpoint,
+                                                      tmp_path, capsys):
+        model, _ = checkpoint
+        blob = model.read_bytes()
+        (config_len,) = struct.unpack("<I", blob[8:12])
+        config = json.loads(blob[12:12 + config_len])
+        config["vocab_size"] = 10**15
+        raw = json.dumps(config, sort_keys=True).encode("utf-8")
+        big = tmp_path / "big.glmc"
+        big.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + config_len:])
+        rc = main(["eval-ppl", "--strategy", "NoGrounding",
+                   "--vocab", str(bundle / "vocab.txt"),
+                   "--corpus", str(bundle / "corpus.txt"),
+                   "--model", str(big), "--seed", "7"])
+        assert rc == 1
+        assert_one_error_line(capsys, str(big), "bytes of parameters")
+
     def test_finetune_report(self, bundle, checkpoint, tmp_path, capsys):
         model, _ = checkpoint
         task = tmp_path / "task.tsv"
@@ -383,3 +401,20 @@ class TestTrailingBytes:
         assert rc == 1
         assert_one_error_line(capsys, str(index), "8 trailing byte(s)",
                               f"offset {caption_index.stat().st_size}")
+
+
+class TestDuplicateIndexIds:
+    def test_associate_rejects_index_with_repeated_id(self, bundle, caption_index,
+                                                      tmp_path, capsys):
+        index = load_index(caption_index)
+        index.items[1].id = index.items[0].id
+        dup = tmp_path / "dup.vidx"
+        save_index(index, dup)
+        queries = tmp_path / "q.txt"
+        queries.write_text("c000 u000\n")
+        rc = main(["associate", "--strategy", "scene", "--queries", str(queries),
+                   "--index", str(dup), "--vectors", str(bundle / "wordvecs.txt"),
+                   "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert_one_error_line(capsys, str(dup), f"duplicate id {index.items[0].id!r}")
+        assert not (tmp_path / "o.jsonl").exists()

@@ -254,6 +254,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match="img0001"):
             load_index(path)
 
+    def test_duplicate_id_rejected_naming_file_id_and_offset(self, tmp_path):
+        index = build_index([("aa", [1.0, 0.0], 0, "caption"), ("ab", [0.99, 0.1], 1, "caption")])
+        index.items[1].id = "aa"
+        path = tmp_path / "x.vidx"
+        save_index(index, path)
+        second = 20 + (4 + 2 + 1 + 8 + 4 * 2)   # header, then the first record
+        with pytest.raises(ValueError) as err:
+            load_index(path)
+        assert str(err.value) == f"{path}: duplicate id 'aa' at offset {second}"
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.vidx"
         path.write_bytes(b"NOPE" + b"\x00" * 20)

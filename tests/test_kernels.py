@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from groundlm import kernels
@@ -13,6 +15,19 @@ def test_active_exposes_every_kernel():
     for name in KERNEL_NAMES:
         assert callable(getattr(kernels.active, name)), name
     assert kernels.backend_name() == "numpy"
+
+
+def test_softmax_symmetry():
+    out = kernels.active.softmax_forward(np.array([[0.0, 0.0]]))
+    np.testing.assert_allclose(out, [[0.5, 0.5]])
+
+
+@given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_softmax_rows_sum_to_one(row):
+    out = kernels.active.softmax_forward(np.array([row], dtype=np.float64))
+    assert abs(out.sum() - 1.0) < 1e-6
+    assert np.all(out >= 0)
 
 
 def reference_gelu_forward(x):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -338,6 +341,23 @@ class TestCheckpoint:
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(ValueError, match="unexpected end"):
             load_checkpoint(path)
+
+    def test_config_needing_more_bytes_than_the_file_rejected(self, tmp_path):
+        path = tmp_path / "m.glmc"
+        model = tiny_model()
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        (config_len,) = struct.unpack("<I", blob[8:12])
+        config = json.loads(blob[12:12 + config_len])
+        config["vocab_size"] = 10**15
+        raw = json.dumps(config, sort_keys=True).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + config_len:])
+        # token embeddings, LM head weight and LM head bias grow with the vocabulary
+        grown = (10**15 - model.config.vocab_size) * (2 * model.config.d + 1)
+        need = 4 * (sum(p.data.size for p in model.params.values()) + grown)
+        with pytest.raises(ValueError, match=f"needs {need} bytes of parameters") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.glmc"

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
-                                build_caption_index, build_synset_index)
+                                build_caption_index, build_synset_index,
+                                load_caption_corpus)
 from groundlm.embeddings import WordEmbeddingTable
 from groundlm.index import ImageFeatureStore, write_feature_store
 from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig, mask_regions,
                             mask_tokens)
+from groundlm.tensor import Tensor
+from groundlm.toydata import ToySpec, generate_grounded_corpus
 from groundlm.train import (STRATEGIES, Corpora, Strategy, TrainConfig,
                             _associate_for_row, _pad_rows, _query_text,
                             build_batch, evaluate_perplexity, mix_corpora,
@@ -159,6 +162,35 @@ class TestPretrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,split,metric,value"
         assert all(len(line.split(",")) == 4 for line in lines[1:])
+
+    def test_transferred_both_step_graph_size(self, tmp_path, monkeypatch):
+        """A training step at the acceptance shape records at most 45 op
+        nodes: each layer piece (linear, attention, layer norm) is one node."""
+        paths = generate_grounded_corpus(ToySpec(seed=0), tmp_path)
+        vocab = Vocab.load(paths.vocab)
+        corpora = Corpora(vocab=vocab, text_only=open(paths.corpus).read().splitlines(),
+                          paired=list(load_caption_corpus(paths.captions).items()),
+                          store=ImageFeatureStore(paths.features))
+        model = CrossModalModel(ModelConfig(
+            vocab_size=len(vocab), d=64, d_v=64, n_layers_text=1, n_layers_cross=1,
+            n_heads=4, max_len=8, k_max=16), seed=7)
+        sizes = []
+        backward = Tensor.backward
+
+        def counting_backward(loss):
+            nodes, stack = set(), [loss]
+            while stack:
+                node = stack.pop()
+                if id(node) not in nodes and node._op != "leaf":
+                    nodes.add(id(node))
+                    stack.extend(node._parents)
+            sizes.append(len(nodes))
+            backward(loss)
+
+        monkeypatch.setattr(Tensor, "backward", counting_backward)
+        pretrain(Strategy("TransferredBoth", k=1), corpora, model,
+                 quick_config(batch_size=32, max_steps=1))
+        assert len(sizes) == 1 and sizes[0] <= 45, sizes
 
     def test_strategy_k_capped_by_model(self, tmp_path, rng):
         corpora = small_world(tmp_path, rng)
