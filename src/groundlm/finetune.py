@@ -9,6 +9,7 @@ every example. The protocol is 8 runs with consecutive seeds, reported
 as per-run scores plus their median.
 """
 
+import copy
 import hashlib
 import json
 import statistics
@@ -19,10 +20,11 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .associate import AssociationCache
-from .model import CrossModalModel
+from .model import CrossModalModel, MaskedBatch
 from .optim import Adam
 from .tensor import Tensor, masked_cross_entropy, mean_all, mul, no_grad
-from .train import Corpora, Strategy, TrainConfig, build_batch, require_corpora
+from .train import (Corpora, Strategy, TrainConfig, build_batch, require_corpora,
+                    training_batches)
 from .vocab import Vocab
 
 
@@ -146,21 +148,6 @@ def _config_digest(strategy: Strategy, task: Task, config: TrainConfig, n_out: i
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _forward_scores(model, examples, token_rows, raw_rows, pairs, vocab, mode,
-                    corpora, k, kappa, assoc_seed, cache, threads, batch_size):
-    """Head outputs for a fixed example list, batched, no masking."""
-    out = []
-    for lo in range(0, len(examples), batch_size):
-        hi = min(lo + batch_size, len(examples))
-        batch = build_batch(pairs[lo:hi], token_rows[lo:hi], vocab, model, mode,
-                            raw_rows=raw_rows[lo:hi], corpora=corpora, k=k,
-                            kappa=kappa, assoc_seed=assoc_seed, cache=cache,
-                            threads=threads)
-        _, _, cls_vec = model.forward(batch)
-        out.append(model.cls_logits(cls_vec).data)
-    return np.concatenate(out, axis=0)
-
-
 def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
              config: TrainConfig, *, corpora: Optional[Corpora] = None,
              eval_examples: Optional[Sequence[TaskExample]] = None,
@@ -170,8 +157,8 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
 
     Run r uses seed config.seed + r for head init and batch order. When
     ``eval_examples`` is omitted, a fixed fraction of the task is held out
-    once (same split for every run). The model's weights are restored to
-    their entry state afterwards; only the report is kept.
+    once (same split for every run). Each run trains a copy; the model
+    passed in is never modified.
     """
     # task sentences have no image pairings; transferred models keep their
     # pretrained weights but see the placeholder slot here
@@ -208,8 +195,8 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
         eval_ex = list(eval_examples)
 
     max_len = model.config.max_len
-    tr_rows, tr_raw, tr_pairs = _task_rows(train_ex, vocab, max_len)
-    ev_rows, ev_raw, ev_pairs = _task_rows(eval_ex, vocab, max_len)
+    train_split = _task_rows(train_ex, vocab, max_len)
+    eval_split = _task_rows(eval_ex, vocab, max_len)
     k = strategy.k if mode != "placeholder" else 0
     assoc_seed = config.seed  # retrieval fixed across runs; runs differ by init/order
 
@@ -220,71 +207,54 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
         tr_labels = np.array([ex.label for ex in train_ex], dtype=np.float64)
         ev_gold = np.array([ex.label for ex in eval_ex], dtype=np.float64)
 
-    base = {n: (p.data.copy(), p.requires_grad) for n, p in model.params.items()}
+    def batch_for(run: CrossModalModel, split, picks) -> MaskedBatch:
+        rows, raw, pairs = split
+        return build_batch([pairs[i] for i in picks], [rows[i] for i in picks], vocab,
+                           run, mode, raw_rows=[raw[i] for i in picks], corpora=corpora,
+                           k=k, kappa=config.kappa, assoc_seed=assoc_seed, cache=cache,
+                           threads=threads)
 
-    def restore():
-        for extra in [n for n in model.params if n not in base]:
-            del model.params[extra]
-        for name, (arr, req) in base.items():
-            p = model.params[name]
-            p.data = arr.copy()
-            p.grad = None
-            p.requires_grad = req
+    def train_and_score(run_seed: int) -> float:
+        run = copy.deepcopy(model)
+        run.set_text_encoder_frozen(False)
+        run.add_cls_head(n_out, seed=run_seed)
+        opt = Adam(run.trainable_params(), lr=config.lr)
+        for _epoch, picks in training_batches(len(train_ex), config, run_seed):
+            _, _, cls_vec = run.forward(batch_for(run, train_split, picks))
+            logits = run.cls_logits(cls_vec)
+            b_sz = len(picks)
+            if task.metric == "accuracy":
+                loss = masked_cross_entropy(
+                    logits.reshape((b_sz, 1, n_out)),
+                    tr_labels[picks].reshape(b_sz, 1),
+                    np.ones((b_sz, 1), dtype=bool))
+            else:
+                target = Tensor(tr_labels[picks].reshape(b_sz, 1).astype(logits.data.dtype),
+                                requires_grad=False)
+                diff = logits + (-target)
+                loss = mean_all(mul(diff, diff))
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        out = []
+        with no_grad():
+            for lo in range(0, len(eval_ex), config.batch_size):
+                picks = range(lo, min(lo + config.batch_size, len(eval_ex)))
+                _, _, cls_vec = run.forward(batch_for(run, eval_split, picks))
+                out.append(run.cls_logits(cls_vec).data)
+        out = np.concatenate(out)
+        if task.metric == "accuracy":
+            return float(np.mean(out.argmax(axis=1) == ev_gold))
+        return spearman(out[:, 0], ev_gold)
 
     scores: List[Optional[float]] = []
     errors: List[str] = []
     for r in range(n_runs):
-        run_seed = config.seed + r
         try:
-            restore()
-            model.set_text_encoder_frozen(False)
-            model.add_cls_head(n_out, seed=run_seed)
-            opt = Adam(model.trainable_params(), lr=config.lr)
-            step = 0
-            done = False
-            for epoch in range(config.max_epochs):
-                if done:
-                    break
-                order = np.random.default_rng([run_seed, 1000 + epoch]).permutation(len(train_ex))
-                for lo in range(0, len(order), config.batch_size):
-                    picks = order[lo:lo + config.batch_size]
-                    batch = build_batch([tr_pairs[i] for i in picks],
-                                        [tr_rows[i] for i in picks], vocab, model, mode,
-                                        raw_rows=[tr_raw[i] for i in picks],
-                                        corpora=corpora, k=k, kappa=config.kappa,
-                                        assoc_seed=assoc_seed, cache=cache, threads=threads)
-                    _, _, cls_vec = model.forward(batch)
-                    logits = model.cls_logits(cls_vec)
-                    b_sz = len(picks)
-                    if task.metric == "accuracy":
-                        loss = masked_cross_entropy(
-                            logits.reshape((b_sz, 1, n_out)),
-                            tr_labels[picks].reshape(b_sz, 1),
-                            np.ones((b_sz, 1), dtype=bool))
-                    else:
-                        target = Tensor(tr_labels[picks].reshape(b_sz, 1).astype(logits.data.dtype),
-                                        requires_grad=False)
-                        diff = logits + (-target)
-                        loss = mean_all(mul(diff, diff))
-                    opt.zero_grad()
-                    loss.backward()
-                    opt.step()
-                    step += 1
-                    if config.max_steps is not None and step >= config.max_steps:
-                        done = True
-                        break
-            with no_grad():
-                out = _forward_scores(model, eval_ex, ev_rows, ev_raw, ev_pairs, vocab,
-                                      mode, corpora, k, config.kappa, assoc_seed,
-                                      cache, threads, config.batch_size)
-            if task.metric == "accuracy":
-                scores.append(float(np.mean(out.argmax(axis=1) == ev_gold)))
-            else:
-                scores.append(spearman(out[:, 0], ev_gold))
+            scores.append(train_and_score(config.seed + r))
         except Exception as exc:  # a failed run is excluded from the median
             scores.append(None)
             errors.append(f"run {r}: {exc}")
-    restore()
 
     completed = [s for s in scores if s is not None]
     if not completed:

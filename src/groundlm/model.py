@@ -55,6 +55,9 @@ class ModelConfig:
     freeze_text: bool = False
 
     def __post_init__(self):
+        if self.d < 1 or self.d_v < 1 or self.n_heads < 1:
+            raise ValueError(f"d, d_v and n_heads must be >= 1, got {self.d}, {self.d_v} "
+                             f"and {self.n_heads}")
         if self.d % self.n_heads != 0:
             raise ValueError(f"d ({self.d}) must be divisible by n_heads ({self.n_heads})")
         if self.max_len < 2:

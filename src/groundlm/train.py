@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,6 +103,8 @@ class TrainConfig:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("batch_size and eval_every must be >= 1")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1 or None, got {self.max_steps}")
 
 
 @dataclass
@@ -281,6 +283,9 @@ def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[
 
     b_sz = ids.shape[0]
     store = corpora.store if corpora is not None else None
+    if store is not None and store.feat_dim != cfg.d_v:
+        raise ValueError(f"{store.path}: feature store holds {store.feat_dim}-dim regions, "
+                         f"the model's d_v is {cfg.d_v}")
     n = store.n_regions if store is not None else cfg.n_regions
     if mode == "paired":
         n_images = 1
@@ -399,6 +404,25 @@ def _eval_region_objective(model: CrossModalModel, examples: List[ExampleTuple],
 MetricsRow = Tuple[int, str, str, float]
 
 
+def training_batches(n: int, config: TrainConfig,
+                     seed: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield ``(epoch, indices)`` for each training batch over ``n`` examples.
+
+    Epoch e visits the examples in the order of ``default_rng([seed, 1000 + e])``,
+    cut into batches of ``config.batch_size``. The stream ends after
+    ``config.max_epochs`` epochs or ``config.max_steps`` batches, whichever
+    comes first.
+    """
+    step = 0
+    for epoch in range(config.max_epochs):
+        order = np.random.default_rng([seed, 1000 + epoch]).permutation(n)
+        for lo in range(0, n, config.batch_size):
+            if step == config.max_steps:
+                return
+            step += 1
+            yield epoch, order[lo:lo + config.batch_size]
+
+
 def write_metrics_csv(rows: Sequence[MetricsRow], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,split,metric,value\n")
@@ -478,40 +502,34 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
                 stop = True
 
     last_eval_step = -1
-    for epoch in range(config.max_epochs):
-        epoch_rng = np.random.default_rng([config.seed, 1000 + epoch])
-        mask_rng = np.random.default_rng([config.seed, 2000 + epoch])
-        perm = epoch_rng.permutation(len(train_examples))
-        for lo in range(0, len(perm), config.batch_size):
-            picks = perm[lo:lo + config.batch_size]
-            chunk = [train_examples[i] for i in picks]
-            rows = [train_rows[i] for i in picks]
-            batch = build_batch(
-                chunk, rows, vocab, model, mode,
-                raw_rows=[train_raw[i] for i in picks],
-                mask_text_rng=mask_rng if lm_loss_on else None,
-                mask_region_rng=mask_rng if region_loss_on else None,
-                corpora=corpora, k=strategy.k, kappa=config.kappa,
-                assoc_seed=config.seed, cache=cache, threads=threads)
-            logits, preds, _cls = model.forward(batch)
-            loss = None
-            if lm_loss_on:
-                loss = masked_lm_loss(logits, batch.original_tokens, batch.token_mask_flags)
-            if region_loss_on:
-                rl = masked_region_loss(preds, batch.original_regions,
-                                        batch.region_mask_flags, model)
-                loss = rl if loss is None else loss + rl
-            window.append(loss.item())
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            step += 1
-            if step % config.eval_every == 0:
-                run_eval()
-                last_eval_step = step
-            if stop or (config.max_steps is not None and step >= config.max_steps):
-                stop = True
-                break
+    mask_epoch, mask_rng = -1, None
+    for epoch, picks in training_batches(len(train_examples), config, config.seed):
+        if epoch != mask_epoch:
+            mask_epoch, mask_rng = epoch, np.random.default_rng([config.seed, 2000 + epoch])
+        batch = build_batch(
+            [train_examples[i] for i in picks], [train_rows[i] for i in picks],
+            vocab, model, mode,
+            raw_rows=[train_raw[i] for i in picks],
+            mask_text_rng=mask_rng if lm_loss_on else None,
+            mask_region_rng=mask_rng if region_loss_on else None,
+            corpora=corpora, k=strategy.k, kappa=config.kappa,
+            assoc_seed=config.seed, cache=cache, threads=threads)
+        logits, preds, _cls = model.forward(batch)
+        loss = None
+        if lm_loss_on:
+            loss = masked_lm_loss(logits, batch.original_tokens, batch.token_mask_flags)
+        if region_loss_on:
+            rl = masked_region_loss(preds, batch.original_regions,
+                                    batch.region_mask_flags, model)
+            loss = rl if loss is None else loss + rl
+        window.append(loss.item())
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        step += 1
+        if step % config.eval_every == 0:
+            run_eval()
+            last_eval_step = step
         if stop:
             break
     if step != last_eval_step:

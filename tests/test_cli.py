@@ -227,39 +227,36 @@ class TestTrainEvalRoundTrip:
         assert name == "NoGrounding"
         assert float(val.replace("ppl ", "")) > 1.0
 
-    def test_eval_ppl_unknown_checkpoint_config_key_exits_1(self, bundle, checkpoint,
-                                                             tmp_path, capsys):
+    def _eval_ppl_patched(self, bundle, checkpoint, path, key, value):
+        """Run eval-ppl on a copy of the checkpoint whose config sets key=value."""
         model, _ = checkpoint
         blob = model.read_bytes()
         (config_len,) = struct.unpack("<I", blob[8:12])
         config = json.loads(blob[12:12 + config_len])
-        config["bogus_key"] = 1
+        config[key] = value
         raw = json.dumps(config, sort_keys=True).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + config_len:])
+        return main(["eval-ppl", "--strategy", "NoGrounding",
+                     "--vocab", str(bundle / "vocab.txt"),
+                     "--corpus", str(bundle / "corpus.txt"),
+                     "--model", str(path), "--seed", "7"])
+
+    @pytest.mark.parametrize("key, value, needle", [
+        ("bogus_key", 1, "bogus_key"),
+        ("n_heads", 0, "n_heads must be >= 1"),
+        ("d", -8, "n_heads must be >= 1"),
+        ("d_v", -4, "n_heads must be >= 1"),
+    ], ids=["bogus_key", "n_heads", "d", "d_v"])
+    def test_eval_ppl_bad_checkpoint_config_exits_1(self, bundle, checkpoint, tmp_path,
+                                                    capsys, key, value, needle):
         bad = tmp_path / "bad.glmc"
-        bad.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + config_len:])
-        rc = main(["eval-ppl", "--strategy", "NoGrounding",
-                   "--vocab", str(bundle / "vocab.txt"),
-                   "--corpus", str(bundle / "corpus.txt"),
-                   "--model", str(bad), "--seed", "7"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert str(bad) in err and "bogus_key" in err
+        assert self._eval_ppl_patched(bundle, checkpoint, bad, key, value) == 1
+        assert_one_error_line(capsys, str(bad), "does not fit ModelConfig", needle)
 
     def test_eval_ppl_config_larger_than_file_exits_1(self, bundle, checkpoint,
                                                       tmp_path, capsys):
-        model, _ = checkpoint
-        blob = model.read_bytes()
-        (config_len,) = struct.unpack("<I", blob[8:12])
-        config = json.loads(blob[12:12 + config_len])
-        config["vocab_size"] = 10**15
-        raw = json.dumps(config, sort_keys=True).encode("utf-8")
         big = tmp_path / "big.glmc"
-        big.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + config_len:])
-        rc = main(["eval-ppl", "--strategy", "NoGrounding",
-                   "--vocab", str(bundle / "vocab.txt"),
-                   "--corpus", str(bundle / "corpus.txt"),
-                   "--model", str(big), "--seed", "7"])
-        assert rc == 1
+        assert self._eval_ppl_patched(bundle, checkpoint, big, "vocab_size", 10**15) == 1
         assert_one_error_line(capsys, str(big), "bytes of parameters")
 
     def test_finetune_report(self, bundle, checkpoint, tmp_path, capsys):
@@ -351,6 +348,24 @@ class TestStaleFeatureManifest:
         for ext in ("glmc", "csv"):
             assert (tmp_path / f"orig.{ext}").read_bytes() == \
                 (tmp_path / f"rev.{ext}").read_bytes()
+
+
+class TestStoreWidth:
+    @pytest.mark.parametrize("strategy, extra", [
+        ("TransferredBoth", ("--captions", "captions.tsv", "--k", "1")),
+        ("AssociativeObject", ("--vectors", "wordvecs.txt", "--synsets", "synsets.tsv",
+                               "--nouns", "nouns.txt", "--k", "2", "--kappa", "2")),
+    ], ids=["TransferredBoth", "AssociativeObject"])
+    def test_store_wider_than_d_v_names_store_and_d_v(self, bundle, tmp_path, capsys,
+                                                       strategy, extra):
+        extra = [str(bundle / a) if a.endswith((".tsv", ".txt")) else a for a in extra]
+        argv = pretrain_argv(bundle, tmp_path, strategy, "m",
+                             "--features", str(bundle / "features.vftr"), *extra)
+        argv[argv.index("--d-v") + 1] = "4"  # the toy store holds 8-dim regions
+        assert main(argv) == 1
+        assert_one_error_line(capsys, str(bundle / "features.vftr"), "8-dim regions",
+                              "d_v is 4")
+        assert not (tmp_path / "m.glmc").exists()
 
 
 class TestMissingImage:

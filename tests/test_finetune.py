@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from groundlm.finetune import (Task, TaskExample, finetune, load_task_file,
                                spearman)
 from groundlm.index import ImageFeatureStore, write_feature_store
-from groundlm.model import CrossModalModel, ModelConfig
+from groundlm.model import CrossModalModel, ModelConfig, load_checkpoint, save_checkpoint
 from groundlm.train import Corpora, Strategy, TrainConfig
 from groundlm.vocab import RESERVED, Vocab
 
@@ -157,16 +159,30 @@ class TestFinetune:
         assert len(blob["config_digest"]) == 16
 
     def test_weights_restored_after_protocol(self, tmp_path, rng):
+        """finetune trains copies: the model passed in keeps its parameters,
+        requires_grad flags and config, and still saves a loadable checkpoint."""
         corpora = task_world(tmp_path, rng)
-        model = mk_model(corpora.vocab)
-        before = {n: p.data.copy() for n, p in model.params.items()}
-        finetune(model, pair_task(8), Strategy("NoGrounding"),
-                 TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=2,
-                             seed=5, val_fraction=0.25),
-                 corpora=corpora, n_runs=2)
-        assert set(model.params) == set(before)
-        for n, arr in before.items():
-            assert np.array_equal(model.params[n].data, arr), n
+        for freeze_text in (False, True):
+            model = mk_model(corpora.vocab, freeze_text=freeze_text)
+            config = dataclasses.replace(model.config)
+            before = {n: (p.data.copy(), p.requires_grad) for n, p in model.params.items()}
+            finetune(model, pair_task(8), Strategy("NoGrounding"),
+                     TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=2,
+                                 seed=5, val_fraction=0.25),
+                     corpora=corpora, n_runs=2)
+            assert model.config == config
+            assert (model.config.n_labels, model.config.freeze_text) == (0, freeze_text)
+            assert list(model.params) == list(before)
+            for n, (arr, requires_grad) in before.items():
+                assert np.array_equal(model.params[n].data, arr), n
+                assert model.params[n].requires_grad == requires_grad, n
+            path = tmp_path / f"after_{freeze_text}.glmc"
+            save_checkpoint(model, path)
+            back = load_checkpoint(path)
+            assert back.config == config
+            for n, p in model.params.items():
+                assert np.array_equal(back.params[n].data, p.data), n
+                assert back.params[n].requires_grad == p.requires_grad, n
 
     def test_transferred_never_touches_store(self, tmp_path, rng):
         corpora = task_world(tmp_path, rng)

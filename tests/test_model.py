@@ -16,6 +16,16 @@ from groundlm.vocab import MASKED_ID, N_RESERVED, RESERVED, Vocab
 from conftest import tiny_model, tiny_vocab
 
 
+def rewrite_config(path, **changes):
+    """Patch keys of a GLMC file's config JSON in place, keeping the parameters."""
+    blob = path.read_bytes()
+    (config_len,) = struct.unpack("<I", blob[8:12])
+    config = json.loads(blob[12:12 + config_len])
+    config.update(changes)
+    raw = json.dumps(config, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + config_len:])
+
+
 def token_rows(rng, b, t, vocab_size):
     return rng.integers(N_RESERVED, vocab_size, size=(b, t)).astype(np.int64)
 
@@ -346,18 +356,27 @@ class TestCheckpoint:
         path = tmp_path / "m.glmc"
         model = tiny_model()
         save_checkpoint(model, path)
-        blob = path.read_bytes()
-        (config_len,) = struct.unpack("<I", blob[8:12])
-        config = json.loads(blob[12:12 + config_len])
-        config["vocab_size"] = 10**15
-        raw = json.dumps(config, sort_keys=True).encode("utf-8")
-        path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + config_len:])
+        rewrite_config(path, vocab_size=10**15)
         # token embeddings, LM head weight and LM head bias grow with the vocabulary
         grown = (10**15 - model.config.vocab_size) * (2 * model.config.d + 1)
         need = 4 * (sum(p.data.size for p in model.params.values()) + grown)
         with pytest.raises(ValueError, match=f"needs {need} bytes of parameters") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("key, value, needle", [
+        ("bogus_key", 1, "bogus_key"),
+        ("n_heads", 0, "must be >= 1, got 8, 4 and 0"),
+        ("d", -8, "must be >= 1, got -8, 4 and 2"),
+        ("d_v", -4, "must be >= 1, got 8, -4 and 2"),
+    ], ids=["bogus_key", "n_heads", "d", "d_v"])
+    def test_config_value_out_of_range_names_file(self, tmp_path, key, value, needle):
+        path = tmp_path / "m.glmc"
+        save_checkpoint(tiny_model(), path)
+        rewrite_config(path, **{key: value})
+        with pytest.raises(ValueError, match="does not fit ModelConfig") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and needle in str(err.value)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.glmc"

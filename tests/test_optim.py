@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from groundlm.optim import Adam, AdamState, adam_step
+from groundlm.optim import Adam
 from groundlm.tensor import Tensor
 
 
@@ -12,10 +12,10 @@ def make_param(values, name="p"):
 def test_zero_gradient_leaves_params_unchanged():
     p = make_param([1.0, -2.0])
     p.grad = np.zeros(2)
-    state = AdamState(lr=0.1)
-    adam_step({"p": p}, state)
+    opt = Adam({"p": p}, lr=0.1)
+    opt.step()
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
-    assert state.step == 1
+    assert opt.t == 1
 
 
 def test_first_step_magnitude_closed_form():
@@ -24,18 +24,17 @@ def test_first_step_magnitude_closed_form():
     lr = 0.05
     p = make_param([1.0])
     p.grad = np.array([g])
-    state = AdamState(lr=lr, eps=1e-8)
-    adam_step({"p": p}, state)
+    Adam({"p": p}, lr=lr, eps=1e-8).step()
     expected = 1.0 - lr * g / (abs(g) + 1e-8)
     np.testing.assert_allclose(p.data, [expected], rtol=1e-12)
 
 
 def test_hundred_steps_descend_quadratic():
     p = make_param([1.0])
-    state = AdamState(lr=0.1)
+    opt = Adam({"p": p}, lr=0.1)
     for _ in range(100):
         p.grad = 2.0 * p.data  # d/dx x^2
-        adam_step({"p": p}, state)
+        opt.step()
     assert abs(p.data[0]) < 0.1
 
 
@@ -43,21 +42,20 @@ def test_non_finite_gradient_aborts_naming_param():
     p = make_param([1.0], name="lm_head.W")
     p.grad = np.array([np.nan])
     with pytest.raises(FloatingPointError, match="lm_head.W"):
-        adam_step({"lm_head.W": p}, AdamState(lr=0.1))
+        Adam({"lm_head.W": p}, lr=0.1).step()
 
 
 def test_shape_mismatch_rejected():
     p = make_param([1.0, 2.0])
     p.grad = np.zeros(3)
     with pytest.raises(ValueError):
-        adam_step({"p": p}, AdamState(lr=0.1))
+        Adam({"p": p}, lr=0.1).step()
 
 
 def test_lr_must_be_positive():
-    p = make_param([1.0])
-    p.grad = np.ones(1)
-    with pytest.raises(ValueError):
-        adam_step({"p": p}, AdamState(lr=0.0))
+    for lr in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="lr must be positive"):
+            Adam({"p": make_param([1.0])}, lr=lr)
 
 
 def test_frozen_and_gradless_params_skipped():
@@ -66,12 +64,13 @@ def test_frozen_and_gradless_params_skipped():
     frozen.grad = np.ones(1)
     missing = make_param([7.0], name="missing")
     missing.grad = None
-    state = AdamState(lr=0.5)
-    adam_step({"frozen": frozen, "missing": missing}, state)
+    opt = Adam({"frozen": frozen, "missing": missing}, lr=0.5)
+    opt.step()
     assert frozen.data[0] == 5.0 and missing.data[0] == 7.0
+    assert opt.m == {} and opt.v == {}
 
 
-def test_wrapper_step_and_zero_grad():
+def test_step_and_zero_grad():
     p = make_param([1.0])
     opt = Adam({"p": p}, lr=0.1)
     p.grad = np.array([1.0])
@@ -84,12 +83,12 @@ def test_wrapper_step_and_zero_grad():
 def test_moments_persist_across_steps():
     # second step with the same gradient moves less than 2x the first
     p = make_param([1.0])
-    state = AdamState(lr=0.1)
+    opt = Adam({"p": p}, lr=0.1)
     p.grad = np.array([1.0])
-    adam_step({"p": p}, state)
+    opt.step()
     after_one = p.data[0]
     p.grad = np.array([1.0])
-    adam_step({"p": p}, state)
-    assert state.step == 2
-    assert "p" in state.m and "p" in state.v
+    opt.step()
+    assert opt.t == 2
+    assert "p" in opt.m and "p" in opt.v
     assert p.data[0] < after_one

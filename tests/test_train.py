@@ -13,7 +13,7 @@ from groundlm.toydata import ToySpec, generate_grounded_corpus
 from groundlm.train import (STRATEGIES, Corpora, Strategy, TrainConfig,
                             _associate_for_row, _pad_rows, _query_text,
                             build_batch, evaluate_perplexity, mix_corpora,
-                            pretrain, validate_strategy_corpora,
+                            pretrain, training_batches, validate_strategy_corpora,
                             write_metrics_csv)
 from groundlm.vocab import PAD_ID, RESERVED, Vocab
 
@@ -120,6 +120,27 @@ class TestValidation:
     def test_visual_modes(self, name):
         spec = Strategy(name, k=1).spec
         assert (spec.mode, spec.lm_loss, spec.region_loss, spec.stream) == TABLE_ROWS[name]
+
+
+class TestTrainingBatches:
+    def test_epoch_order_and_step_cap(self):
+        got = list(training_batches(10, TrainConfig(batch_size=4, max_epochs=3, max_steps=5),
+                                    seed=3))
+        assert [epoch for epoch, _picks in got] == [0, 0, 0, 1, 1]
+        assert [len(picks) for _epoch, picks in got] == [4, 4, 2, 4, 4]
+        for e in (0, 1):
+            seen = np.concatenate([picks for epoch, picks in got if epoch == e])
+            order = np.random.default_rng([3, 1000 + e]).permutation(10)
+            assert np.array_equal(seen, order[:len(seen)])
+
+    def test_uncapped_runs_every_epoch(self):
+        config = TrainConfig(batch_size=4, max_epochs=3, max_steps=None)
+        assert len(list(training_batches(10, config, seed=3))) == 9
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_step_cap_must_be_positive(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps"):
+            TrainConfig(max_steps=max_steps)
 
 
 class TestPretrain:
