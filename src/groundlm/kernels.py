@@ -28,20 +28,22 @@ def _layernorm_forward(x, gain, bias, eps):
 
     Returns (y, xhat, rstd); xhat/rstd are cached for the backward pass.
     """
-    mean = x.mean(axis=1)
-    var = x.var(axis=1)
+    n = x.shape[1]
+    centred = x - x.sum(axis=1, keepdims=True) / n
+    var = (centred * centred).sum(axis=1) / n
     rstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[:, None]) * rstd[:, None]
+    xhat = centred * rstd[:, None]
     y = xhat * gain + bias
     return y, xhat, rstd
 
 
 def _layernorm_backward(dy, xhat, rstd, gain):
+    n = dy.shape[1]
     dgain = (dy * xhat).sum(axis=0)
     dbias = dy.sum(axis=0)
     dxhat = dy * gain
-    m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    m1 = dxhat.sum(axis=1, keepdims=True) / n
+    m2 = (dxhat * xhat).sum(axis=1, keepdims=True) / n
     dx = (dxhat - m1 - xhat * m2) * rstd[:, None]
     return dx, dgain, dbias
 
@@ -92,15 +94,22 @@ def _masked_ce_backward(probs, targets, scale):
     return dlogits
 
 
-def _adam_update(param, grad, m, v, t, lr, beta1, beta2, eps):
-    """One bias-corrected Adam step, in place on param/m/v (flat arrays)."""
+def _adam_update(param, grad, m, v, t, lr, beta1, beta2, eps, s1, s2):
+    """One bias-corrected Adam step, in place on param/m/v (flat arrays); the
+    temporaries of ``lr * (m / c1) / (sqrt(v / c2) + eps)`` go to scratch s1, s2."""
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(grad, 1.0 - beta1, out=s1)
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
+    np.multiply(grad, 1.0 - beta2, out=s1)
+    v += np.multiply(s1, grad, out=s1)
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    np.divide(m, c1, out=s1)
+    s1 *= lr
+    np.divide(v, c2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += eps
+    param -= np.divide(s1, s2, out=s1)
 
 
 def _scatter_add_rows(table, ids, rows):

@@ -119,10 +119,9 @@ def mask_tokens(token_ids: np.ndarray, rate: float, rng: np.random.Generator,
     if maskable is None:
         maskable = ids >= N_RESERVED
     flags = (rng.random(ids.shape) < rate) & maskable
-    for b in range(ids.shape[0]):
-        if maskable[b].any():
-            while not flags[b].any():
-                flags[b] = (rng.random(ids.shape[1]) < rate) & maskable[b]
+    for b in np.flatnonzero(maskable.any(1) & ~flags.any(1)):
+        while not flags[b].any():
+            flags[b] = (rng.random(ids.shape[1]) < rate) & maskable[b]
     corrupted = ids.copy()
     roll = rng.random(ids.shape)
     use_mask = flags & (roll < 0.8)

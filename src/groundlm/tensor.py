@@ -156,10 +156,15 @@ def _node(data, parents, backward, op) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
+    # The first gradient is kept by reference (copied only when not in C
+    # order, so every matmul that reads it sees a copy's layout and rounds
+    # alike) and later ones are added out of place, so an array handed to
+    # two operands is never mutated.
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+        g = np.asarray(g)
+        t.grad = g if g.flags.c_contiguous else g.copy()
     else:
-        t.grad += g
+        t.grad = t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

@@ -532,6 +532,7 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
             last_eval_step = step
         if stop:
             break
+    opt.zero_grad()   # the returned model carries no gradients
     if step != last_eval_step:
         run_eval()
     return model, metrics

@@ -57,3 +57,35 @@ def test_gelu_reuses_forward_erf_bitwise(rng):
         np.testing.assert_array_equal(y, want_y)
         np.testing.assert_array_equal(got_dx, want_dx)
         assert np.array_equal(np.signbit(y), np.signbit(want_y))
+
+
+def reference_layernorm_forward(x, gain, bias, eps):
+    mean = x.mean(axis=1)
+    var = x.var(axis=1)
+    rstd = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[:, None]) * rstd[:, None]
+    return xhat * gain + bias, xhat, rstd
+
+
+def reference_layernorm_backward(dy, xhat, rstd, gain):
+    dxhat = dy * gain
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    return (dxhat - m1 - xhat * m2) * rstd[:, None], (dy * xhat).sum(axis=0), dy.sum(axis=0)
+
+
+def test_layernorm_matches_mean_var_reference_bitwise(rng):
+    # sum / n rounds exactly as numpy's mean and var do, in either dtype
+    for dtype in (np.float32, np.float64):
+        for t in range(1, 25):
+            for d in (1, 3, 8, 64, 257):
+                scale = 10.0 ** rng.uniform(-3, 3)
+                x = ((rng.normal(size=(t, d)) + rng.normal() * 3) * scale).astype(dtype)
+                gain, bias = rng.normal(size=(2, d)).astype(dtype)
+                dy = rng.normal(size=(t, d)).astype(dtype)
+                got = kernels.active.layernorm_forward(x, gain, bias, 1e-5)
+                want = reference_layernorm_forward(x, gain, bias, 1e-5)
+                got += kernels.active.layernorm_backward(dy, want[1], want[2], gain)
+                want += reference_layernorm_backward(dy, want[1], want[2], gain)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w), (dtype, t, d)

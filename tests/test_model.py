@@ -11,7 +11,7 @@ from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig,
 from groundlm.optim import Adam
 from groundlm.tensor import Tensor
 from groundlm.train import evaluate_perplexity
-from groundlm.vocab import MASKED_ID, N_RESERVED, RESERVED, Vocab
+from groundlm.vocab import MASKED_ID, N_RESERVED, PAD_ID, RESERVED, Vocab
 
 from conftest import tiny_model, tiny_vocab
 
@@ -70,6 +70,37 @@ class TestMaskTokens:
         c1, f1 = mask_tokens(ids, 0.15, np.random.default_rng(42), 30)
         c2, f2 = mask_tokens(ids, 0.15, np.random.default_rng(42), 30)
         assert np.array_equal(c1, c2) and np.array_equal(f1, f2)
+
+    def test_matches_row_by_row_redraw_reference(self):
+        def reference(ids, rate, rng, vocab_size):
+            # visits every row, as mask_tokens did before it skipped rows
+            # that need no redraw; the draws must come out identical
+            maskable = ids >= N_RESERVED
+            flags = (rng.random(ids.shape) < rate) & maskable
+            for b in range(ids.shape[0]):
+                if maskable[b].any():
+                    while not flags[b].any():
+                        flags[b] = (rng.random(ids.shape[1]) < rate) & maskable[b]
+            corrupted = ids.copy()
+            roll = rng.random(ids.shape)
+            use_mask = flags & (roll < 0.8)
+            use_random = flags & (roll >= 0.8) & (roll < 0.9)
+            corrupted[use_mask] = MASKED_ID
+            n_rand = int(use_random.sum())
+            if n_rand:
+                corrupted[use_random] = rng.integers(N_RESERVED, vocab_size, size=n_rand)
+            return corrupted, flags
+
+        for seed in range(240):
+            rng = np.random.default_rng(seed)
+            ids = token_rows(rng, int(rng.integers(1, 12)), int(rng.integers(1, 9)), 30)
+            ids[rng.random(ids.shape) < 0.3] = PAD_ID
+            ids[rng.random(ids.shape[0]) < 0.2] = PAD_ID    # all-pad rows
+            ids[rng.random(ids.shape[0]) < 0.1, :] = 1      # rows with no maskable token
+            rate = float(rng.choice([0.05, 0.15, 0.5]))
+            got = mask_tokens(ids, rate, np.random.default_rng([seed, 1]), 30)
+            want = reference(ids, rate, np.random.default_rng([seed, 1]), 30)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), seed
 
 
 class TestMaskRegions:

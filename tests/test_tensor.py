@@ -214,3 +214,26 @@ class TestErrorsAndModes:
         x = t64([3.0])
         (mul(x, x) + mul(x, x)).sum().backward()
         np.testing.assert_allclose(x.grad, [12.0])
+
+    def test_shared_gradient_array_is_never_mutated(self, rng):
+        # out = (h + h) + h hands one gradient array to both operands of each
+        # add; accumulating into h must leave the other operand's .grad as it was
+        a = t64(rng.normal(size=(3, 4)), name="a")
+        w = t64(rng.normal(size=(3, 4)), requires_grad=False)
+        c = rng.normal(size=(3, 4))
+        h = mul(a, w)
+        s = h + h
+        out = s + h
+        mul(out, c).sum().backward()
+        np.testing.assert_array_equal(s.grad, c)
+        np.testing.assert_array_equal(out.grad, c)
+        np.testing.assert_array_equal(h.grad, c + c + c)
+        np.testing.assert_array_equal(a.grad, (c + c + c) * w.data)
+        assert s.grad is not h.grad
+
+    def test_first_gradient_kept_in_c_order(self, rng):
+        left = t64(rng.normal(size=(4, 2)), name="left")
+        right = t64(rng.normal(size=(4, 3)), name="right")
+        mul(concat([left, right], axis=1), 2.0).sum().backward()   # hands on column slices
+        assert left.grad.flags.c_contiguous and right.grad.flags.c_contiguous
+        np.testing.assert_array_equal(left.grad, np.full((4, 2), 2.0))

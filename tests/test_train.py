@@ -154,6 +154,13 @@ class TestPretrain:
                   if split == "train" and metric == "loss"]
         assert losses[-1] < losses[0]
 
+    def test_returned_model_holds_no_gradients(self, tmp_path, rng):
+        corpora = small_world(tmp_path, rng)
+        model = small_model(corpora.vocab)
+        trained, _metrics = pretrain(Strategy("TransferredBoth", k=1), corpora, model,
+                                     quick_config(eval_every=100))
+        assert all(p.grad is None for p in trained.params.values())
+
     def test_metrics_log_deterministic(self, tmp_path, rng):
         corpora = small_world(tmp_path, rng)
         runs = []
