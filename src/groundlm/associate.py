@@ -133,20 +133,18 @@ def load_synsets(path) -> List[SynsetEntry]:
 
 
 def build_caption_index(corpus: Mapping[str, str], table: WordEmbeddingTable,
-                        offsets: Optional[Mapping[str, int]] = None,
-                        shard_size: int = 65536) -> ImageKeyIndex:
+                        offsets: Optional[Mapping[str, int]] = None) -> ImageKeyIndex:
     """Key every image by the CBOW vector of its caption."""
     offsets = offsets or {}
     entries = []
     for image_id, caption in corpus.items():
         qv = encode_cbow(caption, table)
         entries.append((image_id, qv.values, offsets.get(image_id, 0), "caption"))
-    return build_index(entries, shard_size=shard_size)
+    return build_index(entries)
 
 
 def build_synset_index(synsets: Sequence[SynsetEntry], table: WordEmbeddingTable,
-                       offsets: Optional[Mapping[str, int]] = None,
-                       shard_size: int = 65536) -> ImageKeyIndex:
+                       offsets: Optional[Mapping[str, int]] = None) -> ImageKeyIndex:
     """Key every image by its synset's lemma+definition vector."""
     offsets = offsets or {}
     entries = []
@@ -154,21 +152,20 @@ def build_synset_index(synsets: Sequence[SynsetEntry], table: WordEmbeddingTable
         key = encode_synset_key(syn.lemmas, syn.definition, table)
         for image_id in syn.image_ids:
             entries.append((image_id, key.values, offsets.get(image_id, 0), "synset"))
-    return build_index(entries, shard_size=shard_size)
+    return build_index(entries)
 
 
 # -- strategies ---------------------------------------------------------------
 
 
 def associate_scene(masked_text: str, index: ImageKeyIndex, table: WordEmbeddingTable,
-                    k: int, mask_token: str = MASK_TOKEN_TEXT,
-                    threads: Optional[int] = None) -> Association:
+                    k: int, threads: Optional[int] = None) -> Association:
     """Whole-text CBOW retrieval over caption keys.
 
     Mask tokens are stripped before encoding, so the result depends only on
     the surviving tokens. A degenerate query yields an empty Association.
     """
-    surviving = " ".join(t for t in masked_text.split() if t.lower() != mask_token)
+    surviving = " ".join(t for t in masked_text.split() if t.lower() != MASK_TOKEN_TEXT)
     query = encode_cbow(surviving, table)
     if query.is_degenerate:
         return Association("scene")

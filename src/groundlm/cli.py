@@ -11,8 +11,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
-from typing import Dict
+from dataclasses import asdict, fields
+from typing import Dict, get_args, get_type_hints
 
 from .associate import (AssociationCache, build_caption_index, build_synset_index,
                         load_caption_corpus, load_noun_lexicon, load_synsets)
@@ -30,33 +30,21 @@ class UsageError(Exception):
     """Bad invocation: wrong flags, missing files, unknown config keys."""
 
 
+def _dataclass_keys(cls, skip=()) -> Dict[str, tuple]:
+    """Field name -> (type, default) of a dataclass; Optional[int] reads as int."""
+    hints = get_type_hints(cls)
+    return {f.name: ((get_args(hints[f.name]) or (hints[f.name],))[0], f.default)
+            for f in fields(cls) if f.name not in skip}
+
+
 # Every tunable consumed by pretrain/eval-ppl/finetune, with type and default.
 # A config file may set exactly these; flags of the same name win.
 CONFIG_KEYS: Dict[str, tuple] = {
-    "seed": (int, 0),
-    "threads": (int, None),
-    "k": (int, 16),
-    "kappa": (int, 8),
-    "batch_size": (int, 32),
-    "lr": (float, 1e-4),
-    "max_epochs": (int, 4),
-    "max_steps": (int, None),
-    "mix_ratio": (float, 0.5),
-    "eval_every": (int, 100),
-    "patience": (int, 3),
-    "val_fraction": (float, 0.1),
+    **_dataclass_keys(TrainConfig),
+    **_dataclass_keys(ModelConfig, skip=("vocab_size", "n_labels", "freeze_text")),
+    **_dataclass_keys(Strategy, skip=("name",)),
     "runs": (int, 8),
-    "d": (int, 128),
-    "d_v": (int, 64),
-    "n_layers_text": (int, 2),
-    "n_layers_cross": (int, 2),
-    "n_heads": (int, 4),
-    "max_len": (int, 64),
-    "k_max": (int, 16),
-    "n_regions": (int, 1),
-    "mask_rate": (float, 0.15),
-    "p_norm": (float, 2.0),
-    "l1_coeff": (float, 1e-4),
+    "threads": (int, None),
 }
 
 _CONFIG_HELP = "config keys: " + ", ".join(
@@ -81,6 +69,11 @@ class RunConfig:
             return self.values[key]
         except KeyError:
             raise AttributeError(key)
+
+    def build(self, cls, **given):
+        """``cls(**given)`` with every field that is a config key taken from here."""
+        return cls(**given, **{f.name: self.values[f.name] for f in fields(cls)
+                               if f.name in CONFIG_KEYS})
 
 
 def _parse_config_file(path) -> Dict[str, object]:
@@ -150,11 +143,7 @@ def _load_corpora(args, strategy: Strategy, need_text: bool) -> Corpora:
 
 
 def cmd_make_toy_data(args) -> int:
-    spec = ToySpec(vocab_size=args.vocab_size, n_concepts=args.n_concepts,
-                   n_examples=args.n_examples, d_w=args.d_w, d_v=args.d_v,
-                   grounding_strength=args.grounding_strength, seed=args.seed,
-                   n_regions=args.n_regions,
-                   n_fillers_per_caption=args.n_fillers_per_caption)
+    spec = ToySpec(**{f.name: getattr(args, f.name) for f in fields(ToySpec)})
     paths = generate_grounded_corpus(spec, args.out)
     for field_name, value in sorted(asdict(paths).items()):
         print(f"{field_name}\t{value}")
@@ -219,30 +208,14 @@ def cmd_associate(args) -> int:
     return 0
 
 
-def _model_config(cfg: RunConfig, vocab_size: int) -> ModelConfig:
-    return ModelConfig(vocab_size=vocab_size, d=cfg.d, d_v=cfg.d_v,
-                       n_layers_text=cfg.n_layers_text,
-                       n_layers_cross=cfg.n_layers_cross, n_heads=cfg.n_heads,
-                       max_len=cfg.max_len, k_max=cfg.k_max,
-                       n_regions=cfg.n_regions, mask_rate=cfg.mask_rate,
-                       p_norm=cfg.p_norm, l1_coeff=cfg.l1_coeff)
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(batch_size=cfg.batch_size, lr=cfg.lr,
-                       max_epochs=cfg.max_epochs, max_steps=cfg.max_steps,
-                       seed=cfg.seed, mix_ratio=cfg.mix_ratio,
-                       eval_every=cfg.eval_every, patience=cfg.patience,
-                       val_fraction=cfg.val_fraction, kappa=cfg.kappa)
-
-
 def cmd_pretrain(args) -> int:
     cfg = RunConfig(args)
-    strategy = Strategy(args.strategy, k=cfg.k)
+    strategy = cfg.build(Strategy, name=args.strategy)
     corpora = _load_corpora(args, strategy, need_text=True)
-    model = CrossModalModel(_model_config(cfg, len(corpora.vocab)), seed=cfg.seed)
+    model = CrossModalModel(cfg.build(ModelConfig, vocab_size=len(corpora.vocab)),
+                            seed=cfg.seed)
     cache = AssociationCache()
-    model, metrics = pretrain(strategy, corpora, model, _train_config(cfg),
+    model, metrics = pretrain(strategy, corpora, model, cfg.build(TrainConfig),
                               cache=cache, threads=cfg.threads)
     save_checkpoint(model, args.out_model)
     if args.metrics:
@@ -258,7 +231,7 @@ def cmd_pretrain(args) -> int:
 def cmd_eval_ppl(args) -> int:
     cfg = RunConfig(args)
     model = load_checkpoint(_require(args.model, "--model file"))
-    strategy = Strategy(args.strategy, k=cfg.k)
+    strategy = cfg.build(Strategy, name=args.strategy)
     corpora = _load_corpora(args, strategy, need_text=False)
     if strategy.spec.mode == "paired":
         examples = corpora.paired
@@ -281,11 +254,15 @@ def cmd_finetune(args) -> int:
     task = load_task_file(_require(args.task, "--task file"))
     eval_examples = None
     if args.eval_task:
-        eval_examples = load_task_file(_require(args.eval_task, "--eval-task file")).examples
-    strategy = Strategy(args.strategy, k=cfg.k)
+        eval_task = load_task_file(_require(args.eval_task, "--eval-task file"))
+        if eval_task.metric != task.metric:
+            raise ValueError(f"{args.eval_task}: metric {eval_task.metric} differs from "
+                             f"the task's {task.metric}")
+        eval_examples = eval_task.examples
+    strategy = cfg.build(Strategy, name=args.strategy)
     corpora = _load_corpora(args, strategy, need_text=False)
     cache = AssociationCache()
-    report = finetune(model, task, strategy, _train_config(cfg), corpora=corpora,
+    report = finetune(model, task, strategy, cfg.build(TrainConfig), corpora=corpora,
                       eval_examples=eval_examples, n_runs=cfg.runs, cache=cache,
                       threads=cfg.threads)
     blob = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
@@ -299,11 +276,11 @@ def cmd_finetune(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value file; flags override it")
-    for key, (typ, _default) in CONFIG_KEYS.items():
-        flag = "--" + key.replace("_", "-")
-        p.add_argument(flag, type=typ, default=None, dest=key)
+def _add_flags(p: argparse.ArgumentParser, keys: Dict[str, tuple], defaults: bool) -> None:
+    """One ``--some-key`` flag per key; without ``defaults`` an unset flag is None."""
+    for key, (typ, default) in keys.items():
+        p.add_argument("--" + key.replace("_", "-"), type=typ, dest=key,
+                       default=default if defaults else None)
 
 
 def _add_corpora_flags(p: argparse.ArgumentParser) -> None:
@@ -324,15 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-toy-data", help="generate a synthetic grounded corpus bundle")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vocab-size", type=int, default=200)
-    p.add_argument("--n-concepts", type=int, default=96)
-    p.add_argument("--n-examples", type=int, default=2000)
-    p.add_argument("--d-w", type=int, default=64)
-    p.add_argument("--d-v", type=int, default=64)
-    p.add_argument("--grounding-strength", type=float, default=1.0)
-    p.add_argument("--n-regions", type=int, default=1)
-    p.add_argument("--n-fillers-per-caption", type=int, default=3)
+    _add_flags(p, _dataclass_keys(ToySpec), defaults=True)
     p.set_defaults(func=cmd_make_toy_data)
 
     p = sub.add_parser("build-index", help="build and save an image-key index")
@@ -350,10 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", required=True)
     p.add_argument("--nouns", help="noun lexicon (object)")
     p.add_argument("--captions", help="caption TSV (keyword)")
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--kappa", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    _add_flags(p, {key: CONFIG_KEYS[key] for key in ("k", "kappa", "seed", "threads")},
+               defaults=True)
     p.add_argument("--out", default="-", help="output path, - for stdout")
     p.set_defaults(func=cmd_associate)
 
@@ -365,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--strategy", choices=STRATEGIES, required=True)
         _add_corpora_flags(p)
-        _add_config_flags(p)
+        p.add_argument("--config", help="key=value file; flags override it")
+        _add_flags(p, CONFIG_KEYS, defaults=False)
         if name == "pretrain":
             p.add_argument("--out-model", required=True)
             p.add_argument("--metrics", help="write step,split,metric,value CSV here")

@@ -57,7 +57,7 @@ _DEFAULT_STOPWORDS: Optional[FrozenSet[str]] = None
 def default_stopwords() -> FrozenSet[str]:
     global _DEFAULT_STOPWORDS
     if _DEFAULT_STOPWORDS is None:
-        text = resources.files("groundlm").joinpath("data/stopwords.txt").read_text("utf-8")
+        text = resources.files(__package__).joinpath("data/stopwords.txt").read_text("utf-8")
         words = set()
         for line in text.splitlines():
             word = line.split("#", 1)[0].strip().lower()
@@ -67,7 +67,7 @@ def default_stopwords() -> FrozenSet[str]:
     return _DEFAULT_STOPWORDS
 
 
-def load_word_vectors(path, stopwords: Optional[Iterable[str]] = None) -> WordEmbeddingTable:
+def load_word_vectors(path) -> WordEmbeddingTable:
     """Parse whitespace-separated text vectors into a WordEmbeddingTable.
 
     An optional first line `count dim` (two integer fields) declares the
@@ -107,7 +107,7 @@ def load_word_vectors(path, stopwords: Optional[Iterable[str]] = None) -> WordEm
                 entries[token] = vec
     if dim is None:
         raise ValueError(f"{path}: empty word-vector file")
-    return WordEmbeddingTable(dim, entries, stopwords)
+    return WordEmbeddingTable(dim, entries)
 
 
 def _mean_of(vectors: Sequence[np.ndarray], dim: int) -> QueryVector:

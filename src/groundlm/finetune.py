@@ -151,7 +151,7 @@ def _config_digest(strategy: Strategy, task: Task, config: TrainConfig, n_out: i
 def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
              config: TrainConfig, *, corpora: Optional[Corpora] = None,
              eval_examples: Optional[Sequence[TaskExample]] = None,
-             n_runs: int = 8, cache: Optional[AssociationCache] = None,
+             n_runs: int, cache: Optional[AssociationCache] = None,
              threads: Optional[int] = None) -> TaskReport:
     """Run the 8-run fine-tuning protocol and report per-run scores + median.
 
@@ -201,6 +201,9 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
     assoc_seed = config.seed  # retrieval fixed across runs; runs differ by init/order
 
     if task.metric == "accuracy":
+        unseen = sorted({ex.label for ex in eval_ex} - set(classes))
+        if unseen:
+            raise ValueError(f"eval label {unseen[0]} is not among the task's classes {classes}")
         tr_labels = np.array([class_of[ex.label] for ex in train_ex], dtype=np.int64)
         ev_gold = np.array([class_of[ex.label] for ex in eval_ex], dtype=np.int64)
     else:

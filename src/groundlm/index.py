@@ -28,7 +28,6 @@ Both files, and the GLMC checkpoints of ``model``, are read through
 
 from __future__ import annotations
 
-import os
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -80,13 +79,6 @@ class ImageKeyIndex:
 
     def __len__(self) -> int:
         return len(self.items)
-
-
-def default_threads() -> int:
-    env = os.environ.get("GLM_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]],
@@ -171,7 +163,7 @@ def top_k(index: ImageKeyIndex, query, k: int,
     if n == 0:
         return []
 
-    threads = default_threads() if threads is None else max(1, threads)
+    threads = max(1, threads or 1)
     shards = [(s, min(s + index.shard_size, n)) for s in range(0, n, index.shard_size)]
 
     sims = index._keys @ q
@@ -259,7 +251,7 @@ def save_index(index: ImageKeyIndex, path) -> None:
             fh.write(np.ascontiguousarray(it.key, dtype="<f4").tobytes())
 
 
-def load_index(path, shard_size: int = 65536) -> ImageKeyIndex:
+def load_index(path) -> ImageKeyIndex:
     reader = ByteReader(path)
     reader.header(INDEX_MAGIC, INDEX_VERSION)
     dim, count = reader.unpack("<IQ", "header")
@@ -278,7 +270,7 @@ def load_index(path, shard_size: int = 65536) -> ImageKeyIndex:
         items.append(KeyedImage(item_id, key, payload_ref, _SOURCE_KINDS[kind_byte]))
     reader.done()
     try:
-        return ImageKeyIndex(dim, items, shard_size=shard_size)
+        return ImageKeyIndex(dim, items)
     except ValueError as exc:
         raise ValueError(f"{reader.path}: {exc}") from None
 

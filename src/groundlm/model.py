@@ -102,8 +102,7 @@ class MaskedBatch:
 
 
 def mask_tokens(token_ids: np.ndarray, rate: float, rng: np.random.Generator,
-                vocab_size: int,
-                maskable: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+                vocab_size: int) -> Tuple[np.ndarray, np.ndarray]:
     """BERT-style corruption: select positions at ``rate``, then 80/10/10.
 
     Of the selected positions, 80% become [masked], 10% a random real token,
@@ -116,8 +115,7 @@ def mask_tokens(token_ids: np.ndarray, rate: float, rng: np.random.Generator,
     ids = np.asarray(token_ids)
     if ids.ndim != 2 or ids.shape[1] == 0:
         raise ShapeError(f"mask_tokens expects (B, L) ids, got {ids.shape}")
-    if maskable is None:
-        maskable = ids >= N_RESERVED
+    maskable = ids >= N_RESERVED
     flags = (rng.random(ids.shape) < rate) & maskable
     for b in np.flatnonzero(maskable.any(1) & ~flags.any(1)):
         while not flags[b].any():

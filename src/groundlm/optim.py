@@ -18,10 +18,11 @@ import numpy as np
 from . import kernels
 from .tensor import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params = dict(params)
@@ -29,7 +30,7 @@ class Adam:
         if len(dtypes) > 1:
             raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.spans: Dict[str, slice] = {}
         n = 0
@@ -77,7 +78,7 @@ class Adam:
         for lo, hi in runs:
             kernels.active.adam_update(
                 self.arena[lo:hi], self.grad[lo:hi], self.m[lo:hi], self.v[lo:hi],
-                self.t, self.lr, self.beta1, self.beta2, self.eps,
+                self.t, self.lr, BETA1, BETA2, EPS,
                 self.scratch[0][lo:hi], self.scratch[1][lo:hi])
 
     def zero_grad(self) -> None:

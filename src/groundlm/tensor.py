@@ -22,6 +22,8 @@ import numpy as np
 
 from . import kernels
 
+LAYERNORM_EPS = 1e-5
+
 
 class ShapeError(ValueError):
     """Operands do not conform to the operation's shape contract."""
@@ -344,7 +346,7 @@ def attention(qkv: Tensor, bias, n_heads: int):
     return _node(data, (qkv,), backward, "attention")
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5):
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor):
     """Layer norm over the last axis with learned gain/bias."""
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise ShapeError(
@@ -353,7 +355,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5):
     kern = kernels.active
     d = x.shape[-1]
     flat = np.ascontiguousarray(x.data.reshape(-1, d))
-    y, xhat, rstd = kern.layernorm_forward(flat, gain.data, bias.data, eps)
+    y, xhat, rstd = kern.layernorm_forward(flat, gain.data, bias.data, LAYERNORM_EPS)
 
     def backward(g):
         g2 = np.ascontiguousarray(g.reshape(-1, d))

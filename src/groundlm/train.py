@@ -382,7 +382,7 @@ def evaluate_perplexity(model: CrossModalModel, examples, vocab: Vocab, *,
 
 def _eval_region_objective(model: CrossModalModel, examples: List[ExampleTuple],
                            vocab: Vocab, corpora: Corpora, seed: int,
-                           batch_size: int = 32) -> float:
+                           batch_size: int) -> float:
     """Mean region-reconstruction loss under a fixed masking; T2I's val metric."""
     rows = [vocab.encode(text, model.config.max_len) for _img, text in examples]
     rng = np.random.default_rng([seed, 11])
@@ -481,7 +481,7 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
         if lm_loss_on:
             ppl = evaluate_perplexity(
                 model, val_examples, vocab, seed=config.seed, mode=mode,
-                corpora=corpora, k=strategy.k or 16, kappa=config.kappa,
+                corpora=corpora, k=strategy.k, kappa=config.kappa,
                 batch_size=config.batch_size, cache=cache, threads=threads)
             metrics.append((step, "val", "ppl", ppl))
             objective = ppl

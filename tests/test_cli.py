@@ -3,9 +3,14 @@ import struct
 
 import pytest
 
+from groundlm import cli
 from groundlm.cli import CONFIG_KEYS, RunConfig, build_parser, main
 from groundlm.index import (ImageFeatureStore, load_index, save_index,
                             write_feature_store)
+from groundlm.model import ModelConfig
+from groundlm.toydata import ToySpec
+from groundlm.train import Strategy, TrainConfig
+from groundlm.vocab import Vocab
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +181,35 @@ class TestConfigHandling:
         assert args.k == 16
         assert args.kappa == 8
 
+    def test_default_flags_build_the_dataclass_defaults(self, bundle, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        built = {}
+
+        def fake_pretrain(strategy, corpora, model, config, **kw):
+            built.update(strategy=strategy, model=model.config, train=config)
+            raise Stop
+
+        def fake_generate(spec, out):
+            built["toy"] = spec
+            raise Stop
+
+        monkeypatch.setattr(cli, "pretrain", fake_pretrain)
+        monkeypatch.setattr(cli, "generate_grounded_corpus", fake_generate)
+        with pytest.raises(Stop):
+            main(["pretrain", "--strategy", "TransferredI2T",
+                  "--vocab", str(bundle / "vocab.txt"),
+                  "--captions", str(bundle / "captions.tsv"),
+                  "--features", str(bundle / "features.vftr"), "--out-model", "unused"])
+        with pytest.raises(Stop):
+            main(["make-toy-data", "--out", "unused"])
+        vocab_size = len(Vocab.load(bundle / "vocab.txt"))
+        assert built["model"] == ModelConfig(vocab_size=vocab_size)
+        assert built["train"] == TrainConfig()
+        assert built["strategy"] == Strategy("TransferredI2T")
+        assert built["toy"] == ToySpec()
+
     def test_unknown_config_key_exits_2(self, bundle, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("learning_rate=0.1\n")
@@ -292,6 +326,20 @@ class TestTrainEvalRoundTrip:
                 "--features", str(bundle / "features.vftr"), "--k", "2",
                 "--runs", "2", "--max-steps", "2", "--max-epochs", "1",
                 "--batch-size", "4", "--val-fraction", "0.25", *extra]
+
+    @pytest.mark.parametrize("eval_rows, needles", [
+        ("metric=accuracy\n2\tc000 f000\n", ("eval label 2", "classes [0, 1]")),
+        ("metric=spearman\n0.5\tc000 f000\n", ("metric spearman", "accuracy")),
+    ], ids=["unseen_label", "other_metric"])
+    def test_finetune_eval_task_that_does_not_fit_exits_1(self, bundle, checkpoint, tmp_path,
+                                                          capsys, eval_rows, needles):
+        eval_task = tmp_path / "eval.tsv"
+        eval_task.write_text(eval_rows)
+        rc = main(self._finetune_argv(bundle, checkpoint, tmp_path, "NoGrounding",
+                                      "--eval-task", str(eval_task)))
+        assert rc == 1
+        assert_one_error_line(capsys, *needles)
+        assert not (tmp_path / "rep.json").exists()
 
     def test_finetune_scene_without_captions_names_index(self, bundle, checkpoint,
                                                          tmp_path, capsys):

@@ -1,13 +1,20 @@
+import importlib
+import importlib.util
+import pathlib
+import shutil
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groundlm
 from groundlm.embeddings import (WordEmbeddingTable, encode_cbow,
                                  encode_synset_key, load_word_vectors,
                                  tokenize)
 
-from conftest import make_table
+from conftest import make_table, write_wordvecs
 
 BASE = {"dog": [1.0, 0.0, 0.0], "cat": [0.0, 1.0, 0.0], "house": [0.0, 0.0, 1.0]}
 
@@ -152,3 +159,26 @@ class TestSynsetKey:
         table = make_table(tmp_path, BASE)
         with pytest.raises(ValueError):
             encode_synset_key([], "a dog", table)
+
+
+def test_renamed_package_copy_reads_its_own_stopwords(tmp_path, monkeypatch):
+    """A copy of the package imported under another name (as
+    ``tools/ab_steps.py`` imports two checkouts) reads the stop-word list
+    shipped beside it, not one found under the name ``groundlm``."""
+    pkg_dir = tmp_path / "glm_copy"
+    shutil.copytree(pathlib.Path(groundlm.__file__).parent, pkg_dir,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (pkg_dir / "data" / "stopwords.txt").write_text("# changed list\nZebra\n", "utf-8")
+    monkeypatch.setitem(sys.modules, "groundlm", None)  # importing it now fails
+    spec = importlib.util.spec_from_file_location(
+        "glm_copy", pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules["glm_copy"] = pkg
+    try:
+        spec.loader.exec_module(pkg)
+        embeddings = importlib.import_module("glm_copy.embeddings")
+        table = embeddings.load_word_vectors(write_wordvecs(tmp_path / "v.txt", BASE))
+        assert table.stopwords == frozenset({"zebra"})
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "glm_copy"]:
+            del sys.modules[name]

@@ -3,12 +3,18 @@ VFTR (region-feature store) and GLMC (model checkpoint).
 
 A file either loads exactly what was written or raises one ``ValueError``
 whose message names the file. Every strict prefix of a small file and the
-file with one byte appended are checked. Byte flips inside float payloads
-cannot be detected without a checksum and are not covered here.
+file with one byte appended are checked, and a Hypothesis fuzz truncates,
+inserts into and flips bytes of each format. A flipped byte inside a value
+(a float, an id, a payload ref, a config number) cannot be detected without
+a checksum, so a flipped file may load; it must then keep every shape.
 """
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_model
 from groundlm.index import (ImageFeatureStore, build_index, load_index, save_index,
@@ -79,3 +85,64 @@ def test_store_rejects_duplicate_and_non_utf8_ids(tmp_path):
     path.write_bytes(blob[:second] + b"\xff" + blob[second + 1:])
     with pytest.raises(ValueError, match=f"id of image 1 is not UTF-8 at offset {second}"):
         ImageFeatureStore(path)
+
+
+def written_as(fmt, loaded):
+    """Everything a loaded file holds, in comparable form."""
+    if fmt == "vidx":
+        return loaded.dim, [(it.id, it.key.tobytes(), it.payload_ref, it.source_kind)
+                            for it in loaded.items]
+    if fmt == "vftr":
+        return (loaded.n_regions, loaded.feat_dim, loaded.offsets,
+                loaded.gather(list(loaded.offsets)).tobytes())
+    return asdict(loaded.config), {name: (p.data.shape, p.data.tobytes())
+                                   for name, p in loaded.params.items()}
+
+
+def shapes_of(fmt, loaded):
+    if fmt == "vidx":
+        return loaded.dim, len(loaded.items)
+    if fmt == "vftr":
+        return loaded.n_regions, loaded.feat_dim, loaded.count
+    return {name: p.data.shape for name, p in loaded.params.items()}
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    """Per format: the file path, its bytes and what loading it gives."""
+    out = {}
+    for fmt, (write, load) in FORMATS.items():
+        path = tmp_path_factory.mktemp("fuzz") / f"x.{fmt}"
+        write(path)
+        out[fmt] = path, path.read_bytes(), load(path)
+    return out
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_file_loads_as_written_or_raises_value_error(originals, fmt, data):
+    path, blob, loaded = originals[fmt]
+    load = FORMATS[fmt][1]
+    kind = data.draw(st.sampled_from(["truncate", "insert", "flip"]), label="kind")
+    if kind == "truncate":
+        cut = data.draw(st.integers(0, len(blob) - 1), label="length")
+        mutated = blob[:cut]
+    elif kind == "insert":
+        at = data.draw(st.integers(0, len(blob)), label="at")
+        mutated = blob[:at] + data.draw(st.binary(min_size=1, max_size=8), label="bytes") \
+            + blob[at:]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        mask = data.draw(st.integers(1, 255), label="mask")
+        mutated = blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+    path.write_bytes(mutated)
+    try:
+        got = load(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+        return
+    if kind == "flip":
+        assert shapes_of(fmt, got) == shapes_of(fmt, loaded)
+    else:
+        assert written_as(fmt, got) == written_as(fmt, loaded)

@@ -1,9 +1,11 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and the package
+reads no environment variable.
 
 No linter ships with the package, so this AST scan is the check. A name
 counts as used when it appears as a bare name anywhere in the module (an
 attribute chain such as ``np.zeros`` uses ``np``) or is listed in
-``__all__``.
+``__all__``. Every setting reaches the package as an argument (the CLI's
+flags and config keys), never through the environment.
 """
 
 import ast
@@ -46,3 +48,10 @@ def test_scan_flags_unused_and_keeps_used():
               "from .x import exported\n__all__ = ['exported']\n"
               "def f(a: List[int]):\n    return np.zeros(len(a))\n")
     assert unused_imports(source) == [(1, "os"), (3, "Optional")]
+
+
+def test_no_environment_reads():
+    readers = [path.name for path in sorted((ROOT / "src" / "groundlm").glob("*.py"))
+               if any(word in path.read_text(encoding="utf-8")
+                      for word in ("environ", "getenv"))]
+    assert not readers, f"modules reading the environment: {readers}"

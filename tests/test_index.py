@@ -97,13 +97,11 @@ class TestTopK:
         query = qv(rng.normal(size=8))
         assert top_k(index, query, 20, threads=1) == top_k(index, query, 20, threads=4)
 
-    def test_glm_threads_env_fallback(self, rng, monkeypatch):
+    def test_default_thread_count_equals_one_thread(self, rng):
         keys = rng.normal(size=(100, 4))
         index = build_index(entries_from(keys), shard_size=16)
         query = qv(rng.normal(size=4))
-        base = top_k(index, query, 5, threads=1)
-        monkeypatch.setenv("GLM_THREADS", "3")
-        assert top_k(index, query, 5) == base
+        assert top_k(index, query, 5) == top_k(index, query, 5, threads=1)
 
     def test_degenerate_query_rejected(self, rng):
         index = build_index(entries_from(rng.normal(size=(3, 4))))

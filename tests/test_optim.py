@@ -25,7 +25,7 @@ def test_first_step_magnitude_closed_form():
     lr = 0.05
     p = make_param([1.0])
     p.grad = np.array([g])
-    Adam({"p": p}, lr=lr, eps=1e-8).step()
+    Adam({"p": p}, lr=lr).step()
     expected = 1.0 - lr * g / (abs(g) + 1e-8)
     np.testing.assert_allclose(p.data, [expected], rtol=1e-12)
 

@@ -61,7 +61,9 @@ def load_checkout(checkout: str, alias: str):
     spec.loader.exec_module(pkg)
     for name in MODULES:
         importlib.import_module(f"{alias}.{name}")
-    # the stop-word list is read once, as a resource of the package "groundlm"
+    # a checkout that predates reading the stop-word list as a resource of its
+    # own package reads it from the package named "groundlm"; fill its cache
+    # with this copy standing in for that name
     sys.modules["groundlm"] = pkg
     try:
         pkg.embeddings.default_stopwords()
