@@ -11,7 +11,9 @@ Three ways to pick K images for a piece of text:
   appear in their caption.
 
 All strategies return an Association; an empty one signals "fall back to
-the placeholder" to the model layer.
+the placeholder" to the model layer. Callers reach them through
+``train.associate_query``, which drops ``[masked]`` markers and caches the
+ranked (image id, similarity) pairs.
 """
 
 from __future__ import annotations
@@ -19,35 +21,27 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .embeddings import WordEmbeddingTable, encode_cbow, encode_synset_key, tokenize
+from .embeddings import (WordEmbeddingTable, default_stopwords, encode_cbow,
+                         encode_synset_key, read_lines, read_words, tokenize)
 from .gmm import fit_gmm
 from .index import ImageKeyIndex, build_index, top_k
-
-MASK_TOKEN_TEXT = "[masked]"
 
 
 @dataclass
 class AssociationItem:
     image_id: str
-    rank: int
     similarity: float
 
 
 @dataclass
 class Association:
-    strategy: str
+    """Ranked items, best first; empty when the text has no usable word."""
     items: List[AssociationItem] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.items
 
 
 @dataclass
@@ -65,13 +59,10 @@ class NounLexicon:
 
 def load_noun_lexicon(path) -> NounLexicon:
     """One noun per line; `#` comments and blank lines skipped."""
-    nouns = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("#", 1)[0].strip().lower()
-            if word:
-                nouns.add(word)
-    return NounLexicon(frozenset(nouns))
+    nouns = read_words(path)
+    if not nouns:
+        raise ValueError(f"{path}: noun lexicon is empty")
+    return NounLexicon(nouns)
 
 
 def extract_nouns(text: str, lexicon: NounLexicon) -> List[str]:
@@ -85,19 +76,17 @@ def extract_nouns(text: str, lexicon: NounLexicon) -> List[str]:
 def load_caption_corpus(path) -> Dict[str, str]:
     """TSV `image_id<TAB>caption` -> ordered dict; duplicate ids rejected."""
     corpus: Dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"line {lineno}: expected image_id<TAB>caption")
-            image_id, caption = line.split("\t", 1)
-            if not image_id:
-                raise ValueError(f"line {lineno}: empty image id")
-            if image_id in corpus:
-                raise ValueError(f"line {lineno}: duplicate image id {image_id!r}")
-            corpus[image_id] = caption
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        if "\t" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected image_id<TAB>caption")
+        image_id, caption = line.split("\t", 1)
+        if not image_id:
+            raise ValueError(f"{path}: line {lineno}: empty image id")
+        if image_id in corpus:
+            raise ValueError(f"{path}: line {lineno}: duplicate image id {image_id!r}")
+        corpus[image_id] = caption
     return corpus
 
 
@@ -112,20 +101,19 @@ class SynsetEntry:
 def load_synsets(path) -> List[SynsetEntry]:
     """TSV `synset_id<TAB>lemma,lemma<TAB>definition<TAB>img,img`."""
     out: List[SynsetEntry] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"line {lineno}: expected 4 tab-separated fields, got {len(parts)}")
-            synset_id, lemma_field, definition, image_field = parts
-            lemmas = [l.strip() for l in lemma_field.split(",") if l.strip()]
-            image_ids = [i.strip() for i in image_field.split(",") if i.strip()]
-            if not lemmas:
-                raise ValueError(f"line {lineno}: synset {synset_id!r} has no lemmas")
-            out.append(SynsetEntry(synset_id, lemmas, definition, image_ids))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ValueError(f"{path}: line {lineno}: expected 4 tab-separated fields, "
+                             f"got {len(parts)}")
+        synset_id, lemma_field, definition, image_field = parts
+        lemmas = [l.strip() for l in lemma_field.split(",") if l.strip()]
+        image_ids = [i.strip() for i in image_field.split(",") if i.strip()]
+        if not lemmas:
+            raise ValueError(f"{path}: line {lineno}: synset {synset_id!r} has no lemmas")
+        out.append(SynsetEntry(synset_id, lemmas, definition, image_ids))
     return out
 
 
@@ -158,21 +146,15 @@ def build_synset_index(synsets: Sequence[SynsetEntry], table: WordEmbeddingTable
 # -- strategies ---------------------------------------------------------------
 
 
-def associate_scene(masked_text: str, index: ImageKeyIndex, table: WordEmbeddingTable,
+def associate_scene(text: str, index: ImageKeyIndex, table: WordEmbeddingTable,
                     k: int, threads: Optional[int] = None) -> Association:
-    """Whole-text CBOW retrieval over caption keys.
-
-    Mask tokens are stripped before encoding, so the result depends only on
-    the surviving tokens. A degenerate query yields an empty Association.
-    """
-    surviving = " ".join(t for t in masked_text.split() if t.lower() != MASK_TOKEN_TEXT)
-    query = encode_cbow(surviving, table)
+    """Whole-text CBOW retrieval over caption keys; a degenerate query yields
+    an empty Association."""
+    query = encode_cbow(text, table)
     if query.is_degenerate:
-        return Association("scene")
-    ranked = top_k(index, query, k, threads=threads)
-    items = [AssociationItem(image_id, rank, sim)
-             for rank, (image_id, sim) in enumerate(ranked)]
-    return Association("scene", items)
+        return Association()
+    return Association([AssociationItem(image_id, sim)
+                        for image_id, sim in top_k(index, query, k, threads=threads)])
 
 
 def _gmm_seed(run_seed: int, text: str) -> list:
@@ -210,13 +192,9 @@ def associate_object(text: str, synset_index: ImageKeyIndex, table: WordEmbeddin
         raise ValueError(f"kappa ({kappa}) must not exceed K ({k})")
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    nouns_in_order = extract_nouns(text, lexicon)
-    distinct: List[str] = []
-    for noun in nouns_in_order:
-        if noun not in distinct and noun in table.entries:
-            distinct.append(noun)
+    distinct = list(dict.fromkeys(n for n in extract_nouns(text, lexicon) if n in table.entries))
     if not distinct:
-        return Association("object")
+        return Association()
     if len(distinct) == 1:
         # a one-point, one-component mixture always nominates that point
         reps, per_component = distinct, k
@@ -231,20 +209,15 @@ def associate_object(text: str, synset_index: ImageKeyIndex, table: WordEmbeddin
             mean_norm = np.linalg.norm(mean)
             rep_idx = 0 if mean_norm < 1e-12 else int(np.argmax(unit @ (mean / mean_norm)))
             reps.append(distinct[rep_idx])
-    items: List[AssociationItem] = []
-    for noun in reps:
-        ranked = _noun_ranking(synset_index, table.entries[noun], k, threads)
-        for image_id, sim in ranked[:per_component]:
-            items.append(AssociationItem(image_id, len(items), sim))
-            if len(items) == k:
-                break
-        if len(items) == k:
-            break
-    return Association("object", items)
+    # lazy, so a representative after the k-th image computes no ranking
+    ranked = (pair for noun in reps
+              for pair in _noun_ranking(synset_index, table.entries[noun], k,
+                                        threads)[:per_component])
+    return Association([AssociationItem(image_id, sim) for image_id, sim in islice(ranked, k)])
 
 
-def associate_keyword_baseline(text: str, caption_corpus: Mapping[str, Union[str, set]],
-                               k: int, table: Optional[WordEmbeddingTable] = None) -> Association:
+def associate_keyword_baseline(text: str, caption_corpus: Mapping[str, str], k: int,
+                               table: Optional[WordEmbeddingTable] = None) -> Association:
     """Rank images by shared-keyword count, ties by ascending id.
 
     The text contributes its non-stopword tokens (stopwords from ``table``
@@ -252,19 +225,15 @@ def associate_keyword_baseline(text: str, caption_corpus: Mapping[str, Union[str
     set. Zero overlap still returns k images, ordered by id; a query with no
     usable tokens at all is degenerate and returns an empty association.
     """
-    from .embeddings import default_stopwords
     stop = table.stopwords if table is not None else default_stopwords()
     text_tokens = {t for t in tokenize(text) if t not in stop}
     if not text_tokens:
-        return Association("keyword_baseline", [])
-    scored: List[Tuple[int, str]] = []
-    for image_id, caption in caption_corpus.items():
-        cap_tokens = caption if isinstance(caption, (set, frozenset)) else set(tokenize(caption))
-        scored.append((len(text_tokens & cap_tokens), image_id))
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    items = [AssociationItem(image_id, rank, float(score))
-             for rank, (score, image_id) in enumerate(scored[:k])]
-    return Association("keyword_baseline", items)
+        return Association()
+    scored = sorted(((len(text_tokens & set(tokenize(caption))), image_id)
+                     for image_id, caption in caption_corpus.items()),
+                    key=lambda pair: (-pair[0], pair[1]))
+    return Association([AssociationItem(image_id, float(score))
+                        for score, image_id in scored[:k]])
 
 
 # -- association cache ---------------------------------------------------------
@@ -298,5 +267,5 @@ class AssociationCache:
             self.hits += 1
         return hit
 
-    def put(self, key: CacheKey, ranked: Iterable[Tuple[str, float]]) -> None:
-        self._data[key] = [(str(i), float(s)) for i, s in ranked]
+    def put(self, key: CacheKey, ranked: List[Tuple[str, float]]) -> None:
+        self._data[key] = ranked

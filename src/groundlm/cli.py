@@ -16,7 +16,7 @@ from typing import Dict, get_args, get_type_hints
 
 from .associate import (AssociationCache, build_caption_index, build_synset_index,
                         load_caption_corpus, load_noun_lexicon, load_synsets)
-from .embeddings import load_word_vectors
+from .embeddings import load_word_vectors, read_lines
 from .finetune import finetune, load_task_file
 from .index import ImageFeatureStore, load_index, save_index
 from .model import CrossModalModel, ModelConfig, load_checkpoint, save_checkpoint
@@ -80,21 +80,20 @@ def _parse_config_file(path) -> Dict[str, object]:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{n}: expected key=value, got {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise UsageError(f"{path}:{n}: unknown config key {key!r}")
-            typ = CONFIG_KEYS[key][0]
-            try:
-                out[key] = None if value.lower() == "none" else typ(value)
-            except ValueError:
-                raise UsageError(f"{path}:{n}: {key} expects {typ.__name__}, got {value!r}")
+    for n, line in enumerate(read_lines(path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{n}: expected key=value, got {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{path}:{n}: unknown config key {key!r}")
+        typ = CONFIG_KEYS[key][0]
+        try:
+            out[key] = None if value.lower() == "none" else typ(value)
+        except ValueError:
+            raise UsageError(f"{path}:{n}: {key} expects {typ.__name__}, got {value!r}")
     return out
 
 
@@ -113,8 +112,8 @@ def _load_corpora(args, strategy: Strategy, need_text: bool) -> Corpora:
     vocab = Vocab.load(_require(args.vocab, "--vocab file"))
     co = Corpora(vocab=vocab)
     if args.corpus:
-        with open(_require(args.corpus, "--corpus file"), encoding="utf-8") as fh:
-            co.text_only = [line.rstrip("\n") for line in fh if line.strip()]
+        co.text_only = [line for line in read_lines(_require(args.corpus, "--corpus file"))
+                        if line.strip()]
     if args.captions:
         corpus = load_caption_corpus(_require(args.captions, "--captions file"))
         co.caption_corpus = corpus
@@ -182,23 +181,19 @@ def cmd_associate(args) -> int:
     if args.queries == "-":
         lines = [line.rstrip("\n") for line in sys.stdin]
     else:
-        with open(_require(args.queries, "--queries file"), encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
+        lines = read_lines(_require(args.queries, "--queries file"))
 
     out = open(args.out, "w", encoding="utf-8") if args.out != "-" else sys.stdout
     try:
         for query in lines:
             record = {"query": query, "strategy": args.strategy, "items": []}
             try:
-                assoc = associate_query(args.strategy, query, co, args.k, args.kappa,
-                                        args.seed, threads=args.threads)
-                if assoc.is_empty:
+                ranked = associate_query(args.strategy, query, co, args.k, args.kappa,
+                                         args.seed, threads=args.threads)
+                if not ranked:
                     record["reason"] = "degenerate query: no usable tokens"
-                else:
-                    record["items"] = [
-                        {"id": it.image_id, "rank": it.rank,
-                         "similarity": float(it.similarity)}
-                        for it in assoc.items]
+                record["items"] = [{"id": image_id, "rank": rank, "similarity": sim}
+                                   for rank, (image_id, sim) in enumerate(ranked)]
             except ValueError as exc:
                 record["reason"] = str(exc)
             out.write(json.dumps(record, sort_keys=True) + "\n")

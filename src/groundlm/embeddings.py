@@ -9,10 +9,11 @@ the caller decides what to do.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +24,24 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 def tokenize(text: str) -> list:
     """Lowercase and split on every non-alphanumeric character."""
     return _TOKEN_RE.findall(text.lower())
+
+
+def read_lines(path) -> List[str]:
+    """The lines of a UTF-8 text file, split as text mode splits them. A byte
+    that is not UTF-8 raises a ValueError naming the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return [line.rstrip("\n") for line in io.StringIO(data.decode("utf-8"), newline=None)]
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: not UTF-8 (byte 0x{data[exc.start]:02x})")
+
+
+def read_words(path) -> FrozenSet[str]:
+    """The lowercased words of a one-word-per-line file; `#` comments and
+    blank lines skipped."""
+    return frozenset(line.split("#", 1)[0].strip().lower() for line in read_lines(path)) - {""}
 
 
 @dataclass
@@ -57,13 +76,8 @@ _DEFAULT_STOPWORDS: Optional[FrozenSet[str]] = None
 def default_stopwords() -> FrozenSet[str]:
     global _DEFAULT_STOPWORDS
     if _DEFAULT_STOPWORDS is None:
-        text = resources.files(__package__).joinpath("data/stopwords.txt").read_text("utf-8")
-        words = set()
-        for line in text.splitlines():
-            word = line.split("#", 1)[0].strip().lower()
-            if word:
-                words.add(word)
-        _DEFAULT_STOPWORDS = frozenset(words)
+        _DEFAULT_STOPWORDS = read_words(
+            resources.files(__package__).joinpath("data/stopwords.txt"))
     return _DEFAULT_STOPWORDS
 
 
@@ -78,33 +92,32 @@ def load_word_vectors(path) -> WordEmbeddingTable:
     """
     entries: Dict[str, np.ndarray] = {}
     dim: Optional[int] = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    declared = int(parts[0]), int(parts[1])
-                except ValueError:
-                    pass
-                else:
-                    dim = declared[1]
-                    continue
-            token = parts[0].lower()
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
             try:
-                vec = np.array(parts[1:], dtype=np.float32)
+                declared = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric vector component") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"line {lineno}: non-finite vector component")
-            if dim is None:
-                dim = vec.shape[0]
-            if vec.shape[0] != dim:
-                raise ValueError(
-                    f"line {lineno}: expected {dim} components, got {vec.shape[0]}")
-            if token not in entries:
-                entries[token] = vec
+                pass
+            else:
+                dim = declared[1]
+                continue
+        token = parts[0].lower()
+        try:
+            vec = np.array(parts[1:], dtype=np.float32)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: non-numeric vector component") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}: line {lineno}: non-finite vector component")
+        if dim is None:
+            dim = vec.shape[0]
+        if vec.shape[0] != dim:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {dim} components, got {vec.shape[0]}")
+        if token not in entries:
+            entries[token] = vec
     if dim is None:
         raise ValueError(f"{path}: empty word-vector file")
     return WordEmbeddingTable(dim, entries)

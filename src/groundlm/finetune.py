@@ -20,6 +20,7 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .associate import AssociationCache
+from .embeddings import read_lines
 from .model import CrossModalModel, MaskedBatch
 from .optim import Adam
 from .tensor import Tensor, masked_cross_entropy, mean_all, mul, no_grad
@@ -71,43 +72,47 @@ def load_task_file(path) -> Task:
     declare the legal class ids as `labels=0,1`. Labels outside a declared
     set are rejected with their line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
-        raise ValueError("empty task file")
+        raise ValueError(f"{path}: empty task file")
+    at = f"{path}: line 1"
     header = dict(tok.split("=", 1) for tok in lines[0].split() if "=" in tok)
     metric = header.get("metric")
     if metric not in ("accuracy", "spearman"):
-        raise ValueError(f"header must declare metric=accuracy|spearman, got {lines[0]!r}")
+        raise ValueError(f"{at}: header must declare metric=accuracy|spearman, got {lines[0]!r}")
     label_set = None
     if "labels" in header:
         if metric != "accuracy":
-            raise ValueError("labels= declaration only applies to accuracy tasks")
-        label_set = sorted(int(t) for t in header["labels"].split(","))
+            raise ValueError(f"{at}: labels= declaration only applies to accuracy tasks")
+        try:
+            label_set = sorted(int(t) for t in header["labels"].split(","))
+        except ValueError:
+            raise ValueError(f"{at}: labels={header['labels']} are not integer class ids")
     examples = []
     for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        at = f"{path}: line {n}"
         parts = line.split("\t")
         if len(parts) not in (2, 3):
-            raise ValueError(f"line {n}: expected 2 or 3 tab-separated fields, got {len(parts)}")
+            raise ValueError(f"{at}: expected 2 or 3 tab-separated fields, got {len(parts)}")
         raw_label, text_a = parts[0], parts[1]
         text_b = parts[2] if len(parts) == 3 else None
         if metric == "accuracy":
             try:
                 label = int(raw_label)
             except ValueError:
-                raise ValueError(f"line {n}: label {raw_label!r} is not an integer class id")
+                raise ValueError(f"{at}: label {raw_label!r} is not an integer class id")
             if label_set is not None and label not in label_set:
-                raise ValueError(f"line {n}: label {label} outside declared set {label_set}")
+                raise ValueError(f"{at}: label {label} outside declared set {label_set}")
         else:
             try:
                 label = float(raw_label)
             except ValueError:
-                raise ValueError(f"line {n}: label {raw_label!r} is not a numeric score")
+                raise ValueError(f"{at}: label {raw_label!r} is not a numeric score")
         examples.append(TaskExample(label, text_a, text_b))
     if not examples:
-        raise ValueError("task file declares a header but no examples")
+        raise ValueError(f"{path}: task file declares a header but no examples")
     return Task(metric=metric, examples=examples, label_set=label_set)
 
 
@@ -126,14 +131,8 @@ def spearman(pred: Sequence[float], gold: Sequence[float]) -> float:
 
 
 def _task_rows(examples: Sequence[TaskExample], vocab: Vocab, max_len: int):
-    token_rows, raw_rows, pairs = [], [], []
-    for ex in examples:
-        ids, raw = vocab.encode_with_raw(ex.text_a, max_len, ex.text_b)
-        token_rows.append(ids)
-        raw_rows.append(raw)
-        joined = ex.text_a if ex.text_b is None else ex.text_a + " " + ex.text_b
-        pairs.append((None, joined))
-    return token_rows, raw_rows, pairs
+    encoded = [vocab.encode_with_raw(ex.text_a, max_len, ex.text_b) for ex in examples]
+    return [ids for ids, _raw in encoded], [raw for _ids, raw in encoded]
 
 
 def _config_digest(strategy: Strategy, task: Task, config: TrainConfig, n_out: int) -> str:
@@ -211,8 +210,9 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
         ev_gold = np.array([ex.label for ex in eval_ex], dtype=np.float64)
 
     def batch_for(run: CrossModalModel, split, picks) -> MaskedBatch:
-        rows, raw, pairs = split
-        return build_batch([pairs[i] for i in picks], [rows[i] for i in picks], vocab,
+        rows, raw = split
+        # task sentences pair with no image
+        return build_batch([(None, None)] * len(picks), [rows[i] for i in picks], vocab,
                            run, mode, raw_rows=[raw[i] for i in picks], corpora=corpora,
                            k=k, kappa=config.kappa, assoc_seed=assoc_seed, cache=cache,
                            threads=threads)

@@ -27,15 +27,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .associate import (Association, AssociationCache, NounLexicon,
-                        associate_keyword_baseline, associate_object,
-                        associate_scene)
+from .associate import (AssociationCache, NounLexicon, associate_keyword_baseline,
+                        associate_object, associate_scene)
 from .embeddings import WordEmbeddingTable
 from .index import ImageFeatureStore, ImageKeyIndex
 from .model import (CrossModalModel, MaskedBatch, mask_regions, mask_tokens,
                     masked_ce_stats, masked_lm_loss, masked_region_loss)
 from .optim import Adam
-from .vocab import CLS_ID, MASKED_ID, PAD_ID, SEP_ID, Vocab
+from .vocab import CLS_ID, MASKED_ID, PAD_ID, RESERVED, SEP_ID, Vocab
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,9 @@ class TrainConfig:
             raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
-        if self.batch_size < 1 or self.eval_every < 1:
-            raise ValueError("batch_size and eval_every must be >= 1")
+        for name in ("batch_size", "eval_every", "max_epochs", "kappa"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1 or None, got {self.max_steps}")
 
@@ -209,44 +209,42 @@ def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
 
 def _query_text(corrupted_row: np.ndarray, flag_row: np.ndarray,
                 raw_row: Sequence[str], vocab: Vocab) -> str:
-    """The corrupted text as words: [masked] positions dropped, substituted
-    positions shown as their substitute, untouched positions as the raw word
-    (preserving out-of-vocabulary words that the id row collapses to [unk])."""
+    """The corrupted text as words: [pad], [cls] and [sep] dropped, selected
+    positions shown as their corrupted token ([masked] or a substitute),
+    untouched positions as the raw word (preserving out-of-vocabulary words
+    that the id row collapses to [unk])."""
     keep = []
     for p, idx in enumerate(corrupted_row):
         if idx in (PAD_ID, CLS_ID, SEP_ID):
             continue
         if flag_row[p]:
-            if idx == MASKED_ID:
-                continue
             keep.append(vocab.token_of(int(idx)))
         elif p < len(raw_row):
             keep.append(raw_row[p])
     return " ".join(keep)
 
 
-def associate_query(mode: str, query: str, corpora: Corpora, k: int, kappa: int,
-                    seed: int, threads: Optional[int] = None) -> Association:
-    """Run the scene, object or keyword association for one query string."""
+def associate_query(mode: str, query: str, corpora: Corpora, k: int, kappa: int, seed: int,
+                    cache: Optional[AssociationCache] = None,
+                    threads: Optional[int] = None) -> List[Tuple[str, float]]:
+    """Ranked (image id, similarity) pairs that the scene, object or keyword
+    strategy associates with ``query``; empty when no usable word is left.
+
+    ``[masked]`` markers are dropped first, so the result and the cache key
+    (mode, query, k, kappa, seed) depend only on the surviving words.
+    """
+    query = " ".join(t for t in query.split() if t.lower() != RESERVED[MASKED_ID])
+    key = (mode, query, k, kappa, seed)
+    ranked = cache.get(key) if cache is not None else None
+    if ranked is not None:
+        return ranked
     if mode == "scene":
-        return associate_scene(query, corpora.caption_index, corpora.table, k,
-                               threads=threads)
-    if mode == "object":
-        return associate_object(query, corpora.synset_index, corpora.table,
-                                corpora.lexicon, k, min(kappa, k), seed=seed,
-                                threads=threads)
-    return associate_keyword_baseline(query, corpora.caption_corpus, k, table=corpora.table)
-
-
-def _associate_for_row(mode: str, query: str, corpora: Corpora, k: int, kappa: int,
-                       assoc_seed: int, cache: Optional[AssociationCache],
-                       threads: Optional[int]) -> List[Tuple[str, float]]:
-    key = (mode, query, k, kappa, assoc_seed)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    assoc = associate_query(mode, query, corpora, k, kappa, assoc_seed, threads)
+        assoc = associate_scene(query, corpora.caption_index, corpora.table, k, threads=threads)
+    elif mode == "object":
+        assoc = associate_object(query, corpora.synset_index, corpora.table, corpora.lexicon,
+                                 k, min(kappa, k), seed=seed, threads=threads)
+    else:
+        assoc = associate_keyword_baseline(query, corpora.caption_corpus, k, table=corpora.table)
     ranked = [(it.image_id, it.similarity) for it in assoc.items]
     if cache is not None:
         cache.put(key, ranked)
@@ -297,8 +295,8 @@ def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[
         per_example = []
         for b in range(b_sz):
             query = _query_text(corrupted[b], flags[b], raw_rows[b], vocab)
-            ranked = _associate_for_row(mode, query, corpora, k, kappa, assoc_seed,
-                                        cache, threads)
+            ranked = associate_query(mode, query, corpora, k, kappa, assoc_seed,
+                                     cache, threads)
             per_example.append([image_id for image_id, _sim in ranked])
 
     # image j of row b fills slots j*n .. j*n+n-1 with rank j; a row without
@@ -335,15 +333,10 @@ def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[
 # -- evaluation ----------------------------------------------------------------
 
 
-def _normalize_examples(examples) -> List[ExampleTuple]:
-    out: List[ExampleTuple] = []
-    for ex in examples:
-        if isinstance(ex, str):
-            out.append((None, ex))
-        else:
-            image_id, text = ex
-            out.append((image_id, text))
-    return out
+def _encode(examples: Sequence[ExampleTuple], vocab: Vocab, max_len: int):
+    """Id rows and position-aligned raw token rows of the examples' texts."""
+    encoded = [vocab.encode_with_raw(text, max_len) for _img, text in examples]
+    return [ids for ids, _raw in encoded], [raw for _ids, raw in encoded]
 
 
 def evaluate_perplexity(model: CrossModalModel, examples, vocab: Vocab, *,
@@ -356,21 +349,20 @@ def evaluate_perplexity(model: CrossModalModel, examples, vocab: Vocab, *,
     exp(sum of masked-token cross-entropies / masked-token count), accumulated
     in float64 over the whole stream.
     """
-    examples = _normalize_examples(examples)
+    examples = [(None, ex) if isinstance(ex, str) else ex for ex in examples]
     if not examples:
         raise ValueError("evaluate_perplexity: empty evaluation stream")
-    encoded = [vocab.encode_with_raw(text, model.config.max_len) for _img, text in examples]
+    rows, raw = _encode(examples, vocab, model.config.max_len)
     rng = np.random.default_rng([seed, 7])
     total = 0.0
     count = 0
     with T.no_grad():
         for lo in range(0, len(examples), batch_size):
             chunk = examples[lo:lo + batch_size]
-            batch = build_batch(chunk, [e[0] for e in encoded[lo:lo + batch_size]],
-                                vocab, model, mode,
-                                raw_rows=[e[1] for e in encoded[lo:lo + batch_size]],
-                                mask_text_rng=rng, corpora=corpora, k=k, kappa=kappa,
-                                assoc_seed=seed, cache=cache, threads=threads)
+            batch = build_batch(chunk, rows[lo:lo + batch_size], vocab, model, mode,
+                                raw_rows=raw[lo:lo + batch_size], mask_text_rng=rng,
+                                corpora=corpora, k=k, kappa=kappa, assoc_seed=seed,
+                                cache=cache, threads=threads)
             logits, _preds, _cls = model.forward(batch)
             s, c = masked_ce_stats(logits.data, batch.original_tokens, batch.token_mask_flags)
             total += s
@@ -384,7 +376,7 @@ def _eval_region_objective(model: CrossModalModel, examples: List[ExampleTuple],
                            vocab: Vocab, corpora: Corpora, seed: int,
                            batch_size: int) -> float:
     """Mean region-reconstruction loss under a fixed masking; T2I's val metric."""
-    rows = [vocab.encode(text, model.config.max_len) for _img, text in examples]
+    rows, _raw = _encode(examples, vocab, model.config.max_len)
     rng = np.random.default_rng([seed, 11])
     losses: List[float] = []
     with T.no_grad():
@@ -454,9 +446,7 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     train_examples = [stream[i] for i in order[n_val:]]
     if not train_examples:
         raise ValueError("no training examples left after validation split")
-    encoded = [vocab.encode_with_raw(text, model.config.max_len) for _img, text in train_examples]
-    train_rows = [e[0] for e in encoded]
-    train_raw = [e[1] for e in encoded]
+    train_rows, train_raw = _encode(train_examples, vocab, model.config.max_len)
 
     mode = strategy.spec.mode
     lm_loss_on = strategy.spec.lm_loss

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, List, Optional
 
-from .embeddings import tokenize
+from .embeddings import read_lines, tokenize
 
 RESERVED = ("[pad]", "[cls]", "[masked]", "[unk]", "[sep]")
 PAD_ID, CLS_ID, MASKED_ID, UNK_ID, SEP_ID = range(5)
@@ -76,6 +76,8 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens)
+        tokens = [line for line in read_lines(path) if line]
+        try:
+            return cls(tokens)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

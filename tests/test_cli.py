@@ -10,7 +10,7 @@ from groundlm.index import (ImageFeatureStore, load_index, save_index,
 from groundlm.model import ModelConfig
 from groundlm.toydata import ToySpec
 from groundlm.train import Strategy, TrainConfig
-from groundlm.vocab import Vocab
+from groundlm.vocab import RESERVED, Vocab
 
 
 @pytest.fixture(scope="module")
@@ -481,3 +481,43 @@ class TestDuplicateIndexIds:
         assert rc == 1
         assert_one_error_line(capsys, str(dup), f"duplicate id {index.items[0].id!r}")
         assert not (tmp_path / "o.jsonl").exists()
+
+
+class TestTextInputErrors:
+    """A malformed text input exits 1 with one error line that names the
+    file and, for an error on one line, that line."""
+
+    @staticmethod
+    def argv(kind, bad, bundle, checkpoint, tmp_path):
+        vectors, captions = str(bundle / "wordvecs.txt"), str(bundle / "captions.tsv")
+        if kind in ("captions", "latin1", "vectors"):
+            return ["build-index", "--kind", "caption",
+                    "--input", bad if kind != "vectors" else captions,
+                    "--vectors", bad if kind == "vectors" else vectors,
+                    "--out", str(tmp_path / "x.vidx")]
+        if kind == "task":
+            return ["finetune", "--strategy", "NoGrounding", "--vocab", str(bundle / "vocab.txt"),
+                    "--model", str(checkpoint[0]), "--task", bad,
+                    "--out-report", str(tmp_path / "rep.json")]
+        argv = pretrain_argv(bundle, tmp_path, "AssociativeObject", "m", "--nouns",
+                             bad if kind == "nouns" else str(bundle / "nouns.txt"))
+        if kind == "vocab":
+            argv[argv.index("--vocab") + 1] = bad
+        return argv
+
+    @pytest.mark.parametrize("kind, content, needle", [
+        ("captions", b"img1 a red dog\n", "line 1: expected image_id<TAB>caption"),
+        ("vectors", b"red 1 2\ndog nan 2\n", "line 2: non-finite vector component"),
+        ("task", b"metric=accuracy labels=0,x\n0\tc000\n", "line 1: labels=0,x"),
+        ("vocab", "\n".join(RESERVED + ("dog", "cat", "dog")).encode(), "duplicate tokens"),
+        ("nouns", b"# no nouns here\n\n", "noun lexicon is empty"),
+        ("latin1", "img1\tcafe\nimg2\tcafé\n".encode("latin-1"),
+         "line 2: not UTF-8 (byte 0xe9)"),
+    ], ids=["captions", "vectors", "task", "vocab", "nouns", "latin1"])
+    def test_error_names_file(self, bundle, checkpoint, tmp_path, capsys, kind, content,
+                              needle):
+        bad = tmp_path / f"bad_{kind}.txt"
+        bad.write_bytes(content)
+        assert main(self.argv(kind, str(bad), bundle, checkpoint, tmp_path)) == 1
+        assert_one_error_line(capsys, f"{bad}: {needle}")
+        assert not any((tmp_path / name).exists() for name in ("x.vidx", "rep.json", "m.glmc"))

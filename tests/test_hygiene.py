@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and the package
-reads no environment variable.
+"""Source hygiene: no module imports a name it never uses, no private
+module-level function or class goes unused, and the package reads no
+environment variable.
 
 No linter ships with the package, so this AST scan is the check. A name
 counts as used when it appears as a bare name anywhere in the module (an
@@ -48,6 +49,40 @@ def test_scan_flags_unused_and_keeps_used():
               "from .x import exported\n__all__ = ['exported']\n"
               "def f(a: List[int]):\n    return np.zeros(len(a))\n")
     assert unused_imports(source) == [(1, "os"), (3, "Optional")]
+
+
+def unused_private_definitions(sources):
+    """(module, name) of each module-level ``_name`` function or class that
+    no module of ``sources`` (module name -> source) names again."""
+    defined, named = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    return sorted(pair for pair in defined if pair[1] not in named)
+
+
+def test_no_unused_private_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "groundlm").glob("*.py"))}
+    found = unused_private_definitions(sources)
+    assert not found, "private definitions named nowhere else in the package: " + \
+        ", ".join(f"{module}:{name}" for module, name in found)
+
+
+def test_private_scan_flags_unused_and_keeps_used():
+    sources = {"a.py": "def _kept():\n    pass\n\ndef _dead():\n    pass\n"
+                       "class _Row:\n    pass\n",
+               "b.py": "from .a import _Row\n\ndef f():\n    return a._kept()\n"}
+    assert unused_private_definitions(sources) == [("a.py", "_dead")]
 
 
 def test_no_environment_reads():

@@ -10,11 +10,10 @@ from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig, mask_regi
                             mask_tokens)
 from groundlm.tensor import Tensor
 from groundlm.toydata import ToySpec, generate_grounded_corpus
-from groundlm.train import (STRATEGIES, Corpora, Strategy, TrainConfig,
-                            _associate_for_row, _pad_rows, _query_text,
-                            build_batch, evaluate_perplexity, mix_corpora,
-                            pretrain, training_batches, validate_strategy_corpora,
-                            write_metrics_csv)
+from groundlm.train import (STRATEGIES, Corpora, Strategy, TrainConfig, _pad_rows,
+                            _query_text, associate_query, build_batch,
+                            evaluate_perplexity, mix_corpora, pretrain, training_batches,
+                            validate_strategy_corpora, write_metrics_csv)
 from groundlm.vocab import PAD_ID, RESERVED, Vocab
 
 WORDS = ["red", "dog", "cat", "sat", "mat", "hat", "sun", "sky"]
@@ -141,6 +140,13 @@ class TestTrainingBatches:
     def test_step_cap_must_be_positive(self, max_steps):
         with pytest.raises(ValueError, match="max_steps"):
             TrainConfig(max_steps=max_steps)
+
+    @pytest.mark.parametrize("name", ["max_epochs", "kappa"])
+    def test_epochs_and_kappa_must_be_positive(self, name):
+        # max_epochs=0 would save an untrained model; kappa=0 would fail on
+        # the first object batch
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            TrainConfig(**{name: 0})
 
 
 class TestPretrain:
@@ -317,8 +323,7 @@ def reference_build_batch(examples, token_rows, vocab, model, mode, *, raw_rows=
         per_example = []
         for b in range(b_sz):
             query = _query_text(corrupted[b], flags[b], raw_rows[b], vocab)
-            ranked = _associate_for_row(mode, query, corpora, k, kappa, assoc_seed,
-                                        None, None)
+            ranked = associate_query(mode, query, corpora, k, kappa, assoc_seed)
             per_example.append([(rank, store.get(img))
                                 for rank, (img, _s) in enumerate(ranked)])
     regions = np.zeros((b_sz, n_slots, cfg.d_v), dtype=np.float32)
@@ -380,6 +385,27 @@ def two_region_world(tmp_path, rng):
                    synset_index=build_synset_index(synsets, table),
                    table=table, lexicon=NounLexicon(frozenset({"dog", "cat", "sun", "hat"})),
                    caption_corpus=captions)
+
+
+class TestAssociateQuery:
+    """The one call into the retrieval strategies: [masked] markers are
+    dropped before the strategy runs and before the cache key is built."""
+
+    @pytest.mark.parametrize("mode", ["scene", "object", "keyword"])
+    def test_markers_dropped_and_cached(self, tmp_path, rng, mode):
+        corpora = two_region_world(tmp_path, rng)
+
+        def ranked(query, cache=None):
+            return associate_query(mode, query, corpora, 4, 2, 3, cache=cache)
+
+        plain = ranked("red dog sun cat")
+        assert plain and plain == ranked("[masked] red dog [MASKED] sun  cat [masked]")
+        assert ranked("[masked]") == ranked(" [masked] [MASKED] ") == []
+        cache = AssociationCache()
+        first = ranked("red [masked] dog sun cat", cache)
+        again = ranked("red dog [masked] sun cat", cache)
+        assert first == again == plain
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
 
 
 class TestBuildBatchEquivalence:
