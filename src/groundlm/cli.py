@@ -16,7 +16,7 @@ from typing import Dict, get_args, get_type_hints
 
 from .associate import (AssociationCache, build_caption_index, build_synset_index,
                         load_caption_corpus, load_noun_lexicon, load_synsets)
-from .embeddings import load_word_vectors, read_lines
+from .embeddings import decode_lines, load_word_vectors, read_lines
 from .finetune import finetune, load_task_file
 from .index import ImageFeatureStore, load_index, save_index
 from .model import CrossModalModel, ModelConfig, load_checkpoint, save_checkpoint
@@ -170,6 +170,8 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_associate(args) -> int:
+    Strategy(next(n for n, s in STRATEGIES.items() if s.mode == args.strategy), k=args.k)
+    TrainConfig(kappa=args.kappa)
     co = Corpora(vocab=None, table=load_word_vectors(_require(args.vectors, "--vectors file")))
     if args.strategy == "scene":
         co.caption_index = load_index(_require(args.index, "--index file"))
@@ -179,7 +181,7 @@ def cmd_associate(args) -> int:
     else:
         co.caption_corpus = load_caption_corpus(_require(args.captions, "--captions file"))
     if args.queries == "-":
-        lines = [line.rstrip("\n") for line in sys.stdin]
+        lines = decode_lines(sys.stdin.buffer.read(), "<stdin>")
     else:
         lines = read_lines(_require(args.queries, "--queries file"))
 

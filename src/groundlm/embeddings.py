@@ -27,15 +27,19 @@ def tokenize(text: str) -> list:
 
 
 def read_lines(path) -> List[str]:
-    """The lines of a UTF-8 text file, split as text mode splits them. A byte
-    that is not UTF-8 raises a ValueError naming the file and the line."""
+    """The lines of a UTF-8 text file, as ``decode_lines`` gives them."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return decode_lines(fh.read(), path)
+
+
+def decode_lines(data: bytes, source) -> List[str]:
+    """The lines of UTF-8 ``data``, split as text mode splits them. A byte
+    that is not UTF-8 raises a ValueError naming ``source`` and the line."""
     try:
         return [line.rstrip("\n") for line in io.StringIO(data.decode("utf-8"), newline=None)]
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {lineno}: not UTF-8 (byte 0x{data[exc.start]:02x})")
+        raise ValueError(f"{source}: line {lineno}: not UTF-8 (byte 0x{data[exc.start]:02x})")
 
 
 def read_words(path) -> FrozenSet[str]:

@@ -211,11 +211,11 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
 
     def batch_for(run: CrossModalModel, split, picks) -> MaskedBatch:
         rows, raw = split
-        # task sentences pair with no image
+        # task sentences pair with no image, and only the [cls] row is read
         return build_batch([(None, None)] * len(picks), [rows[i] for i in picks], vocab,
                            run, mode, raw_rows=[raw[i] for i in picks], corpora=corpora,
                            k=k, kappa=config.kappa, assoc_seed=assoc_seed, cache=cache,
-                           threads=threads)
+                           threads=threads, heads=())
 
     def train_and_score(run_seed: int) -> float:
         run = copy.deepcopy(model)

@@ -92,6 +92,7 @@ class MaskedBatch:
     rank_ids: Optional[np.ndarray] = None            # (B, R) int64
     placeholder_slots: Optional[np.ndarray] = None   # (B, R) bool
     attention_pad_mask: Optional[np.ndarray] = None  # (B, L+R) bool
+    heads: Tuple[str, ...] = ("lm", "region")   # the outputs the caller reads
 
     @property
     def batch_size(self) -> int:
@@ -213,20 +214,21 @@ class CrossModalModel:
 
     # forward pieces
 
-    def _linear(self, prefix: str, x: Tensor) -> Tensor:
-        return T.linear(x, self.params[f"{prefix}.W"], self.params[f"{prefix}.b"])
-
-    def _attention(self, prefix: str, x: Tensor, bias: Optional[np.ndarray]) -> Tensor:
-        context = T.attention(self._linear(f"{prefix}.attn.qkv", x), bias, self.config.n_heads)
-        return self._linear(f"{prefix}.attn.out", context)
+    def _linear(self, prefix: str, x: Tensor, pad_rows: Optional[int] = None) -> Tensor:
+        return T.linear(x, self.params[f"{prefix}.W"], self.params[f"{prefix}.b"], pad_rows)
 
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
         return T.layernorm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
-    def _encoder_block(self, prefix: str, x: Tensor, bias: Optional[np.ndarray]) -> Tensor:
-        x = x + self._attention(prefix, self._ln(f"{prefix}.ln1", x), bias)
-        hidden = T.gelu(self._linear(f"{prefix}.mlp.fc1", self._ln(f"{prefix}.ln2", x)))
-        return x + self._linear(f"{prefix}.mlp.fc2", hidden)
+    def _encoder_block(self, prefix: str, x: Tensor, bias: Optional[np.ndarray],
+                       rows: Optional[int] = None) -> Tensor:
+        """Pre-LN block; with ``rows``, it computes the first ``rows`` output rows only."""
+        pad = None if rows is None else x.shape[1]
+        context = T.attention(self._linear(f"{prefix}.attn.qkv", self._ln(f"{prefix}.ln1", x)),
+                              bias, self.config.n_heads, rows)
+        x = (x if rows is None else x[:, :rows]) + self._linear(f"{prefix}.attn.out", context, pad)
+        hidden = T.gelu(self._linear(f"{prefix}.mlp.fc1", self._ln(f"{prefix}.ln2", x), pad))
+        return x + self._linear(f"{prefix}.mlp.fc2", hidden, pad)
 
     @staticmethod
     def _attn_bias(valid: np.ndarray, dtype) -> Optional[np.ndarray]:
@@ -257,8 +259,10 @@ class CrossModalModel:
             vis = vis * Tensor(1.0 - ph) + placeholder.reshape(1, 1, c.d) * Tensor(ph)
         return vis
 
-    def forward(self, batch: MaskedBatch) -> Tuple[Tensor, Tensor, Tensor]:
-        """-> (token_logits (B,L,V), region_preds (B,R,d_v), cls_vector (B,d))."""
+    def forward(self, batch: MaskedBatch) -> Tuple[Optional[Tensor], Optional[Tensor], Tensor]:
+        """-> (token_logits (B,L,V), region_preds (B,R,d_v), cls_vector (B,d)); a head
+        not in ``batch.heads`` gives None. Without "region", the last cross block
+        computes the L text rows only; its keys and values cover every row."""
         c = self.config
         ids = np.asarray(batch.token_ids, dtype=np.int64)
         b_sz, length = ids.shape
@@ -284,15 +288,15 @@ class CrossModalModel:
             valid = np.concatenate([text_valid, np.ones((b_sz, r), dtype=bool)], axis=1)
         joint_bias = self._attn_bias(valid, self.dtype)
         for i in range(c.n_layers_cross):
-            joint = self._encoder_block(f"cross.{i}", joint, joint_bias)
+            last = "region" not in batch.heads and i == c.n_layers_cross - 1
+            joint = self._encoder_block(f"cross.{i}", joint, joint_bias, length if last else None)
         joint = self._ln("final_ln", joint)
 
-        text_out = joint[:, :length, :]
-        vis_out = joint[:, length:, :]
-        token_logits = self._linear("lm_head", text_out)
-        region_preds = self._linear("region_head", vis_out)
-        cls_vec = joint[:, 0, :]
-        return token_logits, region_preds, cls_vec
+        token_logits = self._linear("lm_head", joint[:, :length, :]) \
+            if "lm" in batch.heads else None
+        region_preds = self._linear("region_head", joint[:, length:, :]) \
+            if "region" in batch.heads else None
+        return token_logits, region_preds, joint[:, 0, :]
 
     def cls_logits(self, cls_vec: Tensor) -> Tensor:
         if "cls_head.W" not in self.params:

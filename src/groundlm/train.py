@@ -259,13 +259,15 @@ def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[
                 corpora: Optional[Corpora] = None,
                 k: int = 0, kappa: int = 8, assoc_seed: int = 0,
                 cache: Optional[AssociationCache] = None,
-                threads: Optional[int] = None) -> MaskedBatch:
+                threads: Optional[int] = None,
+                heads: Tuple[str, ...] = ("lm", "region")) -> MaskedBatch:
     """Assemble one MaskedBatch for any strategy/eval mode.
 
     ``mode`` picks the visual side: placeholder (no regions), paired (the
     example's own image), or an association strategy applied to the masked
     text. Text masking happens iff ``mask_text_rng`` is given; region
-    masking iff ``mask_region_rng`` is given (paired mode only).
+    masking iff ``mask_region_rng`` is given (paired mode only). ``heads``
+    names the model outputs the caller reads.
     """
     if mode not in VISUAL_MODES:
         raise ValueError(f"unknown visual mode {mode!r}")
@@ -275,7 +277,8 @@ def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[
         corrupted, flags = mask_tokens(ids, cfg.mask_rate, mask_text_rng, cfg.vocab_size)
     else:
         corrupted, flags = ids.copy(), np.zeros(ids.shape, dtype=bool)
-    batch = MaskedBatch(token_ids=corrupted, token_mask_flags=flags, original_tokens=ids)
+    batch = MaskedBatch(token_ids=corrupted, token_mask_flags=flags, original_tokens=ids,
+                        heads=heads)
     if mode == "placeholder":
         return batch
 
@@ -362,7 +365,7 @@ def evaluate_perplexity(model: CrossModalModel, examples, vocab: Vocab, *,
             batch = build_batch(chunk, rows[lo:lo + batch_size], vocab, model, mode,
                                 raw_rows=raw[lo:lo + batch_size], mask_text_rng=rng,
                                 corpora=corpora, k=k, kappa=kappa, assoc_seed=seed,
-                                cache=cache, threads=threads)
+                                cache=cache, threads=threads, heads=("lm",))
             logits, _preds, _cls = model.forward(batch)
             s, c = masked_ce_stats(logits.data, batch.original_tokens, batch.token_mask_flags)
             total += s
@@ -383,7 +386,7 @@ def _eval_region_objective(model: CrossModalModel, examples: List[ExampleTuple],
         for lo in range(0, len(examples), batch_size):
             chunk = examples[lo:lo + batch_size]
             batch = build_batch(chunk, rows[lo:lo + batch_size], vocab, model, "paired",
-                                mask_region_rng=rng, corpora=corpora)
+                                mask_region_rng=rng, corpora=corpora, heads=("region",))
             _logits, preds, _cls = model.forward(batch)
             loss = masked_region_loss(preds, batch.original_regions,
                                       batch.region_mask_flags, model)
@@ -451,6 +454,7 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     mode = strategy.spec.mode
     lm_loss_on = strategy.spec.lm_loss
     region_loss_on = strategy.spec.region_loss
+    heads = ("lm",) * lm_loss_on + ("region",) * region_loss_on
 
     opt = Adam(model.trainable_params(), lr=config.lr)
     metrics: List[MetricsRow] = []
@@ -503,7 +507,7 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
             mask_text_rng=mask_rng if lm_loss_on else None,
             mask_region_rng=mask_rng if region_loss_on else None,
             corpora=corpora, k=strategy.k, kappa=config.kappa,
-            assoc_seed=config.seed, cache=cache, threads=threads)
+            assoc_seed=config.seed, cache=cache, threads=threads, heads=heads)
         logits, preds, _cls = model.forward(batch)
         loss = None
         if lm_loss_on:

@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 
@@ -166,6 +167,33 @@ class TestAssociate:
         rec = json.loads(out.read_text().splitlines()[0])
         assert rec["items"] == []
         assert rec["reason"]
+
+    def test_stdin_queries_decode_as_query_files_do(self, bundle, tmp_path, monkeypatch,
+                                                    capsys):
+        argv = ["associate", "--strategy", "keyword", "--queries", "-",
+                "--captions", str(bundle / "captions.tsv"),
+                "--vectors", str(bundle / "wordvecs.txt"), "--out", str(tmp_path / "o.jsonl")]
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"c000\r\nc001 f000\n")))
+        run_ok(argv)
+        records = [json.loads(line) for line in (tmp_path / "o.jsonl").read_text().splitlines()]
+        assert [r["query"] for r in records] == ["c000", "c001 f000"]
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"c000\nc001 caf\xe9\n")))
+        assert main(argv) == 1
+        assert_one_error_line(capsys, "<stdin>: line 2: not UTF-8 (byte 0xe9)")
+
+    @pytest.mark.parametrize("flag, needle", [("--k", "needs K >= 1, got 0"),
+                                              ("--kappa", "kappa must be >= 1, got 0")])
+    def test_k_and_kappa_checked_up_front(self, bundle, caption_index, tmp_path, capsys,
+                                          flag, needle):
+        queries = tmp_path / "q.txt"
+        queries.write_text("c000 f001\n")
+        out = tmp_path / "o.jsonl"
+        assert main(["associate", "--strategy", "object", "--queries", str(queries),
+                     "--index", str(caption_index), "--nouns", str(bundle / "nouns.txt"),
+                     "--vectors", str(bundle / "wordvecs.txt"), flag, "0",
+                     "--out", str(out)]) == 1
+        assert_one_error_line(capsys, needle)
+        assert not out.exists()
 
     def test_scene_without_index_exits_2(self, bundle, tmp_path, capsys):
         rc = main(["associate", "--strategy", "scene", "--queries", "-",

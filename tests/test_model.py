@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig,
                             load_checkpoint, mask_regions, mask_tokens,
@@ -211,6 +213,93 @@ class TestForward:
         out_joint = model.forward(joint)[0].data[1, :3]
         out_solo = model.forward(solo)[0].data[0]
         np.testing.assert_allclose(out_joint, out_solo, atol=1e-4)
+
+
+HEAD_SETS = [(), ("lm",), ("region",), ("lm", "region")]
+
+
+@pytest.fixture(scope="module")
+def head_models():
+    """d = 64 is the acceptance and benchmark shape; d = 128 is the CLI
+    default, whose 32-wide heads make BLAS round an 8-row score product
+    unlike the same rows of a 24-row one."""
+    return {d: tiny_model(vocab_size=40, d=d, d_v=16, n_heads=4, n_layers_cross=2,
+                          max_len=8, k_max=16, seed=3) for d in (64, 128)}
+
+
+def random_batch(rng, model, b, width, kind):
+    """``b`` rows of 1..``width`` tokens with [pad] after each row's end.
+    kind: placeholder (no regions), paired (one slot) or object (16 slots);
+    with regions, some slots are invalid and empty rows use the placeholder."""
+    cfg = model.config
+    lengths = rng.integers(1, width + 1, size=b)
+    lengths[0] = width
+    ids = token_rows(rng, b, width, cfg.vocab_size)
+    ids[np.arange(width) >= lengths[:, None]] = PAD_ID
+    flags = (ids != PAD_ID) & (rng.random(ids.shape) < 0.4)
+    flags[0, 0] = True
+    batch = MaskedBatch(ids, flags, ids.copy())
+    if kind == "placeholder":
+        return batch
+    r = 1 if kind == "paired" else 16
+    valid = rng.random((b, r)) < 0.7
+    empty = ~valid.any(axis=1) | (rng.random(b) < 0.2)
+    valid[empty] = False
+    placeholder = np.zeros((b, r), dtype=bool)
+    placeholder[empty, 0] = valid[empty, 0] = True
+    batch.regions = rng.normal(size=(b, r, cfg.d_v)).astype(np.float32)
+    batch.original_regions = rng.normal(size=(b, r, cfg.d_v)).astype(np.float32)
+    batch.region_mask_flags = valid & ~placeholder & (rng.random((b, r)) < 0.5)
+    batch.rank_ids = np.where(valid, np.arange(r), 0)
+    batch.placeholder_slots = placeholder
+    batch.attention_pad_mask = np.concatenate([ids != PAD_ID, valid], axis=1)
+    return batch
+
+
+def forward_and_grads(model, batch, heads, outputs_read, u):
+    """Outputs of a forward with ``heads``, and the parameter gradients of a
+    loss over the ``outputs_read`` among them and the [cls] vector."""
+    batch.heads = heads
+    logits, preds, cls_vec = model.forward(batch)
+    loss = (cls_vec * Tensor(u)).sum()
+    if "lm" in outputs_read:
+        loss = loss + masked_lm_loss(logits, batch.original_tokens, batch.token_mask_flags)
+    if "region" in outputs_read:
+        loss = loss + masked_region_loss(preds, batch.original_regions,
+                                         batch.region_mask_flags, model)
+    for p in model.params.values():
+        p.grad = None
+    loss.backward()
+    return (logits, preds, cls_vec), {n: p.grad for n, p in model.params.items()}
+
+
+class TestHeads:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([64, 128]), b=st.integers(1, 6), width=st.integers(1, 8),
+           kind=st.sampled_from(["placeholder", "paired", "object"]),
+           seed=st.integers(0, 2**16))
+    def test_every_head_set_reads_the_full_forward_bits(self, head_models, d, b, width,
+                                                        kind, seed):
+        """Whatever ``batch.heads`` leaves out, the outputs read and the
+        gradients of a loss over them are bitwise those of the full forward."""
+        model = head_models[d]
+        rng = np.random.default_rng(seed)
+        batch = random_batch(rng, model, b, width, kind)
+        u = rng.normal(size=(b, d)).astype(np.float32)
+        for heads in HEAD_SETS:
+            full, full_grads = forward_and_grads(model, batch, ("lm", "region"), heads, u)
+            got, grads = forward_and_grads(model, batch, heads, heads, u)
+            for name, want, out in zip(("lm", "region", "cls"), full, got):
+                if name in heads or name == "cls":
+                    np.testing.assert_array_equal(out.data, want.data, err_msg=f"{heads} {name}")
+                else:
+                    assert out is None, (heads, name)
+            for name, want in full_grads.items():
+                if want is None:
+                    assert grads[name] is None, (heads, name)
+                else:
+                    np.testing.assert_array_equal(grads[name], want,
+                                                  err_msg=f"{heads} {name}")
 
 
 class TestLosses:

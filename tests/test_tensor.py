@@ -237,3 +237,51 @@ class TestErrorsAndModes:
         mul(concat([left, right], axis=1), 2.0).sum().backward()   # hands on column slices
         assert left.grad.flags.c_contiguous and right.grad.flags.c_contiguous
         np.testing.assert_array_equal(left.grad, np.full((4, 2), 2.0))
+
+
+class TestRowRestrictedOps:
+    """``linear`` with ``pad_rows`` and ``attention`` with ``rows`` give the
+    bits of the full op whose upstream gradient is zero beyond the kept rows.
+    float32 at the object workload's shape: 8 text rows of 24, d = 64, where
+    BLAS rounds an 8-row product unlike the same rows of a 24-row one."""
+
+    B, S, L, D = 4, 24, 8, 64
+
+    def upstream(self, rng, width):
+        u = rng.normal(size=(self.B, self.S, width)).astype(np.float32)
+        u[:, self.L:] = 0.0
+        return u
+
+    @pytest.mark.parametrize("n_out", [64, 256])
+    def test_linear_with_pad_rows(self, rng, n_out):
+        x = rng.normal(size=(self.B, self.S, self.D)).astype(np.float32)
+        w = rng.normal(size=(self.D, n_out)).astype(np.float32)
+        b = rng.normal(size=(n_out,)).astype(np.float32)
+        u = self.upstream(rng, n_out)
+        full = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        full_out = linear(*full)
+        mul(full_out, u).sum().backward()
+        cut = [Tensor(a, requires_grad=True) for a in (x[:, :self.L].copy(), w, b)]
+        out = linear(*cut, pad_rows=self.S)
+        mul(out, u[:, :self.L]).sum().backward()
+        np.testing.assert_array_equal(out.data, full_out.data[:, :self.L])
+        np.testing.assert_array_equal(cut[0].grad, full[0].grad[:, :self.L])
+        np.testing.assert_array_equal(cut[1].grad, full[1].grad)
+        np.testing.assert_array_equal(cut[2].grad, full[2].grad)
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+    def test_attention_with_rows(self, rng, padded):
+        qkv = rng.normal(size=(self.B, self.S, 3 * self.D)).astype(np.float32)
+        valid = np.ones((self.B, self.S), dtype=bool)
+        valid[1, 20:] = valid[2, 3:8] = valid[3, 9:] = False
+        bias = key_padding_bias(valid, np.float32) if padded else None
+        u = self.upstream(rng, self.D)
+        full = Tensor(qkv, requires_grad=True)
+        full_out = attention(full, bias, 4)
+        mul(full_out, u).sum().backward()
+        cut = Tensor(qkv, requires_grad=True)
+        out = attention(cut, bias, 4, rows=self.L)
+        mul(out, u[:, :self.L]).sum().backward()
+        assert out.shape == (self.B, self.L, self.D)
+        np.testing.assert_array_equal(out.data, full_out.data[:, :self.L])
+        np.testing.assert_array_equal(cut.grad, full.grad)

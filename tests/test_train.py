@@ -4,7 +4,7 @@ import pytest
 from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
                                 build_caption_index, build_synset_index,
                                 load_caption_corpus)
-from groundlm.embeddings import WordEmbeddingTable
+from groundlm.embeddings import WordEmbeddingTable, load_word_vectors
 from groundlm.index import ImageFeatureStore, write_feature_store
 from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig, mask_regions,
                             mask_tokens)
@@ -225,6 +225,41 @@ class TestPretrain:
         pretrain(Strategy("TransferredBoth", k=1), corpora, model,
                  quick_config(batch_size=32, max_steps=1))
         assert len(sizes) == 1 and sizes[0] <= 45, sizes
+
+    @pytest.mark.parametrize("name, k", [("NoGrounding", 0), ("TransferredT2I", 1),
+                                         ("TransferredBoth", 1), ("AssociativeScene", 16)])
+    def test_training_bits_do_not_depend_on_the_heads_computed(self, tmp_path, name, k):
+        """Pretraining computes only the heads its losses read; at the acceptance
+        shape, its parameters and metrics are bitwise those of the same run with
+        both heads computed on every forward."""
+        paths = generate_grounded_corpus(ToySpec(seed=0), tmp_path)
+        vocab = Vocab.load(paths.vocab)
+        captions = load_caption_corpus(paths.captions)
+        table = load_word_vectors(paths.word_vectors)
+        corpora = Corpora(vocab=vocab, text_only=open(paths.corpus).read().splitlines()[:300],
+                          paired=list(captions.items())[:300],
+                          store=ImageFeatureStore(paths.features), table=table,
+                          caption_index=build_caption_index(captions, table))
+        runs = []
+        for force_both in (False, True):
+            model = CrossModalModel(ModelConfig(
+                vocab_size=len(vocab), d=64, d_v=64, n_layers_text=1, n_layers_cross=1,
+                n_heads=4, max_len=8, k_max=16), seed=7)
+            if force_both:
+                forward = model.forward
+
+                def full(batch, forward=forward):
+                    batch.heads = ("lm", "region")
+                    return forward(batch)
+
+                model.forward = full
+            _model, metrics = pretrain(Strategy(name, k=k), corpora, model, quick_config(
+                batch_size=32, max_steps=5, eval_every=3, val_fraction=0.1))
+            runs.append(({n: p.data for n, p in model.params.items()}, metrics))
+        (params, metrics), (want_params, want_metrics) = runs
+        assert metrics == want_metrics
+        for n, data in params.items():
+            np.testing.assert_array_equal(data, want_params[n], err_msg=n)
 
     def test_strategy_k_capped_by_model(self, tmp_path, rng):
         corpora = small_world(tmp_path, rng)
