@@ -22,7 +22,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -176,9 +176,9 @@ def _noun_ranking(index: ImageKeyIndex, vector: np.ndarray, k: int,
     return ranked
 
 
-def associate_object(text: str, synset_index: ImageKeyIndex, table: WordEmbeddingTable,
+def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTable,
                      lexicon: NounLexicon, k: int, kappa: int, seed: int = 0,
-                     threads: Optional[int] = None) -> Association:
+                     threads: Optional[int] = None) -> Union[Association, List[Association]]:
     """Noun clustering + representatives over synset keys.
 
     Distinct in-vocabulary nouns feed a diagonal GMM with kappa capped at
@@ -187,33 +187,48 @@ def associate_object(text: str, synset_index: ImageKeyIndex, table: WordEmbeddin
     ranking; the concatenation is truncated to k. A single distinct noun
     skips the fit, which could only nominate it for all k images. Texts with
     no usable nouns yield an empty Association.
+
+    ``texts`` is one text, which returns one Association, or a list, which
+    returns one per text. The texts of a list that share a distinct-noun
+    count are fit as one stack; each fit equals the fit of its text alone.
     """
     if kappa > k:
         raise ValueError(f"kappa ({kappa}) must not exceed K ({k})")
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    distinct = list(dict.fromkeys(n for n in extract_nouns(text, lexicon) if n in table.entries))
-    if not distinct:
-        return Association()
-    if len(distinct) == 1:
-        # a one-point, one-component mixture always nominates that point
-        reps, per_component = distinct, k
-    else:
-        vectors = np.stack([table.entries[n] for n in distinct]).astype(np.float64)
-        model = fit_gmm(vectors, min(kappa, len(distinct)), seed=_gmm_seed(seed, text))
-        unit = vectors / np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1e-12)
-        per_component = math.ceil(k / model.kappa)
-        reps = []
-        for comp in np.argsort(-model.weights, kind="stable"):
-            mean = model.means[comp]
-            mean_norm = np.linalg.norm(mean)
-            rep_idx = 0 if mean_norm < 1e-12 else int(np.argmax(unit @ (mean / mean_norm)))
-            reps.append(distinct[rep_idx])
-    # lazy, so a representative after the k-th image computes no ranking
-    ranked = (pair for noun in reps
-              for pair in _noun_ranking(synset_index, table.entries[noun], k,
-                                        threads)[:per_component])
-    return Association([AssociationItem(image_id, sim) for image_id, sim in islice(ranked, k)])
+    single = isinstance(texts, str)
+    batch = [texts] if single else list(texts)
+    nouns = [list(dict.fromkeys(n for n in extract_nouns(text, lexicon) if n in table.entries))
+             for text in batch]
+    # no fit below two nouns: a one-point, one-component mixture always
+    # nominates that point
+    reps: List[Tuple[List[str], int]] = [(distinct, k) for distinct in nouns]
+    groups: Dict[int, List[int]] = {}
+    for i, distinct in enumerate(nouns):
+        if len(distinct) > 1:
+            groups.setdefault(len(distinct), []).append(i)
+    for n, members in groups.items():
+        rows = [[table.entries[w] for w in nouns[i]] for i in members]
+        stack = np.stack(rows).astype(np.float64)
+        models = fit_gmm(stack, min(kappa, n), seed=[_gmm_seed(seed, batch[i]) for i in members])
+        for i, vectors, model in zip(members, stack, models):
+            unit = vectors / np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1e-12)
+            chosen = []
+            for comp in np.argsort(-model.weights, kind="stable"):
+                mean = model.means[comp]
+                mean_norm = np.linalg.norm(mean)
+                rep_idx = 0 if mean_norm < 1e-12 else int(np.argmax(unit @ (mean / mean_norm)))
+                chosen.append(nouns[i][rep_idx])
+            reps[i] = (chosen, math.ceil(k / model.kappa))
+    out = []
+    for chosen, per_component in reps:
+        # lazy, so a representative after the k-th image computes no ranking
+        ranked = (pair for noun in chosen
+                  for pair in _noun_ranking(synset_index, table.entries[noun], k,
+                                            threads)[:per_component])
+        out.append(Association([AssociationItem(image_id, sim)
+                                for image_id, sim in islice(ranked, k)]))
+    return out[0] if single else out
 
 
 def associate_keyword_baseline(text: str, caption_corpus: Mapping[str, str], k: int,

@@ -190,8 +190,8 @@ def cmd_associate(args) -> int:
         for query in lines:
             record = {"query": query, "strategy": args.strategy, "items": []}
             try:
-                ranked = associate_query(args.strategy, query, co, args.k, args.kappa,
-                                         args.seed, threads=args.threads)
+                ranked = associate_query(args.strategy, [query], co, args.k, args.kappa,
+                                         args.seed, threads=args.threads)[0]
                 if not ranked:
                     record["reason"] = "degenerate query: no usable tokens"
                 record["items"] = [{"id": image_id, "rank": rank, "similarity": sim}

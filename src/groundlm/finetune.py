@@ -219,6 +219,10 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
 
     def train_and_score(run_seed: int) -> float:
         run = copy.deepcopy(model)
+        if "forward" in vars(run) and run.forward is model.forward:
+            # a plain-function wrapper on the instance survives the copy still
+            # calling the original model; the copy forwards through itself
+            del run.forward
         run.set_text_encoder_frozen(False)
         run.add_cls_head(n_out, seed=run_seed)
         opt = Adam(run.trainable_params(), lr=config.lr)

@@ -88,10 +88,9 @@ def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]],
     Zero-norm keys are skipped (counted on ``index.skipped``); duplicate ids
     and mismatched dimensions raise.
     """
-    items: List[KeyedImage] = []
+    ids, vecs, refs, kinds = [], [], [], []
     seen = set()
     dim: Optional[int] = None
-    skipped = 0
     for entry_id, raw, payload_ref, source_kind in entries:
         if source_kind not in _SOURCE_KINDS:
             raise ValueError(f"unknown source_kind {source_kind!r} for id {entry_id!r}")
@@ -104,15 +103,22 @@ def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]],
         if entry_id in seen:
             raise ValueError(f"duplicate id {entry_id!r}")
         seen.add(entry_id)
-        norm = float(np.linalg.norm(vec))
-        if norm < 1e-12:
-            skipped += 1
-            continue
-        items.append(KeyedImage(entry_id, vec / np.float32(norm), int(payload_ref), source_kind))
+        ids.append(entry_id)
+        vecs.append(vec)
+        refs.append(int(payload_ref))
+        kinds.append(source_kind)
+    if dim is None:
+        return ImageKeyIndex(0, [], shard_size=shard_size)
+    keys = np.stack(vecs)
+    # one stacked product gives each row's float32 dot(v, v), bit for bit the
+    # square of np.linalg.norm(v)
+    norms = np.sqrt((keys[:, None, :] @ keys[:, :, None])[:, 0, 0])
+    live = np.flatnonzero(~(norms.astype(np.float64) < 1e-12))
+    skipped = len(ids) - len(live)
     if skipped:
         warnings.warn(f"build_index: skipped {skipped} zero-norm keys", stacklevel=2)
-    if dim is None:
-        dim = 0
+    unit = keys[live] / norms[live, None]
+    items = [KeyedImage(ids[i], row, refs[i], kinds[i]) for i, row in zip(live, unit)]
     return ImageKeyIndex(dim, items, shard_size=shard_size, skipped=skipped)
 
 

@@ -118,20 +118,22 @@ def _scatter_add_rows(table, ids, rows):
 
 
 def _gmm_estep(points, means, variances, log_weights):
-    """Log responsibilities and total log-likelihood for a diagonal GMM.
+    """Log responsibilities and log-likelihood for diagonal GMMs.
 
-    points: (n, d), means/variances: (k, d), log_weights: (k,).
-    Returns (resp (n, k) responsibilities, loglik scalar).
+    points: (..., n, d), means/variances: (..., k, d), log_weights: (..., k),
+    with the same leading axes, one mixture each. Returns (resp (..., n, k)
+    responsibilities, loglik (...) per mixture).
     """
-    diff = points[:, None, :] - means[None, :, :]
-    quad = (diff * diff / variances[None, :, :]).sum(axis=2)
-    logdet = np.log(variances).sum(axis=1)
-    d = points.shape[1]
-    logp = log_weights[None, :] - 0.5 * (quad + logdet[None, :] + d * math.log(2.0 * math.pi))
-    top = logp.max(axis=1, keepdims=True)
-    lse = top[:, 0] + np.log(np.exp(logp - top).sum(axis=1))
-    resp = np.exp(logp - lse[:, None])
-    return resp, float(lse.sum())
+    diff = points[..., :, None, :] - means[..., None, :, :]
+    quad = (diff * diff / variances[..., None, :, :]).sum(axis=-1)
+    logdet = np.log(variances).sum(axis=-1)
+    d = points.shape[-1]
+    logp = log_weights[..., None, :] - 0.5 * (quad + logdet[..., None, :]
+                                               + d * math.log(2.0 * math.pi))
+    top = logp.max(axis=-1, keepdims=True)
+    lse = top[..., 0] + np.log(np.exp(logp - top).sum(axis=-1))
+    resp = np.exp(logp - lse[..., None])
+    return resp, lse.sum(axis=-1)
 
 
 active = SimpleNamespace(

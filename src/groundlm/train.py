@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .associate import (AssociationCache, NounLexicon, associate_keyword_baseline,
+from .associate import (AssociationCache, CacheKey, NounLexicon, associate_keyword_baseline,
                         associate_object, associate_scene)
 from .embeddings import WordEmbeddingTable
 from .index import ImageFeatureStore, ImageKeyIndex
@@ -224,31 +224,43 @@ def _query_text(corrupted_row: np.ndarray, flag_row: np.ndarray,
     return " ".join(keep)
 
 
-def associate_query(mode: str, query: str, corpora: Corpora, k: int, kappa: int, seed: int,
-                    cache: Optional[AssociationCache] = None,
-                    threads: Optional[int] = None) -> List[Tuple[str, float]]:
-    """Ranked (image id, similarity) pairs that the scene, object or keyword
-    strategy associates with ``query``; empty when no usable word is left.
+def associate_query(mode: str, queries: Sequence[str], corpora: Corpora, k: int, kappa: int,
+                    seed: int, cache: Optional[AssociationCache] = None,
+                    threads: Optional[int] = None) -> List[List[Tuple[str, float]]]:
+    """For each query, the ranked (image id, similarity) pairs that the
+    scene, object or keyword strategy associates with it; empty when no
+    usable word is left.
 
-    ``[masked]`` markers are dropped first, so the result and the cache key
-    (mode, query, k, kappa, seed) depend only on the surviving words.
+    ``[masked]`` markers are dropped first, so a result and its cache key
+    (mode, query, k, kappa, seed) depend only on the surviving words. The
+    cache counts as one-query calls in list order would: a repeat of a query
+    that missed earlier in the list is a hit. The misses are associated in
+    one call.
     """
-    query = " ".join(t for t in query.split() if t.lower() != RESERVED[MASKED_ID])
-    key = (mode, query, k, kappa, seed)
-    ranked = cache.get(key) if cache is not None else None
-    if ranked is not None:
-        return ranked
+    keys = [(mode, " ".join(t for t in query.split() if t.lower() != RESERVED[MASKED_ID]),
+             k, kappa, seed) for query in queries]
+    found: Dict[CacheKey, Optional[List[Tuple[str, float]]]] = {}
+    for key in keys:
+        if key not in found:
+            found[key] = cache.get(key) if cache is not None else None
+        elif cache is not None:
+            cache.hits += 1
+    missing = [key for key, ranked in found.items() if ranked is None]
+    texts = [key[1] for key in missing]
     if mode == "scene":
-        assoc = associate_scene(query, corpora.caption_index, corpora.table, k, threads=threads)
+        assocs = [associate_scene(text, corpora.caption_index, corpora.table, k, threads=threads)
+                  for text in texts]
     elif mode == "object":
-        assoc = associate_object(query, corpora.synset_index, corpora.table, corpora.lexicon,
-                                 k, min(kappa, k), seed=seed, threads=threads)
+        assocs = associate_object(texts, corpora.synset_index, corpora.table, corpora.lexicon,
+                                  k, min(kappa, k), seed=seed, threads=threads)
     else:
-        assoc = associate_keyword_baseline(query, corpora.caption_corpus, k, table=corpora.table)
-    ranked = [(it.image_id, it.similarity) for it in assoc.items]
-    if cache is not None:
-        cache.put(key, ranked)
-    return ranked
+        assocs = [associate_keyword_baseline(text, corpora.caption_corpus, k, table=corpora.table)
+                  for text in texts]
+    for key, assoc in zip(missing, assocs):
+        found[key] = [(it.image_id, it.similarity) for it in assoc.items]
+        if cache is not None:
+            cache.put(key, found[key])
+    return [found[key] for key in keys]
 
 
 def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[int]],
@@ -295,12 +307,10 @@ def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[
         if raw_rows is None:
             raise ValueError(f"visual mode {mode!r} needs raw_rows to build queries")
         n_images = k
-        per_example = []
-        for b in range(b_sz):
-            query = _query_text(corrupted[b], flags[b], raw_rows[b], vocab)
-            ranked = associate_query(mode, query, corpora, k, kappa, assoc_seed,
-                                     cache, threads)
-            per_example.append([image_id for image_id, _sim in ranked])
+        queries = [_query_text(corrupted[b], flags[b], raw_rows[b], vocab) for b in range(b_sz)]
+        per_example = [[image_id for image_id, _sim in ranked]
+                       for ranked in associate_query(mode, queries, corpora, k, kappa,
+                                                     assoc_seed, cache, threads)]
 
     # image j of row b fills slots j*n .. j*n+n-1 with rank j; a row without
     # images gets one valid placeholder slot

@@ -237,6 +237,40 @@ class TestNounRankings:
         assert len(calls) == len(set(calls)) == len(fresh.rankings)
         assert 1 < len(calls) <= len(self.NOUNS)
 
+    def batch_texts(self, rng):
+        """32 texts: no noun, one noun, a repeated noun, and 2-6 distinct
+        nouns, in shuffled order, one of them twice."""
+        texts = ["zzz qqq", "n3", "n5 n5 n5"]
+        texts += [" ".join(rng.choice(self.NOUNS, size=int(rng.integers(2, 7)), replace=False))
+                  for _ in range(28)]
+        texts.append(texts[7])
+        return [texts[j] for j in rng.permutation(len(texts))]
+
+    def test_list_call_equals_one_call_per_text(self, rng, monkeypatch):
+        table, index = self.make_world(rng)
+        lexicon = NounLexicon(frozenset(self.NOUNS))
+        texts = self.batch_texts(rng)
+        runs = []
+        for batched in (False, True):
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(args[1].tobytes())
+                return top_k(*args, **kwargs)
+            monkeypatch.setattr(associate_mod, "top_k", counted)
+            fresh = build_synset_index(
+                [SynsetEntry(f"s{j}", [w], w, [it.id for it in index.items[5 * j:5 * j + 5]])
+                 for j, w in enumerate(self.NOUNS)], table)
+            if batched:
+                got = associate_object(texts, fresh, table, lexicon, self.K, 8, seed=2)
+            else:
+                got = [associate_object(t, fresh, table, lexicon, self.K, 8, seed=2)
+                       for t in texts]
+            runs.append(([a.items for a in got], calls))
+        # same associations, and the noun rankings computed in the same order
+        assert runs[0] == runs[1]
+        assert runs[0][0][texts.index("zzz qqq")] == []
+
 
 class TestKeywordBaseline:
     CAPS = {"A": "red dog in the park", "B": "a red ball", "C": "blue sky"}

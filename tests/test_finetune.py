@@ -184,6 +184,26 @@ class TestFinetune:
                 assert np.array_equal(back.params[n].data, p.data), n
                 assert back.params[n].requires_grad == p.requires_grad, n
 
+    def test_plain_forward_wrapper_does_not_train_the_original(self, tmp_path, rng):
+        """A plain function installed as ``model.forward`` is the same object
+        in a deep copy, still calling the original model; each run's forwards
+        must go through the run's own copy."""
+        corpora = task_world(tmp_path, rng)
+        config = TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=2, seed=5,
+                             val_fraction=0.25)
+        want = finetune(mk_model(corpora.vocab), pair_task(8), Strategy("NoGrounding"),
+                        config, corpora=corpora, n_runs=2)
+        model = mk_model(corpora.vocab)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        forward = model.forward
+        model.forward = lambda batch: forward(batch)
+        got = finetune(model, pair_task(8), Strategy("NoGrounding"), config,
+                       corpora=corpora, n_runs=2)
+        assert all(p.grad is None for p in model.params.values())
+        for n, arr in before.items():
+            assert np.array_equal(model.params[n].data, arr), n
+        assert got.to_json() == want.to_json()
+
     def test_transferred_never_touches_store(self, tmp_path, rng):
         corpora = task_world(tmp_path, rng)
         model = mk_model(corpora.vocab)

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groundlm.gmm import fit_gmm
+from groundlm.gmm import MAX_ITER, REL_TOL, VARIANCE_FLOOR, GmmModel, _kmeanspp, fit_gmm
 
 
 def blob_data(rng, centers, n_per=50, sigma=0.1):
@@ -81,3 +85,108 @@ def test_weights_sum_to_one(rng):
     model = fit_gmm(pts, 5, seed=2)
     assert abs(model.weights.sum() - 1.0) < 1e-9
     assert np.all(model.variances >= 1e-6 - 1e-12)
+
+
+# -- stacked fits against the one-fit EM ----------------------------------------
+
+
+def reference_estep(points, means, variances, log_weights):
+    diff = points[:, None, :] - means[None, :, :]
+    quad = (diff * diff / variances[None, :, :]).sum(axis=2)
+    logdet = np.log(variances).sum(axis=1)
+    d = points.shape[1]
+    logp = log_weights[None, :] - 0.5 * (quad + logdet[None, :] + d * math.log(2.0 * math.pi))
+    top = logp.max(axis=1, keepdims=True)
+    lse = top[:, 0] + np.log(np.exp(logp - top).sum(axis=1))
+    resp = np.exp(logp - lse[:, None])
+    return resp, float(lse.sum())
+
+
+def reference_fit(points, kappa, seed):
+    """The one-set EM loop ``fit_gmm`` ran before it fit stacks."""
+    pts = np.asarray(points, dtype=np.float64)
+    n, d = pts.shape
+    k = min(kappa, n)
+    rng = np.random.default_rng(seed)
+    means = _kmeanspp(pts, k, rng)
+    global_var = pts.var(axis=0)
+    variances = np.maximum(np.tile(global_var, (k, 1)), VARIANCE_FLOOR)
+    weights = np.full(k, 1.0 / k)
+    history = []
+    prev = -np.inf
+    it = 0
+    for it in range(1, MAX_ITER + 1):
+        resp, loglik = reference_estep(pts, means, variances, np.log(weights))
+        history.append(float(loglik))
+        nk = resp.sum(axis=0)
+        weights = nk / n
+        safe_nk = np.maximum(nk, 1e-12)
+        means = (resp.T @ pts) / safe_nk[:, None]
+        second = (resp.T @ (pts * pts)) / safe_nk[:, None]
+        variances = np.maximum(second - means * means, VARIANCE_FLOOR)
+        if np.isfinite(prev) and abs(loglik - prev) < REL_TOL * max(abs(prev), 1.0):
+            prev = loglik
+            break
+        prev = loglik
+    assert np.isfinite(prev)
+    return GmmModel(kappa=k, means=means, variances=variances, weights=weights,
+                    loglik=float(prev), loglik_history=history, n_iter=it)
+
+
+def assert_bitwise(got, want):
+    assert got.kappa == want.kappa
+    for name in ("means", "variances", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.loglik == want.loglik
+    assert got.loglik_history == want.loglik_history
+    assert got.n_iter == want.n_iter
+
+
+@st.composite
+def point_stacks(draw):
+    """(B, n, d) stacks with kappa 1-8, so kappa exceeds n at times; a
+    coarse grid or a small pool of rows makes points coincide, which sends
+    k-means++ to its fallback."""
+    b, n, d = draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 70))
+    kappa = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.normal(size=(b, n, d)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    shape = draw(st.sampled_from(["plain", "grid", "pool"]))
+    if shape == "grid":
+        pts = np.round(pts)
+    elif shape == "pool":
+        pts = pts[:, rng.integers(draw(st.integers(1, n)), size=n)]
+    seeds = [[int(s) for s in rng.integers(2 ** 32, size=2)] for _ in range(b)]
+    return pts, kappa, seeds
+
+
+@given(point_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stacked_fit_equals_one_fit_per_set(case):
+    pts, kappa, seeds = case
+    fits = fit_gmm(pts, kappa, seed=seeds)
+    assert len(fits) == len(seeds)
+    for p, s, got in zip(pts, seeds, fits):
+        # the stack's layout (a pool makes it non-contiguous) does not matter;
+        # the one-set fit is given the C-order points every caller passes
+        assert_bitwise(got, reference_fit(np.ascontiguousarray(p), kappa, s))
+
+
+def test_stack_members_leave_at_their_own_iteration(rng):
+    pts = rng.normal(size=(8, 6, 5))
+    pts[3] = 0.5                       # all points coincide: k-means++ fallback
+    pts[5, 3:] = pts[5, :3]            # pairs of coincident points
+    seeds = [[4, j] for j in range(8)]
+    fits = fit_gmm(pts, 3, seed=seeds)
+    assert len({f.n_iter for f in fits}) > 2
+    for p, s, got in zip(pts, seeds, fits):
+        assert_bitwise(got, reference_fit(p, 3, s))
+        assert_bitwise(fit_gmm(p, 3, seed=s), got)
+
+
+def test_stack_needs_one_seed_per_set():
+    with pytest.raises(ValueError, match="seeds"):
+        fit_gmm(np.ones((3, 4, 2)), 2, seed=[0, 1])
+    with pytest.raises(ValueError):
+        fit_gmm(np.ones((2, 3, 4, 2)), 2, seed=[0, 1])

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from groundlm import associate as associate_mod
+from groundlm import kernels
 from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
                                 build_caption_index, build_synset_index,
                                 load_caption_corpus)
 from groundlm.embeddings import WordEmbeddingTable, load_word_vectors
+from groundlm.gmm import fit_gmm
 from groundlm.index import ImageFeatureStore, write_feature_store
 from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig, mask_regions,
                             mask_tokens)
@@ -358,7 +361,7 @@ def reference_build_batch(examples, token_rows, vocab, model, mode, *, raw_rows=
         per_example = []
         for b in range(b_sz):
             query = _query_text(corrupted[b], flags[b], raw_rows[b], vocab)
-            ranked = associate_query(mode, query, corpora, k, kappa, assoc_seed)
+            [ranked] = associate_query(mode, [query], corpora, k, kappa, assoc_seed)
             per_example.append([(rank, store.get(img))
                                 for rank, (img, _s) in enumerate(ranked)])
     regions = np.zeros((b_sz, n_slots, cfg.d_v), dtype=np.float32)
@@ -431,7 +434,8 @@ class TestAssociateQuery:
         corpora = two_region_world(tmp_path, rng)
 
         def ranked(query, cache=None):
-            return associate_query(mode, query, corpora, 4, 2, 3, cache=cache)
+            [one] = associate_query(mode, [query], corpora, 4, 2, 3, cache=cache)
+            return one
 
         plain = ranked("red dog sun cat")
         assert plain and plain == ranked("[masked] red dog [MASKED] sun  cat [masked]")
@@ -441,6 +445,63 @@ class TestAssociateQuery:
         again = ranked("red dog [masked] sun cat", cache)
         assert first == again == plain
         assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+
+    # duplicates (one only after its markers drop), marker-only queries, one
+    # noun, a repeated noun, no noun at all, and 2-4 distinct nouns
+    BATCH = ["red dog sat cat", "[masked] [MASKED]", "sat dog mat", "red sat mat",
+             "sun sky dog hat", "red [masked] dog sat cat", "cat cat mat", "hat sun cat",
+             "", "zzz qqq", "red dog sat cat", "dog hat", "[masked]", "sky hat sun dog cat"]
+
+    @pytest.mark.parametrize("mode", ["scene", "object", "keyword"])
+    def test_list_call_equals_one_call_per_query(self, tmp_path, rng, mode):
+        corpora = two_region_world(tmp_path, rng)
+        warm = self.BATCH[4]   # one query is cached before the batch
+        results, counters = [], []
+        for batched in (False, True):
+            cache = AssociationCache()
+            associate_query(mode, [warm], corpora, 4, 2, 3, cache=cache)
+            if batched:
+                got = associate_query(mode, self.BATCH, corpora, 4, 2, 3, cache=cache)
+            else:
+                got = [associate_query(mode, [q], corpora, 4, 2, 3, cache=cache)[0]
+                       for q in self.BATCH]
+            results.append(got)
+            counters.append((cache.hits, cache.misses, len(cache)))
+        assert results[0] == results[1]
+        assert results[1] == associate_query(mode, self.BATCH, corpora, 4, 2, 3)
+        assert counters[0] == counters[1] == (5, 10, 10)
+        assert results[1][1] == results[1][8] == []
+
+    def test_object_batch_fits_one_stack_per_noun_count(self, tmp_path, rng, monkeypatch):
+        """A 32-row object batch costs one E-step per noun-count group and EM
+        iteration, not one per text and iteration."""
+        corpora = two_region_world(tmp_path, rng)
+        model = small_model(corpora.vocab, d_v=4, n_regions=2)
+        texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 6)))) for _ in range(32)]
+        encoded = [corpora.vocab.encode_with_raw(t, model.config.max_len) for t in texts]
+        fits = []
+
+        def recorded(*args, **kwargs):
+            fits.append(fit_gmm(*args, **kwargs))
+            return fits[-1]
+        estep, steps = kernels.active.gmm_estep, []
+
+        def counted(*args):
+            steps.append(args[0].shape)
+            return estep(*args)
+        monkeypatch.setattr(associate_mod, "fit_gmm", recorded)
+        monkeypatch.setattr(kernels.active, "gmm_estep", counted)
+        build_batch([(None, t) for t in texts], [e[0] for e in encoded], corpora.vocab, model,
+                    "object", raw_rows=[e[1] for e in encoded], corpora=corpora, k=4, kappa=2,
+                    assoc_seed=3, cache=AssociationCache())
+        nouns = [{w for w in raw if w in corpora.lexicon} for _ids, raw in encoded]
+        groups = {len(found) for found in nouns} - {0, 1}
+        per_text = [f for stack in fits for f in stack]
+        iterations = max(f.n_iter for f in per_text)
+        assert len(fits) == len(groups) >= 2
+        assert len(steps) <= len(groups) * iterations
+        # one fit per text would make more E-step calls than that
+        assert sum(f.n_iter for f in per_text) > len(groups) * iterations
 
 
 class TestBuildBatchEquivalence:
