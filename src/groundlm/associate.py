@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,8 +31,8 @@ from .gmm import fit_gmm
 from .index import ImageKeyIndex, build_index, top_k
 
 
-@dataclass
-class AssociationItem:
+class AssociationItem(NamedTuple):
+    """One ranked image; it is the (image id, similarity) pair the cache keeps."""
     image_id: str
     similarity: float
 
@@ -153,8 +152,7 @@ def associate_scene(text: str, index: ImageKeyIndex, table: WordEmbeddingTable,
     query = encode_cbow(text, table)
     if query.is_degenerate:
         return Association()
-    return Association([AssociationItem(image_id, sim)
-                        for image_id, sim in top_k(index, query, k, threads=threads)])
+    return Association([AssociationItem(*pair) for pair in top_k(index, query, k, threads=threads)])
 
 
 def _gmm_seed(run_seed: int, text: str) -> list:
@@ -162,8 +160,8 @@ def _gmm_seed(run_seed: int, text: str) -> list:
 
 
 def _noun_ranking(index: ImageKeyIndex, vector: np.ndarray, k: int,
-                  threads: Optional[int]) -> List[Tuple[str, float]]:
-    """``top_k(index, vector, k)``, computed once per index and noun vector.
+                  threads: Optional[int]) -> List[AssociationItem]:
+    """``top_k(index, vector, k)`` as items, computed once per index and noun vector.
 
     The result is kept in ``index.rankings`` under the vector's float32 bytes
     and ``k``. Its first m entries equal ``top_k(index, vector, m)``, because
@@ -172,8 +170,36 @@ def _noun_ranking(index: ImageKeyIndex, vector: np.ndarray, k: int,
     key = (np.asarray(vector, dtype=np.float32).tobytes(), k)
     ranked = index.rankings.get(key)
     if ranked is None:
-        ranked = index.rankings[key] = top_k(index, vector, k, threads=threads)
+        ranked = index.rankings[key] = [AssociationItem(*pair) for pair in
+                                        top_k(index, vector, k, threads=threads)]
     return ranked
+
+
+def _representatives(vectors: np.ndarray, weights: np.ndarray,
+                     means: np.ndarray) -> np.ndarray:
+    """The noun each mixture component nominates, for a stack of fits.
+
+    ``vectors`` is a (B, n, d) stack of noun vectors, and ``weights`` (B, k)
+    and ``means`` (B, k, d) are its B fits. Returns the (B, k) noun indices,
+    heaviest component first (a stable order): the noun whose unit vector is
+    closest in cosine to the component mean, or noun 0 for a mean of norm
+    below 1e-12. Each row is bitwise what the fit alone would choose: the
+    mean norms are a stacked product equal to ``np.linalg.norm``, and the
+    similarities are one (B, n, d) @ (B, d, 1) product per component, which
+    rounds as a fit's ``unit @ direction`` does (one product over every
+    component does not).
+    """
+    unit = vectors / np.maximum(np.linalg.norm(vectors, axis=-1, keepdims=True), 1e-12)
+    order = np.argsort(-weights, axis=1, kind="stable")
+    ordered = np.take_along_axis(means, order[:, :, None], axis=1)
+    norms = np.sqrt((ordered[:, :, None, :] @ ordered[:, :, :, None])[:, :, 0, 0])
+    flat = norms < 1e-12
+    directions = ordered / np.where(flat, 1.0, norms)[:, :, None]
+    picks = np.zeros(order.shape, dtype=np.int64)
+    for c in range(order.shape[1]):
+        sims = (unit @ directions[:, c, :, None])[:, :, 0]
+        picks[:, c] = np.where(flat[:, c], 0, sims.argmax(axis=1))
+    return picks
 
 
 def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTable,
@@ -211,23 +237,20 @@ def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTab
         rows = [[table.entries[w] for w in nouns[i]] for i in members]
         stack = np.stack(rows).astype(np.float64)
         models = fit_gmm(stack, min(kappa, n), seed=[_gmm_seed(seed, batch[i]) for i in members])
-        for i, vectors, model in zip(members, stack, models):
-            unit = vectors / np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1e-12)
-            chosen = []
-            for comp in np.argsort(-model.weights, kind="stable"):
-                mean = model.means[comp]
-                mean_norm = np.linalg.norm(mean)
-                rep_idx = 0 if mean_norm < 1e-12 else int(np.argmax(unit @ (mean / mean_norm)))
-                chosen.append(nouns[i][rep_idx])
-            reps[i] = (chosen, math.ceil(k / model.kappa))
+        picks = _representatives(stack, np.stack([m.weights for m in models]),
+                                 np.stack([m.means for m in models]))
+        per_component = math.ceil(k / models[0].kappa)
+        for i, row in zip(members, picks.tolist()):
+            reps[i] = ([nouns[i][j] for j in row], per_component)
     out = []
     for chosen, per_component in reps:
-        # lazy, so a representative after the k-th image computes no ranking
-        ranked = (pair for noun in chosen
-                  for pair in _noun_ranking(synset_index, table.entries[noun], k,
-                                            threads)[:per_component])
-        out.append(Association([AssociationItem(image_id, sim)
-                                for image_id, sim in islice(ranked, k)]))
+        items: List[AssociationItem] = []
+        for noun in chosen:
+            if len(items) >= k:   # a representative after the k-th image computes no ranking
+                break
+            items += _noun_ranking(synset_index, table.entries[noun], k, threads)[:per_component]
+        del items[k:]
+        out.append(Association(items))
     return out[0] if single else out
 
 

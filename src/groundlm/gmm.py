@@ -37,7 +37,13 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
     while len(chosen) < k:
         total = d2.sum()
-        if total <= 0:
+        if len(chosen) == n - 1 and np.isfinite(total):
+            # one index is left, and a draw could return only it: its p is
+            # exactly 1.0, or it is all of `remaining`; fit_gmm discards rng
+            # after the start. A non-finite total keeps the draw, which raises
+            # on NaN.
+            nxt = next(i for i in range(n) if i not in chosen)
+        elif total <= 0:
             # all remaining points coincide with a center; pick any unchosen
             remaining = [i for i in range(n) if i not in chosen]
             nxt = int(rng.choice(remaining))

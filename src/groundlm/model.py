@@ -262,7 +262,8 @@ class CrossModalModel:
     def forward(self, batch: MaskedBatch) -> Tuple[Optional[Tensor], Optional[Tensor], Tensor]:
         """-> (token_logits (B,L,V), region_preds (B,R,d_v), cls_vector (B,d)); a head
         not in ``batch.heads`` gives None. Without "region", the last cross block
-        computes the L text rows only; its keys and values cover every row."""
+        computes the L text rows only, and without "lm" too, the [cls] row only;
+        its keys and values cover every row."""
         c = self.config
         ids = np.asarray(batch.token_ids, dtype=np.int64)
         b_sz, length = ids.shape
@@ -287,9 +288,10 @@ class CrossModalModel:
         else:
             valid = np.concatenate([text_valid, np.ones((b_sz, r), dtype=bool)], axis=1)
         joint_bias = self._attn_bias(valid, self.dtype)
+        last_rows = None if "region" in batch.heads else length if "lm" in batch.heads else 1
         for i in range(c.n_layers_cross):
-            last = "region" not in batch.heads and i == c.n_layers_cross - 1
-            joint = self._encoder_block(f"cross.{i}", joint, joint_bias, length if last else None)
+            rows = last_rows if i == c.n_layers_cross - 1 else None
+            joint = self._encoder_block(f"cross.{i}", joint, joint_bias, rows)
         joint = self._ln("final_ln", joint)
 
         token_logits = self._linear("lm_head", joint[:, :length, :]) \

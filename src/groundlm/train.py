@@ -31,7 +31,7 @@ from .associate import (AssociationCache, CacheKey, NounLexicon, associate_keywo
                         associate_object, associate_scene)
 from .embeddings import WordEmbeddingTable
 from .index import ImageFeatureStore, ImageKeyIndex
-from .model import (CrossModalModel, MaskedBatch, mask_regions, mask_tokens,
+from .model import (CrossModalModel, MaskedBatch, ModelConfig, mask_regions, mask_tokens,
                     masked_ce_stats, masked_lm_loss, masked_region_loss)
 from .optim import Adam
 from .vocab import CLS_ID, MASKED_ID, PAD_ID, RESERVED, SEP_ID, Vocab
@@ -257,44 +257,55 @@ def associate_query(mode: str, queries: Sequence[str], corpora: Corpora, k: int,
         assocs = [associate_keyword_baseline(text, corpora.caption_corpus, k, table=corpora.table)
                   for text in texts]
     for key, assoc in zip(missing, assocs):
-        found[key] = [(it.image_id, it.similarity) for it in assoc.items]
+        found[key] = assoc.items
         if cache is not None:
             cache.put(key, found[key])
     return [found[key] for key in keys]
 
 
-def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[int]],
-                vocab: Vocab, model: CrossModalModel, mode: str, *,
-                raw_rows: Optional[Sequence[Sequence[str]]] = None,
-                mask_text_rng: Optional[np.random.Generator] = None,
-                mask_region_rng: Optional[np.random.Generator] = None,
-                corpora: Optional[Corpora] = None,
-                k: int = 0, kappa: int = 8, assoc_seed: int = 0,
-                cache: Optional[AssociationCache] = None,
-                threads: Optional[int] = None,
-                heads: Tuple[str, ...] = ("lm", "region")) -> MaskedBatch:
-    """Assemble one MaskedBatch for any strategy/eval mode.
-
-    ``mode`` picks the visual side: placeholder (no regions), paired (the
-    example's own image), or an association strategy applied to the masked
-    text. Text masking happens iff ``mask_text_rng`` is given; region
-    masking iff ``mask_region_rng`` is given (paired mode only). ``heads``
-    names the model outputs the caller reads.
-    """
-    if mode not in VISUAL_MODES:
-        raise ValueError(f"unknown visual mode {mode!r}")
-    cfg = model.config
+def _masked_text(token_rows: Sequence[Sequence[int]], cfg: ModelConfig,
+                 rng: Optional[np.random.Generator], heads: Tuple[str, ...]) -> MaskedBatch:
+    """A batch of the rows padded to the longest one; text masked iff ``rng`` is given."""
     ids = _pad_rows(token_rows)
-    if mask_text_rng is not None:
-        corrupted, flags = mask_tokens(ids, cfg.mask_rate, mask_text_rng, cfg.vocab_size)
+    if rng is not None:
+        corrupted, flags = mask_tokens(ids, cfg.mask_rate, rng, cfg.vocab_size)
     else:
         corrupted, flags = ids.copy(), np.zeros(ids.shape, dtype=bool)
-    batch = MaskedBatch(token_ids=corrupted, token_mask_flags=flags, original_tokens=ids,
-                        heads=heads)
+    return MaskedBatch(token_ids=corrupted, token_mask_flags=flags, original_tokens=ids,
+                       heads=heads)
+
+
+def _associate_rows(mode: str, batches: Sequence[MaskedBatch],
+                    raw_rows: Optional[Sequence[Sequence[str]]], vocab: Vocab,
+                    corpora: Optional[Corpora], k: int, kappa: int, seed: int,
+                    cache: Optional[AssociationCache],
+                    threads: Optional[int]) -> List[Optional[List[Tuple[str, float]]]]:
+    """One ranking per row of ``batches`` (``raw_rows`` runs over all of
+    them), from one ``associate_query`` call with every row's masked text;
+    None per row in the placeholder and paired modes, which retrieve nothing."""
+    if mode not in VISUAL_MODES:
+        raise ValueError(f"unknown visual mode {mode!r}")
+    if mode in ("placeholder", "paired"):
+        return [None] * sum(batch.batch_size for batch in batches)
+    if raw_rows is None:
+        raise ValueError(f"visual mode {mode!r} needs raw_rows to build queries")
+    rows = ((batch.token_ids[b], batch.token_mask_flags[b])
+            for batch in batches for b in range(batch.batch_size))
+    queries = [_query_text(corrupted, flags, raw, vocab)
+               for (corrupted, flags), raw in zip(rows, raw_rows)]
+    return associate_query(mode, queries, corpora, k, kappa, seed, cache, threads)
+
+
+def _fill_visual_slots(batch: MaskedBatch, mode: str, examples: Sequence[ExampleTuple],
+                       rankings: Sequence, corpora: Optional[Corpora], cfg: ModelConfig,
+                       k: int, mask_region_rng: Optional[np.random.Generator] = None
+                       ) -> MaskedBatch:
+    """Give ``batch`` its visual slots: none in placeholder mode, else each
+    row's paired image or ranked images gathered from the store, masked iff
+    ``mask_region_rng`` is given."""
     if mode == "placeholder":
         return batch
-
-    b_sz = ids.shape[0]
+    b_sz = batch.batch_size
     store = corpora.store if corpora is not None else None
     if store is not None and store.feat_dim != cfg.d_v:
         raise ValueError(f"{store.path}: feature store holds {store.feat_dim}-dim regions, "
@@ -304,13 +315,8 @@ def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[
         n_images = 1
         per_example = [[] if image_id is None else [image_id] for image_id, _text in examples]
     else:
-        if raw_rows is None:
-            raise ValueError(f"visual mode {mode!r} needs raw_rows to build queries")
         n_images = k
-        queries = [_query_text(corrupted[b], flags[b], raw_rows[b], vocab) for b in range(b_sz)]
-        per_example = [[image_id for image_id, _sim in ranked]
-                       for ranked in associate_query(mode, queries, corpora, k, kappa,
-                                                     assoc_seed, cache, threads)]
+        per_example = [[image_id for image_id, _sim in ranked] for ranked in rankings]
 
     # image j of row b fills slots j*n .. j*n+n-1 with rank j; a row without
     # images gets one valid placeholder slot
@@ -333,14 +339,39 @@ def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[
     else:
         masked, region_flags = regions.copy(), np.zeros(slot_valid.shape, dtype=bool)
 
-    text_valid = ids != PAD_ID
     batch.regions = masked
     batch.original_regions = regions
     batch.region_mask_flags = region_flags
     batch.rank_ids = rank_ids
     batch.placeholder_slots = placeholder_slots
-    batch.attention_pad_mask = np.concatenate([text_valid, slot_valid], axis=1)
+    batch.attention_pad_mask = np.concatenate([batch.original_tokens != PAD_ID, slot_valid],
+                                              axis=1)
     return batch
+
+
+def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[int]],
+                vocab: Vocab, model: CrossModalModel, mode: str, *,
+                raw_rows: Optional[Sequence[Sequence[str]]] = None,
+                mask_text_rng: Optional[np.random.Generator] = None,
+                mask_region_rng: Optional[np.random.Generator] = None,
+                corpora: Optional[Corpora] = None,
+                k: int = 0, kappa: int = 8, assoc_seed: int = 0,
+                cache: Optional[AssociationCache] = None,
+                threads: Optional[int] = None,
+                heads: Tuple[str, ...] = ("lm", "region")) -> MaskedBatch:
+    """Assemble one MaskedBatch for any strategy/eval mode.
+
+    ``mode`` picks the visual side: placeholder (no regions), paired (the
+    example's own image), or an association strategy applied to the masked
+    text. Text masking happens iff ``mask_text_rng`` is given; region
+    masking iff ``mask_region_rng`` is given (paired mode only). ``heads``
+    names the model outputs the caller reads.
+    """
+    cfg = model.config
+    batch = _masked_text(token_rows, cfg, mask_text_rng, heads)
+    rankings = _associate_rows(mode, [batch], raw_rows, vocab, corpora, k, kappa, assoc_seed,
+                               cache, threads)
+    return _fill_visual_slots(batch, mode, examples, rankings, corpora, cfg, k, mask_region_rng)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -360,22 +391,25 @@ def evaluate_perplexity(model: CrossModalModel, examples, vocab: Vocab, *,
     """Masked-LM perplexity over a fixed, seed-determined masking of ``examples``.
 
     exp(sum of masked-token cross-entropies / masked-token count), accumulated
-    in float64 over the whole stream.
+    in float64 over the whole stream. The stream is masked batch by batch, in
+    order, and its rows are associated in one call before any batch runs.
     """
     examples = [(None, ex) if isinstance(ex, str) else ex for ex in examples]
     if not examples:
         raise ValueError("evaluate_perplexity: empty evaluation stream")
-    rows, raw = _encode(examples, vocab, model.config.max_len)
+    cfg = model.config
+    rows, raw = _encode(examples, vocab, cfg.max_len)
     rng = np.random.default_rng([seed, 7])
+    starts = range(0, len(examples), batch_size)
+    batches = [_masked_text(rows[lo:lo + batch_size], cfg, rng, ("lm",)) for lo in starts]
+    rankings = _associate_rows(mode, batches, raw, vocab, corpora, k, kappa, seed, cache,
+                               threads)
     total = 0.0
     count = 0
     with T.no_grad():
-        for lo in range(0, len(examples), batch_size):
-            chunk = examples[lo:lo + batch_size]
-            batch = build_batch(chunk, rows[lo:lo + batch_size], vocab, model, mode,
-                                raw_rows=raw[lo:lo + batch_size], mask_text_rng=rng,
-                                corpora=corpora, k=k, kappa=kappa, assoc_seed=seed,
-                                cache=cache, threads=threads, heads=("lm",))
+        for lo, batch in zip(starts, batches):
+            hi = lo + batch_size
+            _fill_visual_slots(batch, mode, examples[lo:hi], rankings[lo:hi], corpora, cfg, k)
             logits, _preds, _cls = model.forward(batch)
             s, c = masked_ce_stats(logits.data, batch.original_tokens, batch.token_mask_flags)
             total += s

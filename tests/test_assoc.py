@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
                                 associate_keyword_baseline, associate_object,
@@ -270,6 +272,76 @@ class TestNounRankings:
         # same associations, and the noun rankings computed in the same order
         assert runs[0] == runs[1]
         assert runs[0][0][texts.index("zzz qqq")] == []
+
+
+def reference_representatives(vectors, weights, means):
+    """The per-fit loop ``associate_object`` ran before it chose for a whole
+    noun-count group: (noun index per component, heaviest first; unit vectors)."""
+    unit = vectors / np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1e-12)
+    chosen = []
+    for comp in np.argsort(-weights, kind="stable"):
+        mean = means[comp]
+        mean_norm = np.linalg.norm(mean)
+        chosen.append(0 if mean_norm < 1e-12 else int(np.argmax(unit @ (mean / mean_norm))))
+    return chosen, unit
+
+
+@st.composite
+def fitted_groups(draw):
+    """A (B, n, d) stack of noun vectors with B fits' weights and means.
+
+    Means come from ``fit_gmm`` itself, from scaled noun vectors (exact
+    cosine ties), or are random; some may be zero or below the 1e-12 norm
+    cut. Noun vectors may repeat (argmax ties), and weights may tie."""
+    b, n, d = draw(st.integers(1, 8)), draw(st.integers(2, 6)), draw(st.integers(1, 70))
+    k = min(draw(st.integers(1, 8)), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vectors = rng.normal(size=(b, n, d)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    if draw(st.booleans()):
+        vectors = vectors[:, rng.integers(draw(st.integers(1, n)), size=n)]
+    vectors = np.ascontiguousarray(vectors)
+    source = draw(st.sampled_from(["fit", "nouns", "random"]))
+    if source == "fit":
+        fits = fit_gmm(vectors, k, seed=[[7, j] for j in range(b)])
+        weights = np.stack([f.weights for f in fits])
+        means = np.stack([f.means for f in fits])
+    else:
+        weights = rng.integers(1, 4, size=(b, k)) / 4.0
+        means = rng.normal(size=(b, k, d))
+        if source == "nouns":
+            means = vectors[:, rng.integers(n, size=k)] * rng.uniform(0.5, 2.0, size=(b, k, 1))
+    flat = rng.random((b, k)) < draw(st.sampled_from([0.0, 0.3]))
+    means[flat] *= draw(st.sampled_from([0.0, 1e-14]))
+    return vectors, weights, means
+
+
+@given(fitted_groups())
+@settings(max_examples=200, deadline=None)
+def test_group_representatives_equal_the_per_fit_choice(case):
+    vectors, weights, means = case
+    picks = associate_mod._representatives(vectors, weights, means)
+    assert picks.shape == weights.shape
+    # the identities the group choice rests on: unit vectors from one norm
+    # over the stack, and mean norms from one stacked product
+    units = vectors / np.maximum(np.linalg.norm(vectors, axis=-1, keepdims=True), 1e-12)
+    norms = np.sqrt((means[:, :, None, :] @ means[:, :, :, None])[:, :, 0, 0])
+    for b in range(len(vectors)):
+        chosen, unit = reference_representatives(vectors[b], weights[b], means[b])
+        assert picks[b].tolist() == chosen
+        assert units[b].tobytes() == unit.tobytes()
+        assert norms[b].tolist() == [np.linalg.norm(mean) for mean in means[b]]
+
+
+def test_group_representatives_cover_flat_means_and_ties():
+    vectors = np.array([[[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]]])
+    weights = np.array([[0.25, 0.5, 0.25]])
+    means = np.array([[[0.0, 0.0], [3.0, 0.0], [1e-13, 0.0]]])
+    # heaviest first; a zero or sub-cut mean nominates noun 0; a tie between
+    # the two equal nouns goes to the first
+    assert associate_mod._representatives(vectors, weights, means).tolist() == [[0, 0, 0]]
+    means[0, 1] = [0.0, 1.0]
+    assert associate_mod._representatives(vectors, weights, means).tolist() == [[2, 0, 0]]
+    assert reference_representatives(vectors[0], weights[0], means[0])[0] == [2, 0, 0]
 
 
 class TestKeywordBaseline:

@@ -102,13 +102,74 @@ def reference_estep(points, means, variances, log_weights):
     return resp, float(lse.sum())
 
 
+def reference_kmeanspp(points, k, rng):
+    """The k-means++ start as it was before the forced last pick went
+    without a draw: every pick after the first is a draw."""
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    while len(chosen) < k:
+        total = d2.sum()
+        if total <= 0:
+            remaining = [i for i in range(n) if i not in chosen]
+            nxt = int(rng.choice(remaining))
+        else:
+            nxt = int(rng.choice(n, p=d2 / total))
+            if nxt in chosen:
+                remaining = [i for i in range(n) if i not in chosen]
+                nxt = int(rng.choice(remaining))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
+@st.composite
+def start_cases(draw):
+    """n of 1-6 points and k <= n; a grid, a pool of rows or all points
+    equal make points coincide, so every branch of the start is reached."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    shape = draw(st.sampled_from(["plain", "grid", "pool", "equal"]))
+    if shape == "grid":
+        pts = np.round(pts)
+    elif shape == "pool":
+        pts = pts[rng.integers(draw(st.integers(1, n)), size=n)]
+    elif shape == "equal":
+        pts = np.repeat(pts[:1], n, axis=0)
+    return pts, k
+
+
+@given(start_cases(), st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_start_picks_what_the_drawn_start_picked(case, seeds):
+    pts, k = case
+    for s in seeds:
+        got = _kmeanspp(pts, k, np.random.default_rng([s, 1]))
+        want = reference_kmeanspp(pts, k, np.random.default_rng([s, 1]))
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_start_on_nan_points_still_raises(n):
+    pts = np.arange(2.0 * n).reshape(n, 2)
+    pts[-1, 0] = np.nan
+    for start in (_kmeanspp, reference_kmeanspp):
+        with pytest.raises(ValueError, match="NaN"):
+            start(pts, n, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="NaN"):
+        fit_gmm(pts, n, seed=0)
+
+
 def reference_fit(points, kappa, seed):
     """The one-set EM loop ``fit_gmm`` ran before it fit stacks."""
     pts = np.asarray(points, dtype=np.float64)
     n, d = pts.shape
     k = min(kappa, n)
     rng = np.random.default_rng(seed)
-    means = _kmeanspp(pts, k, rng)
+    means = reference_kmeanspp(pts, k, rng)
     global_var = pts.var(axis=0)
     variances = np.maximum(np.tile(global_var, (k, 1)), VARIANCE_FLOOR)
     weights = np.full(k, 1.0 / k)

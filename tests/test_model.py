@@ -281,25 +281,43 @@ class TestHeads:
     def test_every_head_set_reads_the_full_forward_bits(self, head_models, d, b, width,
                                                         kind, seed):
         """Whatever ``batch.heads`` leaves out, the outputs read and the
-        gradients of a loss over them are bitwise those of the full forward."""
+        gradients of a loss over them are bitwise those of the full forward,
+        and the last cross block computes only the rows read: the [cls] row
+        when no head is, as in the probe."""
         model = head_models[d]
         rng = np.random.default_rng(seed)
         batch = random_batch(rng, model, b, width, kind)
         u = rng.normal(size=(b, d)).astype(np.float32)
-        for heads in HEAD_SETS:
-            full, full_grads = forward_and_grads(model, batch, ("lm", "region"), heads, u)
-            got, grads = forward_and_grads(model, batch, heads, heads, u)
-            for name, want, out in zip(("lm", "region", "cls"), full, got):
-                if name in heads or name == "cls":
-                    np.testing.assert_array_equal(out.data, want.data, err_msg=f"{heads} {name}")
-                else:
-                    assert out is None, (heads, name)
-            for name, want in full_grads.items():
-                if want is None:
-                    assert grads[name] is None, (heads, name)
-                else:
-                    np.testing.assert_array_equal(grads[name], want,
-                                                  err_msg=f"{heads} {name}")
+        length = batch.token_ids.shape[1]
+        slots = 1 if batch.regions is None else batch.regions.shape[1]
+        block_rows = []
+        block = model._encoder_block
+
+        def recorded(prefix, x, bias, rows=None):
+            out = block(prefix, x, bias, rows)
+            block_rows.append(out.shape[1])
+            return out
+        model._encoder_block = recorded
+        try:
+            for heads in HEAD_SETS:
+                full, full_grads = forward_and_grads(model, batch, ("lm", "region"), heads, u)
+                got, grads = forward_and_grads(model, batch, heads, heads, u)
+                want_rows = {(): 1, ("lm",): length}.get(heads, length + slots)
+                assert block_rows[-1] == want_rows, heads
+                for name, want, out in zip(("lm", "region", "cls"), full, got):
+                    if name in heads or name == "cls":
+                        np.testing.assert_array_equal(out.data, want.data,
+                                                      err_msg=f"{heads} {name}")
+                    else:
+                        assert out is None, (heads, name)
+                for name, want in full_grads.items():
+                    if want is None:
+                        assert grads[name] is None, (heads, name)
+                    else:
+                        np.testing.assert_array_equal(grads[name], want,
+                                                      err_msg=f"{heads} {name}")
+        finally:
+            del model._encoder_block
 
 
 class TestLosses:

@@ -3,6 +3,7 @@ import pytest
 
 from groundlm import associate as associate_mod
 from groundlm import kernels
+from groundlm import train as train_mod
 from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
                                 build_caption_index, build_synset_index,
                                 load_caption_corpus)
@@ -10,8 +11,8 @@ from groundlm.embeddings import WordEmbeddingTable, load_word_vectors
 from groundlm.gmm import fit_gmm
 from groundlm.index import ImageFeatureStore, write_feature_store
 from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig, mask_regions,
-                            mask_tokens)
-from groundlm.tensor import Tensor
+                            mask_tokens, masked_ce_stats)
+from groundlm.tensor import Tensor, no_grad
 from groundlm.toydata import ToySpec, generate_grounded_corpus
 from groundlm.train import (STRATEGIES, Corpora, Strategy, TrainConfig, _pad_rows,
                             _query_text, associate_query, build_batch,
@@ -337,7 +338,7 @@ class TestEvaluate:
 
 def reference_build_batch(examples, token_rows, vocab, model, mode, *, raw_rows=None,
                           mask_text_rng=None, mask_region_rng=None, corpora=None,
-                          k=0, kappa=8, assoc_seed=0):
+                          k=0, kappa=8, assoc_seed=0, cache=None):
     """The per-slot loop build_batch used before it gathered a batch's regions
     with one index: one ``store.get`` and one slice write per image."""
     cfg = model.config
@@ -361,7 +362,7 @@ def reference_build_batch(examples, token_rows, vocab, model, mode, *, raw_rows=
         per_example = []
         for b in range(b_sz):
             query = _query_text(corrupted[b], flags[b], raw_rows[b], vocab)
-            [ranked] = associate_query(mode, [query], corpora, k, kappa, assoc_seed)
+            [ranked] = associate_query(mode, [query], corpora, k, kappa, assoc_seed, cache)
             per_example.append([(rank, store.get(img))
                                 for rank, (img, _s) in enumerate(ranked)])
     regions = np.zeros((b_sz, n_slots, cfg.d_v), dtype=np.float32)
@@ -423,6 +424,75 @@ def two_region_world(tmp_path, rng):
                    synset_index=build_synset_index(synsets, table),
                    table=table, lexicon=NounLexicon(frozenset({"dog", "cat", "sun", "hat"})),
                    caption_corpus=captions)
+
+
+def reference_perplexity(model, examples, vocab, *, seed, mode, corpora, k, kappa,
+                         batch_size, cache):
+    """The per-batch loop ``evaluate_perplexity`` ran before it associated
+    the whole stream in one call: each batch masked, associated and
+    forwarded in turn."""
+    encoded = [vocab.encode_with_raw(text, model.config.max_len) for _img, text in examples]
+    rng = np.random.default_rng([seed, 7])
+    total, count = 0.0, 0
+    with no_grad():
+        for lo in range(0, len(examples), batch_size):
+            chunk = encoded[lo:lo + batch_size]
+            batch = reference_build_batch(
+                examples[lo:lo + batch_size], [ids for ids, _raw in chunk], vocab, model, mode,
+                raw_rows=[raw for _ids, raw in chunk], mask_text_rng=rng, corpora=corpora,
+                k=k, kappa=kappa, assoc_seed=seed, cache=cache)
+            batch.heads = ("lm",)
+            s, c = masked_ce_stats(model.forward(batch)[0].data, batch.original_tokens,
+                                   batch.token_mask_flags)
+            total += s
+            count += c
+    return float(np.exp(total / count))
+
+
+class TestStreamPerplexity:
+    """A held-out pass associates its whole stream in one call, and gives
+    the bits and cache counts of the per-batch loop."""
+
+    def stream(self, corpora, rng, n):
+        texts = [" ".join(rng.choice(WORDS + ["zzz"], size=int(rng.integers(1, 7))))
+                 for _ in range(n)]
+        images = [img for img, _caption in corpora.paired]
+        return [(images[j % len(images)] if j % 3 else None, text)
+                for j, text in enumerate(texts)]
+
+    @pytest.mark.parametrize("mode", ["placeholder", "paired", "scene", "object", "keyword"])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 200])
+    def test_one_call_equals_the_per_batch_loop(self, tmp_path, rng, mode, n):
+        corpora = two_region_world(tmp_path, rng)
+        model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
+        examples = self.stream(corpora, rng, n)
+        got, want = [], []
+        for run, out in ((evaluate_perplexity, got), (reference_perplexity, want)):
+            cache = AssociationCache()
+            out.append(run(model, examples, corpora.vocab, seed=5, mode=mode, corpora=corpora,
+                           k=4, kappa=3, batch_size=32, cache=cache))
+            out.append((cache.hits, cache.misses))
+        assert repr(got[0]) == repr(want[0])
+        assert got[1] == want[1]
+
+    def test_object_pass_makes_one_association_call(self, tmp_path, rng, monkeypatch):
+        corpora = two_region_world(tmp_path, rng)
+        model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
+        examples = self.stream(corpora, rng, 200)
+        calls = []
+
+        def counted(texts, *args, **kwargs):
+            calls.append(len(texts))
+            return associate_mod.associate_object(texts, *args, **kwargs)
+        monkeypatch.setattr(train_mod, "associate_object", counted)
+        counts = []
+        for run in (evaluate_perplexity, reference_perplexity):
+            calls.clear()
+            run(model, examples, corpora.vocab, seed=5, mode="object", corpora=corpora,
+                k=4, kappa=3, batch_size=32, cache=AssociationCache())
+            counts.append(len(calls))
+        assert counts[0] == 1
+        assert counts[1] > 1   # the per-batch loop calls once per batch at least
 
 
 class TestAssociateQuery:

@@ -14,13 +14,21 @@ sees about the same host, so the per-pair ratios cancel the drift that
 separate benchmark runs cannot. Running a checkout against itself (A/A)
 shows the noise floor.
 
+The whole comparison runs twice: once with A imported, built and started
+first, once with B first. In A/A runs the eval-pass B/A of one order has
+read from 0.88 to 1.04, so each order's B/A is printed, and their geometric
+mean cancels the part of that bias which follows position. The rest still
+reached 0.91 in one object A/A run, so an eval-pass ratio that close to 1
+is noise.
+
 A step is timed as perfbench times it: from one training forward to the
 next, so forward, loss, backward and Adam of one step plus the batch build
 of the next; steps with an in-loop validation pass inside are dropped.
 
-Prints the median step and eval-pass times of each side, the B/A ratios,
-and whether the final parameters and the held-out perplexity are bitwise
-equal. BLAS runs on one thread, as in perfbench.
+Prints, for each order, the median step and eval-pass times of each side
+and the B/A ratios; then the geometric mean of the two orders' B/A of
+medians, and whether the final parameters and the held-out perplexity are
+bitwise equal. BLAS runs on one thread, as in perfbench.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GLM_
 import argparse  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import math  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -87,6 +96,8 @@ class Side:
             seed=S.TRAIN_SEED, mix_ratio=S.MIX_RATIO, eval_every=workload.eval_every,
             patience=10_000, kappa=S.KAPPA)
         self.step_s = []      # None marks a step with a validation pass inside
+        self.evals = []       # seconds of each held-out pass
+        self.ppls = set()     # repr of each held-out pass's perplexity
 
     def pretrain(self):
         self.glm.train.pretrain(self.strategy, self.world.corpora, self.model,
@@ -151,6 +162,31 @@ def quartiles(xs):
     return q[0], statistics.median(xs), q[2]
 
 
+def run_order(checkouts, first: int, workload, seed: int, steps: int, passes: int,
+              tmp: str) -> list:
+    """Import, build and run both sides, side ``first`` first at every turn;
+    returns the sides as [A, B]."""
+    order = (first, 1 - first)
+    sides = [None, None]
+    try:
+        for i in order:
+            alias = f"glm_{'ab'[i]}{first}"
+            sides[i] = Side(load_checkout(checkouts[i], alias), workload, seed, steps,
+                            os.path.join(tmp, alias))
+        lockstep_pretrain([sides[i] for i in order])
+        for k in range(2 * passes):
+            j = k % 2 if k // 2 % 2 == 0 else 1 - k % 2   # first, second, second, first ...
+            side = sides[order[j]]
+            secs, ppl = side.eval_pass(workload)
+            side.evals.append(secs)
+            side.ppls.add(repr(ppl))
+    finally:
+        for side in sides:
+            if side is not None:
+                S.close(side.world)
+    return sides
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--a", required=True, help="checkout A (the base)")
@@ -165,41 +201,38 @@ def main(argv=None) -> int:
     passes = args.eval_passes if args.eval_passes is not None else workload.eval_passes
 
     with tempfile.TemporaryDirectory() as tmp:
-        sides = [Side(load_checkout(path, alias), workload, args.seed, steps,
-                      os.path.join(tmp, alias))
-                 for path, alias in ((args.a, "glm_a"), (args.b, "glm_b"))]
-        try:
-            lockstep_pretrain(sides)
-            evals = [[], []]
-            ppls = [set(), set()]
-            for k in range(2 * passes):
-                i = k % 2 if k // 2 % 2 == 0 else 1 - k % 2   # A B B A A B ...
-                secs, ppl = sides[i].eval_pass(workload)
-                evals[i].append(secs)
-                ppls[i].add(repr(ppl))
-        finally:
-            for side in sides:
-                S.close(side.world)
+        runs = [run_order((args.a, args.b), first, workload, args.seed, steps, passes, tmp)
+                for first in (0, 1)]
 
-    a, b = sides
-    pairs = [(x, y) for x, y in zip(a.step_s, b.step_s) if x is not None and y is not None]
-    names = list(a.model.params)
-    same_params = names == list(b.model.params) and all(
-        a.model.params[n].data.tobytes() == b.model.params[n].data.tobytes() for n in names)
     print(f"workload {workload.name} ({workload.strategy}), bundle seed {args.seed}, "
-          f"{steps} steps, {len(pairs)} timed step pairs, {passes} eval passes per side")
+          f"{steps} steps, {passes} eval passes per side and order")
     print(f"A {os.path.abspath(args.a)}\nB {os.path.abspath(args.b)}")
-    for label, xs, ys in (("step", [x for x, _ in pairs], [y for _, y in pairs]),
-                          ("eval pass", evals[0], evals[1])):
-        if len(xs) < 2:
-            continue
-        qa, qb = quartiles(xs), quartiles(ys)
-        ratios = sorted(y / x for x, y in zip(xs, ys))
-        print(f"{label:9s} ms  A p25/p50/p75 {qa[0]*1e3:.2f}/{qa[1]*1e3:.2f}/{qa[2]*1e3:.2f}"
-              f"  B {qb[0]*1e3:.2f}/{qb[1]*1e3:.2f}/{qb[2]*1e3:.2f}"
-              f"  B/A of medians {qb[1] / qa[1]:.3f}"
-              f"  median pair ratio {statistics.median(ratios):.3f}"
-              f"  B faster in {sum(r < 1 for r in ratios)}/{len(ratios)} pairs")
+    ratios = {"step": [], "eval pass": []}
+    for first, (a, b) in enumerate(runs):
+        pairs = [(x, y) for x, y in zip(a.step_s, b.step_s) if x is not None and y is not None]
+        print(f"{'AB'[first]} first: {len(pairs)} timed step pairs")
+        for label, xs, ys in (("step", [x for x, _ in pairs], [y for _, y in pairs]),
+                              ("eval pass", a.evals, b.evals)):
+            if len(xs) < 2:
+                continue
+            qa, qb = quartiles(xs), quartiles(ys)
+            pair_ratios = sorted(y / x for x, y in zip(xs, ys))
+            ratios[label].append(qb[1] / qa[1])
+            print(f"  {label:9s} ms  A p25/p50/p75 {qa[0]*1e3:.2f}/{qa[1]*1e3:.2f}/"
+                  f"{qa[2]*1e3:.2f}  B {qb[0]*1e3:.2f}/{qb[1]*1e3:.2f}/{qb[2]*1e3:.2f}"
+                  f"  B/A of medians {qb[1] / qa[1]:.3f}"
+                  f"  median pair ratio {statistics.median(pair_ratios):.3f}"
+                  f"  B faster in {sum(r < 1 for r in pair_ratios)}/{len(pair_ratios)} pairs")
+    for label, both in ratios.items():
+        if len(both) == 2:
+            print(f"{label:9s} B/A of medians, geometric mean of both orders "
+                  f"{math.sqrt(both[0] * both[1]):.3f}")
+    models = [side.model for run in runs for side in run]
+    names = list(models[0].params)
+    same_params = all(list(m.params) == names for m in models) and all(
+        m.params[n].data.tobytes() == models[0].params[n].data.tobytes()
+        for m in models for n in names)
+    ppls = [set.union(*(run[i].ppls for run in runs)) for i in (0, 1)]
     print(f"final parameters bitwise equal: {same_params}")
     print(f"held-out ppl A {sorted(ppls[0])} B {sorted(ppls[1])}; "
           f"equal: {ppls[0] == ppls[1] and len(ppls[0]) == 1}")
