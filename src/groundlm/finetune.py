@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .associate import AssociationCache
 from .embeddings import read_lines
@@ -124,10 +123,24 @@ def spearman(pred: Sequence[float], gold: Sequence[float]) -> float:
         raise ValueError(f"score vectors must match in length, got {pred.shape} vs {gold.shape}")
     if pred.size < 2:
         raise ValueError("spearman needs at least 2 points")
+    if np.isnan(pred).any() or np.isnan(gold).any():
+        raise ValueError("spearman is undefined for NaN scores")
     if np.all(pred == pred[0]) or np.all(gold == gold[0]):
         raise ValueError("spearman is undefined for a constant score vector")
-    rho = _scipy_stats.spearmanr(pred, gold).statistic
-    return float(rho)
+    # [1, 0], not [0, 1]: the two divide in another order and may differ in
+    # the last bit; [1, 0] is what scipy.stats.spearmanr reads
+    return float(np.corrcoef(_average_ranks(pred), _average_ranks(gold))[1, 0])
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, each run of equal values sharing the mean of its ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def _task_rows(examples: Sequence[TaskExample], vocab: Vocab, max_len: int):
@@ -250,6 +263,10 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
                 _, _, cls_vec = run.forward(batch_for(run, eval_split, picks))
                 out.append(run.cls_logits(cls_vec).data)
         out = np.concatenate(out)
+        bad = int(np.count_nonzero(~np.isfinite(out).all(axis=1)))
+        if bad:
+            # fail the run: a NaN score would make the median depend on run order
+            raise ValueError(f"{bad} of {len(out)} eval outputs are not finite")
         if task.metric == "accuracy":
             return float(np.mean(out.argmax(axis=1) == ev_gold))
         return spearman(out[:, 0], ev_gold)

@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
 from groundlm.finetune import (Task, TaskExample, finetune, load_task_file,
                                spearman)
 from groundlm.index import ImageFeatureStore, write_feature_store
 from groundlm.model import CrossModalModel, ModelConfig, load_checkpoint, save_checkpoint
+from groundlm.tensor import grad_enabled
 from groundlm.train import Corpora, Strategy, TrainConfig
 from groundlm.vocab import RESERVED, Vocab
 
@@ -39,11 +41,11 @@ def task_world(tmp_path, rng):
     return Corpora(vocab=vocab, store=ImageFeatureStore(store_path))
 
 
-def mk_model(vocab, **overrides):
+def mk_model(vocab, model_class=CrossModalModel, **overrides):
     kw = dict(vocab_size=len(vocab), d=8, d_v=4, n_layers_text=1, n_layers_cross=1,
               n_heads=2, max_len=6, k_max=2, n_regions=1)
     kw.update(overrides)
-    return CrossModalModel(ModelConfig(**kw), seed=0)
+    return model_class(ModelConfig(**kw), seed=0)
 
 
 class TestLoadTaskFile:
@@ -131,6 +133,44 @@ class TestSpearman:
         base = spearman([float(x) for x in xs], gold)
         warped = [scale * x + shift for x in xs]
         assert spearman(warped, gold) == pytest.approx(base, abs=1e-9)
+
+    # small integers tie often; the floats reach magnitudes up to 1e300
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(*[st.one_of(st.integers(-2, 2).map(float),
+                                          st.floats(-1e300, 1e300))] * 2),
+                    min_size=2, max_size=30),
+           st.booleans())
+    @example([(0.0, 1.0), (1.0, 0.0)], False)
+    @example([(1.0, 0.0), (1.0, 0.0), (2.0, 3.0)], True)
+    def test_matches_scipy_bitwise(self, pairs, reverse):
+        pred = [p for p, _ in pairs]
+        gold = pred[::-1] if reverse else [g for _, g in pairs]
+        if len(set(pred)) == 1 or len(set(gold)) == 1:
+            with pytest.raises(ValueError, match="constant"):
+                spearman(pred, gold)
+            return
+        assert spearman(pred, gold).hex() == float(spearmanr(pred, gold).statistic).hex()
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            spearman([np.nan, 1, 2, 3], [1, 2, 3, 4])
+
+
+class NanAtEval(CrossModalModel):
+    """A model whose cls head yields NaN for every other eval example, in the
+    run whose head seed is ``poison_seed``; training steps stay finite."""
+
+    poison_seed = None
+
+    def add_cls_head(self, n_labels, seed=0):
+        super().add_cls_head(n_labels, seed)
+        self.poisoned = self.poison_seed in (None, seed)
+
+    def cls_logits(self, cls_vec):
+        logits = super().cls_logits(cls_vec)
+        if self.poisoned and not grad_enabled():
+            logits.data[::2] = np.nan
+        return logits
 
 
 class TestFinetune:
@@ -256,6 +296,25 @@ class TestFinetune:
                      TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=1,
                                  seed=3, val_fraction=0.5),
                      corpora=corpora, n_runs=2)
+
+    @pytest.mark.parametrize("metric", ["accuracy", "spearman"])
+    def test_non_finite_eval_output_fails_the_run(self, tmp_path, rng, metric):
+        corpora = task_world(tmp_path, rng)
+        model = mk_model(corpora.vocab, model_class=NanAtEval)
+        task = Task(metric=metric, examples=[
+            TaskExample(j % 2 if metric == "accuracy" else float(j % 3),
+                        f"{WORDS[j % len(WORDS)]} sat") for j in range(12)])
+        config = TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=2,
+                             seed=4, val_fraction=0.5)
+        with pytest.raises(RuntimeError, match="run 0: 3 of 6 eval outputs are not finite"):
+            finetune(model, task, Strategy("NoGrounding"), config, corpora=corpora, n_runs=1)
+        # only run 1 is poisoned: it is reported as failed and left out of the median
+        model.poison_seed = config.seed + 1
+        report = finetune(model, task, Strategy("NoGrounding"), config, corpora=corpora,
+                          n_runs=3)
+        assert report.runs[1] is None and None not in (report.runs[0], report.runs[2])
+        assert report.errors == ["run 1: 3 of 6 eval outputs are not finite"]
+        assert report.median == (report.runs[0] + report.runs[2]) / 2
 
     def test_k_beyond_model_capacity_rejected(self, tmp_path, rng):
         corpora = task_world(tmp_path, rng)

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no private
-module-level function or class goes unused, and the package reads no
-environment variable.
+module-level function or class goes unused, the package reads no
+environment variable, and numpy is its only third-party runtime import
+(scipy is a test-only oracle).
 
 No linter ships with the package, so this AST scan is the check. A name
 counts as used when it appears as a bare name anywhere in the module (an
@@ -10,7 +11,10 @@ flags and config keys), never through the environment.
 """
 
 import ast
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -90,3 +94,29 @@ def test_no_environment_reads():
                if any(word in path.read_text(encoding="utf-8")
                       for word in ("environ", "getenv"))]
     assert not readers, f"modules reading the environment: {readers}"
+
+
+def test_package_imports_no_scipy():
+    importers = []
+    for path in sorted((ROOT / "src" / "groundlm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert not importers, f"scipy imported at {importers}"
+
+
+def test_fresh_interpreter_loads_no_scipy():
+    # a subprocess: this test process has scipy loaded by the oracle tests
+    modules = [f"groundlm.{path.stem}" for path in sorted((ROOT / "src" / "groundlm").glob("*.py"))
+               if path.stem != "__main__"]  # __main__ runs the CLI; cli is imported here
+    code = (f"import importlib, json, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            f"[importlib.import_module(m) for m in {modules!r}]; "
+            "print(json.dumps(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    loaded = json.loads(out.stdout)
+    assert "groundlm.cli" in loaded and "groundlm.finetune" in loaded
+    scipy_modules = [name for name in loaded if name.split(".")[0].startswith("scipy")]
+    assert not scipy_modules, f"importing groundlm loaded {scipy_modules[:5]}"

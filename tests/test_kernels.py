@@ -30,33 +30,64 @@ def test_softmax_rows_sum_to_one(row):
     assert np.all(out >= 0)
 
 
-def reference_gelu_forward(x):
-    return 0.5 * x * (1.0 + erf(x * kernels.INV_SQRT2))
-
-
-def reference_gelu_backward(dy, x):
-    cdf = 0.5 * (1.0 + erf(x * kernels.INV_SQRT2))
-    pdf = np.exp(-0.5 * x * x) * kernels.INV_SQRT_2PI
-    return dy * (cdf + x * pdf)
-
-
 def test_gelu_reuses_forward_erf_bitwise(rng):
     tiny = np.finfo(np.float32).smallest_subnormal
-    special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, np.inf, -np.inf,
-                        4.5, -4.5, 6.0, -9.0, 40.0, -40.0, 1e30, -1e30], dtype=np.float32)
-    for x in (rng.normal(size=(64, 48)).astype(np.float32),
-              (3 * rng.normal(size=(7, 33))).astype(np.float32),
-              special.reshape(3, 5)):
-        dy = rng.normal(size=x.shape).astype(np.float32)
-        with np.errstate(invalid="ignore", over="ignore"):
-            y, onepe = kernels.active.gelu_forward(x)
-            want_y = reference_gelu_forward(x)
-            want_dx = reference_gelu_backward(dy, x)
-            got_dx = kernels.active.gelu_backward(dy, x, onepe)
-        assert y.dtype == want_y.dtype and got_dx.dtype == want_dx.dtype
-        np.testing.assert_array_equal(y, want_y)
-        np.testing.assert_array_equal(got_dx, want_dx)
-        assert np.array_equal(np.signbit(y), np.signbit(want_y))
+    special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, np.inf, -np.inf, np.nan,
+                        4.0, -4.0, 4.5, -4.5, 9.0, -40.0, 1e30, -1e30], dtype=np.float32)
+    for dtype in (np.float32, np.float64):
+        for x in (rng.normal(size=(64, 48)).astype(dtype),
+                  (3 * rng.normal(size=(7, 33))).astype(dtype),
+                  special.astype(dtype)):
+            dy = rng.normal(size=x.shape).astype(dtype)
+            with np.errstate(invalid="ignore", over="ignore"):
+                y, onepe = kernels.active.gelu_forward(x)
+                got_dx = kernels.active.gelu_backward(dy, x, onepe)
+                z = x * kernels.INV_SQRT2
+                e = kernels._erf(z.copy())
+                want_y = 0.5 * x * (1.0 + e)
+                # backward reads the forward's 1 + erf, not a recomputed one
+                cdf = 0.5 * (1.0 + e)
+                pdf = np.exp(-0.5 * x * x) * kernels.INV_SQRT_2PI
+                want_dx = dy * (cdf + x * pdf)
+            assert y.dtype == onepe.dtype == got_dx.dtype == dtype
+            np.testing.assert_array_equal(onepe, 1.0 + e)
+            np.testing.assert_array_equal(y, want_y)
+            np.testing.assert_array_equal(got_dx, want_dx)
+            # odd, sign of zero kept, NaN kept, +-1 at +-inf (float32: beyond +-4)
+            np.testing.assert_array_equal(kernels._erf(-z), -e)
+            assert np.array_equal(np.signbit(e), np.signbit(z))
+            assert np.array_equal(np.isnan(e), np.isnan(z))
+            saturated = np.abs(z) >= (4.0 if dtype == np.float32 else np.inf)
+            np.testing.assert_array_equal(e[saturated], np.sign(z[saturated]))
+
+
+def float32_scan(step):
+    """Every ``step``-th float32 bit pattern with |x| <= 4.5, both signs."""
+    top = np.float32(4.5).view(np.uint32)
+    x = np.arange(0, top + 1, step, dtype=np.uint32).view(np.float32)
+    return np.concatenate([x, -x])
+
+
+def test_float32_erf_within_2_pow_minus_21_of_scipy():
+    # the rational differs from scipy in most values, by at most 2^-21; its
+    # largest error over every float32 is at x = 3.2697 (tools/erf_scan.py)
+    worst = np.float32(3.2697).view(np.uint32)
+    near = np.arange(worst - 2**16, worst + 2**16, dtype=np.uint32).view(np.float32)
+    x = np.concatenate([float32_scan(4096), near, -near])
+    got = kernels._erf(x.copy())
+    assert got.dtype == np.float32
+    err = np.abs(got.astype(np.float64) - erf(x).astype(np.float64))
+    assert err.max() <= 2.0**-21, (err.max(), x[err.argmax()])
+
+
+@given(st.floats(-40, 40))
+@settings(max_examples=300, deadline=None)
+def test_float64_erf_within_4_ulp_of_scipy(value):
+    x = np.array([value, value / 8, value * 1e-6])
+    got = kernels._erf(x)
+    want = erf(x)
+    assert got.dtype == np.float64
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
 
 
 def reference_layernorm_forward(x, gain, bias, eps):
