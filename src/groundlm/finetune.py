@@ -22,7 +22,7 @@ from .associate import AssociationCache
 from .embeddings import read_lines
 from .model import CrossModalModel, MaskedBatch
 from .optim import Adam
-from .tensor import Tensor, masked_cross_entropy, mean_all, mul, no_grad
+from .tensor import ShapeError, Tensor, masked_cross_entropy, mean_all, mul, no_grad
 from .train import (Corpora, Strategy, TrainConfig, build_batch, require_corpora,
                     training_batches)
 from .vocab import Vocab
@@ -276,7 +276,12 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
     for r in range(n_runs):
         try:
             scores.append(train_and_score(config.seed + r))
-        except Exception as exc:  # a failed run is excluded from the median
+        except ShapeError:
+            raise
+        except (FloatingPointError, ValueError) as exc:
+            # the run failed: a non-finite loss or gradient, non-finite eval
+            # outputs or an undefined Spearman. It is left out of the median;
+            # any other error is a fault and propagates
             scores.append(None)
             errors.append(f"run {r}: {exc}")
 

@@ -2,8 +2,8 @@
 
 A :class:`Tensor` wraps an ndarray and remembers how it was produced. Calling
 ``backward()`` on a scalar walks the recorded graph once in reverse
-topological order and accumulates gradients into every reachable tensor with
-``requires_grad=True``. Leaves with ``requires_grad=False`` (frozen
+topological order, consuming it, and accumulates gradients into every
+reachable tensor with ``requires_grad=True``. Leaves with ``requires_grad=False`` (frozen
 parameters, constants, masks) prune the graph behind them.
 
 A transformer layer is a few coarse nodes rather than a chain of generic
@@ -48,6 +48,10 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def _consumed(_grad):
+    raise RuntimeError("backward through a graph that an earlier backward() consumed")
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_op")
 
@@ -82,7 +86,12 @@ class Tensor:
     # -- graph --------------------------------------------------------------
 
     def backward(self):
-        """Populate ``grad`` on every trainable tensor reachable from a scalar."""
+        """Populate ``grad`` on every trainable tensor reachable from a scalar.
+
+        The walk consumes the graph: an interior tensor keeps its ``data``
+        and ``grad``, but loses its links to its inputs, and a later
+        ``backward()`` that reaches it raises ``RuntimeError``.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.data.shape}")
         if not np.isfinite(self.data):
@@ -103,9 +112,17 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        # Popping drops the walk's reference to each node, and unlinking a
+        # node once it has pushed its gradient frees its backward closure and
+        # the activations that closure saved, so an interior tensor that no
+        # caller holds is gone as soon as the walk has passed it.
+        while order:
+            node = order.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node._parents = ()
+                node._backward = _consumed
 
     # -- operator sugar -----------------------------------------------------
 

@@ -10,6 +10,7 @@ from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
                                 extract_nouns, load_caption_corpus,
                                 load_noun_lexicon, load_synsets)
 from groundlm import associate as associate_mod
+from groundlm import gmm as gmm_mod
 from groundlm.embeddings import WordEmbeddingTable, encode_cbow
 from groundlm.gmm import fit_gmm
 from groundlm.index import top_k
@@ -170,6 +171,44 @@ class TestObject:
         index = self.make_index(table)
         with pytest.raises(ValueError, match="kappa"):
             associate_object("dog", index, table, self.LEX, 2, 0, seed=0)
+
+    @pytest.mark.parametrize("kappa", [2, 8])
+    def test_near_coincident_nouns_follow_the_em_fit(self, monkeypatch, kappa):
+        """At kappa >= n the representatives are not always the k-means++
+        start order, so the EM cannot be skipped there. Two nouns 1e-7 apart
+        converge to two equal-weight components that both nominate one noun,
+        whose head ranking then fills all K images; the start order would
+        nominate each noun once."""
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=64)
+        a /= np.linalg.norm(a)
+        table = table_of({"dog": a, "pup": a + 1e-7 * rng.normal(size=64)})
+        nouns = list(table.entries)
+        synsets = [SynsetEntry(f"s-{w}", [w], w, [f"{w}{j}" for j in range(16)])
+                   for w in nouns]
+        index = build_synset_index(synsets, table)
+        text, k, seed = "the dog and the pup", 16, 0
+
+        stack = np.stack([table.entries[w] for w in nouns]).astype(np.float64)[None]
+        gmm_seed = associate_mod._gmm_seed(seed, text)
+        fit = fit_gmm(stack, kappa, seed=[gmm_seed])[0]
+        picks = associate_mod._representatives(stack, fit.weights[None], fit.means[None])[0]
+        start = gmm_mod._kmeanspp(stack[0], 2, np.random.default_rng(gmm_seed))
+        start_order = [int(np.flatnonzero((stack[0] == c).all(axis=1))[0]) for c in start]
+        assert sorted(start_order) == [0, 1] and len(set(picks.tolist())) == 1
+
+        nominated = []
+        ranking = associate_mod._noun_ranking
+
+        def recorded(index, vector, k, threads):
+            nominated.append(next(w for w, v in table.entries.items() if v is vector))
+            return ranking(index, vector, k, threads)
+        monkeypatch.setattr(associate_mod, "_noun_ranking", recorded)
+        assoc = associate_object(text, index, table, NounLexicon(frozenset(nouns)), k, kappa,
+                                 seed=seed)
+        assert nominated == [nouns[j] for j in picks]
+        want = [pair for j in picks for pair in top_k(index, table.entries[nouns[j]], k)[:k // 2]]
+        assert [(it.image_id, it.similarity) for it in assoc.items] == want
 
     def test_determinism_across_calls(self):
         table = table_of(OBJ_VECS)

@@ -10,7 +10,7 @@ from groundlm.finetune import (Task, TaskExample, finetune, load_task_file,
                                spearman)
 from groundlm.index import ImageFeatureStore, write_feature_store
 from groundlm.model import CrossModalModel, ModelConfig, load_checkpoint, save_checkpoint
-from groundlm.tensor import grad_enabled
+from groundlm.tensor import ShapeError, grad_enabled
 from groundlm.train import Corpora, Strategy, TrainConfig
 from groundlm.vocab import RESERVED, Vocab
 
@@ -173,6 +173,15 @@ class NanAtEval(CrossModalModel):
         return logits
 
 
+class RaisesInForward(CrossModalModel):
+    """A model whose forward raises ``error``: a fault, not a failed run."""
+
+    error = TypeError
+
+    def forward(self, batch):
+        raise self.error("forward is broken")
+
+
 class TestFinetune:
     def test_separable_task_reaches_high_accuracy(self, tmp_path, rng):
         corpora = task_world(tmp_path, rng)
@@ -315,6 +324,19 @@ class TestFinetune:
         assert report.runs[1] is None and None not in (report.runs[0], report.runs[2])
         assert report.errors == ["run 1: 3 of 6 eval outputs are not finite"]
         assert report.median == (report.runs[0] + report.runs[2]) / 2
+
+    @pytest.mark.parametrize("error", [TypeError, ShapeError])
+    def test_programming_error_propagates(self, tmp_path, rng, error):
+        # only a failed run (non-finite values, undefined Spearman) is kept out
+        # of the median; any other error, a ShapeError included, is a traceback
+        corpora = task_world(tmp_path, rng)
+        model = mk_model(corpora.vocab, model_class=RaisesInForward)
+        model.error = error
+        with pytest.raises(error, match="forward is broken"):
+            finetune(model, pair_task(8), Strategy("NoGrounding"),
+                     TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=1,
+                                 seed=0, val_fraction=0.25),
+                     corpora=corpora, n_runs=2)
 
     def test_k_beyond_model_capacity_rejected(self, tmp_path, rng):
         corpora = task_world(tmp_path, rng)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,47 @@ class TestBackwardExamples:
         for p in (w1, b1, w2, b2):
             fd = central_diff(loss_value, p.data)
             assert rel_err(p.grad, fd) < 1e-4
+
+
+class TestBackwardConsumesGraph:
+    """backward() unlinks each interior node once it has pushed its gradient:
+    what no caller holds is freed during the walk, and the graph cannot be
+    walked again."""
+
+    def two_layer(self, rng):
+        w1 = t64(rng.normal(size=(5, 7)), name="w1")
+        b1 = t64(rng.normal(size=(7,)), name="b1")
+        w2 = t64(rng.normal(size=(7, 3)), name="w2")
+        b2 = t64(rng.normal(size=(3,)), name="b2")
+        x = t64(rng.normal(size=(4, 5)), requires_grad=False)
+        hidden = gelu(linear(x, w1, b1))
+        out = linear(hidden, w2, b2)
+        return hidden, out, mean_all(mul(out, out)), (w1, b1, w2, b2)
+
+    def test_unheld_activation_is_freed(self, rng):
+        hidden, out, loss, _ = self.two_layer(rng)
+        ref = weakref.ref(hidden.data)
+        del hidden                       # now only the graph holds the gelu output
+        assert ref() is not None
+        loss.backward()
+        assert ref() is None
+        assert out.grad is not None and out._parents == ()
+
+    def test_second_backward_raises(self, rng):
+        _, _, loss, params = self.two_layer(rng)
+        loss.backward()
+        grads = [p.grad.copy() for p in params]
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        for p, g in zip(params, grads):
+            np.testing.assert_array_equal(p.grad, g)
+
+    def test_new_graph_on_consumed_tensor_raises(self, rng):
+        hidden, _, loss, _ = self.two_layer(rng)
+        loss.backward()
+        assert hidden.grad is not None   # a held interior tensor keeps its grad
+        with pytest.raises(RuntimeError, match="consumed"):
+            mean_all(mul(hidden, 2.0)).backward()
 
 
 # central-difference oracles for each differentiable op kind
