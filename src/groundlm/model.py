@@ -19,7 +19,7 @@ import math
 import struct
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -132,16 +132,28 @@ def mask_tokens(token_ids: np.ndarray, rate: float, rng: np.random.Generator,
     return corrupted, flags
 
 
-def mask_regions(regions: np.ndarray, rate: float,
-                 rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """Zero out region rows selected at ``rate``; returns (corrupted, flags)."""
-    regions = np.asarray(regions)
-    if regions.ndim < 2 or regions.shape[-1] == 0 or regions[..., 0].size == 0:
-        raise ShapeError(f"mask_regions expects at least one region row, got {regions.shape}")
-    flags = rng.random(regions.shape[:-1]) < rate
-    corrupted = regions.copy()
-    corrupted[flags] = 0.0
-    return corrupted, flags
+class Masks(NamedTuple):
+    """A stream's masks, or some rows of them; None leaves that side whole.
+    ``tokens`` and ``token_flags`` come from ``mask_tokens``; pad columns are
+    never flagged, so a batch trims them to its longest row exactly.
+    ``region_flags`` holds one flag per region slot of the paired image."""
+    tokens: Optional[np.ndarray] = None
+    token_flags: Optional[np.ndarray] = None
+    region_flags: Optional[np.ndarray] = None
+
+    def rows(self, picks) -> "Masks":
+        return Masks(*(None if a is None else a[picks] for a in self))
+
+
+def mask_stream(ids: np.ndarray, cfg: ModelConfig, text_rng: Optional[np.random.Generator],
+                region_rng: Optional[np.random.Generator], n_slots: int = 0) -> Masks:
+    """The masks of a whole stream of padded (N, L) ids, drawn once in row
+    order: ``mask_tokens`` if ``text_rng`` is given (else the ids, unflagged),
+    and one flag per region slot at ``cfg.mask_rate`` if ``region_rng`` is."""
+    tokens, flags = (mask_tokens(ids, cfg.mask_rate, text_rng, cfg.vocab_size)
+                     if text_rng is not None else (ids, np.zeros(ids.shape, dtype=bool)))
+    regions = None if region_rng is None else region_rng.random((len(ids), n_slots)) < cfg.mask_rate
+    return Masks(tokens, flags, regions)
 
 
 # -- the model ----------------------------------------------------------------

@@ -327,7 +327,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, pad_rows=None):
     def backward(g):
         gp = g if pad_rows is None else _pad_rows(g, pad_rows)
         if x.requires_grad:
-            _accumulate(x, np.matmul(gp, w.data.T)[..., :x.shape[-2], :])
+            _accumulate(x, np.matmul(gp, np.ascontiguousarray(w.data.T))[..., :x.shape[-2], :])
         if w.requires_grad:
             _accumulate(w, np.matmul(xp.reshape(-1, n_in).T, gp.reshape(-1, n_out)))
         if b.requires_grad:

@@ -1,28 +1,32 @@
 """Pretraining orchestration for the grounding strategies.
 
 Seven strategies share one loop. The ``STRATEGIES`` table says, as data, how
-each fills the visual slots, which losses apply and which examples it reads:
+each fills the visual slots, which losses apply and which examples it reads.
+TransferredT2I trains region reconstruction only, on paired examples;
+TransferredBoth sums both losses over one forward pass, and its text-only
+examples fall back to the placeholder. The Associative strategies fill the
+visual slots with the K images retrieved for the masked text; an empty
+retrieval falls back to the placeholder.
 
-* NoGrounding          — masked-LM only, placeholder visual slot.
-* TransferredI2T       — masked-LM with the paired image attached.
-* TransferredT2I       — region reconstruction only; text stays unmasked and
-                         text-only examples are skipped.
-* TransferredBoth      — both maskings in one forward pass, losses summed;
-                         text-only examples fall back to placeholder + LM.
-* AssociativeScene / AssociativeObject / AssociativeKeyword
-                       — masked-LM where the K retrieved images for the
-                         masked text fill the visual slots; empty retrievals
-                         fall back to the placeholder.
+Everything is deterministic given the config seed: each random stream has its
+own generator, ``np.random.default_rng([seed, key])`` (``finetune`` adds key 5,
+and its runs' orders use key 1000 + e at their own seeds):
 
-Everything is deterministic given the config seed: shuffles, masks, mixing,
-and GMM inits all derive from it.
+    3 mixing (``mix_corpora``)          1000 + e  epoch e's example order
+    4 the validation split              2000 + e  epoch e's text masks
+    7 an evaluated stream's text masks  3000 + e  epoch e's region masks
+    11 the validation region masks
+
+A stream's masks are drawn once, in example order, and a batch takes its rows
+of them, so no mask depends on the batch size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .associate import (AssociationCache, CacheKey, NounLexicon, associate_keywo
                         associate_object, associate_scene)
 from .embeddings import WordEmbeddingTable
 from .index import ImageFeatureStore, ImageKeyIndex
-from .model import (CrossModalModel, MaskedBatch, ModelConfig, mask_regions, mask_tokens,
+from .model import (CrossModalModel, MaskedBatch, Masks, ModelConfig, mask_stream,
                     masked_ce_stats, masked_lm_loss, masked_region_loss)
 from .optim import Adam
 from .vocab import CLS_ID, MASKED_ID, PAD_ID, RESERVED, SEP_ID, Vocab
@@ -171,20 +175,10 @@ def mix_corpora(paired: Sequence[Tuple[str, str]], text_only: Sequence[str],
         return [(image_id, text) for image_id, text in paired]
     if mix_ratio == 0.0:
         return [(None, text) for text in text_only]
-    rng = np.random.default_rng([seed, 3])
-    total = len(paired) + len(text_only)
-    draws = rng.random(total) < mix_ratio
-    out: List[ExampleTuple] = []
-    pi = ti = 0
-    for take_paired in draws:
-        if take_paired:
-            image_id, text = paired[pi % len(paired)]
-            out.append((image_id, text))
-            pi += 1
-        else:
-            out.append((None, text_only[ti % len(text_only)]))
-            ti += 1
-    return out
+    draws = np.random.default_rng([seed, 3]).random(len(paired) + len(text_only)) < mix_ratio
+    before = np.cumsum(draws) - draws   # paired examples taken before each slot
+    return [paired[p % len(paired)] if take else (None, text_only[(j - p) % len(text_only)])
+            for j, (take, p) in enumerate(zip(draws, before))]
 
 
 def _example_stream(strategy: Strategy, corpora: Corpora,
@@ -199,8 +193,8 @@ def _example_stream(strategy: Strategy, corpora: Corpora,
 # -- batch construction --------------------------------------------------------
 
 
-def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    width = max(len(r) for r in rows)
+def _pad_rows(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> np.ndarray:
+    width = width or max(len(r) for r in rows)
     out = np.full((len(rows), width), PAD_ID, dtype=np.int64)
     for i, r in enumerate(rows):
         out[i, :len(r)] = r
@@ -263,46 +257,29 @@ def associate_query(mode: str, queries: Sequence[str], corpora: Corpora, k: int,
     return [found[key] for key in keys]
 
 
-def _masked_text(token_rows: Sequence[Sequence[int]], cfg: ModelConfig,
-                 rng: Optional[np.random.Generator], heads: Tuple[str, ...]) -> MaskedBatch:
-    """A batch of the rows padded to the longest one; text masked iff ``rng`` is given."""
-    ids = _pad_rows(token_rows)
-    if rng is not None:
-        corrupted, flags = mask_tokens(ids, cfg.mask_rate, rng, cfg.vocab_size)
-    else:
-        corrupted, flags = ids.copy(), np.zeros(ids.shape, dtype=bool)
-    return MaskedBatch(token_ids=corrupted, token_mask_flags=flags, original_tokens=ids,
-                       heads=heads)
-
-
-def _associate_rows(mode: str, batches: Sequence[MaskedBatch],
+def _associate_rows(mode: str, tokens: np.ndarray, flags: np.ndarray,
                     raw_rows: Optional[Sequence[Sequence[str]]], vocab: Vocab,
                     corpora: Optional[Corpora], k: int, kappa: int, seed: int,
                     cache: Optional[AssociationCache],
                     threads: Optional[int]) -> List[Optional[List[Tuple[str, float]]]]:
-    """One ranking per row of ``batches`` (``raw_rows`` runs over all of
-    them), from one ``associate_query`` call with every row's masked text;
-    None per row in the placeholder and paired modes, which retrieve nothing."""
+    """One ranking per row of the masked ``tokens``, from one ``associate_query``
+    call; None per row in the placeholder and paired modes, which retrieve nothing."""
     if mode not in VISUAL_MODES:
         raise ValueError(f"unknown visual mode {mode!r}")
     if mode in ("placeholder", "paired"):
-        return [None] * sum(batch.batch_size for batch in batches)
+        return [None] * len(tokens)
     if raw_rows is None:
         raise ValueError(f"visual mode {mode!r} needs raw_rows to build queries")
-    rows = ((batch.token_ids[b], batch.token_mask_flags[b])
-            for batch in batches for b in range(batch.batch_size))
-    queries = [_query_text(corrupted, flags, raw, vocab)
-               for (corrupted, flags), raw in zip(rows, raw_rows)]
+    queries = [_query_text(*row, vocab) for row in zip(tokens, flags, raw_rows)]
     return associate_query(mode, queries, corpora, k, kappa, seed, cache, threads)
 
 
 def _fill_visual_slots(batch: MaskedBatch, mode: str, examples: Sequence[ExampleTuple],
                        rankings: Sequence, corpora: Optional[Corpora], cfg: ModelConfig,
-                       k: int, mask_region_rng: Optional[np.random.Generator] = None
-                       ) -> MaskedBatch:
+                       k: int, region_flags: Optional[np.ndarray] = None) -> MaskedBatch:
     """Give ``batch`` its visual slots: none in placeholder mode, else each
-    row's paired image or ranked images gathered from the store, masked iff
-    ``mask_region_rng`` is given."""
+    row's paired image or ranked images gathered from the store, zeroed where
+    ``region_flags`` (one per slot) flags a filled slot."""
     if mode == "placeholder":
         return batch
     b_sz = batch.batch_size
@@ -333,11 +310,11 @@ def _fill_visual_slots(batch: MaskedBatch, mode: str, examples: Sequence[Example
     placeholder_slots[empty, 0] = True
     slot_valid[empty, 0] = True
 
-    if mask_region_rng is not None:
-        masked, region_flags = mask_regions(regions, cfg.mask_rate, mask_region_rng)
-        region_flags &= slot_valid & ~placeholder_slots
-    else:
-        masked, region_flags = regions.copy(), np.zeros(slot_valid.shape, dtype=bool)
+    if region_flags is None:
+        region_flags = np.zeros(slot_valid.shape, dtype=bool)
+    region_flags = region_flags & slot_valid & ~placeholder_slots
+    masked = regions.copy()
+    masked[region_flags] = 0.0
 
     batch.regions = masked
     batch.original_regions = regions
@@ -352,8 +329,8 @@ def _fill_visual_slots(batch: MaskedBatch, mode: str, examples: Sequence[Example
 def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[int]],
                 vocab: Vocab, model: CrossModalModel, mode: str, *,
                 raw_rows: Optional[Sequence[Sequence[str]]] = None,
-                mask_text_rng: Optional[np.random.Generator] = None,
-                mask_region_rng: Optional[np.random.Generator] = None,
+                masks: Union[Masks, Callable[[], Masks]] = Masks(),
+                rankings: Optional[Sequence] = None,
                 corpora: Optional[Corpora] = None,
                 k: int = 0, kappa: int = 8, assoc_seed: int = 0,
                 cache: Optional[AssociationCache] = None,
@@ -363,15 +340,25 @@ def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[
 
     ``mode`` picks the visual side: placeholder (no regions), paired (the
     example's own image), or an association strategy applied to the masked
-    text. Text masking happens iff ``mask_text_rng`` is given; region
-    masking iff ``mask_region_rng`` is given (paired mode only). ``heads``
+    text, unless ``rankings`` already holds the rows' associations (an
+    evaluation associates its whole stream in one call). ``masks`` holds the
+    rows' masks (see ``Masks``), or is a function that returns them, so that
+    drawing an epoch's masks is part of building its first batch. ``heads``
     names the model outputs the caller reads.
     """
-    cfg = model.config
-    batch = _masked_text(token_rows, cfg, mask_text_rng, heads)
-    rankings = _associate_rows(mode, [batch], raw_rows, vocab, corpora, k, kappa, assoc_seed,
-                               cache, threads)
-    return _fill_visual_slots(batch, mode, examples, rankings, corpora, cfg, k, mask_region_rng)
+    masks = masks() if callable(masks) else masks
+    ids = _pad_rows(token_rows)
+    if masks.tokens is None:
+        corrupted, flags = ids.copy(), np.zeros(ids.shape, dtype=bool)
+    else:   # pad columns are never flagged, so trimming them is exact
+        corrupted, flags = masks.tokens[:, :ids.shape[1]], masks.token_flags[:, :ids.shape[1]]
+    batch = MaskedBatch(token_ids=corrupted, token_mask_flags=flags, original_tokens=ids,
+                        heads=heads)
+    if rankings is None:
+        rankings = _associate_rows(mode, corrupted, flags, raw_rows, vocab, corpora, k, kappa,
+                                   assoc_seed, cache, threads)
+    return _fill_visual_slots(batch, mode, examples, rankings, corpora, model.config, k,
+                              masks.region_flags)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -383,59 +370,63 @@ def _encode(examples: Sequence[ExampleTuple], vocab: Vocab, max_len: int):
     return [ids for ids, _raw in encoded], [raw for _ids, raw in encoded]
 
 
+def _evaluate(model: CrossModalModel, examples: Sequence[ExampleTuple], vocab: Vocab,
+              heads: Tuple[str, ...], *, seed: int, mode: str, corpora: Optional[Corpora],
+              k: int, kappa: int, batch_size: int, cache: Optional[AssociationCache],
+              threads: Optional[int]) -> Tuple[float, int, float, int]:
+    """(masked-token cross-entropy sum, count, region error sum, count) over one
+    seed-determined masking of ``examples``, in float64; zeros for a head not in
+    ``heads``. The "lm" head reads text masked by ``[seed, 7]`` beside whole
+    regions, the "region" head regions masked by ``[seed, 11]`` beside whole
+    text. Rows are associated in one call; each batch is built once."""
+    cfg = model.config
+    rows, raw = _encode(examples, vocab, cfg.max_len)
+    lm, region = "lm" in heads, "region" in heads
+    masks = mask_stream(_pad_rows(rows, cfg.max_len), cfg,
+                        np.random.default_rng([seed, 7]) if lm else None,
+                        np.random.default_rng([seed, 11]) if region else None,
+                        corpora.store.n_regions if region else 0)
+    rankings = _associate_rows(mode, masks.tokens, masks.token_flags, raw, vocab, corpora, k,
+                               kappa, seed, cache, threads)
+    totals = np.zeros(4)
+    with T.no_grad():
+        for lo in range(0, len(rows), batch_size):
+            hi = lo + batch_size
+            batch = build_batch(examples[lo:hi], rows[lo:hi], vocab, model, mode,
+                                masks=masks.rows(slice(lo, hi)), rankings=rankings[lo:hi],
+                                corpora=corpora, k=k, heads=heads)
+            if lm:
+                logits, _preds, _cls = model.forward(
+                    replace(batch, regions=batch.original_regions, heads=("lm",)))
+                totals[:2] += masked_ce_stats(logits.data, batch.original_tokens,
+                                              batch.token_mask_flags)
+            if region:
+                _logits, preds, _cls = model.forward(
+                    replace(batch, token_ids=batch.original_tokens, heads=("region",)))
+                flags = batch.region_mask_flags   # masked_lp_loss's row error, in float64
+                diff = preds.data[flags].astype(np.float64) - batch.original_regions[flags]
+                totals[2:] += ((np.abs(diff) ** cfg.p_norm).sum() / cfg.d_v, flags.sum())
+    lm_sum, lm_count, region_sum, region_count = totals.tolist()
+    if lm and lm_count == 0:
+        raise ValueError("evaluate_perplexity: no masked positions in stream")
+    return lm_sum, int(lm_count), region_sum, int(region_count)
+
+
 def evaluate_perplexity(model: CrossModalModel, examples, vocab: Vocab, *,
                         seed: int, mode: str = "placeholder",
                         corpora: Optional[Corpora] = None, k: int = 16, kappa: int = 8,
                         batch_size: int = 32, cache: Optional[AssociationCache] = None,
                         threads: Optional[int] = None) -> float:
-    """Masked-LM perplexity over a fixed, seed-determined masking of ``examples``.
-
-    exp(sum of masked-token cross-entropies / masked-token count), accumulated
-    in float64 over the whole stream. The stream is masked batch by batch, in
-    order, and its rows are associated in one call before any batch runs.
-    """
+    """Masked-LM perplexity over a fixed, seed-determined masking of ``examples``:
+    exp(masked-token cross-entropy sum / count), in float64 over the whole
+    stream. Neither the masking nor the value depends on ``batch_size``."""
     examples = [(None, ex) if isinstance(ex, str) else ex for ex in examples]
     if not examples:
         raise ValueError("evaluate_perplexity: empty evaluation stream")
-    cfg = model.config
-    rows, raw = _encode(examples, vocab, cfg.max_len)
-    rng = np.random.default_rng([seed, 7])
-    starts = range(0, len(examples), batch_size)
-    batches = [_masked_text(rows[lo:lo + batch_size], cfg, rng, ("lm",)) for lo in starts]
-    rankings = _associate_rows(mode, batches, raw, vocab, corpora, k, kappa, seed, cache,
-                               threads)
-    total = 0.0
-    count = 0
-    with T.no_grad():
-        for lo, batch in zip(starts, batches):
-            hi = lo + batch_size
-            _fill_visual_slots(batch, mode, examples[lo:hi], rankings[lo:hi], corpora, cfg, k)
-            logits, _preds, _cls = model.forward(batch)
-            s, c = masked_ce_stats(logits.data, batch.original_tokens, batch.token_mask_flags)
-            total += s
-            count += c
-    if count == 0:
-        raise ValueError("evaluate_perplexity: no masked positions in stream")
+    total, count, _, _ = _evaluate(model, examples, vocab, ("lm",), seed=seed, mode=mode,
+                                   corpora=corpora, k=k, kappa=kappa, batch_size=batch_size,
+                                   cache=cache, threads=threads)
     return float(np.exp(total / count))
-
-
-def _eval_region_objective(model: CrossModalModel, examples: List[ExampleTuple],
-                           vocab: Vocab, corpora: Corpora, seed: int,
-                           batch_size: int) -> float:
-    """Mean region-reconstruction loss under a fixed masking; T2I's val metric."""
-    rows, _raw = _encode(examples, vocab, model.config.max_len)
-    rng = np.random.default_rng([seed, 11])
-    losses: List[float] = []
-    with T.no_grad():
-        for lo in range(0, len(examples), batch_size):
-            chunk = examples[lo:lo + batch_size]
-            batch = build_batch(chunk, rows[lo:lo + batch_size], vocab, model, "paired",
-                                mask_region_rng=rng, corpora=corpora, heads=("region",))
-            _logits, preds, _cls = model.forward(batch)
-            loss = masked_region_loss(preds, batch.original_regions,
-                                      batch.region_mask_flags, model)
-            losses.append(loss.item())
-    return float(np.mean(losses)) if losses else 0.0
 
 
 # -- the training loop ----------------------------------------------------------
@@ -475,8 +466,10 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     """Train ``model`` under one grounding strategy; returns (model, metrics rows).
 
     The metrics log holds `train/loss` and `val/ppl` rows every
-    ``eval_every`` steps (plus `val/region_loss` for the region-only
-    strategy, which also drives its early stopping).
+    ``eval_every`` steps, plus `val/region_loss` for the strategies with a
+    region loss (it drives the region-only strategy's early stopping). The
+    validation stream is evaluated in one pass; `val/ppl` equals
+    ``evaluate_perplexity`` over it.
     """
     validate_strategy_corpora(strategy, corpora, config.mix_ratio)
     if strategy.k > model.config.k_max:
@@ -486,8 +479,7 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     if not stream:
         raise ValueError("empty example stream")
 
-    split_rng = np.random.default_rng([config.seed, 4])
-    order = split_rng.permutation(len(stream))
+    order = np.random.default_rng([config.seed, 4]).permutation(len(stream))
     n_val = int(config.val_fraction * len(stream))
     val_examples = [stream[i] for i in order[:n_val]]
     train_examples = [stream[i] for i in order[n_val:]]
@@ -502,11 +494,8 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
 
     opt = Adam(model.trainable_params(), lr=config.lr)
     metrics: List[MetricsRow] = []
-    step = 0
-    best = math.inf
-    bad_evals = 0
     window: List[float] = []
-    stop = False
+    step, best, bad_evals, stop = 0, math.inf, 0, False
 
     def run_eval() -> None:
         nonlocal best, bad_evals, stop
@@ -515,43 +504,40 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
             window.clear()
         if not val_examples:
             return
-        objective = None
+        lm_sum, lm_count, region_sum, region_count = _evaluate(
+            model, val_examples, vocab, heads, seed=config.seed, mode=mode, corpora=corpora,
+            k=strategy.k, kappa=config.kappa, batch_size=config.batch_size, cache=cache,
+            threads=threads)
         if lm_loss_on:
-            ppl = evaluate_perplexity(
-                model, val_examples, vocab, seed=config.seed, mode=mode,
-                corpora=corpora, k=strategy.k, kappa=config.kappa,
-                batch_size=config.batch_size, cache=cache, threads=threads)
+            ppl = float(np.exp(lm_sum / lm_count))
             metrics.append((step, "val", "ppl", ppl))
-            objective = ppl
         if region_loss_on:
-            rloss = _eval_region_objective(model, val_examples, vocab, corpora,
-                                           config.seed, config.batch_size)
+            # the stream's mean row error plus the head's L1 term, as in the loss
+            l1 = model.config.l1_coeff * float(np.abs(model.params["region_head.W"].data).sum())
+            rloss = region_sum / region_count + l1 if region_count else 0.0
             metrics.append((step, "val", "region_loss", rloss))
-            if not lm_loss_on:
-                objective = rloss
-        if objective is None:
-            return
-        if objective < best - 1e-12:
-            best = objective
-            bad_evals = 0
-        else:
-            bad_evals += 1
-            if bad_evals >= config.patience:
-                stop = True
+        objective = ppl if lm_loss_on else rloss
+        best, bad_evals = (objective, 0) if objective < best - 1e-12 else (best, bad_evals + 1)
+        stop = bad_evals >= config.patience
+
+    train_ids = _pad_rows(train_rows, model.config.max_len)
+
+    @functools.lru_cache(maxsize=1)
+    def epoch_masks(epoch: int) -> Masks:
+        return mask_stream(
+            train_ids, model.config,
+            np.random.default_rng([config.seed, 2000 + epoch]) if lm_loss_on else None,
+            np.random.default_rng([config.seed, 3000 + epoch]) if region_loss_on else None,
+            corpora.store.n_regions if region_loss_on else 0)
 
     last_eval_step = -1
-    mask_epoch, mask_rng = -1, None
     for epoch, picks in training_batches(len(train_examples), config, config.seed):
-        if epoch != mask_epoch:
-            mask_epoch, mask_rng = epoch, np.random.default_rng([config.seed, 2000 + epoch])
         batch = build_batch(
             [train_examples[i] for i in picks], [train_rows[i] for i in picks],
-            vocab, model, mode,
-            raw_rows=[train_raw[i] for i in picks],
-            mask_text_rng=mask_rng if lm_loss_on else None,
-            mask_region_rng=mask_rng if region_loss_on else None,
-            corpora=corpora, k=strategy.k, kappa=config.kappa,
-            assoc_seed=config.seed, cache=cache, threads=threads, heads=heads)
+            vocab, model, mode, raw_rows=[train_raw[i] for i in picks],
+            masks=lambda: epoch_masks(epoch).rows(picks), corpora=corpora, k=strategy.k,
+            kappa=config.kappa, assoc_seed=config.seed, cache=cache, threads=threads,
+            heads=heads)
         logits, preds, _cls = model.forward(batch)
         loss = None
         if lm_loss_on:

@@ -21,13 +21,12 @@ from groundlm.embeddings import load_word_vectors
 from groundlm.finetune import Task, TaskExample, finetune, spearman
 from groundlm.gmm import fit_gmm
 from groundlm.index import ImageFeatureStore, build_index, top_k, write_feature_store
-from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig,
-                            mask_regions, mask_tokens, masked_lm_loss,
-                            masked_region_loss)
+from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig, mask_stream,
+                            mask_tokens, masked_lm_loss, masked_region_loss)
 from groundlm.optim import Adam
 from groundlm.tensor import no_grad
 from groundlm.toydata import ToySpec, generate_grounded_corpus
-from groundlm.train import (Corpora, Strategy, TrainConfig, build_batch,
+from groundlm.train import (Corpora, Strategy, TrainConfig, _pad_rows, build_batch,
                             evaluate_perplexity, pretrain)
 from groundlm.vocab import MASKED_ID, N_RESERVED, RESERVED, Vocab
 
@@ -155,7 +154,8 @@ def test_01_gradient_fidelity():
     ids = rng.integers(N_RESERVED, 11, size=(2, 5))
     corrupted, flags = mask_tokens(ids, 0.4, rng, 11)
     regions = rng.normal(size=(2, 1, 4))
-    reg_in, reg_flags = mask_regions(regions, 0.6, rng)
+    reg_flags = rng.random((2, 1)) < 0.6
+    reg_in = np.where(reg_flags[..., None], 0.0, regions)
     if not reg_flags.any():
         reg_flags[0, 0] = True
         reg_in[0, 0] = 0.0
@@ -304,9 +304,9 @@ def test_06_placeholder_transfer_contract(clean_world, tmp_path):
     outs = []
     for active_store in (store, ImageFeatureStore(noise_path)):
         co = Corpora(vocab=vocab, store=active_store)
+        masks = mask_stream(_pad_rows(rows), cfg, np.random.default_rng(5), None)
         batch = build_batch([(None, t) for t in eval_texts], rows, vocab, model,
-                            "placeholder",
-                            mask_text_rng=np.random.default_rng(5), corpora=co)
+                            "placeholder", masks=masks, corpora=co)
         with no_grad():
             logits, _preds, _cls = model.forward(batch)
         outs.append(logits.data.copy())
@@ -351,8 +351,8 @@ def test_08_perplexity_calibration():
     rows = [vocab.encode(seq, max_len=8)] * 32
     pairs = [(None, seq)] * 32
     for step in range(400):
-        batch = build_batch(pairs, rows, vocab, overfit, "placeholder",
-                            mask_text_rng=np.random.default_rng([8, step]))
+        masks = mask_stream(_pad_rows(rows), cfg, np.random.default_rng([8, step]), None)
+        batch = build_batch(pairs, rows, vocab, overfit, "placeholder", masks=masks)
         logits, _p, _c = overfit.forward(batch)
         loss = masked_lm_loss(logits, batch.original_tokens, batch.token_mask_flags)
         opt.zero_grad()

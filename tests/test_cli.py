@@ -289,6 +289,16 @@ class TestTrainEvalRoundTrip:
         assert name == "NoGrounding"
         assert float(val.replace("ppl ", "")) > 1.0
 
+    def test_eval_ppl_does_not_depend_on_batch_size(self, bundle, checkpoint, capsys):
+        model, _ = checkpoint
+        ppls = []
+        for size in ("7", "32"):
+            run_ok(["eval-ppl", "--strategy", "NoGrounding",
+                    "--vocab", str(bundle / "vocab.txt"), "--corpus", str(bundle / "corpus.txt"),
+                    "--model", str(model), "--seed", "7", "--batch-size", size])
+            ppls.append(float(capsys.readouterr().out.strip().splitlines()[-1].split("\t")[1]))
+        assert abs(ppls[0] - ppls[1]) <= 1e-6 * ppls[1], ppls
+
     def _eval_ppl_patched(self, bundle, checkpoint, path, key, value):
         """Run eval-ppl on a copy of the checkpoint whose config sets key=value."""
         model, _ = checkpoint

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no private
 module-level function or class goes unused, the package reads no
-environment variable, and numpy is its only third-party runtime import
-(scipy is a test-only oracle).
+environment variable, numpy is its only third-party runtime import
+(scipy is a test-only oracle), and no two derived generators of the
+training code share a key.
 
 No linter ships with the package, so this AST scan is the check. A name
 counts as used when it appears as a bare name anywhere in the module (an
@@ -120,3 +121,63 @@ def test_fresh_interpreter_loads_no_scipy():
     assert "groundlm.cli" in loaded and "groundlm.finetune" in loaded
     scipy_modules = [name for name in loaded if name.split(".")[0].startswith("scipy")]
     assert not scipy_modules, f"importing groundlm loaded {scipy_modules[:5]}"
+
+
+def rng_keys(source: str):
+    """(key, is_base, line) of each ``default_rng([seed, key])`` call: a
+    constant key as itself, a per-epoch key ``base + e`` as its base. Any
+    other call of ``default_rng`` is returned with key None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and getattr(func, "attr", None) == "default_rng"):
+            continue
+        arg = node.args[0] if len(node.args) == 1 else None
+        key = arg.elts[1] if isinstance(arg, ast.List) and len(arg.elts) == 2 else None
+        if isinstance(key, ast.Constant) and isinstance(key.value, int):
+            found.append((key.value, False, node.lineno))
+        elif (isinstance(key, ast.BinOp) and isinstance(key.op, ast.Add)
+              and isinstance(key.left, ast.Constant) and isinstance(key.right, ast.Name)):
+            found.append((key.left.value, True, node.lineno))
+        else:
+            found.append((None, False, node.lineno))
+    return found
+
+
+def key_clashes(keys):
+    """What makes two derived generators share a stream: an unreadable key,
+    a key used at two call sites, or a constant key at or above a per-epoch base."""
+    problems = [f"line {line}: key is not [seed, constant] or [seed, base + e]"
+                for key, _base, line in keys if key is None]
+    values = [key for key, _base, _line in keys if key is not None]
+    problems += [f"key {key} used {values.count(key)} times"
+                 for key in sorted(set(values)) if values.count(key) > 1]
+    bases = [key for key, base, _line in keys if base]
+    problems += [f"line {line}: constant key {key} reaches the per-epoch base {min(bases)}"
+                 for key, base, line in keys if key is not None and not base and bases
+                 and key >= min(bases)]
+    return problems
+
+
+def test_derived_generator_keys_are_distinct():
+    keys = []
+    for name in ("train.py", "finetune.py"):
+        keys += rng_keys((ROOT / "src" / "groundlm" / name).read_text(encoding="utf-8"))
+    assert len(keys) >= 8
+    assert not key_clashes(keys), key_clashes(keys)
+
+
+def test_key_scan_flags_shared_and_unreadable_keys():
+    source = ("import numpy as np\n"
+              "a = np.random.default_rng([s, 3])\n"
+              "b = np.random.default_rng([s, 1000 + e])\n"
+              "c = np.random.default_rng([s, 3])\n"
+              "d = np.random.default_rng([s, k])\n"
+              "f = np.random.default_rng([s, 1500])\n")
+    keys = rng_keys(source)
+    assert keys == [(3, False, 2), (1000, True, 3), (3, False, 4), (None, False, 5),
+                    (1500, False, 6)]
+    assert key_clashes(keys) == [
+        "line 5: key is not [seed, constant] or [seed, base + e]", "key 3 used 2 times",
+        "line 6: constant key 1500 reaches the per-epoch base 1000"]
+    assert key_clashes(rng_keys(source.split("c =")[0])) == []

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig,
-                            load_checkpoint, mask_regions, mask_tokens,
+from groundlm.model import (CrossModalModel, MaskedBatch, Masks, ModelConfig,
+                            load_checkpoint, mask_stream, mask_tokens,
                             masked_ce_stats, masked_lm_loss,
                             masked_region_loss, save_checkpoint)
 from groundlm.optim import Adam
@@ -105,26 +105,50 @@ class TestMaskTokens:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), seed
 
 
-class TestMaskRegions:
-    def test_rate_zero_no_flags(self, rng):
-        regions = rng.normal(size=(2, 3, 4)).astype(np.float32)
-        out, flags = mask_regions(regions, 0.0, rng)
-        assert not flags.any()
-        np.testing.assert_array_equal(out, regions)
+class TestMaskStream:
+    """A stream's masks come from one ``mask_tokens`` call over all its rows
+    and one region draw per slot, each on its own generator."""
 
-    def test_forced_selection_zeroes_input_keeps_target(self, rng):
-        regions = rng.normal(size=(1, 1, 4)).astype(np.float32)
-        original = regions.copy()
-        out, flags = mask_regions(regions, 0.999999, rng)
-        assert flags.all()
-        np.testing.assert_array_equal(out[flags], 0.0)
-        np.testing.assert_array_equal(regions, original)
+    def test_text_masks_are_one_mask_tokens_call(self, rng):
+        cfg = tiny_model().config
+        ids = token_rows(rng, 9, 6, cfg.vocab_size)
+        ids[::2, 4:] = PAD_ID
+        masks = mask_stream(ids, cfg, np.random.default_rng([3, 7]), None)
+        want = mask_tokens(ids, cfg.mask_rate, np.random.default_rng([3, 7]), cfg.vocab_size)
+        assert np.array_equal(masks.tokens, want[0]) and np.array_equal(masks.token_flags, want[1])
+        assert masks.region_flags is None
+        assert not masks.token_flags[ids == PAD_ID].any()   # so a batch may trim pad columns
+
+    def test_without_text_generator_text_stays_whole(self, rng):
+        cfg = tiny_model().config
+        ids = token_rows(rng, 4, 6, cfg.vocab_size)
+        masks = mask_stream(ids, cfg, None, np.random.default_rng(1), n_slots=3)
+        assert np.array_equal(masks.tokens, ids) and not masks.token_flags.any()
+        assert masks.region_flags.shape == (4, 3)
+
+    def test_region_flags_one_draw_per_slot_in_row_order(self, rng):
+        cfg = ModelConfig(vocab_size=11, d=8, d_v=4, mask_rate=0.5)
+        ids = token_rows(rng, 40, 5, 11)
+        masks = mask_stream(ids, cfg, np.random.default_rng(2), np.random.default_rng(7), 3)
+        want = np.random.default_rng(7).random((40, 3)) < 0.5
+        assert np.array_equal(masks.region_flags, want)
+        assert 0 < masks.region_flags.mean() < 1
 
     def test_seed_determinism(self, rng):
-        regions = rng.normal(size=(3, 5, 2)).astype(np.float32)
-        o1, f1 = mask_regions(regions, 0.5, np.random.default_rng(7))
-        o2, f2 = mask_regions(regions, 0.5, np.random.default_rng(7))
-        assert np.array_equal(o1, o2) and np.array_equal(f1, f2)
+        cfg = tiny_model().config
+        ids = token_rows(rng, 6, 5, cfg.vocab_size)
+        a, b = (mask_stream(ids, cfg, np.random.default_rng(4), np.random.default_rng(5), 2)
+                for _ in range(2))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_rows_take_the_same_rows_of_every_mask(self, rng):
+        cfg = tiny_model().config
+        masks = mask_stream(token_rows(rng, 8, 5, cfg.vocab_size), cfg,
+                            np.random.default_rng(4), np.random.default_rng(5), 2)
+        picks = np.array([5, 0, 3])
+        part = masks.rows(picks)
+        assert all(np.array_equal(got, whole[picks]) for got, whole in zip(part, masks))
+        assert Masks().rows(picks) == Masks()
 
 
 def placeholder_batch(rng, model, b=2, t=5):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groundlm import associate as associate_mod
 from groundlm import kernels
@@ -10,8 +12,8 @@ from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
 from groundlm.embeddings import WordEmbeddingTable, load_word_vectors
 from groundlm.gmm import fit_gmm
 from groundlm.index import ImageFeatureStore, write_feature_store
-from groundlm.model import (CrossModalModel, MaskedBatch, ModelConfig, mask_regions,
-                            mask_tokens, masked_ce_stats)
+from groundlm.model import (CrossModalModel, MaskedBatch, Masks, ModelConfig, mask_tokens,
+                            masked_ce_stats)
 from groundlm.tensor import Tensor, no_grad
 from groundlm.toydata import ToySpec, generate_grounded_corpus
 from groundlm.train import (STRATEGIES, Corpora, Strategy, TrainConfig, _pad_rows,
@@ -84,6 +86,26 @@ class TestMixCorpora:
             mix_corpora([], ["t"], 0.5, seed=0)
         with pytest.raises(ValueError):
             mix_corpora([("a", "x")], [], 0.5, seed=0)
+
+    def test_matches_the_round_robin_loop(self):
+        def reference(paired, text_only, mix_ratio, seed):
+            draws = np.random.default_rng([seed, 3]).random(len(paired) + len(text_only))
+            out, pi, ti = [], 0, 0
+            for take_paired in draws < mix_ratio:
+                if take_paired:
+                    out.append(tuple(paired[pi % len(paired)]))
+                    pi += 1
+                else:
+                    out.append((None, text_only[ti % len(text_only)]))
+                    ti += 1
+            return out
+
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            paired = [(f"i{j}", f"c{j}") for j in range(int(rng.integers(1, 30)))]
+            texts = [f"t{j}" for j in range(int(rng.integers(1, 30)))]
+            ratio = float(rng.choice([0.05, 0.3, 0.5, 0.9]))
+            assert mix_corpora(paired, texts, ratio, seed) == reference(paired, texts, ratio, seed)
 
     def test_deterministic(self):
         paired = [(f"i{j}", "c") for j in range(50)]
@@ -265,6 +287,26 @@ class TestPretrain:
         for n, data in params.items():
             np.testing.assert_array_equal(data, want_params[n], err_msg=n)
 
+    def test_validation_ppl_is_evaluate_perplexity_of_the_split(self, tmp_path, rng,
+                                                                monkeypatch):
+        """TransferredBoth validates both heads in one pass; its `val,ppl` is
+        still exactly what a held-out pass over the split reports."""
+        corpora = small_world(tmp_path, rng)
+        model = small_model(corpora.vocab)
+        evaluate, seen = train_mod._evaluate, []
+
+        def recorded(model, examples, vocab, heads, **kwargs):
+            seen.append((list(examples), heads, kwargs))
+            return evaluate(model, examples, vocab, heads, **kwargs)
+        monkeypatch.setattr(train_mod, "_evaluate", recorded)
+        _m, metrics = pretrain(Strategy("TransferredBoth", k=1), corpora, model,
+                               quick_config(max_steps=6, eval_every=6))
+        monkeypatch.undo()
+        [(examples, heads, kwargs)] = seen
+        assert heads == ("lm", "region")
+        [ppl] = [v for _s, split, metric, v in metrics if (split, metric) == ("val", "ppl")]
+        assert ppl == evaluate_perplexity(model, examples, corpora.vocab, **kwargs)
+
     def test_strategy_k_capped_by_model(self, tmp_path, rng):
         corpora = small_world(tmp_path, rng)
         model = small_model(corpora.vocab, k_max=2)
@@ -337,14 +379,19 @@ class TestEvaluate:
 
 
 def reference_build_batch(examples, token_rows, vocab, model, mode, *, raw_rows=None,
-                          mask_text_rng=None, mask_region_rng=None, corpora=None,
+                          text_masks=None, region_flags=None, corpora=None,
                           k=0, kappa=8, assoc_seed=0, cache=None):
     """The per-slot loop build_batch used before it gathered a batch's regions
-    with one index: one ``store.get`` and one slice write per image."""
+    with one index: one ``store.get`` and one slice write per image.
+    ``text_masks`` is the rows' (corrupted ids, flags) at any width that holds
+    them; ``region_flags`` has one flag per slot."""
     cfg = model.config
     ids = _pad_rows(token_rows)
-    if mask_text_rng is not None:
-        corrupted, flags = mask_tokens(ids, cfg.mask_rate, mask_text_rng, cfg.vocab_size)
+    if text_masks is not None:
+        width = ids.shape[1]
+        corrupted, flags = (m[:, :width] for m in text_masks)
+        assert not text_masks[1][:, width:].any()   # the trim drops no target
+        assert (text_masks[0][:, width:] == PAD_ID).all()
     else:
         corrupted, flags = ids.copy(), np.zeros(ids.shape, dtype=bool)
     batch = MaskedBatch(token_ids=corrupted, token_mask_flags=flags, original_tokens=ids)
@@ -379,11 +426,12 @@ def reference_build_batch(examples, token_rows, vocab, model, mode, *, raw_rows=
             regions[b, lo:lo + n] = rows
             rank_ids[b, lo:lo + n] = rank
             slot_valid[b, lo:lo + n] = True
-    if mask_region_rng is not None:
-        masked, region_flags = mask_regions(regions, cfg.mask_rate, mask_region_rng)
-        region_flags &= slot_valid & ~placeholder_slots
+    masked = regions.copy()
+    if region_flags is not None:
+        masked[region_flags] = 0.0
+        region_flags = region_flags & slot_valid & ~placeholder_slots
     else:
-        masked, region_flags = regions.copy(), np.zeros((b_sz, n_slots), dtype=bool)
+        region_flags = np.zeros((b_sz, n_slots), dtype=bool)
     batch.regions = masked
     batch.original_regions = regions
     batch.region_mask_flags = region_flags
@@ -428,19 +476,23 @@ def two_region_world(tmp_path, rng):
 
 def reference_perplexity(model, examples, vocab, *, seed, mode, corpora, k, kappa,
                          batch_size, cache):
-    """The per-batch loop ``evaluate_perplexity`` ran before it associated
-    the whole stream in one call: each batch masked, associated and
-    forwarded in turn."""
-    encoded = [vocab.encode_with_raw(text, model.config.max_len) for _img, text in examples]
-    rng = np.random.default_rng([seed, 7])
+    """The per-batch loop: the stream is masked by one ``mask_tokens`` call at
+    width ``max_len``, then each batch takes its rows of the masks and is
+    associated and forwarded in turn."""
+    cfg = model.config
+    encoded = [vocab.encode_with_raw(text, cfg.max_len) for _img, text in examples]
+    ids = _pad_rows([row for row, _raw in encoded], cfg.max_len)
+    corrupted, flags = mask_tokens(ids, cfg.mask_rate, np.random.default_rng([seed, 7]),
+                                   cfg.vocab_size)
     total, count = 0.0, 0
     with no_grad():
         for lo in range(0, len(examples), batch_size):
-            chunk = encoded[lo:lo + batch_size]
+            hi = lo + batch_size
+            chunk = encoded[lo:hi]
             batch = reference_build_batch(
-                examples[lo:lo + batch_size], [ids for ids, _raw in chunk], vocab, model, mode,
-                raw_rows=[raw for _ids, raw in chunk], mask_text_rng=rng, corpora=corpora,
-                k=k, kappa=kappa, assoc_seed=seed, cache=cache)
+                examples[lo:hi], [ids for ids, _raw in chunk], vocab, model, mode,
+                raw_rows=[raw for _ids, raw in chunk], text_masks=(corrupted[lo:hi], flags[lo:hi]),
+                corpora=corpora, k=k, kappa=kappa, assoc_seed=seed, cache=cache)
             batch.heads = ("lm",)
             s, c = masked_ce_stats(model.forward(batch)[0].data, batch.original_tokens,
                                    batch.token_mask_flags)
@@ -578,15 +630,26 @@ class TestBuildBatchEquivalence:
     def assert_same(self, corpora, model, mode, examples, k, masks_regions=False, seed=5):
         vocab = corpora.vocab
         encoded = [vocab.encode_with_raw(text, model.config.max_len) for _img, text in examples]
+        # masks as a stream draws them: at width max_len, one flag per slot
+        cfg = model.config
+        corrupted, flags = mask_tokens(_pad_rows([e[0] for e in encoded], cfg.max_len),
+                                       cfg.mask_rate, np.random.default_rng(seed),
+                                       cfg.vocab_size)
+        region_flags = None
+        if masks_regions:
+            n_slots = corpora.store.n_regions
+            region_flags = (np.random.default_rng(seed + 1).random((len(examples), n_slots))
+                            < cfg.mask_rate)
+        masks = {reference_build_batch: dict(text_masks=(corrupted, flags),
+                                             region_flags=region_flags),
+                 build_batch: dict(masks=Masks(corrupted, flags, region_flags))}
         batches, reads = [], []
         for build in (reference_build_batch, build_batch):
             before = corpora.store.reads
             batches.append(build(
                 examples, [e[0] for e in encoded], vocab, model, mode,
-                raw_rows=[e[1] for e in encoded],
-                mask_text_rng=np.random.default_rng(seed),
-                mask_region_rng=np.random.default_rng(seed + 1) if masks_regions else None,
-                corpora=corpora, k=k, kappa=8, assoc_seed=3))
+                raw_rows=[e[1] for e in encoded], corpora=corpora, k=k, kappa=8,
+                assoc_seed=3, **masks[build]))
             reads.append(corpora.store.reads - before)
         want, got = batches
         for name in BATCH_FIELDS:
@@ -637,3 +700,117 @@ class TestBuildBatchEquivalence:
                             model, "paired", corpora=Corpora(vocab=corpora.vocab))
         assert batch.regions.shape == (2, 2, 4) and not batch.regions.any()
         assert batch.placeholder_slots[:, 0].all()
+
+
+class TestRegionMasks:
+    """build_batch zeroes the regions of flagged, filled slots and keeps the
+    targets whole; unflagged and placeholder slots stay as gathered."""
+
+    def test_flagged_regions_zeroed_targets_kept(self, tmp_path, rng):
+        corpora = two_region_world(tmp_path, rng)
+        model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
+        examples = [(corpora.paired[0][0], "red dog"), (None, "cat sat")]
+        rows = [corpora.vocab.encode(text, 8) for _img, text in examples]
+        batch = build_batch(examples, rows, corpora.vocab, model, "paired", corpora=corpora,
+                            masks=Masks(region_flags=np.ones((2, 2), dtype=bool)))
+        assert batch.region_mask_flags.tolist() == [[True, True], [False, False]]
+        assert not batch.regions[0].any() and batch.original_regions[0].all()
+        np.testing.assert_array_equal(batch.original_regions[0],
+                                      corpora.store.get(corpora.paired[0][0]))
+
+    def test_unflagged_regions_stay_whole(self, tmp_path, rng):
+        corpora = two_region_world(tmp_path, rng)
+        model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
+        examples = [(img, text) for img, text in corpora.paired]
+        rows = [corpora.vocab.encode(text, 8) for _img, text in examples]
+        batch = build_batch(examples, rows, corpora.vocab, model, "paired", corpora=corpora)
+        assert not batch.region_mask_flags.any()
+        np.testing.assert_array_equal(batch.regions, batch.original_regions)
+
+
+def mixed_stream(corpora, rng, n):
+    """``n`` examples of 1-6 words, two in three paired with an image."""
+    texts = [" ".join(rng.choice(WORDS + ["zzz"], size=int(rng.integers(1, 7))))
+             for _ in range(n)]
+    images = [img for img, _caption in corpora.paired]
+    return [(images[j % len(images)] if j % 3 else None, text) for j, text in enumerate(texts)]
+
+
+@pytest.fixture(scope="module")
+def invariance_world(tmp_path_factory):
+    corpora = two_region_world(tmp_path_factory.mktemp("invariance"), np.random.default_rng(0))
+    return corpora, small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
+
+
+class TestBatchSizeInvariance:
+    """A stream is masked once, so what an evaluation reports does not depend
+    on how the stream is cut into batches."""
+
+    @pytest.mark.parametrize("mode", ["placeholder", "paired", "scene", "object"])
+    @given(n=st.integers(1, 230), drawn=st.integers(1, 240), seed=st.integers(0, 1000))
+    @settings(max_examples=6, deadline=None)
+    def test_held_out_ppl(self, invariance_world, mode, n, drawn, seed):
+        corpora, model = invariance_world
+        examples = mixed_stream(corpora, np.random.default_rng(seed), n)
+        ppls = [evaluate_perplexity(model, examples, corpora.vocab, seed=seed, mode=mode,
+                                    corpora=corpora, k=4, kappa=3, batch_size=size,
+                                    cache=AssociationCache())
+                for size in (1, 7, 32, 200, drawn)]
+        assert max(ppls) - min(ppls) <= 1e-6 * min(ppls), ppls
+
+    @given(n=st.integers(1, 230), drawn=st.integers(1, 240), seed=st.integers(0, 1000))
+    @settings(max_examples=6, deadline=None)
+    def test_t2i_region_objective(self, invariance_world, n, drawn, seed):
+        corpora, model = invariance_world
+        examples = mixed_stream(corpora, np.random.default_rng(seed), n)
+        means = []
+        for size in (1, 7, 32, 200, drawn):
+            lm_sum, lm_count, total, count = train_mod._evaluate(
+                model, examples, corpora.vocab, ("region",), seed=seed, mode="paired",
+                corpora=corpora, k=1, kappa=8, batch_size=size, cache=None, threads=None)
+            assert (lm_sum, lm_count) == (0.0, 0)
+            means.append(total / count if count else 0.0)
+        assert max(means) - min(means) <= 1e-6 * max(means), means
+
+
+class TestTrainingMasks:
+    @staticmethod
+    def epoch_text_masks(corpora, name, batch_size, monkeypatch):
+        """Each training example's text (corrupted ids, flags) in epoch 0, at
+        width max_len, from the batches pretrain builds."""
+        picks_seen, batches = [], []
+        order, build = train_mod.training_batches, train_mod.build_batch
+
+        def recorded_order(*args, **kwargs):
+            for epoch, picks in order(*args, **kwargs):
+                picks_seen.append(picks)
+                yield epoch, picks
+
+        def recorded_build(*args, **kwargs):
+            batches.append(build(*args, **kwargs))
+            return batches[-1]
+        monkeypatch.setattr(train_mod, "training_batches", recorded_order)
+        monkeypatch.setattr(train_mod, "build_batch", recorded_build)
+        model = small_model(corpora.vocab, max_len=8)
+        pretrain(Strategy(name, k=1), corpora, model,
+                 quick_config(batch_size=batch_size, max_epochs=1, max_steps=None,
+                              eval_every=1000))
+        n = sum(len(picks) for picks in picks_seen)
+        tokens = np.full((n, 8), PAD_ID)
+        flags = np.zeros((n, 8), dtype=bool)
+        for picks, batch in zip(picks_seen, batches):
+            width = batch.token_ids.shape[1]
+            tokens[picks, :width] = batch.token_ids
+            flags[picks, :width] = batch.token_mask_flags
+        assert np.array_equal(np.sort(np.concatenate(picks_seen)), np.arange(n))
+        assert flags.any(axis=1).all()
+        return tokens, flags
+
+    def test_both_and_i2t_draw_the_same_text_masks(self, tmp_path, rng, monkeypatch):
+        """TransferredBoth's region masks have their own generator, so its text
+        masks are I2T's, example by example, at any batch size."""
+        corpora = small_world(tmp_path, rng)
+        runs = [self.epoch_text_masks(corpora, name, size, monkeypatch)
+                for name in ("TransferredBoth", "TransferredI2T") for size in (8, 5)]
+        for tokens, flags in runs[1:]:
+            assert np.array_equal(tokens, runs[0][0]) and np.array_equal(flags, runs[0][1])
