@@ -89,13 +89,15 @@ def load_word_vectors(path) -> WordEmbeddingTable:
     """Parse whitespace-separated text vectors into a WordEmbeddingTable.
 
     An optional first line `count dim` (two integer fields) declares the
-    dimension; otherwise it is inferred from the first data line. Duplicate
-    tokens (case-insensitive) keep their first occurrence. Non-numeric and
+    number of non-blank lines that follow and the dimension; otherwise the
+    dimension is inferred from the first data line. Duplicate tokens
+    (case-insensitive) keep their first occurrence. Non-numeric and
     non-finite (nan, inf, float32 overflow) components are rejected with
     their line number.
     """
     entries: Dict[str, np.ndarray] = {}
-    dim: Optional[int] = None
+    count = dim = None
+    read = 0
     for lineno, line in enumerate(read_lines(path), start=1):
         parts = line.split()
         if not parts:
@@ -106,7 +108,7 @@ def load_word_vectors(path) -> WordEmbeddingTable:
             except ValueError:
                 pass
             else:
-                dim = declared[1]
+                count, dim = declared
                 continue
         token = parts[0].lower()
         try:
@@ -120,10 +122,13 @@ def load_word_vectors(path) -> WordEmbeddingTable:
         if vec.shape[0] != dim:
             raise ValueError(
                 f"{path}: line {lineno}: expected {dim} components, got {vec.shape[0]}")
+        read += 1
         if token not in entries:
             entries[token] = vec
     if dim is None:
         raise ValueError(f"{path}: empty word-vector file")
+    if count is not None and read != count:
+        raise ValueError(f"{path}: header declares {count} vectors, read {read} lines")
     return WordEmbeddingTable(dim, entries)
 
 

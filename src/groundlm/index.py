@@ -32,6 +32,7 @@ import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +45,7 @@ INDEX_VERSION = 1
 STORE_VERSION = 1
 
 _SOURCE_KINDS = ("caption", "synset")
+_U32 = struct.Struct("<I")
 
 
 @dataclass
@@ -62,7 +64,7 @@ class ImageKeyIndex:
         self.shard_size = shard_size
         self.skipped = skipped
         if items:
-            self._keys = np.ascontiguousarray(np.stack([it.key for it in items]))
+            self._keys = np.ascontiguousarray(np.array([it.key for it in items]))
             finite = np.isfinite(self._keys).all(axis=1)
             if not finite.all():
                 bad = items[int(np.argmin(finite))].id
@@ -86,40 +88,43 @@ def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]],
     """Normalize and stack (id, raw key, payload_ref, source_kind) entries.
 
     Zero-norm keys are skipped (counted on ``index.skipped``); duplicate ids
-    and mismatched dimensions raise.
+    and mismatched dimensions raise, naming the first entry that fails.
     """
-    ids, vecs, refs, kinds = [], [], [], []
-    seen = set()
-    dim: Optional[int] = None
-    for entry_id, raw, payload_ref, source_kind in entries:
-        if source_kind not in _SOURCE_KINDS:
-            raise ValueError(f"unknown source_kind {source_kind!r} for id {entry_id!r}")
-        vec = np.asarray(raw, dtype=np.float32).reshape(-1)
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
-            raise ValueError(
-                f"key for id {entry_id!r} has dim {vec.shape[0]}, index dim is {dim}")
-        if entry_id in seen:
-            raise ValueError(f"duplicate id {entry_id!r}")
-        seen.add(entry_id)
-        ids.append(entry_id)
-        vecs.append(vec)
-        refs.append(int(payload_ref))
-        kinds.append(source_kind)
-    if dim is None:
+    entries = list(entries)
+    if not entries:
         return ImageKeyIndex(0, [], shard_size=shard_size)
-    keys = np.stack(vecs)
+    ids, raws, refs, kinds = zip(*entries)
+    # each key object is converted once: a synset's images share one
+    distinct = {id(raw): raw for raw in raws}
+    slot = {key: j for j, key in enumerate(distinct)}
+    vecs = [np.asarray(raw, dtype=np.float32).reshape(-1) for raw in distinct.values()]
+    which = np.array([slot[id(raw)] for raw in raws])
+    dims = np.array([vec.shape[0] for vec in vecs])[which]
+    first = {entry_id: i for i, entry_id in reversed(list(enumerate(ids)))}
+    n = len(ids)
+    bad_kind = next((i for i, kind in enumerate(kinds) if kind not in _SOURCE_KINDS), n)
+    bad_dim = int(np.argmax(dims != dims[0])) or n
+    bad_id = next((i for i, entry_id in enumerate(ids) if first[entry_id] != i), n)
+    i = min(bad_kind, bad_dim, bad_id)
+    if i == bad_kind < n:
+        raise ValueError(f"unknown source_kind {kinds[i]!r} for id {ids[i]!r}")
+    if i == bad_dim < n:
+        raise ValueError(f"key for id {ids[i]!r} has dim {dims[i]}, index dim is {dims[0]}")
+    if i < n:
+        raise ValueError(f"duplicate id {ids[i]!r}")
+    keys = np.stack(vecs)[which]
     # one stacked product gives each row's float32 dot(v, v), bit for bit the
     # square of np.linalg.norm(v)
     norms = np.sqrt((keys[:, None, :] @ keys[:, :, None])[:, 0, 0])
-    live = np.flatnonzero(~(norms.astype(np.float64) < 1e-12))
-    skipped = len(ids) - len(live)
+    live = ~(norms.astype(np.float64) < 1e-12)
+    skipped = n - int(live.sum())
     if skipped:
         warnings.warn(f"build_index: skipped {skipped} zero-norm keys", stacklevel=2)
     unit = keys[live] / norms[live, None]
-    items = [KeyedImage(ids[i], row, refs[i], kinds[i]) for i, row in zip(live, unit)]
-    return ImageKeyIndex(dim, items, shard_size=shard_size, skipped=skipped)
+    keep = live.tolist()
+    items = list(map(KeyedImage, compress(ids, keep), list(unit),
+                     map(int, compress(refs, keep)), compress(kinds, keep)))
+    return ImageKeyIndex(int(dims[0]), items, shard_size=shard_size, skipped=skipped)
 
 
 def _rank(id_rank: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
@@ -286,23 +291,25 @@ def load_index(path) -> ImageKeyIndex:
 
 def write_feature_store(path, images: Sequence[Tuple[str, np.ndarray]],
                         n_regions: int, feat_dim: int) -> Dict[str, int]:
-    """Write the binary store; returns id -> byte offset of its record."""
+    """Write the binary store; returns id -> byte offset of its record. Every
+    record is checked before the file is opened, so a rejected write changes no file."""
+    header = STORE_MAGIC + struct.pack("<IIIQ", STORE_VERSION, n_regions, feat_dim, len(images))
+    shape, payload = (n_regions, feat_dim), 4 * n_regions * feat_dim
     offsets: Dict[str, int] = {}
+    records = [header]
+    pos = len(header)
+    for image_id, rows in images:
+        arr = np.ascontiguousarray(rows, dtype="<f4")
+        if arr.shape != shape:
+            raise ValueError(f"image {image_id!r}: expected shape {shape}, got {arr.shape}")
+        if image_id in offsets:
+            raise ValueError(f"duplicate image id {image_id!r}")
+        offsets[image_id] = pos
+        raw_id = image_id.encode("utf-8")
+        records += (_U32.pack(len(raw_id)) + raw_id, arr)
+        pos += 4 + len(raw_id) + payload
     with open(path, "wb") as fh:
-        fh.write(STORE_MAGIC)
-        fh.write(struct.pack("<IIIQ", STORE_VERSION, n_regions, feat_dim, len(images)))
-        for image_id, rows in images:
-            arr = np.ascontiguousarray(rows, dtype="<f4")
-            if arr.shape != (n_regions, feat_dim):
-                raise ValueError(
-                    f"image {image_id!r}: expected shape {(n_regions, feat_dim)}, got {arr.shape}")
-            if image_id in offsets:
-                raise ValueError(f"duplicate image id {image_id!r}")
-            offsets[image_id] = fh.tell()
-            raw_id = image_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw_id)))
-            fh.write(raw_id)
-            fh.write(arr.tobytes())
+        fh.writelines(records)
     return offsets
 
 
@@ -323,15 +330,27 @@ class ImageFeatureStore:
         reader.header(STORE_MAGIC, STORE_VERSION)
         self.n_regions, self.feat_dim, self.count = reader.unpack("<IIQ", "header")
         payload = 4 * self.n_regions * self.feat_dim
+        data, pos = reader.data, reader.pos
         self.offsets: Dict[str, int] = {}
         chunks = []
         for i in range(self.count):
-            start = reader.pos
-            image_id = reader.text(f"id of image {i}")
-            if image_id in self.offsets:
-                raise reader.error(f"duplicate image id {image_id!r}", start)
+            start = pos
+            try:
+                pos += 4 + _U32.unpack_from(data, start)[0]
+                image_id = str(data[start + 4:pos], "utf-8")
+            except (struct.error, UnicodeDecodeError):
+                image_id = None
+            if image_id is None or pos + payload > len(data) or image_id in self.offsets:
+                # the reader reads the faulty record again and raises its error
+                reader.pos = start
+                image_id = reader.text(f"id of image {i}")
+                if image_id in self.offsets:
+                    raise reader.error(f"duplicate image id {image_id!r}", start)
+                reader.take(payload, f"features of image {image_id!r}")
             self.offsets[image_id] = start
-            chunks.append(reader.take(payload, f"features of image {image_id!r}"))
+            chunks.append(data[pos:pos + payload])
+            pos += payload
+        reader.pos = pos
         reader.done()
         self._rows = {image_id: row for row, image_id in enumerate(self.offsets)}
         self._features = np.frombuffer(b"".join(chunks), dtype="<f4").reshape(

@@ -81,8 +81,9 @@ def _unit(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
-def _format_vector(vec: np.ndarray) -> str:
-    return " ".join(f"{x:.6f}" for x in vec)
+def _write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def entropy_floors(spec: ToySpec) -> dict:
@@ -138,26 +139,32 @@ def generate_grounded_corpus(spec: ToySpec, out_dir) -> ToyCorpusPaths:
     fillers = rng_text.integers(spec.n_fillers,
                                 size=(spec.n_examples, spec.n_fillers_per_caption))
 
-    captions: List[str] = []
-    image_ids: List[str] = []
-    for ex in range(spec.n_examples):
-        c = int(concepts[ex])
-        words = [concept_words[c], cue_words[c]] + \
-            [filler_words[int(f)] for f in fillers[ex]]
-        captions.append(" ".join(words))
-        image_ids.append(f"img{ex:05d}")
+    # every caption's words, gathered from object arrays of the word lists
+    caption_words = np.concatenate(
+        [np.array([concept_words, cue_words], dtype=object).T[concepts],
+         np.array(filler_words, dtype=object)[fillers]], axis=1)
+    captions = list(map(" ".join, caption_words.tolist()))
+    image_ids = [f"img{ex:05d}" for ex in range(spec.n_examples)]
 
-    features = []
-    for ex in range(spec.n_examples):
-        c = int(concepts[ex])
-        rows = np.empty((spec.n_regions, spec.d_v), dtype=np.float32)
-        for r in range(spec.n_regions):
-            if rng_img.random() < spec.grounding_strength:
-                base = anchors_v[c]
-            else:
-                base = _unit(rng_img.normal(size=spec.d_v))
-            rows[r] = base + 0.05 * rng_img.normal(size=spec.d_v)
-        features.append((image_ids[ex], rows))
+    # each region row draws random(), normal(d_v) for a noise base unless it is
+    # grounded, then normal(d_v) for its jitter, into float64 buffers of 256 rows
+    features = np.empty((spec.n_examples, spec.n_regions, spec.d_v), dtype=np.float32)
+    rows, block = features.reshape(-1, spec.d_v), 256
+    row_concepts = np.repeat(concepts, spec.n_regions)
+    drawn, noise = np.empty((2, block, spec.d_v))
+    drawn_rows, noise_rows = list(drawn), list(noise)
+    for lo in range(0, len(rows), block):
+        grounded = []
+        for j in range(min(block, len(rows) - lo)):
+            grounded.append(rng_img.random() < spec.grounding_strength)
+            if not grounded[j]:
+                rng_img.standard_normal(out=drawn_rows[j])
+            rng_img.standard_normal(out=noise_rows[j])
+        n, free = len(grounded), ~np.array(grounded)
+        base = anchors_v[row_concepts[lo:lo + n]]
+        base[free] = _unit(drawn[:n][free])
+        rows[lo:lo + n] = base + 0.05 * noise[:n]
+    del caption_words, drawn, noise, drawn_rows, noise_rows   # not held through the writes
 
     paths = ToyCorpusPaths(
         out_dir=str(out_dir),
@@ -171,44 +178,28 @@ def generate_grounded_corpus(spec: ToySpec, out_dir) -> ToyCorpusPaths:
         floors=os.path.join(out_dir, "floors.json"),
     )
 
-    with open(paths.captions, "w", encoding="utf-8") as fh:
-        for image_id, caption in zip(image_ids, captions):
-            fh.write(f"{image_id}\t{caption}\n")
-
-    with open(paths.corpus, "w", encoding="utf-8") as fh:
-        for caption in captions:
-            fh.write(caption + "\n")
-
+    _write_lines(paths.captions, map("\t".join, zip(image_ids, captions)))
+    _write_lines(paths.corpus, captions)
     # cue words are intentionally absent: the model reads them as [unk]
-    with open(paths.vocab, "w", encoding="utf-8") as fh:
-        for token in list(RESERVED) + concept_words + filler_words:
-            fh.write(token + "\n")
+    _write_lines(paths.vocab, list(RESERVED) + concept_words + filler_words)
 
-    with open(paths.word_vectors, "w", encoding="utf-8") as fh:
-        total = 2 * spec.n_concepts + spec.n_fillers
-        fh.write(f"{total} {spec.d_w}\n")
-        for word, vec in zip(concept_words, concept_vecs):
-            fh.write(f"{word} {_format_vector(vec)}\n")
-        for word, vec in zip(cue_words, cue_vecs):
-            fh.write(f"{word} {_format_vector(vec)}\n")
-        for word, vec in zip(filler_words, filler_vecs):
-            fh.write(f"{word} {_format_vector(vec)}\n")
+    line = "%s " + " ".join(["%.6f"] * spec.d_w)
+    _write_lines(paths.word_vectors, [f"{2 * spec.n_concepts + spec.n_fillers} {spec.d_w}"] + [
+        line % (word, *vec) for words, vecs in ((concept_words, concept_vecs),
+                                                (cue_words, cue_vecs),
+                                                (filler_words, filler_vecs))
+        for word, vec in zip(words, vecs.tolist())])
 
-    write_feature_store(paths.features, features, spec.n_regions, spec.d_v)
+    write_feature_store(paths.features, list(zip(image_ids, features)), spec.n_regions, spec.d_v)
 
     by_concept: List[List[str]] = [[] for _ in range(spec.n_concepts)]
-    for ex in range(spec.n_examples):
-        by_concept[int(concepts[ex])].append(image_ids[ex])
-    with open(paths.synsets, "w", encoding="utf-8") as fh:
-        for i in range(spec.n_concepts):
-            if not by_concept[i]:
-                continue
-            fh.write(f"s{i:03d}\t{concept_words[i]},{cue_words[i]}\t"
-                     f"{concept_words[i]} {cue_words[i]}\t{','.join(by_concept[i])}\n")
-
-    with open(paths.nouns, "w", encoding="utf-8") as fh:
-        for word in concept_words + cue_words:
-            fh.write(word + "\n")
+    for image_id, c in zip(image_ids, concepts.tolist()):
+        by_concept[c].append(image_id)
+    _write_lines(paths.synsets, [
+        f"s{i:03d}\t{concept_words[i]},{cue_words[i]}\t"
+        f"{concept_words[i]} {cue_words[i]}\t{','.join(ids)}"
+        for i, ids in enumerate(by_concept) if ids])
+    _write_lines(paths.nouns, concept_words + cue_words)
 
     floors = entropy_floors(spec)
     floors["spec"] = asdict(spec)

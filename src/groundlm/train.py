@@ -370,22 +370,31 @@ def _encode(examples: Sequence[ExampleTuple], vocab: Vocab, max_len: int):
     return [ids for ids, _raw in encoded], [raw for _ids, raw in encoded]
 
 
-def _evaluate(model: CrossModalModel, examples: Sequence[ExampleTuple], vocab: Vocab,
+def _prepare(examples: Sequence[ExampleTuple], vocab: Vocab, cfg: ModelConfig,
+             heads: Tuple[str, ...], seed: int, corpora: Optional[Corpora]) -> tuple:
+    """(examples, id rows, raw token rows, Masks): a stream ready for
+    ``_evaluate``, with text masked by ``[seed, 7]`` if ``heads`` holds "lm"
+    and regions masked by ``[seed, 11]`` if it holds "region"."""
+    rows, raw = _encode(examples, vocab, cfg.max_len)
+    masks = mask_stream(_pad_rows(rows, cfg.max_len), cfg,
+                        np.random.default_rng([seed, 7]) if "lm" in heads else None,
+                        np.random.default_rng([seed, 11]) if "region" in heads else None,
+                        corpora.store.n_regions if "region" in heads else 0)
+    return examples, rows, raw, masks
+
+
+def _evaluate(model: CrossModalModel, prepared: tuple, vocab: Vocab,
               heads: Tuple[str, ...], *, seed: int, mode: str, corpora: Optional[Corpora],
               k: int, kappa: int, batch_size: int, cache: Optional[AssociationCache],
               threads: Optional[int]) -> Tuple[float, int, float, int]:
-    """(masked-token cross-entropy sum, count, region error sum, count) over one
-    seed-determined masking of ``examples``, in float64; zeros for a head not in
-    ``heads``. The "lm" head reads text masked by ``[seed, 7]`` beside whole
-    regions, the "region" head regions masked by ``[seed, 11]`` beside whole
-    text. Rows are associated in one call; each batch is built once."""
+    """(masked-token cross-entropy sum, count, region error sum, count) over a
+    stream that ``_prepare`` masked for ``heads`` and ``seed``, in float64;
+    zeros for a head not in ``heads``. The "lm" head reads masked text beside
+    whole regions, the "region" head masked regions beside whole text. Rows
+    are associated in one call; each batch is built once."""
     cfg = model.config
-    rows, raw = _encode(examples, vocab, cfg.max_len)
+    examples, rows, raw, masks = prepared
     lm, region = "lm" in heads, "region" in heads
-    masks = mask_stream(_pad_rows(rows, cfg.max_len), cfg,
-                        np.random.default_rng([seed, 7]) if lm else None,
-                        np.random.default_rng([seed, 11]) if region else None,
-                        corpora.store.n_regions if region else 0)
     rankings = _associate_rows(mode, masks.tokens, masks.token_flags, raw, vocab, corpora, k,
                                kappa, seed, cache, threads)
     totals = np.zeros(4)
@@ -423,7 +432,8 @@ def evaluate_perplexity(model: CrossModalModel, examples, vocab: Vocab, *,
     examples = [(None, ex) if isinstance(ex, str) else ex for ex in examples]
     if not examples:
         raise ValueError("evaluate_perplexity: empty evaluation stream")
-    total, count, _, _ = _evaluate(model, examples, vocab, ("lm",), seed=seed, mode=mode,
+    prepared = _prepare(examples, vocab, model.config, ("lm",), seed, corpora)
+    total, count, _, _ = _evaluate(model, prepared, vocab, ("lm",), seed=seed, mode=mode,
                                    corpora=corpora, k=k, kappa=kappa, batch_size=batch_size,
                                    cache=cache, threads=threads)
     return float(np.exp(total / count))
@@ -497,6 +507,10 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     window: List[float] = []
     step, best, bad_evals, stop = 0, math.inf, 0, False
 
+    # the split is encoded and masked once; each evaluation associates it anew
+    val = (_prepare(val_examples, vocab, model.config, heads, config.seed, corpora)
+           if val_examples else None)
+
     def run_eval() -> None:
         nonlocal best, bad_evals, stop
         if window:
@@ -505,7 +519,7 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
         if not val_examples:
             return
         lm_sum, lm_count, region_sum, region_count = _evaluate(
-            model, val_examples, vocab, heads, seed=config.seed, mode=mode, corpora=corpora,
+            model, val, vocab, heads, seed=config.seed, mode=mode, corpora=corpora,
             k=strategy.k, kappa=config.kappa, batch_size=config.batch_size, cache=cache,
             threads=threads)
         if lm_loss_on:

@@ -13,6 +13,7 @@ import groundlm
 from groundlm.embeddings import (WordEmbeddingTable, encode_cbow,
                                  encode_synset_key, load_word_vectors,
                                  tokenize)
+from groundlm.toydata import ToySpec, generate_grounded_corpus
 
 from conftest import make_table, write_wordvecs
 
@@ -29,6 +30,28 @@ class TestLoader:
         table = make_table(tmp_path, {"a": list(range(300)), "b": list(range(300))},
                            header=True)
         assert table.dim == 300
+
+    def test_header_count_must_match_lines(self, tmp_path):
+        """A header's count is the number of non-blank vector lines after it,
+        duplicates included; a file cut short at a line boundary is rejected."""
+        path = tmp_path / "v.txt"
+        path.write_text("3 2\na 1.0 2.0\n\nA 3.0 4.0\nb 5.0 6.0\n")
+        assert len(load_word_vectors(path)) == 2   # "A" repeats "a" but is a line
+        path.write_text("3 2\na 1.0 2.0\nb 5.0 6.0\n")
+        with pytest.raises(ValueError) as err:
+            load_word_vectors(path)
+        assert str(err.value) == f"{path}: header declares 3 vectors, read 2 lines"
+
+    def test_truncated_toy_vectors_rejected(self, tmp_path):
+        paths = generate_grounded_corpus(
+            ToySpec(vocab_size=40, n_concepts=12, n_examples=30, d_w=8, d_v=6), tmp_path)
+        lines = open(paths.word_vectors, encoding="utf-8").readlines()
+        assert len(load_word_vectors(paths.word_vectors)) == len(lines) - 1
+        with open(paths.word_vectors, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[:-5])
+        with pytest.raises(ValueError, match=f"header declares {len(lines) - 1} vectors, "
+                                             f"read {len(lines) - 6} lines"):
+            load_word_vectors(paths.word_vectors)
 
     def test_wrong_component_count_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"

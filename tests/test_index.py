@@ -329,3 +329,24 @@ class TestFeatureStore:
                 ("a", np.zeros((1, 2), dtype=np.float32))]
         with pytest.raises(ValueError):
             write_feature_store(tmp_path / "f.vftr", rows, n_regions=1, feat_dim=2)
+
+    @pytest.mark.parametrize("bad, match", [
+        (("a", np.zeros((1, 2), dtype=np.float32)), "duplicate image id 'a'"),
+        (("c", np.zeros((2, 2), dtype=np.float32)), r"'c': expected shape \(1, 2\)"),
+    ], ids=["duplicate", "shape"])
+    def test_rejected_write_changes_no_file(self, tmp_path, bad, match):
+        """The last record is the bad one: nothing is written, so no file is
+        created and an existing store keeps every byte."""
+        rows = [("a", np.ones((1, 2), dtype=np.float32)),
+                ("b", np.full((1, 2), 2.0, dtype=np.float32)), bad]
+        fresh = tmp_path / "new.vftr"
+        with pytest.raises(ValueError, match=match):
+            write_feature_store(fresh, rows, n_regions=1, feat_dim=2)
+        assert not fresh.exists()
+        kept = tmp_path / "kept.vftr"
+        write_feature_store(kept, rows[:2], n_regions=1, feat_dim=2)
+        before = kept.read_bytes()
+        with pytest.raises(ValueError, match=match):
+            write_feature_store(kept, rows, n_regions=1, feat_dim=2)
+        assert kept.read_bytes() == before
+        np.testing.assert_array_equal(ImageFeatureStore(kept).get("b"), rows[1][1])

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import math
 
@@ -136,6 +137,51 @@ class TestDeterminismAndStrength:
         a, b = groups[0][0], groups[0][1]
         cos_same = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
         assert cos_same > 0.9
+
+
+# sha256 of every file generate_grounded_corpus writes, taken from the
+# per-record generator that the bulk one replaced
+GOLDEN = [
+    (ToySpec(seed=0), {
+        "captions.tsv": "e72e1de9d3904e32e005eaae629936084fb5b01d8a908a5b1ebd2788c4493db7",
+        "corpus.txt": "e45994e92297e570fb18801b2c2bcb5e70fc4a23eba8ffe65f903272534cfbb2",
+        "features.vftr": "a6c1e652b180be46fe31e612f512bada4313658448b77790829d675d77936acd",
+        "floors.json": "3f37bf4f02e57022ac35fb2e0215061956442f939daa179b67d3fa990c15af3d",
+        "nouns.txt": "af5890aba454a8f4aca53d4e9fd9d42a9d7410d3ba03912d4e750a21b6511309",
+        "synsets.tsv": "b6028cc2b09149bdbfc1dfa81b8ab382f3e466810f801afdf7d5f4e96933a6c7",
+        "vocab.txt": "e6a2ec86f00035361918321af4244a01fe445162f25dc484593242c7705c138d",
+        "wordvecs.txt": "e3ed2c7bfe746a48e3b4ecb037f5777a785110fc81e2c19459a761d7f8d516a7",
+    }),
+    (ToySpec(seed=3, grounding_strength=0.5), {
+        "captions.tsv": "ddf57c1f09b632bdf29f022f3f1d7fe7a1f9389359464b0d466486eaaedbfde5",
+        "corpus.txt": "078c6d7faef8998b266bc35475ceb8a69d0b79baaabfd33d20b9cf3dae1b7903",
+        "features.vftr": "c3baaa974ad18895b3db31993f5a6caee55699a1acf34850cfede747977fcbc1",
+        "floors.json": "b5c15c47365fec1f3f8c08ddec2719d05019cf519841558d8ce5bc7e4ece8cef",
+        "nouns.txt": "af5890aba454a8f4aca53d4e9fd9d42a9d7410d3ba03912d4e750a21b6511309",
+        "synsets.tsv": "f811dc567cedc14e85c2da5d0fc32f8cc1f8f049907dc8666dd03596197171b2",
+        "vocab.txt": "e6a2ec86f00035361918321af4244a01fe445162f25dc484593242c7705c138d",
+        "wordvecs.txt": "10d9679945ceb85d07f5592de5bb8bea01d8944119cbf212c24f19d2072bf3f5",
+    }),
+    # no region grounded, two regions an image: the noise-base branch
+    (ToySpec(seed=5, grounding_strength=0.0, n_regions=2), {
+        "captions.tsv": "be71fd9f10f0c8c039041fb62afd45d8cc198e4d98f4668aff1ca7bd01c19923",
+        "corpus.txt": "f012bf95db57305e15bc9aa37837e1da243a9facdb2e800ae4fe93002f3dc290",
+        "features.vftr": "26d670f1512071336a50d034dba9097a60b620fc8eb40dc2f03f6d70f9145875",
+        "floors.json": "ff89b5fd3c2e912aa0bf0e422d4b527b9f15a9c06031ac32a16d76676239d5cc",
+        "nouns.txt": "af5890aba454a8f4aca53d4e9fd9d42a9d7410d3ba03912d4e750a21b6511309",
+        "synsets.tsv": "eabf381020c6d4725723b2da872e29720128d7ef3f362434d8bb460b9918cc74",
+        "vocab.txt": "e6a2ec86f00035361918321af4244a01fe445162f25dc484593242c7705c138d",
+        "wordvecs.txt": "5cd9a5cd710cd722d6edc7b6c82d031798a778ca23dea5474c7df61c9a288c54",
+    }),
+]
+
+
+@pytest.mark.parametrize("spec, digests", GOLDEN, ids=["seed0", "seed3-half", "seed5-noise"])
+def test_bundle_bytes_pinned(tmp_path, spec, digests):
+    generate_grounded_corpus(spec, tmp_path)
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == digests
 
 
 class TestFloors:

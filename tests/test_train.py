@@ -295,9 +295,9 @@ class TestPretrain:
         model = small_model(corpora.vocab)
         evaluate, seen = train_mod._evaluate, []
 
-        def recorded(model, examples, vocab, heads, **kwargs):
-            seen.append((list(examples), heads, kwargs))
-            return evaluate(model, examples, vocab, heads, **kwargs)
+        def recorded(model, prepared, vocab, heads, **kwargs):
+            seen.append((list(prepared[0]), heads, kwargs))
+            return evaluate(model, prepared, vocab, heads, **kwargs)
         monkeypatch.setattr(train_mod, "_evaluate", recorded)
         _m, metrics = pretrain(Strategy("TransferredBoth", k=1), corpora, model,
                                quick_config(max_steps=6, eval_every=6))
@@ -306,6 +306,38 @@ class TestPretrain:
         assert heads == ("lm", "region")
         [ppl] = [v for _s, split, metric, v in metrics if (split, metric) == ("val", "ppl")]
         assert ppl == evaluate_perplexity(model, examples, corpora.vocab, **kwargs)
+
+    @pytest.mark.parametrize("name", ["TransferredBoth", "AssociativeScene"])
+    def test_split_prepared_once_and_each_eval_is_a_fresh_pass(self, tmp_path, rng,
+                                                               monkeypatch, name):
+        """The validation split is encoded and masked once, before training;
+        every evaluation of it still reads what a held-out pass over the split
+        reports for the model of that moment, with its own association."""
+        corpora = small_world(tmp_path, rng)
+        model = small_model(corpora.vocab)
+        prepare, evaluate = train_mod._prepare, train_mod._evaluate
+        prepared, fresh = [], []
+
+        def recorded_prepare(*args):
+            prepared.append(prepare(*args))
+            return prepared[-1]
+
+        def recorded_evaluate(model, stream, vocab, heads, **kwargs):
+            # evaluate_perplexity's own steps, unrecorded, over a fresh preparation
+            again = prepare(stream[0], vocab, model.config, ("lm",), kwargs["seed"],
+                            kwargs["corpora"])
+            lm_sum, lm_count, _, _ = evaluate(model, again, vocab, ("lm",),
+                                              **{**kwargs, "cache": AssociationCache()})
+            fresh.append(float(np.exp(lm_sum / lm_count)))
+            return evaluate(model, stream, vocab, heads, **kwargs)
+        monkeypatch.setattr(train_mod, "_prepare", recorded_prepare)
+        monkeypatch.setattr(train_mod, "_evaluate", recorded_evaluate)
+        _m, metrics = pretrain(Strategy(name, k=1), corpora, model,
+                               quick_config(max_steps=9, eval_every=3),
+                               cache=AssociationCache())
+        assert len(prepared) == 1
+        ppls = [v for _s, split, metric, v in metrics if (split, metric) == ("val", "ppl")]
+        assert len(ppls) == 3 and ppls == fresh
 
     def test_strategy_k_capped_by_model(self, tmp_path, rng):
         corpora = small_world(tmp_path, rng)
@@ -764,9 +796,11 @@ class TestBatchSizeInvariance:
         corpora, model = invariance_world
         examples = mixed_stream(corpora, np.random.default_rng(seed), n)
         means = []
+        prepared = train_mod._prepare(examples, corpora.vocab, model.config, ("region",),
+                                      seed, corpora)
         for size in (1, 7, 32, 200, drawn):
             lm_sum, lm_count, total, count = train_mod._evaluate(
-                model, examples, corpora.vocab, ("region",), seed=seed, mode="paired",
+                model, prepared, corpora.vocab, ("region",), seed=seed, mode="paired",
                 corpora=corpora, k=1, kappa=8, batch_size=size, cache=None, threads=None)
             assert (lm_sum, lm_count) == (0.0, 0)
             means.append(total / count if count else 0.0)

@@ -2,6 +2,8 @@
 
     python3 tools/ab_steps.py --a CHECKOUT_A --b CHECKOUT_B \\
         [--workload paired|object] [--seed N] [--steps N] [--eval-passes N]
+    python3 tools/ab_steps.py --a CHECKOUT_A --b CHECKOUT_B --setups N \\
+        [--workload paired|object] [--seed N]
 
 Each checkout's ``src/groundlm`` is imported under its own package name
 (``glm_a``, ``glm_b``), and both build the same session as
@@ -29,6 +31,13 @@ Prints, for each order, the median step and eval-pass times of each side
 and the B/A ratios; then the geometric mean of the two orders' B/A of
 medians, and whether the final parameters and the held-out perplexity are
 bitwise equal. BLAS runs on one thread, as in perfbench.
+
+With ``--setups N`` it times perfbench's set-up instead (``session.setup``:
+write the bundle, load it and build the workload's index), alternating
+single set-ups of A and B, N of each side with A first and then N with B
+first. It prints each side's median set-up ms and the B/A of medians for
+each order, their geometric mean, and whether the two sides wrote
+byte-identical bundle files.
 """
 
 from __future__ import annotations
@@ -187,6 +196,43 @@ def run_order(checkouts, first: int, workload, seed: int, steps: int, passes: in
     return sides
 
 
+def bundle_files(bundle_dir: str) -> dict:
+    """File name -> bytes of every file in a bundle directory."""
+    out = {}
+    for name in sorted(os.listdir(bundle_dir)):
+        with open(os.path.join(bundle_dir, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+def compare_setups(checkouts, workload, seed: int, n: int, tmp: str) -> None:
+    """Alternate ``n`` set-ups of each side in each order and print the times."""
+    sides = [load_checkout(checkout, f"glm_{'ab'[i]}") for i, checkout in enumerate(checkouts)]
+    bundles = [None, None]
+    ratios = []
+    print(f"workload {workload.name} ({workload.strategy}), bundle seed {seed}, "
+          f"{n} set-ups per side and order")
+    for first in (0, 1):
+        secs = [[], []]
+        for _ in range(n):
+            for i in (first, 1 - first):
+                bundle_dir = os.path.join(tmp, f"setup_{'ab'[i]}")
+                world, elapsed = S.timed_setup(sides[i], workload, seed, bundle_dir)
+                secs[i].append(elapsed)
+                if bundles[i] is None:
+                    bundles[i] = bundle_files(bundle_dir)
+                S.close(world)
+        (qa, qb), wins = map(quartiles, secs), sum(b < a for a, b in zip(*secs))
+        ratios.append(qb[1] / qa[1])
+        print(f"{'AB'[first]} first: set-up ms  A p25/p50/p75 {qa[0]*1e3:.2f}/{qa[1]*1e3:.2f}/"
+              f"{qa[2]*1e3:.2f}  B {qb[0]*1e3:.2f}/{qb[1]*1e3:.2f}/{qb[2]*1e3:.2f}"
+              f"  B/A of medians {ratios[-1]:.3f}  B faster in {wins}/{n} pairs")
+    print(f"set-up B/A of medians, geometric mean of both orders "
+          f"{math.sqrt(ratios[0] * ratios[1]):.3f}")
+    print(f"bundle files byte-identical: {bundles[0] == bundles[1]} "
+          f"({len(bundles[0])} files A, {len(bundles[1])} files B)")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--a", required=True, help="checkout A (the base)")
@@ -195,8 +241,16 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0, help="toy bundle seed")
     p.add_argument("--steps", type=int, default=None, help="pretrain steps (workload's)")
     p.add_argument("--eval-passes", type=int, default=None, help="held-out passes per side")
+    p.add_argument("--setups", type=int, default=0,
+                   help="time N set-ups per side and order instead of steps")
     args = p.parse_args(argv)
     workload = S.WORKLOADS[args.workload]
+    if args.setups == 1:
+        p.error("--setups needs at least 2 set-ups per side and order")
+    if args.setups > 0:
+        with tempfile.TemporaryDirectory() as tmp:
+            compare_setups((args.a, args.b), workload, args.seed, args.setups, tmp)
+        return 0
     steps = args.steps or workload.steps
     passes = args.eval_passes if args.eval_passes is not None else workload.eval_passes
 
