@@ -226,8 +226,8 @@ class CrossModalModel:
 
     # forward pieces
 
-    def _linear(self, prefix: str, x: Tensor, pad_rows: Optional[int] = None) -> Tensor:
-        return T.linear(x, self.params[f"{prefix}.W"], self.params[f"{prefix}.b"], pad_rows)
+    def _linear(self, prefix: str, x: Tensor) -> Tensor:
+        return T.linear(x, self.params[f"{prefix}.W"], self.params[f"{prefix}.b"])
 
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
         return T.layernorm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
@@ -235,12 +235,11 @@ class CrossModalModel:
     def _encoder_block(self, prefix: str, x: Tensor, bias: Optional[np.ndarray],
                        rows: Optional[int] = None) -> Tensor:
         """Pre-LN block; with ``rows``, it computes the first ``rows`` output rows only."""
-        pad = None if rows is None else x.shape[1]
         context = T.attention(self._linear(f"{prefix}.attn.qkv", self._ln(f"{prefix}.ln1", x)),
                               bias, self.config.n_heads, rows)
-        x = (x if rows is None else x[:, :rows]) + self._linear(f"{prefix}.attn.out", context, pad)
-        hidden = T.gelu(self._linear(f"{prefix}.mlp.fc1", self._ln(f"{prefix}.ln2", x), pad))
-        return x + self._linear(f"{prefix}.mlp.fc2", hidden, pad)
+        x = (x if rows is None else x[:, :rows]) + self._linear(f"{prefix}.attn.out", context)
+        hidden = T.gelu(self._linear(f"{prefix}.mlp.fc1", self._ln(f"{prefix}.ln2", x)))
+        return x + self._linear(f"{prefix}.mlp.fc2", hidden)
 
     @staticmethod
     def _attn_bias(valid: np.ndarray, dtype) -> Optional[np.ndarray]:

@@ -9,9 +9,12 @@ parameters, constants, masks) prune the graph behind them.
 A transformer layer is a few coarse nodes rather than a chain of generic
 ones: ``linear`` is one weight product plus bias, and ``attention`` takes the
 fused query/key/value projection to the attention context in one node, with a
-hand-derived backward. Their matrix products go straight to ``np.matmul``;
-the row-wise hot paths (gelu, softmax, layer norm, the fused loss ops) run on
-the kernels in :mod:`groundlm.kernels`.
+hand-derived backward. Given a query row count, ``attention`` computes those
+rows only, so a block whose later rows nobody reads never forms them. The
+matrix products go straight to ``np.matmul``, each at the row count it reads,
+so restricted rows agree with the same rows of the full op to rounding, not
+bit for bit. The row-wise hot paths (gelu, softmax, layer norm, the fused
+loss ops) run on the kernels in :mod:`groundlm.kernels`.
 """
 
 from __future__ import annotations
@@ -277,7 +280,7 @@ def sum_all(x: Tensor):
     data = np.asarray(x.data.sum(), dtype=x.data.dtype)
 
     def backward(g):
-        _accumulate(x, np.broadcast_to(g, x.shape).astype(x.data.dtype, copy=False) * np.ones_like(x.data))
+        _accumulate(x, np.full_like(x.data, g))
 
     return _node(data, (x,), backward, "sum")
 
@@ -305,31 +308,19 @@ def gelu(x: Tensor):
     return _node(data, (x,), backward, "gelu")
 
 
-def _pad_rows(a: np.ndarray, rows: int) -> np.ndarray:
-    """``a`` with zero rows appended along axis -2 up to ``rows``."""
-    out = np.zeros(a.shape[:-2] + (rows, a.shape[-1]), dtype=a.dtype)
-    out[..., :a.shape[-2], :] = a
-    return out
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor, pad_rows=None):
-    """``x @ w + b`` for a (n_in, n_out) weight and an (n_out,) bias, as one node.
-
-    With ``pad_rows``, ``x`` is the top rows (axis -2) of a ``pad_rows``-row input;
-    products run padded to that count, as BLAS may round a row by the row count."""
+def linear(x: Tensor, w: Tensor, b: Tensor):
+    """``x @ w + b`` for a (n_in, n_out) weight and an (n_out,) bias, as one node."""
     n_in, n_out = w.shape
     if x.shape[-1] != n_in or b.shape != (n_out,):
         raise ShapeError(f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} "
                          f"do not conform")
-    xp = x.data if pad_rows is None else _pad_rows(x.data, pad_rows)
-    data = np.matmul(xp, w.data)[..., :x.shape[-2], :] + b.data
+    data = np.matmul(x.data, w.data) + b.data
 
     def backward(g):
-        gp = g if pad_rows is None else _pad_rows(g, pad_rows)
         if x.requires_grad:
-            _accumulate(x, np.matmul(gp, np.ascontiguousarray(w.data.T))[..., :x.shape[-2], :])
+            _accumulate(x, np.matmul(g, np.ascontiguousarray(w.data.T)))
         if w.requires_grad:
-            _accumulate(w, np.matmul(xp.reshape(-1, n_in).T, gp.reshape(-1, n_out)))
+            _accumulate(w, np.matmul(x.data.reshape(-1, n_in).T, g.reshape(-1, n_out)))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape))
 
@@ -345,8 +336,9 @@ def attention(qkv: Tensor, bias, n_heads: int, rows=None):
     is the hand-derived one (FlashAttention's Algorithm 4 without the
     tiling) and writes dq, dk and dv into one (3, B, H, T, dh) array.
 
-    With ``rows``, the context and softmax cover the first ``rows`` queries
-    only, and each product runs at T rows padded with zeros, as in ``linear``."""
+    With ``rows``, only the first ``rows`` queries attend: the (B, rows, d)
+    context, and every query-side product forward and backward, cover those
+    rows alone, while keys and values cover all T; dq is zero beyond them."""
     b_sz, t, width = qkv.shape
     if width % (3 * n_heads):
         raise ShapeError(f"attention: width {width} does not split into q, k and v "
@@ -356,24 +348,25 @@ def attention(qkv: Tensor, bias, n_heads: int, rows=None):
     dh = d // n_heads
     heads = qkv.data.reshape(b_sz, t, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     q, k, v = heads
+    q = q[:, :, :rows]
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=qkv.dtype)
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2))[:, :, :rows] * scale
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
     if bias is not None:
         scores = scores + bias
     att = kern.softmax_forward(np.ascontiguousarray(scores.reshape(-1, t))).reshape(scores.shape)
-    att_t = att if rows is None else _pad_rows(att, t)
-    data = np.matmul(att_t, v)[:, :, :rows].transpose(0, 2, 1, 3).reshape(b_sz, -1, d)
+    r = att.shape[2]
+    data = np.matmul(att, v).transpose(0, 2, 1, 3).reshape(b_sz, r, d)
 
     def backward(g):
-        g = g if rows is None else _pad_rows(g, t)
-        dctx = np.ascontiguousarray(g.reshape(b_sz, t, n_heads, dh).transpose(0, 2, 1, 3))
+        dctx = np.ascontiguousarray(g.reshape(b_sz, r, n_heads, dh).transpose(0, 2, 1, 3))
         datt = np.matmul(dctx, np.swapaxes(v, -1, -2))
-        dscores = kern.softmax_backward(datt.reshape(-1, t), att_t.reshape(-1, t))
-        dscores = dscores.reshape(att_t.shape) * scale
+        dscores = kern.softmax_backward(datt.reshape(-1, t), att.reshape(-1, t))
+        dscores = dscores.reshape(att.shape) * scale
         dheads = np.empty_like(heads)   # laid out like qkv, so the reshape below is free
-        dheads[0] = np.matmul(dscores, k)
+        dheads[0, :, :, :r] = np.matmul(dscores, k)
+        dheads[0, :, :, r:] = 0.0
         dheads[1] = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), dscores), -1, -2)
-        dheads[2] = np.matmul(np.swapaxes(att_t, -1, -2), dctx)
+        dheads[2] = np.matmul(np.swapaxes(att, -1, -2), dctx)
         _accumulate(qkv, dheads.transpose(1, 3, 0, 2, 4).reshape(qkv.shape))
 
     return _node(data, (qkv,), backward, "attention")

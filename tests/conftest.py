@@ -56,3 +56,10 @@ def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def max_rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest absolute difference, relative to the largest magnitude of ``want``."""
+    want = np.asarray(want, dtype=np.float64)
+    scale = max(float(np.max(np.abs(want), initial=0.0)), np.finfo(np.float64).tiny)
+    return float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want), initial=0.0)) / scale

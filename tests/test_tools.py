@@ -1,5 +1,7 @@
 """The scripts under ``tools/`` run end to end on this checkout."""
 
+import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -18,3 +20,31 @@ def test_ab_setups_of_a_checkout_against_itself():
     assert "A first: set-up ms" in out and "B first: set-up ms" in out
     assert "geometric mean of both orders" in out
     assert "bundle files byte-identical: True (8 files A, 8 files B)" in out
+
+
+def test_trace_run_writes_per_function_times(tmp_path):
+    """``trace_run.py`` runs one CLI command under the benchmark's tracer and
+    writes each traced name's calls, ms and self ms; the command's own
+    outputs are written as usual."""
+    bundle = tmp_path / "bundle"
+    subprocess.run([sys.executable, "-m", "groundlm", "make-toy-data", "--out", str(bundle),
+                    "--n-examples", "200", "--seed", "1"],
+                   cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                   capture_output=True, timeout=300, check=True)
+    trace = tmp_path / "trace.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "trace_run.py"), "--out", str(trace), "--",
+         "pretrain", "--strategy", "NoGrounding", "--vocab", str(bundle / "vocab.txt"),
+         "--corpus", str(bundle / "corpus.txt"), "--out-model", str(tmp_path / "m.glmc"),
+         "--d", "8", "--n-layers-text", "1", "--n-layers-cross", "1", "--n-heads", "2",
+         "--max-len", "8", "--max-steps", "3", "--batch-size", "8", "--eval-every", "100"],
+        capture_output=True, text=True, timeout=300, check=True)
+    blob = json.loads(trace.read_text())
+    assert blob["exit_code"] == 0 and blob["argv"][0] == "pretrain"
+    assert (tmp_path / "m.glmc").is_file()
+    targets = blob["targets"]
+    assert targets["tensor.backward"]["calls"] == 3
+    assert targets["model.forward"]["calls"] > 3       # the steps, then validation
+    for name, row in targets.items():
+        assert row["ms"] >= row["self_ms"] >= 0.0, name
+    assert targets["model.forward"]["ms"] > 0.0

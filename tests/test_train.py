@@ -256,8 +256,14 @@ class TestPretrain:
                                          ("TransferredBoth", 1), ("AssociativeScene", 16)])
     def test_training_bits_do_not_depend_on_the_heads_computed(self, tmp_path, name, k):
         """Pretraining computes only the heads its losses read; at the acceptance
-        shape, its parameters and metrics are bitwise those of the same run with
-        both heads computed on every forward."""
+        shape, its parameters and metrics agree to rounding with those of the
+        same run with both heads computed on every forward. The last cross
+        block's products run at the rows read, which BLAS may round unlike the
+        same rows of the full product; after 5 Adam steps at lr 1e-3 the
+        largest parameter difference measured was 5.0e-6 (AssociativeScene,
+        in the key third of a qkv bias, whose exact gradient is zero, so Adam
+        steps on rounding noise) and the largest relative metric difference
+        5.5e-8."""
         paths = generate_grounded_corpus(ToySpec(seed=0), tmp_path)
         vocab = Vocab.load(paths.vocab)
         captions = load_caption_corpus(paths.captions)
@@ -283,9 +289,11 @@ class TestPretrain:
                 batch_size=32, max_steps=5, eval_every=3, val_fraction=0.1))
             runs.append(({n: p.data for n, p in model.params.items()}, metrics))
         (params, metrics), (want_params, want_metrics) = runs
-        assert metrics == want_metrics
+        assert [m[:3] for m in metrics] == [m[:3] for m in want_metrics]
+        np.testing.assert_allclose([m[3] for m in metrics], [m[3] for m in want_metrics],
+                                   rtol=1e-6, atol=0)
         for n, data in params.items():
-            np.testing.assert_array_equal(data, want_params[n], err_msg=n)
+            np.testing.assert_allclose(data, want_params[n], rtol=0, atol=2e-5, err_msg=n)
 
     def test_validation_ppl_is_evaluate_perplexity_of_the_split(self, tmp_path, rng,
                                                                 monkeypatch):
