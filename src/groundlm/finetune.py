@@ -4,9 +4,9 @@ A task is a TSV of labeled sentences (or sentence pairs). Fine-tuning
 attaches a fresh classification head to a pretrained model, unfreezes
 everything, and trains with cross-entropy (classification) or squared
 error (ordinal scores). Transferred strategies run with the placeholder
-on the visual side; associative strategies retrieve images live for
-every example. The protocol is 8 runs with consecutive seeds, reported
-as per-run scores plus their median.
+on the visual side; associative strategies retrieve each split's images
+once, before the runs. The protocol is 8 runs with consecutive seeds,
+reported as per-run scores plus their median.
 """
 
 import copy
@@ -23,9 +23,8 @@ from .embeddings import read_lines
 from .model import CrossModalModel, MaskedBatch
 from .optim import Adam
 from .tensor import ShapeError, Tensor, masked_cross_entropy, mean_all, mul, no_grad
-from .train import (Corpora, Strategy, TrainConfig, build_batch, require_corpora,
-                    training_batches)
-from .vocab import Vocab
+from .train import (Corpora, Strategy, TrainConfig, _associate_rows, build_batch,
+                    encode_stream, require_corpora, training_batches)
 
 
 @dataclass
@@ -143,11 +142,6 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _task_rows(examples: Sequence[TaskExample], vocab: Vocab, max_len: int):
-    encoded = [vocab.encode_with_raw(ex.text_a, max_len, ex.text_b) for ex in examples]
-    return [ids for ids, _raw in encoded], [raw for _ids, raw in encoded]
-
-
 def _config_digest(strategy: Strategy, task: Task, config: TrainConfig, n_out: int) -> str:
     payload = {
         "strategy": strategy.name, "k": strategy.k, "kappa": config.kappa,
@@ -206,11 +200,15 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
         train_ex = list(task.examples)
         eval_ex = list(eval_examples)
 
-    max_len = model.config.max_len
-    train_split = _task_rows(train_ex, vocab, max_len)
-    eval_split = _task_rows(eval_ex, vocab, max_len)
     k = strategy.k if mode != "placeholder" else 0
-    assoc_seed = config.seed  # retrieval fixed across runs; runs differ by init/order
+
+    def prepare(examples: Sequence[TaskExample]) -> tuple:
+        # task sentences pair with no image; runs differ only by init and order
+        stream = encode_stream([(None, ex.text_a) for ex in examples], vocab,
+                               model.config.max_len, [ex.text_b for ex in examples])
+        return stream, _associate_rows(mode, stream.ids, np.zeros_like(stream.ids, dtype=bool),
+                                       stream.raw, vocab, corpora, k, config.kappa,
+                                       config.seed, cache, threads)
 
     if task.metric == "accuracy":
         unseen = sorted({ex.label for ex in eval_ex} - set(classes))
@@ -222,13 +220,12 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
         tr_labels = np.array([ex.label for ex in train_ex], dtype=np.float64)
         ev_gold = np.array([ex.label for ex in eval_ex], dtype=np.float64)
 
+    train_split, eval_split = prepare(train_ex), prepare(eval_ex)
+
     def batch_for(run: CrossModalModel, split, picks) -> MaskedBatch:
-        rows, raw = split
-        # task sentences pair with no image, and only the [cls] row is read
-        return build_batch([(None, None)] * len(picks), [rows[i] for i in picks], vocab,
-                           run, mode, raw_rows=[raw[i] for i in picks], corpora=corpora,
-                           k=k, kappa=config.kappa, assoc_seed=assoc_seed, cache=cache,
-                           threads=threads, heads=())
+        stream, rankings = split   # only the [cls] row is read
+        return build_batch(stream, picks, vocab, run, mode, rankings=rankings,
+                           corpora=corpora, k=k, heads=())
 
     def train_and_score(run_seed: int) -> float:
         run = copy.deepcopy(model)

@@ -17,8 +17,8 @@ and its runs' orders use key 1000 + e at their own seeds):
     7 an evaluated stream's text masks  3000 + e  epoch e's region masks
     11 the validation region masks
 
-A stream's masks are drawn once, in example order, and a batch takes its rows
-of them, so no mask depends on the batch size.
+Every batch is a set of rows of one ``Stream``, encoded once, and takes its rows
+of the stream's masks, drawn once in example order: no mask depends on batch size.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -190,15 +190,32 @@ def _example_stream(strategy: Strategy, corpora: Corpora,
     return [(None, text) for text in corpora.text_only]
 
 
-# -- batch construction --------------------------------------------------------
-
-
 def _pad_rows(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> np.ndarray:
     width = width or max(len(r) for r in rows)
     out = np.full((len(rows), width), PAD_ID, dtype=np.int64)
     for i, r in enumerate(rows):
         out[i, :len(r)] = r
     return out
+
+
+class Stream(NamedTuple):
+    """Examples encoded once: id rows padded to ``max_len`` (int64), and raw
+    token rows, which keep the out-of-vocabulary words that queries read."""
+    examples: Sequence[ExampleTuple]
+    ids: np.ndarray
+    raw: List[List[str]]
+
+
+def encode_stream(examples: Sequence[ExampleTuple], vocab: Vocab, max_len: int,
+                  texts_b: Optional[Sequence[Optional[str]]] = None) -> Stream:
+    """The ``Stream`` of ``examples``; ``texts_b`` holds second sentences or None."""
+    encoded = [vocab.encode_with_raw(text, max_len, text_b) for (_img, text), text_b
+               in zip(examples, texts_b or [None] * len(examples))]
+    return Stream(examples, _pad_rows([ids for ids, _raw in encoded], max_len),
+                  [raw for _ids, raw in encoded])
+
+
+# -- batch construction --------------------------------------------------------
 
 
 def _query_text(corrupted_row: np.ndarray, flag_row: np.ndarray,
@@ -258,7 +275,7 @@ def associate_query(mode: str, queries: Sequence[str], corpora: Corpora, k: int,
 
 
 def _associate_rows(mode: str, tokens: np.ndarray, flags: np.ndarray,
-                    raw_rows: Optional[Sequence[Sequence[str]]], vocab: Vocab,
+                    raw_rows: Sequence[Sequence[str]], vocab: Vocab,
                     corpora: Optional[Corpora], k: int, kappa: int, seed: int,
                     cache: Optional[AssociationCache],
                     threads: Optional[int]) -> List[Optional[List[Tuple[str, float]]]]:
@@ -268,8 +285,6 @@ def _associate_rows(mode: str, tokens: np.ndarray, flags: np.ndarray,
         raise ValueError(f"unknown visual mode {mode!r}")
     if mode in ("placeholder", "paired"):
         return [None] * len(tokens)
-    if raw_rows is None:
-        raise ValueError(f"visual mode {mode!r} needs raw_rows to build queries")
     queries = [_query_text(*row, vocab) for row in zip(tokens, flags, raw_rows)]
     return associate_query(mode, queries, corpora, k, kappa, seed, cache, threads)
 
@@ -326,84 +341,77 @@ def _fill_visual_slots(batch: MaskedBatch, mode: str, examples: Sequence[Example
     return batch
 
 
-def build_batch(examples: Sequence[ExampleTuple], token_rows: Sequence[Sequence[int]],
-                vocab: Vocab, model: CrossModalModel, mode: str, *,
-                raw_rows: Optional[Sequence[Sequence[str]]] = None,
-                masks: Union[Masks, Callable[[], Masks]] = Masks(),
+def build_batch(stream: Stream, rows: Sequence[int], vocab: Vocab, model: CrossModalModel,
+                mode: str, *, masks: Union[Masks, Callable[[], Masks]] = Masks(),
                 rankings: Optional[Sequence] = None,
                 corpora: Optional[Corpora] = None,
                 k: int = 0, kappa: int = 8, assoc_seed: int = 0,
                 cache: Optional[AssociationCache] = None,
                 threads: Optional[int] = None,
                 heads: Tuple[str, ...] = ("lm", "region")) -> MaskedBatch:
-    """Assemble one MaskedBatch for any strategy/eval mode.
+    """The MaskedBatch of ``rows`` of ``stream``, trimmed to its longest row.
 
     ``mode`` picks the visual side: placeholder (no regions), paired (the
     example's own image), or an association strategy applied to the masked
-    text, unless ``rankings`` already holds the rows' associations (an
-    evaluation associates its whole stream in one call). ``masks`` holds the
-    rows' masks (see ``Masks``), or is a function that returns them, so that
-    drawing an epoch's masks is part of building its first batch. ``heads``
-    names the model outputs the caller reads.
+    text, unless ``rankings`` holds the whole stream's associations. ``masks``
+    holds the stream's masks (see ``Masks``), or is a function that returns
+    them, so that drawing an epoch's masks is part of building its first
+    batch. ``heads`` names the model outputs the caller reads.
     """
-    masks = masks() if callable(masks) else masks
-    ids = _pad_rows(token_rows)
+    masks = (masks() if callable(masks) else masks).rows(rows)
+    width = (stream.ids[rows] != PAD_ID).sum(axis=1).max()   # no text token is [pad]
+    ids = stream.ids[rows, :width]
     if masks.tokens is None:
         corrupted, flags = ids.copy(), np.zeros(ids.shape, dtype=bool)
     else:   # pad columns are never flagged, so trimming them is exact
-        corrupted, flags = masks.tokens[:, :ids.shape[1]], masks.token_flags[:, :ids.shape[1]]
+        corrupted, flags = masks.tokens[:, :width], masks.token_flags[:, :width]
     batch = MaskedBatch(token_ids=corrupted, token_mask_flags=flags, original_tokens=ids,
                         heads=heads)
     if rankings is None:
-        rankings = _associate_rows(mode, corrupted, flags, raw_rows, vocab, corpora, k, kappa,
-                                   assoc_seed, cache, threads)
-    return _fill_visual_slots(batch, mode, examples, rankings, corpora, model.config, k,
-                              masks.region_flags)
+        rankings = _associate_rows(mode, corrupted, flags, [stream.raw[i] for i in rows],
+                                   vocab, corpora, k, kappa, assoc_seed, cache, threads)
+    else:
+        rankings = [rankings[i] for i in rows]
+    return _fill_visual_slots(batch, mode, [stream.examples[i] for i in rows], rankings,
+                              corpora, model.config, k, masks.region_flags)
 
 
 # -- evaluation ----------------------------------------------------------------
 
 
-def _encode(examples: Sequence[ExampleTuple], vocab: Vocab, max_len: int):
-    """Id rows and position-aligned raw token rows of the examples' texts."""
-    encoded = [vocab.encode_with_raw(text, max_len) for _img, text in examples]
-    return [ids for ids, _raw in encoded], [raw for _ids, raw in encoded]
-
-
 def _prepare(examples: Sequence[ExampleTuple], vocab: Vocab, cfg: ModelConfig,
-             heads: Tuple[str, ...], seed: int, corpora: Optional[Corpora]) -> tuple:
-    """(examples, id rows, raw token rows, Masks): a stream ready for
-    ``_evaluate``, with text masked by ``[seed, 7]`` if ``heads`` holds "lm"
-    and regions masked by ``[seed, 11]`` if it holds "region"."""
-    rows, raw = _encode(examples, vocab, cfg.max_len)
-    masks = mask_stream(_pad_rows(rows, cfg.max_len), cfg,
+             heads: Tuple[str, ...], seed: int,
+             corpora: Optional[Corpora]) -> Tuple[Stream, Masks]:
+    """The stream of ``examples`` and its masks for ``_evaluate``: text masked by
+    ``[seed, 7]`` if ``heads`` holds "lm", regions by ``[seed, 11]`` if "region"."""
+    stream = encode_stream(examples, vocab, cfg.max_len)
+    masks = mask_stream(stream.ids, cfg,
                         np.random.default_rng([seed, 7]) if "lm" in heads else None,
                         np.random.default_rng([seed, 11]) if "region" in heads else None,
                         corpora.store.n_regions if "region" in heads else 0)
-    return examples, rows, raw, masks
+    return stream, masks
 
 
-def _evaluate(model: CrossModalModel, prepared: tuple, vocab: Vocab,
-              heads: Tuple[str, ...], *, seed: int, mode: str, corpora: Optional[Corpora],
-              k: int, kappa: int, batch_size: int, cache: Optional[AssociationCache],
+def _evaluate(model: CrossModalModel, stream: Stream, vocab: Vocab, heads: Tuple[str, ...],
+              *, masks: Masks, seed: int, mode: str, corpora: Optional[Corpora], k: int,
+              kappa: int, batch_size: int, cache: Optional[AssociationCache],
               threads: Optional[int]) -> Tuple[float, int, float, int]:
-    """(masked-token cross-entropy sum, count, region error sum, count) over a
-    stream that ``_prepare`` masked for ``heads`` and ``seed``, in float64;
-    zeros for a head not in ``heads``. The "lm" head reads masked text beside
-    whole regions, the "region" head masked regions beside whole text. Rows
-    are associated in one call; each batch is built once."""
+    """(masked-token cross-entropy sum, count, region error sum, count) over
+    ``stream`` under the ``masks`` that ``_prepare`` drew for ``heads`` and
+    ``seed``, in float64; zeros for a head not in ``heads``. The "lm" head
+    reads masked text beside whole regions, the "region" head masked regions
+    beside whole text. Rows are associated in one call; each batch is built once."""
     cfg = model.config
-    examples, rows, raw, masks = prepared
     lm, region = "lm" in heads, "region" in heads
-    rankings = _associate_rows(mode, masks.tokens, masks.token_flags, raw, vocab, corpora, k,
-                               kappa, seed, cache, threads)
+    rankings = _associate_rows(mode, masks.tokens, masks.token_flags, stream.raw, vocab,
+                               corpora, k, kappa, seed, cache, threads)
+    n = len(stream.ids)
     totals = np.zeros(4)
     with T.no_grad():
-        for lo in range(0, len(rows), batch_size):
-            hi = lo + batch_size
-            batch = build_batch(examples[lo:hi], rows[lo:hi], vocab, model, mode,
-                                masks=masks.rows(slice(lo, hi)), rankings=rankings[lo:hi],
-                                corpora=corpora, k=k, heads=heads)
+        for lo in range(0, n, batch_size):
+            batch = build_batch(stream, range(lo, min(lo + batch_size, n)), vocab, model, mode,
+                                masks=masks, rankings=rankings, corpora=corpora, k=k,
+                                heads=heads)
             if lm:
                 logits, _preds, _cls = model.forward(
                     replace(batch, regions=batch.original_regions, heads=("lm",)))
@@ -432,10 +440,10 @@ def evaluate_perplexity(model: CrossModalModel, examples, vocab: Vocab, *,
     examples = [(None, ex) if isinstance(ex, str) else ex for ex in examples]
     if not examples:
         raise ValueError("evaluate_perplexity: empty evaluation stream")
-    prepared = _prepare(examples, vocab, model.config, ("lm",), seed, corpora)
-    total, count, _, _ = _evaluate(model, prepared, vocab, ("lm",), seed=seed, mode=mode,
-                                   corpora=corpora, k=k, kappa=kappa, batch_size=batch_size,
-                                   cache=cache, threads=threads)
+    stream, masks = _prepare(examples, vocab, model.config, ("lm",), seed, corpora)
+    total, count, _, _ = _evaluate(model, stream, vocab, ("lm",), masks=masks, seed=seed,
+                                   mode=mode, corpora=corpora, k=k, kappa=kappa,
+                                   batch_size=batch_size, cache=cache, threads=threads)
     return float(np.exp(total / count))
 
 
@@ -485,17 +493,16 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     if strategy.k > model.config.k_max:
         raise ValueError(f"strategy K={strategy.k} exceeds model k_max={model.config.k_max}")
     vocab = corpora.vocab
-    stream = _example_stream(strategy, corpora, config)
-    if not stream:
+    examples = _example_stream(strategy, corpora, config)
+    if not examples:
         raise ValueError("empty example stream")
 
-    order = np.random.default_rng([config.seed, 4]).permutation(len(stream))
-    n_val = int(config.val_fraction * len(stream))
-    val_examples = [stream[i] for i in order[:n_val]]
-    train_examples = [stream[i] for i in order[n_val:]]
-    if not train_examples:
+    order = np.random.default_rng([config.seed, 4]).permutation(len(examples))
+    n_val = int(config.val_fraction * len(examples))
+    val_examples = [examples[i] for i in order[:n_val]]
+    train = encode_stream([examples[i] for i in order[n_val:]], vocab, model.config.max_len)
+    if not train.examples:
         raise ValueError("no training examples left after validation split")
-    train_rows, train_raw = _encode(train_examples, vocab, model.config.max_len)
 
     mode = strategy.spec.mode
     lm_loss_on = strategy.spec.lm_loss
@@ -508,8 +515,8 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     step, best, bad_evals, stop = 0, math.inf, 0, False
 
     # the split is encoded and masked once; each evaluation associates it anew
-    val = (_prepare(val_examples, vocab, model.config, heads, config.seed, corpora)
-           if val_examples else None)
+    val, val_masks = (_prepare(val_examples, vocab, model.config, heads, config.seed, corpora)
+                      if val_examples else (None, None))
 
     def run_eval() -> None:
         nonlocal best, bad_evals, stop
@@ -519,9 +526,9 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
         if not val_examples:
             return
         lm_sum, lm_count, region_sum, region_count = _evaluate(
-            model, val, vocab, heads, seed=config.seed, mode=mode, corpora=corpora,
-            k=strategy.k, kappa=config.kappa, batch_size=config.batch_size, cache=cache,
-            threads=threads)
+            model, val, vocab, heads, masks=val_masks, seed=config.seed, mode=mode,
+            corpora=corpora, k=strategy.k, kappa=config.kappa, batch_size=config.batch_size,
+            cache=cache, threads=threads)
         if lm_loss_on:
             ppl = float(np.exp(lm_sum / lm_count))
             metrics.append((step, "val", "ppl", ppl))
@@ -534,24 +541,19 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
         best, bad_evals = (objective, 0) if objective < best - 1e-12 else (best, bad_evals + 1)
         stop = bad_evals >= config.patience
 
-    train_ids = _pad_rows(train_rows, model.config.max_len)
-
     @functools.lru_cache(maxsize=1)
     def epoch_masks(epoch: int) -> Masks:
         return mask_stream(
-            train_ids, model.config,
+            train.ids, model.config,
             np.random.default_rng([config.seed, 2000 + epoch]) if lm_loss_on else None,
             np.random.default_rng([config.seed, 3000 + epoch]) if region_loss_on else None,
             corpora.store.n_regions if region_loss_on else 0)
 
     last_eval_step = -1
-    for epoch, picks in training_batches(len(train_examples), config, config.seed):
-        batch = build_batch(
-            [train_examples[i] for i in picks], [train_rows[i] for i in picks],
-            vocab, model, mode, raw_rows=[train_raw[i] for i in picks],
-            masks=lambda: epoch_masks(epoch).rows(picks), corpora=corpora, k=strategy.k,
-            kappa=config.kappa, assoc_seed=config.seed, cache=cache, threads=threads,
-            heads=heads)
+    for epoch, picks in training_batches(len(train.examples), config, config.seed):
+        batch = build_batch(train, picks, vocab, model, mode, masks=lambda: epoch_masks(epoch),
+                            corpora=corpora, k=strategy.k, kappa=config.kappa,
+                            assoc_seed=config.seed, cache=cache, threads=threads, heads=heads)
         logits, preds, _cls = model.forward(batch)
         loss = None
         if lm_loss_on:

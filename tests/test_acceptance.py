@@ -27,7 +27,7 @@ from groundlm.optim import Adam
 from groundlm.tensor import no_grad
 from groundlm.toydata import ToySpec, generate_grounded_corpus
 from groundlm.train import (Corpora, Strategy, TrainConfig, _pad_rows, build_batch,
-                            evaluate_perplexity, pretrain)
+                            encode_stream, evaluate_perplexity, pretrain)
 from groundlm.vocab import MASKED_ID, N_RESERVED, RESERVED, Vocab
 
 
@@ -305,8 +305,9 @@ def test_06_placeholder_transfer_contract(clean_world, tmp_path):
     for active_store in (store, ImageFeatureStore(noise_path)):
         co = Corpora(vocab=vocab, store=active_store)
         masks = mask_stream(_pad_rows(rows), cfg, np.random.default_rng(5), None)
-        batch = build_batch([(None, t) for t in eval_texts], rows, vocab, model,
-                            "placeholder", masks=masks, corpora=co)
+        batch = build_batch(encode_stream([(None, t) for t in eval_texts], vocab, cfg.max_len),
+                            range(len(rows)), vocab, model, "placeholder", masks=masks,
+                            corpora=co)
         with no_grad():
             logits, _preds, _cls = model.forward(batch)
         outs.append(logits.data.copy())
@@ -349,10 +350,10 @@ def test_08_perplexity_calibration():
     overfit = CrossModalModel(cfg, seed=0)
     opt = Adam(overfit.trainable_params(), lr=3e-3)
     rows = [vocab.encode(seq, max_len=8)] * 32
-    pairs = [(None, seq)] * 32
+    stream = encode_stream([(None, seq)] * 32, vocab, 8)
     for step in range(400):
         masks = mask_stream(_pad_rows(rows), cfg, np.random.default_rng([8, step]), None)
-        batch = build_batch(pairs, rows, vocab, overfit, "placeholder", masks=masks)
+        batch = build_batch(stream, range(32), vocab, overfit, "placeholder", masks=masks)
         logits, _p, _c = overfit.forward(batch)
         loss = masked_lm_loss(logits, batch.original_tokens, batch.token_mask_flags)
         opt.zero_grad()

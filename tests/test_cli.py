@@ -389,6 +389,24 @@ class TestTrainEvalRoundTrip:
         assert "fine-tune runs failed" not in err
         assert not (tmp_path / "rep.json").exists()
 
+    def test_finetune_association_error_exits_1_before_any_run(self, bundle, checkpoint,
+                                                               tmp_path, capsys):
+        """A task noun with an all-zero word vector cannot be associated: the
+        probe stops with that error before its runs, not with all runs failed."""
+        lines = (bundle / "wordvecs.txt").read_text().splitlines()
+        zeroed = [" ".join(["c000"] + ["0.0"] * (len(line.split()) - 1))
+                  if line.split()[0] == "c000" else line for line in lines]
+        vectors = tmp_path / "zeroed.txt"
+        vectors.write_text("\n".join(zeroed) + "\n")
+        rc = main(self._finetune_argv(bundle, checkpoint, tmp_path, "AssociativeObject",
+                                      "--vectors", str(vectors), "--kappa", "2",
+                                      "--synsets", str(bundle / "synsets.tsv"),
+                                      "--nouns", str(bundle / "nouns.txt")))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: top_k: zero-norm query\n", err
+        assert not (tmp_path / "rep.json").exists()
+
     def test_finetune_keyword_needs_no_vectors(self, bundle, checkpoint, tmp_path):
         rc = main(self._finetune_argv(bundle, checkpoint, tmp_path, "AssociativeKeyword",
                                       "--captions", str(bundle / "captions.tsv")))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -6,6 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
+from groundlm import train as train_mod
+from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
+                                build_caption_index, build_synset_index)
+from groundlm.embeddings import WordEmbeddingTable
 from groundlm.finetune import (Task, TaskExample, finetune, load_task_file,
                                spearman)
 from groundlm.index import ImageFeatureStore, write_feature_store
@@ -39,6 +44,24 @@ def task_world(tmp_path, rng):
     store_path = tmp_path / "f.vftr"
     write_feature_store(store_path, feats, n_regions=1, feat_dim=4)
     return Corpora(vocab=vocab, store=ImageFeatureStore(store_path))
+
+
+def associative_world(tmp_path, rng, zero_noun=None):
+    """``task_world`` plus what the scene, object and keyword strategies read;
+    ``zero_noun``, if given, has an all-zero word vector."""
+    corpora = task_world(tmp_path, rng)
+    images = [f"i{j}" for j in range(6)]
+    vectors = {w: rng.normal(size=6).astype(np.float32) for w in WORDS}
+    if zero_noun is not None:
+        vectors[zero_noun] = np.zeros(6, dtype=np.float32)
+    corpora.table = WordEmbeddingTable(6, vectors, {"sat"})
+    corpora.caption_corpus = {img: " ".join(rng.choice(WORDS, size=3)) for img in images}
+    corpora.caption_index = build_caption_index(corpora.caption_corpus, corpora.table)
+    corpora.synset_index = build_synset_index(
+        [SynsetEntry("s0", ["dog"], "a red dog", images[:3]),
+         SynsetEntry("s1", ["cat"], "a cat on a mat", images[3:])], corpora.table)
+    corpora.lexicon = NounLexicon(frozenset({"dog", "cat", "mat"}))
+    return corpora
 
 
 def mk_model(vocab, model_class=CrossModalModel, **overrides):
@@ -337,6 +360,43 @@ class TestFinetune:
                      TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=1,
                                  seed=0, val_fraction=0.25),
                      corpora=corpora, n_runs=2)
+
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    @pytest.mark.parametrize("name", ["AssociativeScene", "AssociativeObject",
+                                      "AssociativeKeyword"])
+    def test_each_split_associated_once(self, tmp_path, rng, monkeypatch, name, n_runs):
+        """Retrieval for the unmasked task text is the same in every run, so
+        each split is associated in one call, before the runs."""
+        corpora = associative_world(tmp_path, rng)
+        model = mk_model(corpora.vocab)
+        texts = [" ".join(pair) for pair in itertools.permutations(WORDS[:4], 2)]
+        task = Task(metric="accuracy", label_set=[0, 1],
+                    examples=[TaskExample(j % 2, text) for j, text in enumerate(texts)])
+        query, calls = train_mod.associate_query, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return query(*args, **kwargs)
+        monkeypatch.setattr(train_mod, "associate_query", counted)
+        cache = AssociationCache()
+        report = finetune(model, task, Strategy(name, k=2),
+                          TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=2,
+                                      seed=5, val_fraction=0.25, kappa=2),
+                          corpora=corpora, n_runs=n_runs, cache=cache)
+        assert report.errors == [] and len(report.runs) == n_runs
+        assert sorted(map(len, calls)) == [3, 9]
+        assert (cache.hits, cache.misses) == (0, len(set(texts)))
+
+    def test_association_error_raised_before_any_run(self, tmp_path, rng):
+        """An association that raises fails the whole probe, once: it is the
+        same in every run, so it is not a failed run."""
+        corpora = associative_world(tmp_path, rng, zero_noun="dog")
+        model = mk_model(corpora.vocab, model_class=RaisesInForward)   # no run may start
+        with pytest.raises(ValueError, match="top_k: zero-norm query"):
+            finetune(model, pair_task(8), Strategy("AssociativeObject", k=2),
+                     TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=1,
+                                 seed=0, val_fraction=0.25, kappa=2),
+                     corpora=corpora, n_runs=8)
 
     def test_k_beyond_model_capacity_rejected(self, tmp_path, rng):
         corpora = task_world(tmp_path, rng)

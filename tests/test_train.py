@@ -16,8 +16,8 @@ from groundlm.model import (CrossModalModel, MaskedBatch, Masks, ModelConfig, ma
                             masked_ce_stats)
 from groundlm.tensor import Tensor, no_grad
 from groundlm.toydata import ToySpec, generate_grounded_corpus
-from groundlm.train import (STRATEGIES, Corpora, Strategy, TrainConfig, _pad_rows,
-                            _query_text, associate_query, build_batch,
+from groundlm.train import (STRATEGIES, Corpora, Strategy, Stream, TrainConfig, _pad_rows,
+                            _query_text, associate_query, build_batch, encode_stream,
                             evaluate_perplexity, mix_corpora, pretrain, training_batches,
                             validate_strategy_corpora, write_metrics_csv)
 from groundlm.vocab import PAD_ID, RESERVED, Vocab
@@ -303,9 +303,9 @@ class TestPretrain:
         model = small_model(corpora.vocab)
         evaluate, seen = train_mod._evaluate, []
 
-        def recorded(model, prepared, vocab, heads, **kwargs):
-            seen.append((list(prepared[0]), heads, kwargs))
-            return evaluate(model, prepared, vocab, heads, **kwargs)
+        def recorded(model, stream, vocab, heads, *, masks, **kwargs):
+            seen.append((list(stream[0]), heads, kwargs))
+            return evaluate(model, stream, vocab, heads, masks=masks, **kwargs)
         monkeypatch.setattr(train_mod, "_evaluate", recorded)
         _m, metrics = pretrain(Strategy("TransferredBoth", k=1), corpora, model,
                                quick_config(max_steps=6, eval_every=6))
@@ -332,10 +332,11 @@ class TestPretrain:
 
         def recorded_evaluate(model, stream, vocab, heads, **kwargs):
             # evaluate_perplexity's own steps, unrecorded, over a fresh preparation
-            again = prepare(stream[0], vocab, model.config, ("lm",), kwargs["seed"],
-                            kwargs["corpora"])
-            lm_sum, lm_count, _, _ = evaluate(model, again, vocab, ("lm",),
-                                              **{**kwargs, "cache": AssociationCache()})
+            again, masks = prepare(stream[0], vocab, model.config, ("lm",), kwargs["seed"],
+                                   kwargs["corpora"])
+            lm_sum, lm_count, _, _ = evaluate(
+                model, again, vocab, ("lm",),
+                **{**kwargs, "masks": masks, "cache": AssociationCache()})
             fresh.append(float(np.exp(lm_sum / lm_count)))
             return evaluate(model, stream, vocab, heads, **kwargs)
         monkeypatch.setattr(train_mod, "_prepare", recorded_prepare)
@@ -361,8 +362,8 @@ class TestAssociativeFallback:
         model = small_model(vocab)
         rows = [vocab.encode("red dog", max_len=6)]
         raw = [["[cls]", "zzz", "qqq"]]  # all-OOV query -> degenerate -> fallback
-        batch = build_batch([(None, "zzz qqq")], rows, vocab, model, "scene",
-                            raw_rows=raw, corpora=corpora, k=2)
+        batch = build_batch(Stream([(None, "zzz qqq")], _pad_rows(rows), raw), [0], vocab,
+                            model, "scene", corpora=corpora, k=2)
         assert batch.placeholder_slots[0, 0]
         assert batch.attention_pad_mask[0, -2 * 1]  # slot 0 valid
         assert not batch.attention_pad_mask[0, -1]  # slot 1 empty
@@ -373,9 +374,10 @@ class TestAssociativeFallback:
         model = small_model(vocab)
         rows = [vocab.encode("red dog sat", max_len=6)]
         raw = [["[cls]", "zzz"]]
-        assoc_batch = build_batch([(None, "zzz")], rows, vocab, model, "scene",
-                                  raw_rows=raw, corpora=corpora, k=2)
-        ph_batch = build_batch([(None, "red dog sat")], rows, vocab, model, "placeholder")
+        assoc_batch = build_batch(Stream([(None, "zzz")], _pad_rows(rows), raw), [0], vocab,
+                                  model, "scene", corpora=corpora, k=2)
+        ph_batch = build_batch(encode_stream([(None, "red dog sat")], vocab, 6), [0], vocab,
+                               model, "placeholder")
         out_a = model.forward(assoc_batch)[0].data
         out_p = model.forward(ph_batch)[0].data
         np.testing.assert_allclose(out_a, out_p, atol=1e-4)
@@ -653,9 +655,10 @@ class TestAssociateQuery:
             return estep(*args)
         monkeypatch.setattr(associate_mod, "fit_gmm", recorded)
         monkeypatch.setattr(kernels.active, "gmm_estep", counted)
-        build_batch([(None, t) for t in texts], [e[0] for e in encoded], corpora.vocab, model,
-                    "object", raw_rows=[e[1] for e in encoded], corpora=corpora, k=4, kappa=2,
-                    assoc_seed=3, cache=AssociationCache())
+        build_batch(encode_stream([(None, t) for t in texts], corpora.vocab,
+                                  model.config.max_len), range(32), corpora.vocab, model,
+                    "object", corpora=corpora, k=4, kappa=2, assoc_seed=3,
+                    cache=AssociationCache())
         nouns = [{w for w in raw if w in corpora.lexicon} for _ids, raw in encoded]
         groups = {len(found) for found in nouns} - {0, 1}
         per_text = [f for stack in fits for f in stack]
@@ -680,16 +683,19 @@ class TestBuildBatchEquivalence:
             n_slots = corpora.store.n_regions
             region_flags = (np.random.default_rng(seed + 1).random((len(examples), n_slots))
                             < cfg.mask_rate)
-        masks = {reference_build_batch: dict(text_masks=(corrupted, flags),
-                                             region_flags=region_flags),
-                 build_batch: dict(masks=Masks(corrupted, flags, region_flags))}
-        batches, reads = [], []
-        for build in (reference_build_batch, build_batch):
-            before = corpora.store.reads
-            batches.append(build(
+        builds = [
+            lambda: reference_build_batch(
                 examples, [e[0] for e in encoded], vocab, model, mode,
-                raw_rows=[e[1] for e in encoded], corpora=corpora, k=k, kappa=8,
-                assoc_seed=3, **masks[build]))
+                raw_rows=[e[1] for e in encoded], text_masks=(corrupted, flags),
+                region_flags=region_flags, corpora=corpora, k=k, kappa=8, assoc_seed=3),
+            lambda: build_batch(
+                encode_stream(examples, vocab, cfg.max_len), range(len(examples)), vocab,
+                model, mode, masks=Masks(corrupted, flags, region_flags), corpora=corpora,
+                k=k, kappa=8, assoc_seed=3)]
+        batches, reads = [], []
+        for build in builds:
+            before = corpora.store.reads
+            batches.append(build())
             reads.append(corpora.store.reads - before)
         want, got = batches
         for name in BATCH_FIELDS:
@@ -735,9 +741,9 @@ class TestBuildBatchEquivalence:
     def test_without_store_placeholder_rows_only(self, tmp_path, rng):
         corpora = two_region_world(tmp_path, rng)
         model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
-        rows = [corpora.vocab.encode(t, 8) for t in EQUIV_TEXTS[:2]]
-        batch = build_batch([(None, t) for t in EQUIV_TEXTS[:2]], rows, corpora.vocab,
-                            model, "paired", corpora=Corpora(vocab=corpora.vocab))
+        stream = encode_stream([(None, t) for t in EQUIV_TEXTS[:2]], corpora.vocab, 8)
+        batch = build_batch(stream, range(2), corpora.vocab, model, "paired",
+                            corpora=Corpora(vocab=corpora.vocab))
         assert batch.regions.shape == (2, 2, 4) and not batch.regions.any()
         assert batch.placeholder_slots[:, 0].all()
 
@@ -750,8 +756,8 @@ class TestRegionMasks:
         corpora = two_region_world(tmp_path, rng)
         model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
         examples = [(corpora.paired[0][0], "red dog"), (None, "cat sat")]
-        rows = [corpora.vocab.encode(text, 8) for _img, text in examples]
-        batch = build_batch(examples, rows, corpora.vocab, model, "paired", corpora=corpora,
+        batch = build_batch(encode_stream(examples, corpora.vocab, 8), range(2),
+                            corpora.vocab, model, "paired", corpora=corpora,
                             masks=Masks(region_flags=np.ones((2, 2), dtype=bool)))
         assert batch.region_mask_flags.tolist() == [[True, True], [False, False]]
         assert not batch.regions[0].any() and batch.original_regions[0].all()
@@ -762,8 +768,8 @@ class TestRegionMasks:
         corpora = two_region_world(tmp_path, rng)
         model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
         examples = [(img, text) for img, text in corpora.paired]
-        rows = [corpora.vocab.encode(text, 8) for _img, text in examples]
-        batch = build_batch(examples, rows, corpora.vocab, model, "paired", corpora=corpora)
+        batch = build_batch(encode_stream(examples, corpora.vocab, 8), range(len(examples)),
+                            corpora.vocab, model, "paired", corpora=corpora)
         assert not batch.region_mask_flags.any()
         np.testing.assert_array_equal(batch.regions, batch.original_regions)
 
@@ -804,12 +810,13 @@ class TestBatchSizeInvariance:
         corpora, model = invariance_world
         examples = mixed_stream(corpora, np.random.default_rng(seed), n)
         means = []
-        prepared = train_mod._prepare(examples, corpora.vocab, model.config, ("region",),
-                                      seed, corpora)
+        stream, masks = train_mod._prepare(examples, corpora.vocab, model.config, ("region",),
+                                           seed, corpora)
         for size in (1, 7, 32, 200, drawn):
             lm_sum, lm_count, total, count = train_mod._evaluate(
-                model, prepared, corpora.vocab, ("region",), seed=seed, mode="paired",
-                corpora=corpora, k=1, kappa=8, batch_size=size, cache=None, threads=None)
+                model, stream, corpora.vocab, ("region",), masks=masks, seed=seed,
+                mode="paired", corpora=corpora, k=1, kappa=8, batch_size=size, cache=None,
+                threads=None)
             assert (lm_sum, lm_count) == (0.0, 0)
             means.append(total / count if count else 0.0)
         assert max(means) - min(means) <= 1e-6 * max(means), means
