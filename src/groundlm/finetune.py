@@ -239,14 +239,10 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
         for _epoch, picks in training_batches(len(train_ex), config, run_seed):
             _, _, cls_vec = run.forward(batch_for(run, train_split, picks))
             logits = run.cls_logits(cls_vec)
-            b_sz = len(picks)
             if task.metric == "accuracy":
-                loss = masked_cross_entropy(
-                    logits.reshape((b_sz, 1, n_out)),
-                    tr_labels[picks].reshape(b_sz, 1),
-                    np.ones((b_sz, 1), dtype=bool))
+                loss = masked_cross_entropy(logits, tr_labels[picks])
             else:
-                target = Tensor(tr_labels[picks].reshape(b_sz, 1).astype(logits.data.dtype),
+                target = Tensor(tr_labels[picks].reshape(-1, 1).astype(logits.data.dtype),
                                 requires_grad=False)
                 diff = logits + (-target)
                 loss = mean_all(mul(diff, diff))

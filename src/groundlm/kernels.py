@@ -4,7 +4,8 @@ Matrix multiplication is deliberately *not* here: BLAS already wins, and the
 autodiff layer's ``linear`` and ``attention`` ops call ``np.matmul``
 directly. These kernels cover the elementwise and row-wise loops around it:
 layer norm, GELU, softmax (inside ``attention``), masked cross-entropy, Adam
-updates, embedding-gradient scatter and the Gaussian-mixture E-step.
+updates, the row scatter-add of embedding and ``take_rows`` gradients and
+the Gaussian-mixture E-step.
 
 Callers look every kernel up through the ``active`` namespace at call time
 (``kernels.active.gelu_forward(x)``), so one kernel can be swapped for a
@@ -153,7 +154,10 @@ def _adam_update(param, grad, m, v, t, lr, beta1, beta2, eps, s1, s2):
 
 def _scatter_add_rows(table, ids, rows):
     """table[ids[i]] += rows[i] with repeated ids accumulated."""
-    np.add.at(table, ids, rows)
+    if np.bincount(ids).max(initial=0) <= 1:   # no repeats: np.add.at's bits, far faster
+        table[ids] += rows
+    else:
+        np.add.at(table, ids, rows)
 
 
 def _gmm_estep(points, means, variances, log_weights):

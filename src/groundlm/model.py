@@ -233,11 +233,16 @@ class CrossModalModel:
         return T.layernorm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
     def _encoder_block(self, prefix: str, x: Tensor, bias: Optional[np.ndarray],
-                       rows: Optional[int] = None) -> Tensor:
-        """Pre-LN block; with ``rows``, it computes the first ``rows`` output rows only."""
+                       rows: Optional[int] = None, picks: Optional[np.ndarray] = None) -> Tensor:
+        """Pre-LN block; with ``picks``, just its output rows at ``picks`` of x viewed as
+        (-1, d), all at positions below ``rows``, the only queries that attend."""
         context = T.attention(self._linear(f"{prefix}.attn.qkv", self._ln(f"{prefix}.ln1", x)),
                               bias, self.config.n_heads, rows)
-        x = (x if rows is None else x[:, :rows]) + self._linear(f"{prefix}.attn.out", context)
+        if picks is not None:
+            t = x.shape[1]
+            x = T.take_rows(x, picks)
+            context = T.take_rows(context, picks // t * context.shape[1] + picks % t)
+        x = x + self._linear(f"{prefix}.attn.out", context)
         hidden = T.gelu(self._linear(f"{prefix}.mlp.fc1", self._ln(f"{prefix}.ln2", x)))
         return x + self._linear(f"{prefix}.mlp.fc2", hidden)
 
@@ -271,10 +276,11 @@ class CrossModalModel:
         return vis
 
     def forward(self, batch: MaskedBatch) -> Tuple[Optional[Tensor], Optional[Tensor], Tensor]:
-        """-> (token_logits (B,L,V), region_preds (B,R,d_v), cls_vector (B,d)); a head
-        not in ``batch.heads`` gives None. Without "region", the last cross block
-        computes the L text rows only, and without "lm" too, the [cls] row only;
-        its keys and values cover every row."""
+        """-> (token_logits (M, V) at the M flagged text positions, region_preds (N, d_v)
+        at the N flagged slots, both in row-major order, cls_vector (B, d)); a head not in
+        ``batch.heads`` gives None. The last cross block computes just these rows; its keys
+        and values cover every row, its queries the text rows without "region" and [cls]
+        alone without either head."""
         c = self.config
         ids = np.asarray(batch.token_ids, dtype=np.int64)
         b_sz, length = ids.shape
@@ -299,17 +305,28 @@ class CrossModalModel:
         else:
             valid = np.concatenate([text_valid, np.ones((b_sz, r), dtype=bool)], axis=1)
         joint_bias = self._attn_bias(valid, self.dtype)
-        last_rows = None if "region" in batch.heads else length if "lm" in batch.heads else 1
-        for i in range(c.n_layers_cross):
-            rows = last_rows if i == c.n_layers_cross - 1 else None
-            joint = self._encoder_block(f"cross.{i}", joint, joint_bias, rows)
+
+        lm, region = "lm" in batch.heads, "region" in batch.heads
+        stride = length + r   # picks: every row's [cls], then the flagged rows read
+        picks = [np.arange(b_sz) * stride]
+        if lm:   # broadcast_to rejects flags of another shape
+            b, t = np.nonzero(np.broadcast_to(batch.token_mask_flags, (b_sz, length)))
+            picks.append(b * stride + t)
+        if region and batch.region_mask_flags is not None:
+            b, t = np.nonzero(np.broadcast_to(batch.region_mask_flags, (b_sz, r)))
+            picks.append(b * stride + length + t)
+        n_lm = len(picks[1]) if lm else 0
+        picks = np.concatenate(picks)
+        for i in range(c.n_layers_cross - 1):
+            joint = self._encoder_block(f"cross.{i}", joint, joint_bias)
+        joint = self._encoder_block(f"cross.{c.n_layers_cross - 1}", joint, joint_bias,
+                                    None if region else length if lm else 1, picks) \
+            if c.n_layers_cross else T.take_rows(joint, picks)
         joint = self._ln("final_ln", joint)
 
-        token_logits = self._linear("lm_head", joint[:, :length, :]) \
-            if "lm" in batch.heads else None
-        region_preds = self._linear("region_head", joint[:, length:, :]) \
-            if "region" in batch.heads else None
-        return token_logits, region_preds, joint[:, 0, :]
+        token_logits = self._linear("lm_head", joint[b_sz:b_sz + n_lm]) if lm else None
+        region_preds = self._linear("region_head", joint[b_sz + n_lm:]) if region else None
+        return token_logits, region_preds, joint[:b_sz]
 
     def cls_logits(self, cls_vec: Tensor) -> Tensor:
         if "cls_head.W" not in self.params:
@@ -322,20 +339,19 @@ class CrossModalModel:
 
 def masked_lm_loss(token_logits: Tensor, original_tokens: np.ndarray,
                    flags: np.ndarray) -> Tensor:
-    """Mean cross-entropy over masked token positions."""
-    return T.masked_cross_entropy(token_logits, original_tokens, flags)
+    """Mean cross-entropy of ``forward``'s logit rows against the tokens at ``flags``."""
+    flags = np.asarray(flags, dtype=bool)
+    return T.masked_cross_entropy(token_logits, np.asarray(original_tokens)[flags])
 
 
 def masked_region_loss(region_preds: Optional[Tensor], original_regions,
                        flags, model: CrossModalModel) -> Tensor:
-    """Mean p-norm reconstruction error over masked regions, plus L1 on the head.
-
-    Contributes exactly zero (constant, no gradient) when the batch has no
-    masked regions, e.g. a placeholder batch.
-    """
+    """Mean p-norm error of ``forward``'s region rows, plus L1 on the head; exactly
+    zero (constant, no gradient) when no region is masked, as in a placeholder batch."""
     if region_preds is None or flags is None or not np.asarray(flags).any():
         return Tensor(np.asarray(0.0, dtype=model.dtype))
-    loss = T.masked_lp_loss(region_preds, original_regions, flags, model.config.p_norm)
+    targets = np.asarray(original_regions)[np.asarray(flags, dtype=bool)]
+    loss = T.masked_lp_loss(region_preds, targets, model.config.p_norm)
     if model.config.l1_coeff > 0:
         loss = loss + T.l1_norm(model.params["region_head.W"]) * model.config.l1_coeff
     return loss
@@ -343,16 +359,12 @@ def masked_region_loss(region_preds: Optional[Tensor], original_regions,
 
 def masked_ce_stats(token_logits: np.ndarray, original_tokens: np.ndarray,
                     flags: np.ndarray) -> Tuple[float, int]:
-    """(summed cross-entropy, count) over masked positions, float64 accumulation."""
-    v = token_logits.shape[-1]
-    flat_flags = np.asarray(flags, dtype=bool).reshape(-1)
-    idx = np.nonzero(flat_flags)[0]
-    if idx.size == 0:
+    """(summed cross-entropy, count) of ``forward``'s logit rows, in float64."""
+    targets = np.asarray(original_tokens)[np.asarray(flags, dtype=bool)].astype(np.int64)
+    if targets.size == 0:
         return 0.0, 0
-    rows = np.ascontiguousarray(token_logits.reshape(-1, v)[idx])
-    targets = np.asarray(original_tokens).reshape(-1)[idx].astype(np.int64)
-    losses, _ = kernels.active.masked_ce_forward(rows, targets)
-    return float(losses.astype(np.float64).sum()), int(idx.size)
+    losses, _ = kernels.active.masked_ce_forward(np.ascontiguousarray(token_logits), targets)
+    return float(losses.astype(np.float64).sum()), int(targets.size)
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -10,11 +10,12 @@ A transformer layer is a few coarse nodes rather than a chain of generic
 ones: ``linear`` is one weight product plus bias, and ``attention`` takes the
 fused query/key/value projection to the attention context in one node, with a
 hand-derived backward. Given a query row count, ``attention`` computes those
-rows only, so a block whose later rows nobody reads never forms them. The
-matrix products go straight to ``np.matmul``, each at the row count it reads,
-so restricted rows agree with the same rows of the full op to rounding, not
-bit for bit. The row-wise hot paths (gelu, softmax, layer norm, the fused
-loss ops) run on the kernels in :mod:`groundlm.kernels`.
+rows only, and ``take_rows`` gathers rows, so a block forms just the rows a
+loss reads; the loss ops take those rows, not full tensors and their flags.
+The matrix products go straight to ``np.matmul``, each at the row count it
+reads, so restricted rows agree with the same rows of the full op to
+rounding, not bit for bit. The row-wise hot paths (gelu, softmax, layer norm,
+the fused loss ops) run on the kernels in :mod:`groundlm.kernels`.
 """
 
 from __future__ import annotations
@@ -411,51 +412,47 @@ def embedding(table: Tensor, ids: np.ndarray):
     return _node(data, (table,), backward, "embedding")
 
 
-def masked_cross_entropy(logits: Tensor, targets: np.ndarray, flags: np.ndarray):
-    """Mean token cross-entropy over flagged positions.
+def take_rows(x: Tensor, picks: np.ndarray):
+    """The (len(picks), d) rows at ``picks`` of ``x`` viewed as (-1, d); a row
+    picked twice receives both gradients."""
+    d = x.shape[-1]
+    data = x.data.reshape(-1, d)[picks]
 
-    logits: (..., V); targets/flags: matching leading shape. Raises if no
-    position is flagged.
-    """
-    v = logits.shape[-1]
-    flat_flags = np.asarray(flags, dtype=bool).reshape(-1)
-    idx = np.nonzero(flat_flags)[0]
-    if idx.size == 0:
+    def backward(g):
+        full = np.zeros((x.data.size // d, d), dtype=x.data.dtype)
+        kernels.active.scatter_add_rows(full, picks, g)
+        _accumulate(x, full.reshape(x.shape))
+
+    return _node(data, (x,), backward, "take_rows")
+
+
+def masked_cross_entropy(logits: Tensor, targets: np.ndarray):
+    """Mean cross-entropy of (M, V) logit rows, such as a model's rows at the
+    masked positions, against their (M,) target ids. Raises if M is 0."""
+    tgt = np.asarray(targets, dtype=np.int64).reshape(-1)
+    if tgt.size == 0:
         raise ValueError("masked_cross_entropy: no masked positions in batch")
     kern = kernels.active
-    rows = np.ascontiguousarray(logits.data.reshape(-1, v)[idx])
-    tgt = np.asarray(targets).reshape(-1)[idx].astype(np.int64)
-    losses, probs = kern.masked_ce_forward(rows, tgt)
-    count = idx.size
+    losses, probs = kern.masked_ce_forward(np.ascontiguousarray(logits.data), tgt)
     data = np.asarray(losses.mean(), dtype=logits.data.dtype)
 
     def backward(g):
-        drows = kern.masked_ce_backward(probs, tgt, float(g) / count)
-        full = np.zeros_like(logits.data).reshape(-1, v)
-        full[idx] = drows
-        _accumulate(logits, full.reshape(logits.shape))
+        _accumulate(logits, kern.masked_ce_backward(probs, tgt, float(g) / tgt.size))
 
     return _node(data, (logits,), backward, "masked_ce")
 
 
-def masked_lp_loss(preds: Tensor, targets: np.ndarray, flags: np.ndarray, p: float):
-    """Mean over flagged rows of sum(|pred - target|^p) / row_width."""
-    d = preds.shape[-1]
-    flat_flags = np.asarray(flags, dtype=bool).reshape(-1)
-    idx = np.nonzero(flat_flags)[0]
-    if idx.size == 0:
+def masked_lp_loss(preds: Tensor, targets: np.ndarray, p: float):
+    """Mean over (M, d) prediction rows of sum(|pred - target|^p) / d."""
+    if preds.shape[0] == 0:
         raise ValueError("masked_lp_loss: no masked rows in batch")
-    rows = preds.data.reshape(-1, d)[idx]
-    tgt = np.asarray(targets).reshape(-1, d)[idx]
-    diff = rows - tgt
-    denom = idx.size * d
+    diff = preds.data - targets
+    denom = diff.size
     data = np.asarray((np.abs(diff) ** p).sum() / denom, dtype=preds.data.dtype)
 
     def backward(g):
         local = p * np.abs(diff) ** (p - 1.0) * np.sign(diff)
-        full = np.zeros_like(preds.data).reshape(-1, d)
-        full[idx] = local * (float(g) / denom)
-        _accumulate(preds, full.reshape(preds.shape))
+        _accumulate(preds, (local * (float(g) / denom)).astype(preds.dtype, copy=False))
 
     return _node(data, (preds,), backward, "masked_lp")
 

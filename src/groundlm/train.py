@@ -421,7 +421,7 @@ def _evaluate(model: CrossModalModel, stream: Stream, vocab: Vocab, heads: Tuple
                 _logits, preds, _cls = model.forward(
                     replace(batch, token_ids=batch.original_tokens, heads=("region",)))
                 flags = batch.region_mask_flags   # masked_lp_loss's row error, in float64
-                diff = preds.data[flags].astype(np.float64) - batch.original_regions[flags]
+                diff = preds.data.astype(np.float64) - batch.original_regions[flags]
                 totals[2:] += ((np.abs(diff) ** cfg.p_norm).sum() / cfg.d_v, flags.sum())
     lm_sum, lm_count, region_sum, region_count = totals.tolist()
     if lm and lm_count == 0:

@@ -120,3 +120,16 @@ def test_layernorm_matches_mean_var_reference_bitwise(rng):
                 want += reference_layernorm_backward(dy, want[1], want[2], gain)
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and np.array_equal(g, w), (dtype, t, d)
+
+
+def test_scatter_add_rows_matches_add_at_bitwise(rng):
+    """With or without repeated ids, the kernel leaves the bits ``np.add.at``
+    leaves, on a table that already holds values and on an empty id list."""
+    for ids in ([4, 0, 7, 2], [4, 0, 4, 2, 0, 4], []):
+        ids = np.array(ids, dtype=np.int64)
+        table = rng.normal(size=(8, 5)).astype(np.float32)
+        rows = rng.normal(size=(len(ids), 5)).astype(np.float32)
+        want = table.copy()
+        np.add.at(want, ids, rows)
+        kernels.active.scatter_add_rows(table, ids, rows)
+        assert table.tobytes() == want.tobytes(), ids

@@ -11,7 +11,7 @@ from groundlm.model import (CrossModalModel, MaskedBatch, Masks, ModelConfig,
                             masked_ce_stats, masked_lm_loss,
                             masked_region_loss, save_checkpoint)
 from groundlm.optim import Adam
-from groundlm.tensor import Tensor
+from groundlm.tensor import Tensor, take_rows
 from groundlm.train import evaluate_perplexity
 from groundlm.vocab import MASKED_ID, N_RESERVED, PAD_ID, RESERVED, Vocab
 
@@ -181,8 +181,8 @@ class TestForward:
         model = tiny_model()
         batch = placeholder_batch(rng, model, b=3, t=5)
         logits, region_preds, cls_vec = model.forward(batch)
-        assert logits.shape == (3, 5, 11)
-        assert region_preds.shape == (3, 1, 4)
+        assert logits.shape == (batch.token_mask_flags.sum(), 11)
+        assert region_preds.shape == (0, 4)   # a placeholder batch flags no region slot
         assert cls_vec.shape == (3, 8)
 
     def test_rank_swap_changes_visual_inputs(self, rng):
@@ -192,7 +192,7 @@ class TestForward:
         regions = rng.normal(size=(b, 2, model.config.d_v)).astype(np.float32)
         base = dict(regions=regions, original_regions=regions.copy(),
                     placeholder_slots=np.zeros((b, 2), dtype=bool),
-                    region_mask_flags=np.zeros((b, 2), dtype=bool))
+                    region_mask_flags=np.ones((b, 2), dtype=bool))
         batch.rank_ids = np.array([[0, 1]])
         for k, v in base.items():
             setattr(batch, k, v)
@@ -214,7 +214,8 @@ class TestForward:
         var = joint.var(axis=-1, keepdims=True)
         normed = (joint - mu) / np.sqrt(var + 1e-5)
         normed = normed * model.params["final_ln.g"].data + model.params["final_ln.b"].data
-        expected = normed[:, :4] @ model.params["lm_head.W"].data + model.params["lm_head.b"].data
+        expected = (normed[:, :4][batch.token_mask_flags] @ model.params["lm_head.W"].data
+                    + model.params["lm_head.b"].data)
         np.testing.assert_allclose(logits.data, expected, atol=1e-5)
 
     def test_batch_padding_matches_single_example(self, rng):
@@ -225,7 +226,7 @@ class TestForward:
         padded[0] = ids_a
         padded[1, :3] = ids_b
         flags = np.zeros((2, 5), dtype=bool)
-        flags[:, 1] = True
+        flags[0, 1] = flags[1, :3] = True
         pad_valid = padded != 0
 
         joint = MaskedBatch(token_ids=padded, token_mask_flags=flags,
@@ -234,8 +235,8 @@ class TestForward:
                                 [pad_valid, np.ones((2, 1), dtype=bool)], axis=1))
         solo = MaskedBatch(token_ids=ids_b, token_mask_flags=flags[1:, :3],
                            original_tokens=ids_b.copy())
-        out_joint = model.forward(joint)[0].data[1, :3]
-        out_solo = model.forward(solo)[0].data[0]
+        out_joint = model.forward(joint)[0].data[1:]   # the rows of example b
+        out_solo = model.forward(solo)[0].data
         np.testing.assert_allclose(out_joint, out_solo, atol=1e-4)
 
 
@@ -310,43 +311,74 @@ class TestHeads:
     def test_every_head_set_reads_the_full_forward_to_rounding(self, head_models, dtype, d, b,
                                                                width, kind, seed):
         """Whatever ``batch.heads`` leaves out, the outputs read and the
-        gradients of a loss over them agree with those of the full forward to
-        rounding, and the last cross block computes only the rows read: the
-        [cls] row when no head is, as in the probe. A head not read is None,
-        and so is the gradient of every parameter the full loss leaves alone."""
+        gradients of a loss over them agree to rounding with those of a forward
+        of both heads whose last cross block computes every row and then gathers
+        the rows read. Row 0's [cls] is flagged, so it is gathered twice. A head
+        not read is None, and so is the gradient of every parameter the full
+        loss leaves alone."""
         model = head_models[d, dtype]
         tol = self.TOL[dtype]
         rng = np.random.default_rng(seed)
         batch = random_batch(rng, model, b, width, kind)
         u = rng.normal(size=(b, d)).astype(np.float32)
-        length = batch.token_ids.shape[1]
-        slots = 1 if batch.regions is None else batch.regions.shape[1]
-        block_rows = []
         block = model._encoder_block
 
-        def recorded(prefix, x, bias, rows=None):
-            out = block(prefix, x, bias, rows)
-            block_rows.append(out.shape[1])
-            return out
-        model._encoder_block = recorded
+        def full_then_gather(prefix, x, bias, rows=None, picks=None):
+            out = block(prefix, x, bias)
+            return out if picks is None else take_rows(out, picks)
+
+        for heads in HEAD_SETS:
+            model._encoder_block = full_then_gather
+            try:
+                full, full_grads = forward_and_grads(model, batch, ("lm", "region"), heads, u)
+            finally:
+                del model._encoder_block
+            got, grads = forward_and_grads(model, batch, heads, heads, u)
+            for name, want, out in zip(("lm", "region", "cls"), full, got):
+                if name in heads or name == "cls":
+                    assert out.shape == want.shape, (heads, name)
+                    assert max_rel_err(out.data, want.data) < tol, (heads, name)
+                else:
+                    assert out is None, (heads, name)
+            for name, want in full_grads.items():
+                if want is None:
+                    assert grads[name] is None, (heads, name)
+                else:
+                    assert max_rel_err(grads[name], want) < tol, (heads, name)
+
+    @pytest.mark.parametrize("kind", ["placeholder", "paired", "object"])
+    def test_last_cross_block_computes_only_the_rows_read(self, head_models, kind):
+        """The last cross block's FFN sees one row per example ([cls]), one per
+        flagged text position if "lm" is read and one per flagged region slot if
+        "region" is; the heads give exactly those rows."""
+        model = head_models[64, np.float32]
+        cfg = model.config
+        batch = random_batch(np.random.default_rng(29), model, 6, 8, kind)
+        b = batch.batch_size
+        n_text = int(batch.token_mask_flags.sum())
+        n_region = 0 if batch.region_mask_flags is None else int(batch.region_mask_flags.sum())
+        last = f"cross.{cfg.n_layers_cross - 1}.mlp.fc1"
+        fc1_rows = []
+        linear = model._linear
+
+        def recorded(prefix, x):
+            if prefix == last:
+                fc1_rows.append(x.data.reshape(-1, x.shape[-1]).shape[0])
+            return linear(prefix, x)
+        model._linear = recorded
         try:
             for heads in HEAD_SETS:
-                full, full_grads = forward_and_grads(model, batch, ("lm", "region"), heads, u)
-                got, grads = forward_and_grads(model, batch, heads, heads, u)
-                want_rows = {(): 1, ("lm",): length}.get(heads, length + slots)
-                assert block_rows[-1] == want_rows, heads
-                for name, want, out in zip(("lm", "region", "cls"), full, got):
-                    if name in heads or name == "cls":
-                        assert max_rel_err(out.data, want.data) < tol, (heads, name)
-                    else:
-                        assert out is None, (heads, name)
-                for name, want in full_grads.items():
-                    if want is None:
-                        assert grads[name] is None, (heads, name)
-                    else:
-                        assert max_rel_err(grads[name], want) < tol, (heads, name)
+                batch.heads = heads
+                logits, preds, cls_vec = model.forward(batch)
+                lm, region = "lm" in heads, "region" in heads
+                assert fc1_rows[-1] == b + n_text * lm + n_region * region, heads
+                assert cls_vec.shape == (b, cfg.d)
+                if lm:
+                    assert logits.shape == (n_text, cfg.vocab_size), heads
+                if region:
+                    assert preds.shape == (n_region, cfg.d_v), heads
         finally:
-            del model._encoder_block
+            del model._linear
 
     def test_lm_only_forward_matches_finite_differences(self):
         """The restricted last cross block against calculus: float64, the LM
@@ -377,24 +409,26 @@ class TestHeads:
 
 
 class TestLosses:
+    """The losses take ``forward``'s rows at the flagged positions."""
+
     def test_uniform_logits_give_log_vocab(self):
         v = 7
-        logits = Tensor(np.zeros((2, 3, v)), requires_grad=True)
+        logits = Tensor(np.zeros((6, v)), requires_grad=True)
         targets = np.ones((2, 3), dtype=np.int64)
         flags = np.ones((2, 3), dtype=bool)
         loss = masked_lm_loss(logits, targets, flags)
         np.testing.assert_allclose(loss.data, np.log(v), rtol=1e-6)
 
     def test_confident_correct_logits_near_zero(self):
-        logits_arr = np.full((1, 2, 5), -50.0)
-        logits_arr[0, :, 3] = 50.0
+        logits_arr = np.full((2, 5), -50.0)
+        logits_arr[:, 3] = 50.0
         loss = masked_lm_loss(Tensor(logits_arr, requires_grad=True),
                               np.full((1, 2), 3, dtype=np.int64),
                               np.ones((1, 2), dtype=bool))
         assert loss.data < 1e-6
 
     def test_hand_computed_two_token_cross_entropy(self):
-        logits_arr = np.array([[[1.0, 2.0, 0.5], [0.0, 0.0, 1.0]]])
+        logits_arr = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 1.0]])
         targets = np.array([[1, 2]])
         flags = np.array([[True, True]])
         loss = masked_lm_loss(Tensor(logits_arr, requires_grad=True), targets, flags)
@@ -408,7 +442,7 @@ class TestLosses:
         # r=[1,0] predicted as [0,0] with p=2: (1+0)/(1*2) = 0.5
         model = tiny_model(d_v=2, l1_coeff=0.0)
         model.params["region_head.W"].data[:] = 0.0
-        preds = Tensor(np.zeros((1, 1, 2)), requires_grad=True)
+        preds = Tensor(np.zeros((1, 2)), requires_grad=True)
         target = np.array([[[1.0, 0.0]]])
         flags = np.array([[True]])
         loss = masked_region_loss(preds, target, flags, model)
@@ -418,7 +452,7 @@ class TestLosses:
         model = tiny_model(l1_coeff=0.1)
         d, d_v = model.config.d, model.config.d_v
         model.params["region_head.W"].data[:] = 1.0
-        preds = Tensor(np.zeros((1, 1, d_v)), requires_grad=True)
+        preds = Tensor(np.zeros((1, d_v)), requires_grad=True)
         target = np.zeros((1, 1, d_v))
         flags = np.array([[True]])
         loss = masked_region_loss(preds, target, flags, model)
@@ -428,27 +462,32 @@ class TestLosses:
         model = tiny_model(l1_coeff=0.1)
         model.params["region_head.W"].data[:] = 0.0
         target = np.ones((1, 1, model.config.d_v))
-        loss = masked_region_loss(Tensor(target.copy(), requires_grad=True),
+        loss = masked_region_loss(Tensor(target[:, 0].copy(), requires_grad=True),
                                   target, np.array([[True]]), model)
         np.testing.assert_allclose(loss.data, 0.0, atol=1e-12)
 
     def test_no_masked_region_contributes_zero(self):
         model = tiny_model()
-        loss = masked_region_loss(Tensor(np.ones((1, 1, 4)), requires_grad=True),
+        loss = masked_region_loss(Tensor(np.ones((0, 4)), requires_grad=True),
                                   np.ones((1, 1, 4)), np.array([[False]]), model)
         assert loss.data == 0.0
         assert loss._parents == ()
 
     def test_unmasked_logit_perturbation_leaves_loss_unchanged(self, rng):
+        """Only the flagged positions are read: the logits and the targets of
+        the others may change freely."""
         logits_arr = rng.normal(size=(2, 4, 6))
         targets = rng.integers(0, 6, size=(2, 4))
         flags = np.zeros((2, 4), dtype=bool)
         flags[:, 1] = True
-        base = masked_lm_loss(Tensor(logits_arr.copy(), requires_grad=True), targets, flags)
+        base = masked_lm_loss(Tensor(logits_arr[flags].copy(), requires_grad=True),
+                              targets, flags)
         perturbed = logits_arr.copy()
         perturbed[:, 0] += 100.0
         perturbed[:, 2:] -= 37.0
-        after = masked_lm_loss(Tensor(perturbed, requires_grad=True), targets, flags)
+        moved = targets.copy()
+        moved[~flags] = (moved[~flags] + 1) % 6
+        after = masked_lm_loss(Tensor(perturbed[flags], requires_grad=True), moved, flags)
         np.testing.assert_allclose(base.data, after.data, rtol=1e-12)
 
 

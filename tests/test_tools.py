@@ -22,6 +22,19 @@ def test_ab_setups_of_a_checkout_against_itself():
     assert "bundle files byte-identical: True (8 files A, 8 files B)" in out
 
 
+def test_ab_probes_of_a_checkout_against_itself():
+    """``ab_steps.py --probes`` alternates the fine-tune probe after the eval
+    passes and prints each side's probe times in both orders."""
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_steps.py"), "--a", str(ROOT),
+         "--b", str(ROOT), "--steps", "2", "--eval-passes", "0", "--probes", "2",
+         "--seed", "1"],
+        capture_output=True, text=True, timeout=300, check=True).stdout
+    assert out.count("  probe     ms  A p25/p50/p75") == 2
+    assert "probe     B/A of medians, geometric mean of both orders" in out
+    assert "final parameters bitwise equal: True" in out
+
+
 def test_trace_run_writes_per_function_times(tmp_path):
     """``trace_run.py`` runs one CLI command under the benchmark's tracer and
     writes each traced name's calls, ms and self ms; the command's own

@@ -378,6 +378,8 @@ class TestAssociativeFallback:
                                   model, "scene", corpora=corpora, k=2)
         ph_batch = build_batch(encode_stream([(None, "red dog sat")], vocab, 6), [0], vocab,
                                model, "placeholder")
+        for batch in (assoc_batch, ph_batch):   # the logits of every position
+            batch.token_mask_flags = np.ones(batch.token_ids.shape, dtype=bool)
         out_a = model.forward(assoc_batch)[0].data
         out_p = model.forward(ph_batch)[0].data
         np.testing.assert_allclose(out_a, out_p, atol=1e-4)

@@ -1,7 +1,7 @@
 """Interleaved A/B timing of two groundlm checkouts in one process.
 
     python3 tools/ab_steps.py --a CHECKOUT_A --b CHECKOUT_B \\
-        [--workload paired|object] [--seed N] [--steps N] [--eval-passes N]
+        [--workload paired|object] [--seed N] [--steps N] [--eval-passes N] [--probes N]
     python3 tools/ab_steps.py --a CHECKOUT_A --b CHECKOUT_B --setups N \\
         [--workload paired|object] [--seed N]
 
@@ -10,7 +10,9 @@ Each checkout's ``src/groundlm`` is imported under its own package name
 ``perfbench/session.py`` does: its bundle, model shape, batch size, seeds
 and training budget, read from that file. The two pretrains then run in
 lockstep, one training step of A, then one of B, and so on; after them the
-held-out perplexity passes alternate the same way. Host speed drifts by tens
+held-out perplexity passes alternate the same way, and then, with ``--probes
+N``, N calls per side of perfbench's fine-tune probe (``finetune.finetune``
+with the session's task, runs and steps). Host speed drifts by tens
 of percent over minutes on small VMs, and each pair of neighbouring steps
 sees about the same host, so the per-pair ratios cancel the drift that
 separate benchmark runs cannot. Running a checkout against itself (A/A)
@@ -30,8 +32,8 @@ A step is timed as perfbench times it: from one training forward to the
 next, so forward, loss, backward and Adam of one step plus the batch build
 of the next; steps with an in-loop validation pass inside are dropped.
 
-Prints, for each order, the median step and eval-pass times of each side
-and the B/A ratios; then the geometric mean of the two orders' B/A of
+Prints, for each order, the median step, eval-pass and probe times of each
+side and the B/A ratios; then the geometric mean of the two orders' B/A of
 medians, and whether the final parameters and the held-out perplexity are
 bitwise equal. BLAS runs on one thread, as in perfbench.
 
@@ -109,6 +111,7 @@ class Side:
             patience=10_000, kappa=S.KAPPA)
         self.step_s = []      # None marks a step with a validation pass inside
         self.evals = []       # seconds of each held-out pass
+        self.probes = []      # seconds of each probe
         self.ppls = set()     # repr of each held-out pass's perplexity
 
     def pretrain(self):
@@ -125,6 +128,17 @@ class Side:
             mode=workload.mode, corpora=self.world.corpora, k=workload.k, kappa=S.KAPPA,
             batch_size=S.BATCH_SIZE, cache=self.glm.associate.AssociationCache(), threads=1)
         return time.perf_counter() - t0, ppl
+
+    def probe(self) -> float:
+        """Seconds of one probe, called as ``session.run_session`` calls it."""
+        glm = self.glm
+        cfg = glm.train.TrainConfig(batch_size=S.BATCH_SIZE, lr=1e-3, max_epochs=10_000,
+                                    max_steps=S.PROBE_STEPS, seed=S.TRAIN_SEED, kappa=S.KAPPA)
+        t0 = time.perf_counter()
+        glm.finetune.finetune(self.model, S.probe_task(glm, self.world), self.strategy, cfg,
+                              corpora=self.world.corpora, n_runs=S.PROBE_RUNS,
+                              cache=glm.associate.AssociationCache(), threads=1)
+        return time.perf_counter() - t0
 
 
 def lockstep_pretrain(sides) -> None:
@@ -174,8 +188,15 @@ def quartiles(xs):
     return q[0], statistics.median(xs), q[2]
 
 
+def alternate(sides, n: int, run) -> None:
+    """``run`` each of the two ``sides`` ``n`` times, in the order first,
+    second, second, first, first, second ..."""
+    for k in range(2 * n):
+        run(sides[k % 2 if k // 2 % 2 == 0 else 1 - k % 2])
+
+
 def run_order(checkouts, first: int, workload, seed: int, steps: int, passes: int,
-              tmp: str) -> list:
+              probes: int, tmp: str) -> list:
     """Import, build and run both sides, side ``first`` first at every turn;
     returns the sides as [A, B]."""
     order = (first, 1 - first)
@@ -185,13 +206,15 @@ def run_order(checkouts, first: int, workload, seed: int, steps: int, passes: in
             alias = f"glm_{'ab'[i]}{first}"
             sides[i] = Side(load_checkout(checkouts[i], alias), workload, seed, steps,
                             os.path.join(tmp, alias))
-        lockstep_pretrain([sides[i] for i in order])
-        for k in range(2 * passes):
-            j = k % 2 if k // 2 % 2 == 0 else 1 - k % 2   # first, second, second, first ...
-            side = sides[order[j]]
+        ordered = [sides[i] for i in order]
+        lockstep_pretrain(ordered)
+
+        def eval_pass(side):
             secs, ppl = side.eval_pass(workload)
             side.evals.append(secs)
             side.ppls.add(repr(ppl))
+        alternate(ordered, passes, eval_pass)
+        alternate(ordered, probes, lambda side: side.probes.append(side.probe()))
     finally:
         for side in sides:
             if side is not None:
@@ -244,6 +267,8 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0, help="toy bundle seed")
     p.add_argument("--steps", type=int, default=None, help="pretrain steps (workload's)")
     p.add_argument("--eval-passes", type=int, default=None, help="held-out passes per side")
+    p.add_argument("--probes", type=int, default=0,
+                   help="fine-tune probes per side and order, after the eval passes")
     p.add_argument("--setups", type=int, default=0,
                    help="time N set-ups per side and order instead of steps")
     args = p.parse_args(argv)
@@ -258,18 +283,18 @@ def main(argv=None) -> int:
     passes = args.eval_passes if args.eval_passes is not None else workload.eval_passes
 
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [run_order((args.a, args.b), first, workload, args.seed, steps, passes, tmp)
-                for first in (0, 1)]
+        runs = [run_order((args.a, args.b), first, workload, args.seed, steps, passes,
+                          args.probes, tmp) for first in (0, 1)]
 
     print(f"workload {workload.name} ({workload.strategy}), bundle seed {args.seed}, "
-          f"{steps} steps, {passes} eval passes per side and order")
+          f"{steps} steps, {passes} eval passes and {args.probes} probes per side and order")
     print(f"A {os.path.abspath(args.a)}\nB {os.path.abspath(args.b)}")
-    ratios = {"step": [], "eval pass": []}
+    ratios = {"step": [], "eval pass": [], "probe": []}
     for first, (a, b) in enumerate(runs):
         pairs = [(x, y) for x, y in zip(a.step_s, b.step_s) if x is not None and y is not None]
         print(f"{'AB'[first]} first: {len(pairs)} timed step pairs")
         for label, xs, ys in (("step", [x for x, _ in pairs], [y for _, y in pairs]),
-                              ("eval pass", a.evals, b.evals)):
+                              ("eval pass", a.evals, b.evals), ("probe", a.probes, b.probes)):
             if len(xs) < 2:
                 continue
             qa, qb = quartiles(xs), quartiles(ys)
