@@ -155,8 +155,9 @@ def associate_scene(text: str, index: ImageKeyIndex, table: WordEmbeddingTable,
     return Association([AssociationItem(*pair) for pair in top_k(index, query, k, threads=threads)])
 
 
-def _gmm_seed(run_seed: int, text: str) -> list:
-    return [int(run_seed) & 0xFFFFFFFF, zlib.crc32(text.encode("utf-8"))]
+def _gmm_seed(run_seed: int, text: str) -> np.ndarray:
+    # as uint32 words: the entropy that default_rng reads from the list of both ints
+    return np.array([int(run_seed) & 0xFFFFFFFF, zlib.crc32(text.encode("utf-8"))], np.uint32)
 
 
 def _noun_ranking(index: ImageKeyIndex, vector: np.ndarray, k: int,
@@ -202,6 +203,9 @@ def _representatives(vectors: np.ndarray, weights: np.ndarray,
     return picks
 
 
+MAX_STACK = 128   # texts per GMM stack: bounds the memory of one EM loop
+
+
 def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTable,
                      lexicon: NounLexicon, k: int, kappa: int, seed: int = 0,
                      threads: Optional[int] = None) -> Union[Association, List[Association]]:
@@ -216,7 +220,7 @@ def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTab
 
     ``texts`` is one text, which returns one Association, or a list, which
     returns one per text. The texts of a list that share a distinct-noun
-    count are fit as one stack; each fit equals the fit of its text alone.
+    count are fit in stacks of up to ``MAX_STACK``; each equals its text's fit alone.
     """
     if kappa > k:
         raise ValueError(f"kappa ({kappa}) must not exceed K ({k})")
@@ -233,7 +237,9 @@ def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTab
     for i, distinct in enumerate(nouns):
         if len(distinct) > 1:
             groups.setdefault(len(distinct), []).append(i)
-    for n, members in groups.items():
+    stacks = [(n, group[lo:lo + MAX_STACK]) for n, group in groups.items()
+              for lo in range(0, len(group), MAX_STACK)]
+    for n, members in stacks:
         rows = [[table.entries[w] for w in nouns[i]] for i in members]
         stack = np.stack(rows).astype(np.float64)
         models = fit_gmm(stack, min(kappa, n), seed=[_gmm_seed(seed, batch[i]) for i in members])

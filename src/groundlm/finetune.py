@@ -224,8 +224,8 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
 
     def batch_for(run: CrossModalModel, split, picks) -> MaskedBatch:
         stream, rankings = split   # only the [cls] row is read
-        return build_batch(stream, picks, vocab, run, mode, rankings=rankings,
-                           corpora=corpora, k=k, heads=())
+        return build_batch(stream, picks, run, mode, rankings=rankings, corpora=corpora, k=k,
+                           heads=())
 
     def train_and_score(run_seed: int) -> float:
         run = copy.deepcopy(model)

@@ -31,30 +31,32 @@ class GmmModel:
     n_iter: int = 0
 
 
-def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
-    while len(chosen) < k:
-        total = d2.sum()
-        if len(chosen) == n - 1 and np.isfinite(total):
-            # one index is left, and a draw could return only it: its p is
-            # exactly 1.0, or it is all of `remaining`; fit_gmm discards rng
-            # after the start. A non-finite total keeps the draw, which raises
-            # on NaN.
-            nxt = next(i for i in range(n) if i not in chosen)
-        elif total <= 0:
-            # all remaining points coincide with a center; pick any unchosen
-            remaining = [i for i in range(n) if i not in chosen]
-            nxt = int(rng.choice(remaining))
-        else:
-            nxt = int(rng.choice(n, p=d2 / total))
-            if nxt in chosen:
-                remaining = [i for i in range(n) if i not in chosen]
-                nxt = int(rng.choice(remaining))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
-    return points[chosen].copy()
+def _kmeanspp(pts: np.ndarray, k: int, seeds) -> np.ndarray:
+    """The (B, k, d) k-means++ starts of a (B, n, d) stack, read from one distance table;
+    set b draws from ``default_rng(seeds[b])`` and picks bitwise what it would alone."""
+    n = pts.shape[1]
+    table = np.stack([((pts - pts[:, c, None]) ** 2).sum(axis=2) for c in range(n)], axis=1)
+    picks = []
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        chosen = [int(rng.integers(n))]
+        d2 = table[b, chosen[0]]
+        while len(chosen) < k:
+            total = d2.sum()
+            if len(chosen) == n - 1 and np.isfinite(total):
+                # the last index needs no draw; a non-finite total draws and raises on NaN
+                nxt = next(i for i in range(n) if i not in chosen)
+            elif total <= 0:
+                # all remaining points coincide with a center; pick any unchosen
+                nxt = int(rng.choice([i for i in range(n) if i not in chosen]))
+            else:
+                nxt = int(rng.choice(n, p=d2 / total))
+                if nxt in chosen:
+                    nxt = int(rng.choice([i for i in range(n) if i not in chosen]))
+            chosen.append(nxt)
+            d2 = np.minimum(d2, table[b, nxt])
+        picks.append(chosen)
+    return np.take_along_axis(pts, np.array(picks)[:, :, None], axis=1)
 
 
 def fit_gmm(points, kappa: int, seed) -> Union[GmmModel, List[GmmModel]]:
@@ -62,20 +64,17 @@ def fit_gmm(points, kappa: int, seed) -> Union[GmmModel, List[GmmModel]]:
 
     ``points`` is one (n, d) set, fit with ``seed``, or a (B, n, d) stack of
     B sets, fit with the B seeds in ``seed`` and returned as a list. The
-    stack runs one EM loop; each fit leaves it at its own convergence
-    iteration, and every fit equals the one-set fit of its own points.
+    stack shares one k-means++ distance table and one EM loop, which each fit
+    leaves at its own convergence; every fit equals the one-set fit of its points.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    single = pts.ndim == 2
-    if single:
-        pts, seeds = pts[None], [seed]
-    elif pts.ndim == 3:
-        seeds = list(seed)
-        if len(seeds) != pts.shape[0]:
-            raise ValueError(f"{pts.shape[0]} point sets need as many seeds, got {len(seeds)}")
-    else:
+    if pts.ndim not in (2, 3):
         raise ValueError(f"points must be an (n, d) array or a (B, n, d) stack, "
                          f"got shape {pts.shape}")
+    single = pts.ndim == 2
+    pts, seeds = (pts[None], [seed]) if single else (pts, list(seed))
+    if len(seeds) != len(pts):
+        raise ValueError(f"{len(pts)} point sets need as many seeds, got {len(seeds)}")
     n = pts.shape[1]
     if n < 1 or not seeds:
         raise ValueError("need at least one point")
@@ -83,41 +82,41 @@ def fit_gmm(points, kappa: int, seed) -> Union[GmmModel, List[GmmModel]]:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     k = min(kappa, n)
 
-    means = np.stack([_kmeanspp(p, k, np.random.default_rng(s)) for p, s in zip(pts, seeds)])
-    global_var = pts.var(axis=1)
-    variances = np.maximum(np.repeat(global_var[:, None, :], k, axis=1), VARIANCE_FLOOR)
+    means = _kmeanspp(pts, k, seeds)
+    variances = np.maximum(np.repeat(pts.var(axis=1)[:, None, :], k, axis=1), VARIANCE_FLOOR)
     weights = np.full((len(seeds), k), 1.0 / k)
+    sq = pts * pts
 
-    # stack positions of the fits still iterating; a fit that stops is stored
-    # and its rows leave the working arrays
+    # stack positions of the fits still iterating; a fit's rows leave when it stops
     live = np.arange(len(seeds))
     fits: List[Optional[GmmModel]] = [None] * len(seeds)
-    histories: List[List[float]] = [[] for _ in seeds]
-    kern = kernels.active
+    logliks = []   # (live, loglik) of each iteration
     prev = np.full(len(seeds), -np.inf)
     for it in range(1, MAX_ITER + 1):
-        resp, loglik = kern.gmm_estep(pts, means, variances, np.log(weights))
-        for b, ll in zip(live, loglik.tolist()):
-            histories[b].append(ll)
+        resp, loglik = kernels.active.gmm_estep(pts, means, variances, np.log(weights))
+        logliks.append((live, loglik))
         nk = resp.sum(axis=1)
         weights = nk / n
-        safe_nk = np.maximum(nk, 1e-12)
+        safe_nk = np.maximum(nk, 1e-12)[:, :, None]
         resp_t = resp.transpose(0, 2, 1)
-        means = (resp_t @ pts) / safe_nk[:, :, None]
-        second = (resp_t @ (pts * pts)) / safe_nk[:, :, None]
-        variances = np.maximum(second - means * means, VARIANCE_FLOOR)
+        means = (resp_t @ pts) / safe_nk
+        variances = np.maximum((resp_t @ sq) / safe_nk - means * means, VARIANCE_FLOOR)
         converged = np.abs(loglik - prev) < REL_TOL * np.maximum(np.abs(prev), 1.0)
         done = (np.isfinite(prev) & converged) | (it == MAX_ITER)
-        for j in np.flatnonzero(done):
-            b = live[j]
-            if not np.isfinite(loglik[j]):
+        prev = loglik
+        if done.any():
+            if not np.isfinite(loglik[done]).all():
                 raise FloatingPointError("GMM log-likelihood diverged")
-            fits[b] = GmmModel(kappa=k, means=means[j], variances=variances[j],
-                               weights=weights[j], loglik=float(loglik[j]),
-                               loglik_history=histories[b], n_iter=it)
-        keep = ~done
-        live, pts, means, variances, weights, prev = (
-            live[keep], pts[keep], means[keep], variances[keep], weights[keep], loglik[keep])
-        if not live.size:
-            break
+            for j in np.flatnonzero(done):
+                fits[live[j]] = GmmModel(kappa=k, means=means[j], variances=variances[j],
+                                         weights=weights[j], loglik=float(loglik[j]), n_iter=it)
+            live, pts, sq, means, variances, weights, prev = (
+                a[~done] for a in (live, pts, sq, means, variances, weights, prev))
+            if not live.size:
+                break
+    history = np.empty((len(seeds), it))
+    for t, (rows, loglik) in enumerate(logliks):
+        history[rows, t] = loglik
+    for fit, row in zip(fits, history):
+        fit.loglik_history = row[:fit.n_iter].tolist()
     return fits[0] if single else fits

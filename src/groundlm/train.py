@@ -19,11 +19,13 @@ and its runs' orders use key 1000 + e at their own seeds):
 
 Every batch is a set of rows of one ``Stream``, encoded once, and takes its rows
 of the stream's masks, drawn once in example order: no mask depends on batch size.
+An evaluated stream is associated in one call, a training stream one chunk at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -341,24 +343,25 @@ def _fill_visual_slots(batch: MaskedBatch, mode: str, examples: Sequence[Example
     return batch
 
 
-def build_batch(stream: Stream, rows: Sequence[int], vocab: Vocab, model: CrossModalModel,
-                mode: str, *, masks: Union[Masks, Callable[[], Masks]] = Masks(),
-                rankings: Optional[Sequence] = None,
-                corpora: Optional[Corpora] = None,
-                k: int = 0, kappa: int = 8, assoc_seed: int = 0,
-                cache: Optional[AssociationCache] = None,
-                threads: Optional[int] = None,
+def build_batch(stream: Stream, rows: Sequence[int], model: CrossModalModel, mode: str, *,
+                masks: Union[Masks, Callable[[], Masks]] = Masks(),
+                rankings: Union[Sequence, Callable[[], Sequence], None] = None,
+                corpora: Optional[Corpora] = None, k: int = 0,
                 heads: Tuple[str, ...] = ("lm", "region")) -> MaskedBatch:
     """The MaskedBatch of ``rows`` of ``stream``, trimmed to its longest row.
 
     ``mode`` picks the visual side: placeholder (no regions), paired (the
-    example's own image), or an association strategy applied to the masked
-    text, unless ``rankings`` holds the whole stream's associations. ``masks``
-    holds the stream's masks (see ``Masks``), or is a function that returns
-    them, so that drawing an epoch's masks is part of building its first
-    batch. ``heads`` names the model outputs the caller reads.
+    example's own image), or a retrieval mode, which takes each row's ranked
+    images from ``rankings``, indexed by stream row. ``masks`` holds the
+    stream's masks (see ``Masks``). Either may be a function that returns it,
+    called here. ``heads`` names the model outputs the caller reads.
     """
     masks = (masks() if callable(masks) else masks).rows(rows)
+    if mode not in ("placeholder", "paired"):
+        if rankings is None:
+            raise ValueError(f"build_batch: {mode} mode needs the rows' rankings")
+        given = rankings() if callable(rankings) else rankings
+        rankings = [given[i] for i in rows]
     width = (stream.ids[rows] != PAD_ID).sum(axis=1).max()   # no text token is [pad]
     ids = stream.ids[rows, :width]
     if masks.tokens is None:
@@ -367,11 +370,6 @@ def build_batch(stream: Stream, rows: Sequence[int], vocab: Vocab, model: CrossM
         corrupted, flags = masks.tokens[:, :width], masks.token_flags[:, :width]
     batch = MaskedBatch(token_ids=corrupted, token_mask_flags=flags, original_tokens=ids,
                         heads=heads)
-    if rankings is None:
-        rankings = _associate_rows(mode, corrupted, flags, [stream.raw[i] for i in rows],
-                                   vocab, corpora, k, kappa, assoc_seed, cache, threads)
-    else:
-        rankings = [rankings[i] for i in rows]
     return _fill_visual_slots(batch, mode, [stream.examples[i] for i in rows], rankings,
                               corpora, model.config, k, masks.region_flags)
 
@@ -409,7 +407,7 @@ def _evaluate(model: CrossModalModel, stream: Stream, vocab: Vocab, heads: Tuple
     totals = np.zeros(4)
     with T.no_grad():
         for lo in range(0, n, batch_size):
-            batch = build_batch(stream, range(lo, min(lo + batch_size, n)), vocab, model, mode,
+            batch = build_batch(stream, range(lo, min(lo + batch_size, n)), model, mode,
                                 masks=masks, rankings=rankings, corpora=corpora, k=k,
                                 heads=heads)
             if lm:
@@ -541,19 +539,35 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
         best, bad_evals = (objective, 0) if objective < best - 1e-12 else (best, bad_evals + 1)
         stop = bad_evals >= config.patience
 
-    @functools.lru_cache(maxsize=1)
-    def epoch_masks(epoch: int) -> Masks:
-        return mask_stream(
-            train.ids, model.config,
-            np.random.default_rng([config.seed, 2000 + epoch]) if lm_loss_on else None,
-            np.random.default_rng([config.seed, 3000 + epoch]) if region_loss_on else None,
-            corpora.store.n_regions if region_loss_on else 0)
+    def chunk_rankings(masks: Callable[[], Masks], rows: np.ndarray) -> Dict[int, list]:
+        tokens, flags, _regions = masks().rows(rows)
+        return dict(zip(rows.tolist(), _associate_rows(
+            mode, tokens, flags, [train.raw[i] for i in rows], vocab, corpora, strategy.k,
+            config.kappa, config.seed, cache, threads)))
+
+    def steps() -> Iterator[Tuple[np.ndarray, Callable[[], Masks], Callable[[], Dict]]]:
+        """(picks, the epoch's masks, the chunk's rankings) of each step, an epoch ahead: a
+        chunk runs from an epoch start or an evaluation to the next evaluation or epoch end."""
+        done = 0
+        for epoch, group in itertools.groupby(
+                training_batches(len(train.examples), config, config.seed), lambda s: s[0]):
+            picks = [p for _epoch, p in group]
+            masks = functools.cache(functools.partial(
+                mask_stream, train.ids, model.config,
+                np.random.default_rng([config.seed, 2000 + epoch]) if lm_loss_on else None,
+                np.random.default_rng([config.seed, 3000 + epoch]) if region_loss_on else None,
+                corpora.store.n_regions if region_loss_on else 0))
+            cuts = [j for j in range(len(picks)) if j == 0 or (done + j) % config.eval_every == 0]
+            for lo, hi in zip(cuts, cuts[1:] + [len(picks)]):
+                rankings = functools.cache(functools.partial(
+                    chunk_rankings, masks, np.concatenate(picks[lo:hi])))
+                yield from ((p, masks, rankings) for p in picks[lo:hi])
+            done += len(picks)
 
     last_eval_step = -1
-    for epoch, picks in training_batches(len(train.examples), config, config.seed):
-        batch = build_batch(train, picks, vocab, model, mode, masks=lambda: epoch_masks(epoch),
-                            corpora=corpora, k=strategy.k, kappa=config.kappa,
-                            assoc_seed=config.seed, cache=cache, threads=threads, heads=heads)
+    for picks, masks, rankings in steps():
+        batch = build_batch(train, picks, model, mode, masks=masks, rankings=rankings,
+                            corpora=corpora, k=strategy.k, heads=heads)
         logits, preds, _cls = model.forward(batch)
         loss = None
         if lm_loss_on:

@@ -306,7 +306,7 @@ def test_06_placeholder_transfer_contract(clean_world, tmp_path):
         co = Corpora(vocab=vocab, store=active_store)
         masks = mask_stream(_pad_rows(rows), cfg, np.random.default_rng(5), None)
         batch = build_batch(encode_stream([(None, t) for t in eval_texts], vocab, cfg.max_len),
-                            range(len(rows)), vocab, model, "placeholder", masks=masks,
+                            range(len(rows)), model, "placeholder", masks=masks,
                             corpora=co)
         with no_grad():
             logits, _preds, _cls = model.forward(batch)
@@ -353,7 +353,7 @@ def test_08_perplexity_calibration():
     stream = encode_stream([(None, seq)] * 32, vocab, 8)
     for step in range(400):
         masks = mask_stream(_pad_rows(rows), cfg, np.random.default_rng([8, step]), None)
-        batch = build_batch(stream, range(32), vocab, overfit, "placeholder", masks=masks)
+        batch = build_batch(stream, range(32), overfit, "placeholder", masks=masks)
         logits, _p, _c = overfit.forward(batch)
         loss = masked_lm_loss(logits, batch.original_tokens, batch.token_mask_flags)
         opt.zero_grad()

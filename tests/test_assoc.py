@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,7 +195,7 @@ class TestObject:
         gmm_seed = associate_mod._gmm_seed(seed, text)
         fit = fit_gmm(stack, kappa, seed=[gmm_seed])[0]
         picks = associate_mod._representatives(stack, fit.weights[None], fit.means[None])[0]
-        start = gmm_mod._kmeanspp(stack[0], 2, np.random.default_rng(gmm_seed))
+        [start] = gmm_mod._kmeanspp(stack, 2, [gmm_seed])
         start_order = [int(np.flatnonzero((stack[0] == c).all(axis=1))[0]) for c in start]
         assert sorted(start_order) == [0, 1] and len(set(picks.tolist())) == 1
 
@@ -216,6 +218,42 @@ class TestObject:
         a = associate_object("dog and cat", index, table, self.LEX, 4, 2, seed=9)
         b = associate_object("dog and cat", index, table, self.LEX, 4, 2, seed=9)
         assert a.items == b.items
+
+    def test_stacks_of_max_stack_texts_equal_one_call_per_text(self, monkeypatch):
+        """600 texts of one distinct-noun count are fit as four stacks of 128
+        texts and one of 88, and each association equals its text's own call."""
+        rng = np.random.default_rng(5)
+        nouns = [f"n{j}" for j in range(6)]
+        table = table_of({w: rng.normal(size=4) for w in nouns})
+        index = build_synset_index([SynsetEntry(f"s-{w}", [w], w, [f"{w}-{j}" for j in range(5)])
+                                    for w in nouns], table)
+        lex = NounLexicon(frozenset(nouns))
+        texts = [" ".join([*rng.choice(nouns, size=3, replace=False), f"w{j}"])
+                 for j in range(600)]
+        sizes, fit = [], associate_mod.fit_gmm
+
+        def recorded(points, *args, **kwargs):
+            sizes.append(len(points))
+            return fit(points, *args, **kwargs)
+        monkeypatch.setattr(associate_mod, "fit_gmm", recorded)
+        stacked = associate_object(texts, index, table, lex, 8, 3, seed=4)
+        assert associate_mod.MAX_STACK == 128 and sizes == [128] * 4 + [88]
+        for text, got in zip(texts, stacked):
+            assert got.items == associate_object(text, index, table, lex, 8, 3, seed=4).items
+
+
+@pytest.mark.parametrize("run_seed", [0, 1, 2 ** 32 - 1])
+def test_gmm_seed_words_seed_as_the_int_list(run_seed):
+    """``_gmm_seed``'s uint32 words give ``default_rng`` the stream that the
+    list of the two ints gives; the empty text has crc32 0."""
+    assert zlib.crc32(b"") == 0
+    for text in ["", "the dog and the cat", "zzz"]:
+        words = associate_mod._gmm_seed(run_seed, text)
+        listed = [run_seed, zlib.crc32(text.encode("utf-8"))]
+        assert words.dtype == np.uint32 and words.tolist() == listed
+        a, b = np.random.default_rng(words), np.random.default_rng(listed)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.random(8).tolist() == b.random(8).tolist()
 
 
 class TestNounRankings:

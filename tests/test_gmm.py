@@ -145,20 +145,25 @@ def start_cases(draw):
 @given(start_cases(), st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=20))
 @settings(max_examples=300, deadline=None)
 def test_start_picks_what_the_drawn_start_picked(case, seeds):
+    """One stack start over a set per seed equals the drawn one-set start of
+    each set, whatever the other sets of the stack draw."""
     pts, k = case
-    for s in seeds:
-        got = _kmeanspp(pts, k, np.random.default_rng([s, 1]))
-        want = reference_kmeanspp(pts, k, np.random.default_rng([s, 1]))
-        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    stack = np.stack([pts * (1 + j % 3) for j in range(len(seeds))])
+    got = _kmeanspp(stack, k, [[s, 1] for s in seeds])
+    assert got.shape == (len(seeds), k, pts.shape[1])
+    for start, points, s in zip(got, stack, seeds):
+        want = reference_kmeanspp(points, k, np.random.default_rng([s, 1]))
+        assert start.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_start_on_nan_points_still_raises(n):
     pts = np.arange(2.0 * n).reshape(n, 2)
     pts[-1, 0] = np.nan
-    for start in (_kmeanspp, reference_kmeanspp):
-        with pytest.raises(ValueError, match="NaN"):
-            start(pts, n, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="NaN"):
+        reference_kmeanspp(pts, n, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="NaN"):
+        _kmeanspp(np.stack([pts + 1, pts]), n, [1, 0])
     with pytest.raises(ValueError, match="NaN"):
         fit_gmm(pts, n, seed=0)
 

@@ -32,6 +32,8 @@ def test_ab_probes_of_a_checkout_against_itself():
         capture_output=True, text=True, timeout=300, check=True).stdout
     assert out.count("  probe     ms  A p25/p50/p75") == 2
     assert "probe     B/A of medians, geometric mean of both orders" in out
+    assert out.count("  step sum  s   A ") == 2
+    assert "step sum  B/A of sums, geometric mean of both orders" in out
     assert "final parameters bitwise equal: True" in out
 
 

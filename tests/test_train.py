@@ -355,6 +355,14 @@ class TestPretrain:
             pretrain(Strategy("AssociativeScene", k=8), corpora, model, quick_config())
 
 
+def unmasked_rankings(stream, mode, corpora, k, kappa=8, seed=0, cache=None):
+    """The rankings of every row of the unmasked ``stream``, from one
+    ``_associate_rows`` call, as a training chunk or held-out pass gets them."""
+    return train_mod._associate_rows(mode, stream.ids, np.zeros(stream.ids.shape, dtype=bool),
+                                     stream.raw, corpora.vocab, corpora, k, kappa, seed,
+                                     cache, None)
+
+
 class TestAssociativeFallback:
     def test_empty_association_uses_placeholder_slot(self, tmp_path, rng):
         corpora = small_world(tmp_path, rng)
@@ -362,8 +370,10 @@ class TestAssociativeFallback:
         model = small_model(vocab)
         rows = [vocab.encode("red dog", max_len=6)]
         raw = [["[cls]", "zzz", "qqq"]]  # all-OOV query -> degenerate -> fallback
-        batch = build_batch(Stream([(None, "zzz qqq")], _pad_rows(rows), raw), [0], vocab,
-                            model, "scene", corpora=corpora, k=2)
+        stream = Stream([(None, "zzz qqq")], _pad_rows(rows), raw)
+        rankings = unmasked_rankings(stream, "scene", corpora, 2)
+        assert rankings == [[]]
+        batch = build_batch(stream, [0], model, "scene", rankings=rankings, corpora=corpora, k=2)
         assert batch.placeholder_slots[0, 0]
         assert batch.attention_pad_mask[0, -2 * 1]  # slot 0 valid
         assert not batch.attention_pad_mask[0, -1]  # slot 1 empty
@@ -374,15 +384,24 @@ class TestAssociativeFallback:
         model = small_model(vocab)
         rows = [vocab.encode("red dog sat", max_len=6)]
         raw = [["[cls]", "zzz"]]
-        assoc_batch = build_batch(Stream([(None, "zzz")], _pad_rows(rows), raw), [0], vocab,
-                                  model, "scene", corpora=corpora, k=2)
-        ph_batch = build_batch(encode_stream([(None, "red dog sat")], vocab, 6), [0], vocab,
-                               model, "placeholder")
+        stream = Stream([(None, "zzz")], _pad_rows(rows), raw)
+        assoc_batch = build_batch(stream, [0], model, "scene", corpora=corpora, k=2,
+                                  rankings=lambda: unmasked_rankings(stream, "scene", corpora, 2))
+        ph_batch = build_batch(encode_stream([(None, "red dog sat")], vocab, 6), [0], model,
+                               "placeholder")
         for batch in (assoc_batch, ph_batch):   # the logits of every position
             batch.token_mask_flags = np.ones(batch.token_ids.shape, dtype=bool)
         out_a = model.forward(assoc_batch)[0].data
         out_p = model.forward(ph_batch)[0].data
         np.testing.assert_allclose(out_a, out_p, atol=1e-4)
+
+    @pytest.mark.parametrize("mode", ["scene", "object", "keyword"])
+    def test_retrieval_mode_needs_rankings(self, tmp_path, rng, mode):
+        corpora = small_world(tmp_path, rng)
+        model = small_model(corpora.vocab)
+        stream = encode_stream([(None, "red dog sat")], corpora.vocab, 6)
+        with pytest.raises(ValueError, match="rankings"):
+            build_batch(stream, [0], model, mode, corpora=corpora, k=2)
 
 
 class TestEvaluate:
@@ -639,8 +658,8 @@ class TestAssociateQuery:
         assert results[1][1] == results[1][8] == []
 
     def test_object_batch_fits_one_stack_per_noun_count(self, tmp_path, rng, monkeypatch):
-        """A 32-row object batch costs one E-step per noun-count group and EM
-        iteration, not one per text and iteration."""
+        """Associating 32 object rows costs one E-step per noun-count group and
+        EM iteration, not one per text and iteration."""
         corpora = two_region_world(tmp_path, rng)
         model = small_model(corpora.vocab, d_v=4, n_regions=2)
         texts = [" ".join(rng.choice(WORDS, size=int(rng.integers(1, 6)))) for _ in range(32)]
@@ -657,10 +676,9 @@ class TestAssociateQuery:
             return estep(*args)
         monkeypatch.setattr(associate_mod, "fit_gmm", recorded)
         monkeypatch.setattr(kernels.active, "gmm_estep", counted)
-        build_batch(encode_stream([(None, t) for t in texts], corpora.vocab,
-                                  model.config.max_len), range(32), corpora.vocab, model,
-                    "object", corpora=corpora, k=4, kappa=2, assoc_seed=3,
-                    cache=AssociationCache())
+        unmasked_rankings(encode_stream([(None, t) for t in texts], corpora.vocab,
+                                        model.config.max_len), "object", corpora, 4, kappa=2,
+                          seed=3, cache=AssociationCache())
         nouns = [{w for w in raw if w in corpora.lexicon} for _ids, raw in encoded]
         groups = {len(found) for found in nouns} - {0, 1}
         per_text = [f for stack in fits for f in stack]
@@ -669,6 +687,98 @@ class TestAssociateQuery:
         assert len(steps) <= len(groups) * iterations
         # one fit per text would make more E-step calls than that
         assert sum(f.n_iter for f in per_text) > len(groups) * iterations
+
+
+class TestChunkedAssociation:
+    """pretrain associates its training rows one chunk at a time: a chunk runs
+    from an epoch start or an evaluation to the next evaluation or the epoch
+    end, and one ``associate_query`` call covers its rows in visit order."""
+
+    K = 2
+
+    @staticmethod
+    def world(tmp_path, rng):
+        corpora = two_region_world(tmp_path, rng)
+        corpora.text_only = [" ".join(rng.choice(WORDS + ["zzz"], size=int(rng.integers(1, 7))))
+                             for _ in range(54)]
+        return corpora
+
+    def run(self, corpora, config, monkeypatch, per_batch=False, flat_val=False):
+        """(metrics rows, parameter bytes, cache counts, the size of each training
+        association call, the size of each training batch) of an object
+        pretrain. ``per_batch`` makes it the reference that associates each
+        batch's own rows when the batch is built; ``flat_val`` makes every
+        validation read the same, so patience stops at the second one."""
+        cache = AssociationCache()
+        calls, trained, evaluating = [], [], []
+        query, build, evaluate = train_mod.associate_query, train_mod.build_batch, \
+            train_mod._evaluate
+
+        def counted(mode, queries, *args, **kwargs):
+            if not evaluating:
+                calls.append(len(queries))
+            return query(mode, queries, *args, **kwargs)
+
+        def evaluated(*args, **kwargs):
+            evaluating.append(True)
+            try:
+                return (1.0, 1, 0.0, 0) if flat_val else evaluate(*args, **kwargs)
+            finally:
+                evaluating.pop()
+
+        def built(stream, rows, model, mode, *, masks, rankings, **kwargs):
+            if not evaluating:
+                trained.append(len(rows))
+                if per_batch:
+                    tokens, flags, _regions = masks().rows(rows)
+                    rankings = dict(zip(rows.tolist(), train_mod._associate_rows(
+                        mode, tokens, flags, [stream.raw[i] for i in rows], corpora.vocab,
+                        corpora, self.K, config.kappa, config.seed, cache, None)))
+            return build(stream, rows, model, mode, masks=masks, rankings=rankings, **kwargs)
+        monkeypatch.setattr(train_mod, "associate_query", counted)
+        monkeypatch.setattr(train_mod, "_evaluate", evaluated)
+        monkeypatch.setattr(train_mod, "build_batch", built)
+        model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=self.K)
+        try:
+            _m, metrics = pretrain(Strategy("AssociativeObject", k=self.K), corpora, model,
+                                   config, cache=cache)
+        finally:
+            monkeypatch.undo()
+        params = {name: p.data.tobytes() for name, p in model.params.items()}
+        return metrics, params, (cache.hits, cache.misses), calls, trained
+
+    @staticmethod
+    def chunk_starts(steps, per_epoch, eval_every):
+        return [s for s in range(1, steps + 1)
+                if (s - 1) % per_epoch == 0 or (s - 1) % eval_every == 0]
+
+    def test_one_call_per_chunk_equals_one_per_batch(self, tmp_path, rng, monkeypatch):
+        corpora = self.world(tmp_path, rng)
+        # 49 training rows in batches of 4: 13 steps an epoch, which 5 does not divide
+        config = quick_config(batch_size=4, max_epochs=3, max_steps=None, eval_every=5,
+                              kappa=2)
+        chunked = self.run(corpora, config, monkeypatch)
+        reference = self.run(corpora, config, monkeypatch, per_batch=True)
+        metrics, params, counts, calls, trained = chunked
+        assert len(trained) == 39 and sum(trained) == 3 * 49
+        starts = self.chunk_starts(39, 13, 5)
+        assert starts == [1, 6, 11, 14, 16, 21, 26, 27, 31, 36]
+        assert calls == [sum(trained[lo - 1:hi - 1])
+                         for lo, hi in zip(starts, starts[1:] + [40])]
+        assert reference[3] == reference[4] == trained   # one call per batch
+        assert metrics == reference[0] and params == reference[1]
+        assert counts == reference[2] and counts[0] > 0 and counts[1] > 0
+
+    def test_no_row_past_an_early_stop_is_associated(self, tmp_path, rng, monkeypatch):
+        corpora = self.world(tmp_path, rng)
+        config = quick_config(batch_size=4, max_epochs=3, max_steps=None, eval_every=5,
+                              kappa=2, patience=1)
+        chunked = self.run(corpora, config, monkeypatch, flat_val=True)
+        reference = self.run(corpora, config, monkeypatch, per_batch=True, flat_val=True)
+        metrics, params, counts, calls, trained = chunked
+        assert trained == [4] * 10   # stopped at the second validation
+        assert calls == [20, 20]
+        assert metrics == reference[0] and params == reference[1] and counts == reference[2]
 
 
 class TestBuildBatchEquivalence:
@@ -680,6 +790,7 @@ class TestBuildBatchEquivalence:
         corrupted, flags = mask_tokens(_pad_rows([e[0] for e in encoded], cfg.max_len),
                                        cfg.mask_rate, np.random.default_rng(seed),
                                        cfg.vocab_size)
+        stream = encode_stream(examples, vocab, cfg.max_len)
         region_flags = None
         if masks_regions:
             n_slots = corpora.store.n_regions
@@ -691,9 +802,10 @@ class TestBuildBatchEquivalence:
                 raw_rows=[e[1] for e in encoded], text_masks=(corrupted, flags),
                 region_flags=region_flags, corpora=corpora, k=k, kappa=8, assoc_seed=3),
             lambda: build_batch(
-                encode_stream(examples, vocab, cfg.max_len), range(len(examples)), vocab,
-                model, mode, masks=Masks(corrupted, flags, region_flags), corpora=corpora,
-                k=k, kappa=8, assoc_seed=3)]
+                stream, range(len(examples)), model, mode,
+                masks=Masks(corrupted, flags, region_flags), corpora=corpora, k=k,
+                rankings=None if mode in ("placeholder", "paired") else train_mod._associate_rows(
+                    mode, corrupted, flags, stream.raw, vocab, corpora, k, 8, 3, None, None))]
         batches, reads = [], []
         for build in builds:
             before = corpora.store.reads
@@ -744,7 +856,7 @@ class TestBuildBatchEquivalence:
         corpora = two_region_world(tmp_path, rng)
         model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
         stream = encode_stream([(None, t) for t in EQUIV_TEXTS[:2]], corpora.vocab, 8)
-        batch = build_batch(stream, range(2), corpora.vocab, model, "paired",
+        batch = build_batch(stream, range(2), model, "paired",
                             corpora=Corpora(vocab=corpora.vocab))
         assert batch.regions.shape == (2, 2, 4) and not batch.regions.any()
         assert batch.placeholder_slots[:, 0].all()
@@ -759,7 +871,7 @@ class TestRegionMasks:
         model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
         examples = [(corpora.paired[0][0], "red dog"), (None, "cat sat")]
         batch = build_batch(encode_stream(examples, corpora.vocab, 8), range(2),
-                            corpora.vocab, model, "paired", corpora=corpora,
+                            model, "paired", corpora=corpora,
                             masks=Masks(region_flags=np.ones((2, 2), dtype=bool)))
         assert batch.region_mask_flags.tolist() == [[True, True], [False, False]]
         assert not batch.regions[0].any() and batch.original_regions[0].all()
@@ -771,7 +883,7 @@ class TestRegionMasks:
         model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
         examples = [(img, text) for img, text in corpora.paired]
         batch = build_batch(encode_stream(examples, corpora.vocab, 8), range(len(examples)),
-                            corpora.vocab, model, "paired", corpora=corpora)
+                            model, "paired", corpora=corpora)
         assert not batch.region_mask_flags.any()
         np.testing.assert_array_equal(batch.regions, batch.original_regions)
 

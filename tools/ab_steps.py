@@ -33,9 +33,18 @@ next, so forward, loss, backward and Adam of one step plus the batch build
 of the next; steps with an in-loop validation pass inside are dropped.
 
 Prints, for each order, the median step, eval-pass and probe times of each
-side and the B/A ratios; then the geometric mean of the two orders' B/A of
-medians, and whether the final parameters and the held-out perplexity are
-bitwise equal. BLAS runs on one thread, as in perfbench.
+side and the B/A ratios, and each side's sum of step intervals with its B/A;
+then the geometric mean of the two orders' B/A of medians (and of sums), and
+whether the final parameters and the held-out perplexity are bitwise equal.
+BLAS runs on one thread, as in perfbench.
+
+The sum of steps is the lockstep view of perfbench's
+``train_examples_per_s``. The median step says what a typical step costs,
+but work that runs in a few steps only is not in it: object pretraining
+associates its rows once per chunk (the steps from an epoch start or a
+validation to the next validation or the epoch end), so on the object
+workload 4 of the 128 steps carry all of training's association, and a
+change to association shows in the sum, not in the median.
 
 With ``--setups N`` it times perfbench's set-up instead (``session.setup``:
 write the bundle, load it and build the workload's index), alternating
@@ -289,10 +298,14 @@ def main(argv=None) -> int:
     print(f"workload {workload.name} ({workload.strategy}), bundle seed {args.seed}, "
           f"{steps} steps, {passes} eval passes and {args.probes} probes per side and order")
     print(f"A {os.path.abspath(args.a)}\nB {os.path.abspath(args.b)}")
-    ratios = {"step": [], "eval pass": [], "probe": []}
+    ratios = {"step": [], "eval pass": [], "probe": [], "step sum": []}
     for first, (a, b) in enumerate(runs):
         pairs = [(x, y) for x, y in zip(a.step_s, b.step_s) if x is not None and y is not None]
         print(f"{'AB'[first]} first: {len(pairs)} timed step pairs")
+        if pairs:
+            sums = [sum(side) for side in zip(*pairs)]
+            ratios["step sum"].append(sums[1] / sums[0])
+            print(f"  step sum  s   A {sums[0]:.3f}  B {sums[1]:.3f}  B/A {sums[1] / sums[0]:.3f}")
         for label, xs, ys in (("step", [x for x, _ in pairs], [y for _, y in pairs]),
                               ("eval pass", a.evals, b.evals), ("probe", a.probes, b.probes)):
             if len(xs) < 2:
@@ -307,7 +320,8 @@ def main(argv=None) -> int:
                   f"  B faster in {sum(r < 1 for r in pair_ratios)}/{len(pair_ratios)} pairs")
     for label, both in ratios.items():
         if len(both) == 2:
-            print(f"{label:9s} B/A of medians, geometric mean of both orders "
+            of = "sums" if label == "step sum" else "medians"
+            print(f"{label:9s} B/A of {of}, geometric mean of both orders "
                   f"{math.sqrt(both[0] * both[1]):.3f}")
     models = [side.model for run in runs for side in run]
     names = list(models[0].params)
