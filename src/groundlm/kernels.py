@@ -4,8 +4,9 @@ Matrix multiplication is deliberately *not* here: BLAS already wins, and the
 autodiff layer's ``linear`` and ``attention`` ops call ``np.matmul``
 directly. These kernels cover the elementwise and row-wise loops around it:
 layer norm, GELU, softmax (inside ``attention``), masked cross-entropy, Adam
-updates, the row scatter-add of embedding and ``take_rows`` gradients and
-the Gaussian-mixture E-step.
+updates, the row scatter-add of embedding and ``take_rows`` gradients (a 1-D
+``np.add.at`` over flat element indices where ids repeat) and the
+Gaussian-mixture E-step.
 
 Callers look every kernel up through the ``active`` namespace at call time
 (``kernels.active.gelu_forward(x)``), so one kernel can be swapped for a
@@ -153,11 +154,12 @@ def _adam_update(param, grad, m, v, t, lr, beta1, beta2, eps, s1, s2):
 
 
 def _scatter_add_rows(table, ids, rows):
-    """table[ids[i]] += rows[i] with repeated ids accumulated."""
+    """table[ids[i]] += rows[i] with repeated ids accumulated; ``table`` is C-contiguous."""
     if np.bincount(ids).max(initial=0) <= 1:   # no repeats: np.add.at's bits, far faster
         table[ids] += rows
-    else:
-        np.add.at(table, ids, rows)
+    else:   # flat element indices: 2-D np.add.at's order per element, so its bits, ~4x faster
+        d = table.shape[1]
+        np.add.at(table.reshape(-1), (ids[:, None] * d + np.arange(d)).reshape(-1), rows.reshape(-1))
 
 
 def _gmm_estep(points, means, variances, log_weights):

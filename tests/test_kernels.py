@@ -1,9 +1,19 @@
+import ctypes
+import pathlib
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+import groundlm
 from groundlm import kernels
+
+SRC = str(pathlib.Path(groundlm.__file__).resolve().parent.parent)
 
 KERNEL_NAMES = ("layernorm_forward", "layernorm_backward", "gelu_forward",
                 "gelu_backward", "softmax_forward", "softmax_backward",
@@ -122,14 +132,89 @@ def test_layernorm_matches_mean_var_reference_bitwise(rng):
                     assert g.dtype == w.dtype and np.array_equal(g, w), (dtype, t, d)
 
 
+def scatter_cases(rng, draws=26):
+    """(table, ids, rows) cases for ``scatter_add_rows``: random ids with
+    repeats, unique ids, no ids, and the training ids: object rank ids (16
+    ranks tiled over 32 rows), paired ids (32 zeros) and a token batch whose
+    first column is one ``[cls]`` id. Tables already hold values, and both
+    tables and rows carry -0.0."""
+    for dtype in (np.float32, np.float64):
+        for _ in range(draws):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 70))
+            tokens = rng.integers(0, n, size=(32, 8))
+            tokens[:, 0] = n // 2
+            for ids in (rng.integers(0, n, size=int(rng.integers(2, 300))),
+                        rng.permutation(n)[:int(rng.integers(1, n + 1))],
+                        np.zeros(0, dtype=np.int64),
+                        np.tile(np.arange(n), 32),
+                        np.zeros(32, dtype=np.int64),
+                        tokens.reshape(-1)):
+                table = rng.normal(size=(n, d)).astype(dtype)
+                rows = rng.normal(size=(len(ids), d)).astype(dtype)
+                table[rng.random(table.shape) < 0.2] = -0.0
+                rows[rng.random(rows.shape) < 0.2] = -0.0
+                yield table, ids.astype(np.int64), rows
+
+
 def test_scatter_add_rows_matches_add_at_bitwise(rng):
-    """With or without repeated ids, the kernel leaves the bits ``np.add.at``
-    leaves, on a table that already holds values and on an empty id list."""
-    for ids in ([4, 0, 7, 2], [4, 0, 4, 2, 0, 4], []):
-        ids = np.array(ids, dtype=np.int64)
-        table = rng.normal(size=(8, 5)).astype(np.float32)
-        rows = rng.normal(size=(len(ids), 5)).astype(np.float32)
+    """With or without repeated ids, the kernel leaves the bits the 2-D
+    ``np.add.at`` leaves, over 312 random cases."""
+    count = 0
+    for table, ids, rows in scatter_cases(rng):
         want = table.copy()
         np.add.at(want, ids, rows)
         kernels.active.scatter_add_rows(table, ids, rows)
-        assert table.tobytes() == want.tobytes(), ids
+        assert table.tobytes() == want.tobytes(), (table.dtype, table.shape, ids)
+        count += 1
+    assert count == 312
+
+
+def test_pin_malloc_sets_both_thresholds_and_passes_over_a_libc_without_mallopt():
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda *args: calls.append(args))
+    groundlm._pin_malloc(libc)
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    groundlm._pin_malloc(SimpleNamespace())
+    code = (f"import ctypes, sys, types; sys.path.insert(0, {SRC!r}); "
+            "ctypes.pythonapi = types.SimpleNamespace(); import groundlm; print(groundlm.__version__)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == groundlm.__version__
+
+
+# The object step's heap cycle: one ~600 KiB buffer freed (which lifts glibc's
+# adaptive thresholds to just above it), then three such buffers taken and
+# freed per cycle. The minor faults of 20 cycles after a first are printed.
+FAULT_LOOP = """
+import resource, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+if {pin}:
+    import groundlm
+n = 600 * 1024 // 8
+first = np.ones(n)
+del first
+
+def cycle():
+    buffers = [np.ones(n) for _ in range(3)]
+    del buffers
+
+cycle()
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    cycle()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.pythonapi, "mallopt"), reason="no mallopt in this libc")
+def test_importing_groundlm_keeps_freed_buffers_resident():
+    def faults(pin):
+        out = subprocess.run([sys.executable, "-c", FAULT_LOOP.format(src=SRC, pin=pin)],
+                             capture_output=True, text=True, check=True, timeout=120)
+        return int(out.stdout)
+
+    pinned, unpinned = faults(True), faults(False)
+    assert pinned < 50, pinned
+    assert unpinned >= 10 * max(pinned, 50), (pinned, unpinned)

@@ -18,6 +18,12 @@ sees about the same host, so the per-pair ratios cancel the drift that
 separate benchmark runs cannot. Running a checkout against itself (A/A)
 shows the noise floor.
 
+Both checkouts are imported into one process, so a change that acts on the
+whole process, such as an allocator policy set at import, reaches both
+sides: once one side's import sets it, the other side runs under it too, so
+its B/A reads about 1.0 here whatever it does. Measure such a change in
+separate processes (``perfbench/run.py`` pairs of the two checkouts).
+
 The whole comparison runs twice: once with A imported, built and started
 first, once with B first. In A/A runs the eval-pass B/A of one order has
 read from 0.88 to 1.04, so each order's B/A is printed, and their geometric
