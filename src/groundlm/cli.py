@@ -22,7 +22,7 @@ from .index import ImageFeatureStore, load_index, save_index
 from .model import CrossModalModel, ModelConfig, load_checkpoint, save_checkpoint
 from .toydata import ToySpec, generate_grounded_corpus
 from .train import (STRATEGIES, Corpora, Strategy, TrainConfig, associate_query,
-                    evaluate_perplexity, pretrain, write_metrics_csv)
+                    evaluate_perplexity, pretrain, validate_lookup, write_metrics_csv)
 from .vocab import Vocab
 
 
@@ -229,7 +229,9 @@ def cmd_eval_ppl(args) -> int:
     cfg = RunConfig(args)
     model = load_checkpoint(_require(args.model, "--model file"))
     strategy = cfg.build(Strategy, name=args.strategy)
+    config = cfg.build(TrainConfig)
     corpora = _load_corpora(args, strategy, need_text=False)
+    validate_lookup(strategy, corpora, model.config.k_max)
     if strategy.spec.mode == "paired":
         examples = corpora.paired
     else:
@@ -237,9 +239,9 @@ def cmd_eval_ppl(args) -> int:
     if not examples:
         raise UsageError("no evaluation text: pass --corpus or --captions")
     cache = AssociationCache()
-    ppl = evaluate_perplexity(model, examples, corpora.vocab, seed=cfg.seed,
-                              mode=strategy.spec.mode, corpora=corpora, k=cfg.k,
-                              kappa=cfg.kappa, batch_size=cfg.batch_size, cache=cache,
+    ppl = evaluate_perplexity(model, examples, corpora.vocab, seed=config.seed,
+                              mode=strategy.spec.mode, corpora=corpora, k=strategy.k,
+                              kappa=config.kappa, batch_size=config.batch_size, cache=cache,
                               threads=cfg.threads)
     print(f"{strategy.name}\t{ppl!r}")
     return 0

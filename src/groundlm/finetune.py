@@ -24,7 +24,7 @@ from .model import CrossModalModel, MaskedBatch
 from .optim import Adam
 from .tensor import ShapeError, Tensor, masked_cross_entropy, mean_all, mul, no_grad
 from .train import (Corpora, Strategy, TrainConfig, _associate_rows, build_batch,
-                    encode_stream, require_corpora, training_batches)
+                    encode_stream, training_batches, validate_lookup)
 
 
 @dataclass
@@ -166,18 +166,15 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
     once (same split for every run). Each run trains a copy; the model
     passed in is never modified.
     """
+    if n_runs < 1:
+        raise ValueError(f"finetune needs n_runs >= 1, got {n_runs}")
     # task sentences have no image pairings; transferred models keep their
     # pretrained weights but see the placeholder slot here
     mode = "placeholder" if strategy.spec.mode == "paired" else strategy.spec.mode
-    if mode != "placeholder" and strategy.k > model.config.k_max:
-        raise ValueError(
-            f"strategy K={strategy.k} exceeds model k_max={model.config.k_max}")
     if corpora is None or corpora.vocab is None:
         raise ValueError("finetune needs a Corpora carrying the model vocab")
     if mode != "placeholder":
-        # task sentences replace the pretraining streams; everything else is needed
-        require_corpora(strategy, corpora, [name for name in strategy.spec.needs
-                                            if name not in ("text_only", "paired")])
+        validate_lookup(strategy, corpora, model.config.k_max)
     vocab = corpora.vocab
 
     if task.metric == "accuracy":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
@@ -118,9 +119,17 @@ def mask_tokens(token_ids: np.ndarray, rate: float, rng: np.random.Generator,
         raise ShapeError(f"mask_tokens expects (B, L) ids, got {ids.shape}")
     maskable = ids >= N_RESERVED
     flags = (rng.random(ids.shape) < rate) & maskable
-    for b in np.flatnonzero(maskable.any(1) & ~flags.any(1)):
-        while not flags[b].any():
-            flags[b] = (rng.random(ids.shape[1]) < rate) & maskable[b]
+    todo = np.flatnonzero(maskable.any(1) & ~flags.any(1))
+    rows, n = maskable[todo].tolist(), 0
+    while n < len(todo):
+        # each row left takes one more draw at least, so a block of one draw per row left
+        # is used up exactly, in the order that redrawing one row at a time would use it
+        block = rng.random((len(todo) - n, ids.shape[1])) < rate
+        for drawn, hits in zip(block, block.tolist()):
+            if any(map(operator.and_, hits, rows[n])):
+                flags[todo[n]] = drawn
+                n += 1
+    flags &= maskable
     corrupted = ids.copy()
     roll = rng.random(ids.shape)
     use_mask = flags & (roll < 0.8)

@@ -1,7 +1,7 @@
 """Pretraining orchestration for the grounding strategies.
 
 Seven strategies share one loop. The ``STRATEGIES`` table says, as data, how
-each fills the visual slots, which losses apply and which examples it reads.
+each fills the visual slots, which heads it trains and which examples it reads.
 TransferredT2I trains region reconstruction only, on paired examples;
 TransferredBoth sums both losses over one forward pass, and its text-only
 examples fall back to the placeholder. The Associative strategies fill the
@@ -24,11 +24,10 @@ An evaluated stream is associated in one call, a training stream one chunk at a 
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,24 +46,22 @@ from .vocab import CLS_ID, MASKED_ID, PAD_ID, RESERVED, SEP_ID, Vocab
 class StrategySpec:
     """What one strategy does; plain data, read by every stage that differs."""
     mode: str                # visual side: placeholder, paired, scene, object, keyword
-    lm_loss: bool            # mask text and train the masked-token loss
-    region_loss: bool        # mask regions and train the region reconstruction loss
+    heads: Tuple[str, ...]   # losses trained: "lm" masks text, "region" masks regions
     stream: str              # examples: "text" (text-only), "paired" or "mixed"
     needs: Tuple[str, ...]   # Corpora fields the strategy cannot run without
 
 
 STRATEGIES: Dict[str, StrategySpec] = {
-    "NoGrounding": StrategySpec("placeholder", True, False, "text", ("text_only",)),
-    "TransferredI2T": StrategySpec("paired", True, False, "mixed", ("paired", "store")),
-    "TransferredT2I": StrategySpec("paired", False, True, "paired", ("paired", "store")),
-    "TransferredBoth": StrategySpec("paired", True, True, "mixed", ("paired", "store")),
+    "NoGrounding": StrategySpec("placeholder", ("lm",), "text", ("text_only",)),
+    "TransferredI2T": StrategySpec("paired", ("lm",), "mixed", ("paired", "store")),
+    "TransferredT2I": StrategySpec("paired", ("region",), "paired", ("paired", "store")),
+    "TransferredBoth": StrategySpec("paired", ("lm", "region"), "mixed", ("paired", "store")),
     "AssociativeScene": StrategySpec(
-        "scene", True, False, "text", ("text_only", "store", "caption_index", "table")),
+        "scene", ("lm",), "text", ("text_only", "store", "caption_index", "table")),
     "AssociativeObject": StrategySpec(
-        "object", True, False, "text",
-        ("text_only", "store", "synset_index", "table", "lexicon")),
+        "object", ("lm",), "text", ("text_only", "store", "synset_index", "table", "lexicon")),
     "AssociativeKeyword": StrategySpec(
-        "keyword", True, False, "text", ("text_only", "store", "caption_corpus")),
+        "keyword", ("lm",), "text", ("text_only", "store", "caption_corpus")),
 }
 
 VISUAL_MODES = tuple(dict.fromkeys(spec.mode for spec in STRATEGIES.values()))
@@ -155,6 +152,16 @@ def validate_strategy_corpora(strategy: Strategy, corpora: Corpora,
                          "a text-only corpus when mix_ratio is in (0, 1)")
 
 
+def validate_lookup(strategy: Strategy, corpora: Corpora, k_max: int) -> None:
+    """Raise unless K fits a model of ``k_max`` and ``corpora`` holds what the
+    strategy's visual side reads: its needs without the training streams, which
+    a held-out or probe pass replaces with its own text."""
+    if strategy.k > k_max:
+        raise ValueError(f"strategy K={strategy.k} exceeds model k_max={k_max}")
+    require_corpora(strategy, corpora, [name for name in strategy.spec.needs
+                                        if name not in ("text_only", "paired")])
+
+
 # -- example streams ----------------------------------------------------------
 
 ExampleTuple = Tuple[Optional[str], str]  # (paired image id or None, text)
@@ -220,7 +227,7 @@ def encode_stream(examples: Sequence[ExampleTuple], vocab: Vocab, max_len: int,
 # -- batch construction --------------------------------------------------------
 
 
-def _query_text(corrupted_row: np.ndarray, flag_row: np.ndarray,
+def _query_text(corrupted_row: Sequence[int], flag_row: Sequence[bool],
                 raw_row: Sequence[str], vocab: Vocab) -> str:
     """The corrupted text as words: [pad], [cls] and [sep] dropped, selected
     positions shown as their corrupted token ([masked] or a substitute),
@@ -287,7 +294,7 @@ def _associate_rows(mode: str, tokens: np.ndarray, flags: np.ndarray,
         raise ValueError(f"unknown visual mode {mode!r}")
     if mode in ("placeholder", "paired"):
         return [None] * len(tokens)
-    queries = [_query_text(*row, vocab) for row in zip(tokens, flags, raw_rows)]
+    queries = [_query_text(*row, vocab) for row in zip(tokens.tolist(), flags.tolist(), raw_rows)]
     return associate_query(mode, queries, corpora, k, kappa, seed, cache, threads)
 
 
@@ -344,24 +351,22 @@ def _fill_visual_slots(batch: MaskedBatch, mode: str, examples: Sequence[Example
 
 
 def build_batch(stream: Stream, rows: Sequence[int], model: CrossModalModel, mode: str, *,
-                masks: Union[Masks, Callable[[], Masks]] = Masks(),
-                rankings: Union[Sequence, Callable[[], Sequence], None] = None,
+                masks: Masks = Masks(), rankings: Optional[Sequence] = None,
                 corpora: Optional[Corpora] = None, k: int = 0,
                 heads: Tuple[str, ...] = ("lm", "region")) -> MaskedBatch:
     """The MaskedBatch of ``rows`` of ``stream``, trimmed to its longest row.
 
     ``mode`` picks the visual side: placeholder (no regions), paired (the
     example's own image), or a retrieval mode, which takes each row's ranked
-    images from ``rankings``, indexed by stream row. ``masks`` holds the
-    stream's masks (see ``Masks``). Either may be a function that returns it,
-    called here. ``heads`` names the model outputs the caller reads.
+    images from ``rankings``, a list or dict indexed by stream row. ``masks``
+    holds the stream's masks (see ``Masks``). ``heads`` names the model
+    outputs the caller reads.
     """
-    masks = (masks() if callable(masks) else masks).rows(rows)
+    masks = masks.rows(rows)
     if mode not in ("placeholder", "paired"):
         if rankings is None:
             raise ValueError(f"build_batch: {mode} mode needs the rows' rankings")
-        given = rankings() if callable(rankings) else rankings
-        rankings = [given[i] for i in rows]
+        rankings = [rankings[i] for i in rows]
     width = (stream.ids[rows] != PAD_ID).sum(axis=1).max()   # no text token is [pad]
     ids = stream.ids[rows, :width]
     if masks.tokens is None:
@@ -377,17 +382,22 @@ def build_batch(stream: Stream, rows: Sequence[int], model: CrossModalModel, mod
 # -- evaluation ----------------------------------------------------------------
 
 
+def _head_masks(ids: np.ndarray, cfg: ModelConfig, heads: Tuple[str, ...], text_rng,
+                region_rng, corpora: Optional[Corpora]) -> Masks:
+    """A stream's masks for ``heads``, the rule of every stream: text masked by
+    ``text_rng`` iff "lm" is a head, region slots flagged by ``region_rng`` iff "region" is."""
+    region = "region" in heads
+    return mask_stream(ids, cfg, text_rng if "lm" in heads else None,
+                       region_rng if region else None, corpora.store.n_regions if region else 0)
+
+
 def _prepare(examples: Sequence[ExampleTuple], vocab: Vocab, cfg: ModelConfig,
              heads: Tuple[str, ...], seed: int,
              corpora: Optional[Corpora]) -> Tuple[Stream, Masks]:
-    """The stream of ``examples`` and its masks for ``_evaluate``: text masked by
-    ``[seed, 7]`` if ``heads`` holds "lm", regions by ``[seed, 11]`` if "region"."""
+    """The stream of ``examples`` and its masks for ``heads``, as ``_evaluate`` reads them."""
     stream = encode_stream(examples, vocab, cfg.max_len)
-    masks = mask_stream(stream.ids, cfg,
-                        np.random.default_rng([seed, 7]) if "lm" in heads else None,
-                        np.random.default_rng([seed, 11]) if "region" in heads else None,
-                        corpora.store.n_regions if "region" in heads else 0)
-    return stream, masks
+    return stream, _head_masks(stream.ids, cfg, heads, np.random.default_rng([seed, 7]),
+                               np.random.default_rng([seed, 11]), corpora)
 
 
 def _evaluate(model: CrossModalModel, stream: Stream, vocab: Vocab, heads: Tuple[str, ...],
@@ -488,8 +498,7 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     ``evaluate_perplexity`` over it.
     """
     validate_strategy_corpora(strategy, corpora, config.mix_ratio)
-    if strategy.k > model.config.k_max:
-        raise ValueError(f"strategy K={strategy.k} exceeds model k_max={model.config.k_max}")
+    validate_lookup(strategy, corpora, model.config.k_max)
     vocab = corpora.vocab
     examples = _example_stream(strategy, corpora, config)
     if not examples:
@@ -502,91 +511,81 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     if not train.examples:
         raise ValueError("no training examples left after validation split")
 
-    mode = strategy.spec.mode
-    lm_loss_on = strategy.spec.lm_loss
-    region_loss_on = strategy.spec.region_loss
-    heads = ("lm",) * lm_loss_on + ("region",) * region_loss_on
-
+    mode, heads = strategy.spec.mode, strategy.spec.heads
     opt = Adam(model.trainable_params(), lr=config.lr)
     metrics: List[MetricsRow] = []
     window: List[float] = []
-    step, best, bad_evals, stop = 0, math.inf, 0, False
+    step, best, bad_evals = 0, math.inf, 0
 
     # the split is encoded and masked once; each evaluation associates it anew
     val, val_masks = (_prepare(val_examples, vocab, model.config, heads, config.seed, corpora)
                       if val_examples else (None, None))
 
-    def run_eval() -> None:
-        nonlocal best, bad_evals, stop
+    def run_eval() -> bool:
+        """Log the train window and validate; True once patience has run out."""
+        nonlocal best, bad_evals
         if window:
             metrics.append((step, "train", "loss", float(np.mean(window))))
             window.clear()
         if not val_examples:
-            return
+            return False
         lm_sum, lm_count, region_sum, region_count = _evaluate(
             model, val, vocab, heads, masks=val_masks, seed=config.seed, mode=mode,
             corpora=corpora, k=strategy.k, kappa=config.kappa, batch_size=config.batch_size,
             cache=cache, threads=threads)
-        if lm_loss_on:
+        if "lm" in heads:
             ppl = float(np.exp(lm_sum / lm_count))
             metrics.append((step, "val", "ppl", ppl))
-        if region_loss_on:
+        if "region" in heads:
             # the stream's mean row error plus the head's L1 term, as in the loss
             l1 = model.config.l1_coeff * float(np.abs(model.params["region_head.W"].data).sum())
             rloss = region_sum / region_count + l1 if region_count else 0.0
             metrics.append((step, "val", "region_loss", rloss))
-        objective = ppl if lm_loss_on else rloss
+        objective = ppl if "lm" in heads else rloss
         best, bad_evals = (objective, 0) if objective < best - 1e-12 else (best, bad_evals + 1)
-        stop = bad_evals >= config.patience
+        return bad_evals >= config.patience
 
-    def chunk_rankings(masks: Callable[[], Masks], rows: np.ndarray) -> Dict[int, list]:
-        tokens, flags, _regions = masks().rows(rows)
-        return dict(zip(rows.tolist(), _associate_rows(
-            mode, tokens, flags, [train.raw[i] for i in rows], vocab, corpora, strategy.k,
-            config.kappa, config.seed, cache, threads)))
-
-    def steps() -> Iterator[Tuple[np.ndarray, Callable[[], Masks], Callable[[], Dict]]]:
-        """(picks, the epoch's masks, the chunk's rankings) of each step, an epoch ahead: a
-        chunk runs from an epoch start or an evaluation to the next evaluation or epoch end."""
+    def steps() -> Iterator[Tuple[np.ndarray, Masks, Optional[Dict[int, list]]]]:
+        """(picks, the epoch's masks, the chunk's rankings) of each step. A chunk runs from
+        an epoch start or an evaluation to the next evaluation or epoch end. An epoch's
+        masks are drawn, and a chunk's rows associated in one call, when its first step
+        is reached."""
         done = 0
         for epoch, group in itertools.groupby(
                 training_batches(len(train.examples), config, config.seed), lambda s: s[0]):
             picks = [p for _epoch, p in group]
-            masks = functools.cache(functools.partial(
-                mask_stream, train.ids, model.config,
-                np.random.default_rng([config.seed, 2000 + epoch]) if lm_loss_on else None,
-                np.random.default_rng([config.seed, 3000 + epoch]) if region_loss_on else None,
-                corpora.store.n_regions if region_loss_on else 0))
+            masks = _head_masks(train.ids, model.config, heads,
+                                np.random.default_rng([config.seed, 2000 + epoch]),
+                                np.random.default_rng([config.seed, 3000 + epoch]), corpora)
             cuts = [j for j in range(len(picks)) if j == 0 or (done + j) % config.eval_every == 0]
             for lo, hi in zip(cuts, cuts[1:] + [len(picks)]):
-                rankings = functools.cache(functools.partial(
-                    chunk_rankings, masks, np.concatenate(picks[lo:hi])))
+                rankings = None   # the placeholder and paired modes associate nothing
+                if mode not in ("placeholder", "paired"):
+                    rows = np.concatenate(picks[lo:hi])
+                    rankings = dict(zip(rows.tolist(), _associate_rows(
+                        mode, masks.tokens[rows], masks.token_flags[rows],
+                        [train.raw[i] for i in rows], vocab, corpora, strategy.k,
+                        config.kappa, config.seed, cache, threads)))
                 yield from ((p, masks, rankings) for p in picks[lo:hi])
             done += len(picks)
 
-    last_eval_step = -1
     for picks, masks, rankings in steps():
         batch = build_batch(train, picks, model, mode, masks=masks, rankings=rankings,
                             corpora=corpora, k=strategy.k, heads=heads)
         logits, preds, _cls = model.forward(batch)
-        loss = None
-        if lm_loss_on:
-            loss = masked_lm_loss(logits, batch.original_tokens, batch.token_mask_flags)
-        if region_loss_on:
-            rl = masked_region_loss(preds, batch.original_regions,
-                                    batch.region_mask_flags, model)
+        loss = (masked_lm_loss(logits, batch.original_tokens, batch.token_mask_flags)
+                if "lm" in heads else None)
+        if "region" in heads:
+            rl = masked_region_loss(preds, batch.original_regions, batch.region_mask_flags, model)
             loss = rl if loss is None else loss + rl
         window.append(loss.item())
         opt.zero_grad()
         loss.backward()
         opt.step()
         step += 1
-        if step % config.eval_every == 0:
-            run_eval()
-            last_eval_step = step
-        if stop:
+        if step % config.eval_every == 0 and run_eval():
             break
     opt.zero_grad()   # the returned model carries no gradients
-    if step != last_eval_step:
+    if step % config.eval_every:
         run_eval()
     return model, metrics

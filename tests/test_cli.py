@@ -289,6 +289,35 @@ class TestTrainEvalRoundTrip:
         assert name == "NoGrounding"
         assert float(val.replace("ppl ", "")) > 1.0
 
+    @pytest.mark.parametrize("strategy, flags, needle", [
+        ("AssociativeScene", {"--features": "features.vftr", "--captions": "captions.tsv"},
+         "AssociativeScene requires a caption-keyed index"),
+        ("TransferredI2T", {"--captions": "captions.tsv"},
+         "TransferredI2T requires an image feature store"),
+        ("AssociativeObject", {"--features": "features.vftr", "--vectors": "wordvecs.txt",
+                               "--synsets": "synsets.tsv"},
+         "AssociativeObject requires a noun lexicon"),
+        ("AssociativeKeyword", {"--features": "features.vftr"},
+         "AssociativeKeyword requires a caption corpus"),
+        ("NoGrounding", {"--batch-size": 0}, "batch_size must be >= 1, got 0"),
+        ("NoGrounding", {"--batch-size": -1}, "batch_size must be >= 1, got -1"),
+        ("AssociativeScene", {"--k": 3, "--features": "features.vftr",
+                              "--captions": "captions.tsv", "--vectors": "wordvecs.txt"},
+         "strategy K=3 exceeds model k_max=2"),
+    ], ids=["scene_no_vectors", "i2t_no_features", "object_no_nouns", "keyword_no_captions",
+            "batch_size_0", "batch_size_-1", "k_over_k_max"])
+    def test_eval_ppl_checks_its_inputs(self, bundle, checkpoint, capsys, strategy, flags,
+                                        needle):
+        """eval-ppl checks what a strategy reads as pretrain and finetune do:
+        one error line and exit 1, never a traceback from deep in a pass."""
+        model, _ = checkpoint
+        argv = ["eval-ppl", "--strategy", strategy, "--vocab", str(bundle / "vocab.txt"),
+                "--corpus", str(bundle / "corpus.txt"), "--model", str(model), "--k", "2"]
+        for flag, value in flags.items():
+            argv += [flag, str(bundle / value) if isinstance(value, str) else str(value)]
+        assert main(argv) == 1
+        assert_one_error_line(capsys, needle)
+
     def test_eval_ppl_does_not_depend_on_batch_size(self, bundle, checkpoint, capsys):
         model, _ = checkpoint
         ppls = []
@@ -405,6 +434,14 @@ class TestTrainEvalRoundTrip:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "error: top_k: zero-norm query\n", err
+        assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_finetune_without_runs_exits_1(self, bundle, checkpoint, tmp_path, capsys, runs):
+        rc = main(self._finetune_argv(bundle, checkpoint, tmp_path, "NoGrounding",
+                                      "--runs", runs))
+        assert rc == 1
+        assert_one_error_line(capsys, f"n_runs >= 1, got {runs}")
         assert not (tmp_path / "rep.json").exists()
 
     def test_finetune_keyword_needs_no_vectors(self, bundle, checkpoint, tmp_path):

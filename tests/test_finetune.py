@@ -408,6 +408,16 @@ class TestFinetune:
                                  seed=0, val_fraction=0.25),
                      corpora=corpora, n_runs=1)
 
+    @pytest.mark.parametrize("n_runs", [0, -2])
+    def test_runs_below_one_rejected_before_any_run(self, tmp_path, rng, n_runs):
+        corpora = task_world(tmp_path, rng)
+        model = mk_model(corpora.vocab, model_class=RaisesInForward)   # no run may start
+        with pytest.raises(ValueError, match=f"n_runs >= 1, got {n_runs}"):
+            finetune(model, pair_task(8), Strategy("NoGrounding"),
+                     TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=1,
+                                 seed=0, val_fraction=0.25),
+                     corpora=corpora, n_runs=n_runs)
+
     def test_associative_requires_table(self, tmp_path, rng):
         corpora = task_world(tmp_path, rng)  # has store but no table
         model = mk_model(corpora.vocab)

@@ -1,8 +1,8 @@
-"""Source hygiene: no module imports a name it never uses, no private
-module-level function or class goes unused, the package reads no
-environment variable, numpy is its only third-party runtime import
-(scipy is a test-only oracle), and no two derived generators of the
-training code share a key.
+"""Source hygiene: no module of the package, its tests or its tools
+imports a name it never uses, no private module-level function or class
+goes unused, the package reads no environment variable, numpy is its only
+third-party runtime import (scipy is a test-only oracle), and no two
+derived generators of the training code share a key.
 
 No linter ships with the package, so this AST scan is the check. A name
 counts as used when it appears as a bare name anywhere in the module (an
@@ -20,8 +20,8 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "groundlm").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+SOURCES = [path for folder in ("src/groundlm", "tests", "tools")
+           for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(source: str):

@@ -24,14 +24,14 @@ from groundlm.vocab import PAD_ID, RESERVED, Vocab
 
 WORDS = ["red", "dog", "cat", "sat", "mat", "hat", "sun", "sky"]
 
-TABLE_ROWS = {  # visual mode, LM loss, region loss, example stream
-    "NoGrounding": ("placeholder", True, False, "text"),
-    "TransferredI2T": ("paired", True, False, "mixed"),
-    "TransferredT2I": ("paired", False, True, "paired"),
-    "TransferredBoth": ("paired", True, True, "mixed"),
-    "AssociativeScene": ("scene", True, False, "text"),
-    "AssociativeObject": ("object", True, False, "text"),
-    "AssociativeKeyword": ("keyword", True, False, "text"),
+TABLE_ROWS = {  # visual mode, trained heads, example stream
+    "NoGrounding": ("placeholder", ("lm",), "text"),
+    "TransferredI2T": ("paired", ("lm",), "mixed"),
+    "TransferredT2I": ("paired", ("region",), "paired"),
+    "TransferredBoth": ("paired", ("lm", "region"), "mixed"),
+    "AssociativeScene": ("scene", ("lm",), "text"),
+    "AssociativeObject": ("object", ("lm",), "text"),
+    "AssociativeKeyword": ("keyword", ("lm",), "text"),
 }
 
 
@@ -144,7 +144,7 @@ class TestValidation:
     @pytest.mark.parametrize("name", list(TABLE_ROWS))
     def test_visual_modes(self, name):
         spec = Strategy(name, k=1).spec
-        assert (spec.mode, spec.lm_loss, spec.region_loss, spec.stream) == TABLE_ROWS[name]
+        assert (spec.mode, spec.heads, spec.stream) == TABLE_ROWS[name]
 
 
 class TestTrainingBatches:
@@ -386,7 +386,7 @@ class TestAssociativeFallback:
         raw = [["[cls]", "zzz"]]
         stream = Stream([(None, "zzz")], _pad_rows(rows), raw)
         assoc_batch = build_batch(stream, [0], model, "scene", corpora=corpora, k=2,
-                                  rankings=lambda: unmasked_rankings(stream, "scene", corpora, 2))
+                                  rankings=unmasked_rankings(stream, "scene", corpora, 2))
         ph_batch = build_batch(encode_stream([(None, "red dog sat")], vocab, 6), [0], model,
                                "placeholder")
         for batch in (assoc_batch, ph_batch):   # the logits of every position
@@ -711,8 +711,8 @@ class TestChunkedAssociation:
         validation read the same, so patience stops at the second one."""
         cache = AssociationCache()
         calls, trained, evaluating = [], [], []
-        query, build, evaluate = train_mod.associate_query, train_mod.build_batch, \
-            train_mod._evaluate
+        query, build, evaluate, associate = train_mod.associate_query, train_mod.build_batch, \
+            train_mod._evaluate, train_mod._associate_rows
 
         def counted(mode, queries, *args, **kwargs):
             if not evaluating:
@@ -726,16 +726,22 @@ class TestChunkedAssociation:
             finally:
                 evaluating.pop()
 
+        def chunk_associated(mode, tokens, *args):
+            # the reference associates no chunk: each batch's rows, when it is built
+            return [None] * len(tokens) if per_batch and not evaluating else \
+                associate(mode, tokens, *args)
+
         def built(stream, rows, model, mode, *, masks, rankings, **kwargs):
             if not evaluating:
                 trained.append(len(rows))
                 if per_batch:
-                    tokens, flags, _regions = masks().rows(rows)
-                    rankings = dict(zip(rows.tolist(), train_mod._associate_rows(
+                    tokens, flags, _regions = masks.rows(rows)
+                    rankings = dict(zip(rows.tolist(), associate(
                         mode, tokens, flags, [stream.raw[i] for i in rows], corpora.vocab,
                         corpora, self.K, config.kappa, config.seed, cache, None)))
             return build(stream, rows, model, mode, masks=masks, rankings=rankings, **kwargs)
         monkeypatch.setattr(train_mod, "associate_query", counted)
+        monkeypatch.setattr(train_mod, "_associate_rows", chunk_associated)
         monkeypatch.setattr(train_mod, "_evaluate", evaluated)
         monkeypatch.setattr(train_mod, "build_batch", built)
         model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=self.K)
