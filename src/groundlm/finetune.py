@@ -197,14 +197,12 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
         train_ex = list(task.examples)
         eval_ex = list(eval_examples)
 
-    k = strategy.k if mode != "placeholder" else 0
-
     def prepare(examples: Sequence[TaskExample]) -> tuple:
         # task sentences pair with no image; runs differ only by init and order
         stream = encode_stream([(None, ex.text_a) for ex in examples], vocab,
                                model.config.max_len, [ex.text_b for ex in examples])
         return stream, _associate_rows(mode, stream.ids, np.zeros_like(stream.ids, dtype=bool),
-                                       stream.raw, vocab, corpora, k, config.kappa,
+                                       stream.raw, vocab, corpora, strategy.k, config.kappa,
                                        config.seed, cache, threads)
 
     if task.metric == "accuracy":
@@ -221,8 +219,8 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
 
     def batch_for(run: CrossModalModel, split, picks) -> MaskedBatch:
         stream, rankings = split   # only the [cls] row is read
-        return build_batch(stream, picks, run, mode, rankings=rankings, corpora=corpora, k=k,
-                           heads=())
+        return build_batch(stream, picks, run, mode, rankings=rankings, corpora=corpora,
+                           k=strategy.k, heads=())
 
     def train_and_score(run_seed: int) -> float:
         run = copy.deepcopy(model)

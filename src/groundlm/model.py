@@ -48,7 +48,7 @@ class ModelConfig:
     n_heads: int = 4
     max_len: int = 64
     k_max: int = 16
-    n_regions: int = 1
+    n_regions: int = 1   # regions per image: the feature store's n_regions
     mask_rate: float = 0.15
     p_norm: float = 2.0
     l1_coeff: float = 1e-4
@@ -79,10 +79,10 @@ class MaskedBatch:
 
     ``token_ids`` and ``regions`` are the corrupted model inputs; the
     ``original_*`` twins are the loss targets. ``regions`` is None for a
-    pure placeholder batch (one placeholder slot per example); in mixed
-    batches ``placeholder_slots`` marks visual slots that use the
-    placeholder vector and ``attention_pad_mask`` carries slot validity for
-    the joint sequence `[text; visual]`.
+    pure placeholder batch (one placeholder slot per example). Otherwise
+    ``image_slots`` marks the visual slots that hold an image, None meaning
+    all of them; the model works out the rest of the slot layout itself
+    (see ``CrossModalModel._visual_slots``).
     """
     token_ids: np.ndarray                     # (B, L) int64
     token_mask_flags: np.ndarray              # (B, L) bool
@@ -90,9 +90,7 @@ class MaskedBatch:
     regions: Optional[np.ndarray] = None      # (B, R, d_v) float32
     original_regions: Optional[np.ndarray] = None
     region_mask_flags: Optional[np.ndarray] = None   # (B, R) bool
-    rank_ids: Optional[np.ndarray] = None            # (B, R) int64
-    placeholder_slots: Optional[np.ndarray] = None   # (B, R) bool
-    attention_pad_mask: Optional[np.ndarray] = None  # (B, L+R) bool
+    image_slots: Optional[np.ndarray] = None         # (B, R) bool
     heads: Tuple[str, ...] = ("lm", "region")   # the outputs the caller reads
 
     @property
@@ -262,27 +260,33 @@ class CrossModalModel:
             return None
         return np.where(valid[:, None, None, :], 0.0, NEG_INF).astype(dtype)
 
-    def _visual_slots(self, batch: MaskedBatch) -> Tensor:
+    def _visual_slots(self, batch: MaskedBatch) -> Tuple[Tensor, np.ndarray]:
+        """-> (the (B, R, d) visual slots, their (B, R) validity). Image j fills slots
+        j*n_regions .. (j+1)*n_regions-1: slot s shows its projected regions plus rank
+        embedding s // n_regions, and is valid iff ``batch.image_slots`` marks it. A row
+        with no image slot, and a batch without regions, shows the placeholder in slot 0."""
         c = self.config
         b_sz = batch.batch_size
         placeholder = self.params["placeholder"]
         if batch.regions is None:
-            return placeholder.reshape(1, 1, c.d) * Tensor(np.ones((b_sz, 1, 1), dtype=self.dtype))
+            vis = placeholder.reshape(1, 1, c.d) * Tensor(np.ones((b_sz, 1, 1), dtype=self.dtype))
+            return vis, np.ones((b_sz, 1), dtype=bool)
         regions = np.asarray(batch.regions, dtype=self.dtype)
         r = regions.shape[1]
-        if r > c.k_max * c.n_regions:
-            raise ShapeError(
-                f"{r} visual slots exceed k_max*n_regions = {c.k_max * c.n_regions}")
         if regions.shape[2] != c.d_v:
             raise ShapeError(f"region feature dim {regions.shape[2]} != d_v {c.d_v}")
-        rank_ids = batch.rank_ids if batch.rank_ids is not None \
-            else np.zeros((b_sz, r), dtype=np.int64)
+        valid = np.broadcast_to(True if batch.image_slots is None else batch.image_slots,
+                                (b_sz, r))   # rejects image slots of another shape
+        # (B, R) rank ids, not an (R,) row added across the batch: the rank
+        # gradients then sum in one order at every n_regions
+        ranks = np.broadcast_to(np.arange(r) // c.n_regions, (b_sz, r))
         vis = self._linear("region_projection", Tensor(regions)) \
-            + T.embedding(self.params["rank_embeddings"], rank_ids)
-        if batch.placeholder_slots is not None and batch.placeholder_slots.any():
-            ph = np.asarray(batch.placeholder_slots, dtype=self.dtype)[:, :, None]
-            vis = vis * Tensor(1.0 - ph) + placeholder.reshape(1, 1, c.d) * Tensor(ph)
-        return vis
+            + T.embedding(self.params["rank_embeddings"], ranks)
+        ph = ~valid.any(axis=1, keepdims=True) & (np.arange(r) == 0)   # the placeholder slots
+        if ph.any():
+            w = ph[:, :, None].astype(self.dtype)
+            vis = vis * Tensor(1.0 - w) + placeholder.reshape(1, 1, c.d) * Tensor(w)
+        return vis, valid | ph
 
     def forward(self, batch: MaskedBatch) -> Tuple[Optional[Tensor], Optional[Tensor], Tensor]:
         """-> (token_logits (M, V) at the M flagged text positions, region_preds (N, d_v)
@@ -303,17 +307,10 @@ class CrossModalModel:
         for i in range(c.n_layers_text):
             x = self._encoder_block(f"text.{i}", x, text_bias)
 
-        vis = self._visual_slots(batch)
+        vis, slot_valid = self._visual_slots(batch)
         r = vis.shape[1]
         joint = T.concat([x, vis], axis=1)
-        if batch.attention_pad_mask is not None:
-            valid = np.asarray(batch.attention_pad_mask, dtype=bool)
-            if valid.shape != (b_sz, length + r):
-                raise ShapeError(
-                    f"attention_pad_mask shape {valid.shape} != {(b_sz, length + r)}")
-        else:
-            valid = np.concatenate([text_valid, np.ones((b_sz, r), dtype=bool)], axis=1)
-        joint_bias = self._attn_bias(valid, self.dtype)
+        joint_bias = self._attn_bias(np.concatenate([text_valid, slot_valid], axis=1), self.dtype)
 
         lm, region = "lm" in batch.heads, "region" in batch.heads
         stride = length + r   # picks: every row's [cls], then the flagged rows read

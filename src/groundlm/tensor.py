@@ -252,10 +252,14 @@ def reshape(x: Tensor, shape):
 
 def take_slice(x: Tensor, key):
     data = x.data[key]
+    fancy = not np.may_share_memory(data, x.data)   # a copy, so the key holds an index array
 
     def backward(g):
         full = np.zeros_like(x.data)
-        full[key] = g
+        if fancy:   # which may pick an entry twice: each pick adds its gradient
+            np.add.at(full, key, g)
+        else:
+            full[key] = g
         _accumulate(x, full)
 
     return _node(data, (x,), backward, "slice")

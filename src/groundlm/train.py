@@ -302,16 +302,18 @@ def _fill_visual_slots(batch: MaskedBatch, mode: str, examples: Sequence[Example
                        rankings: Sequence, corpora: Optional[Corpora], cfg: ModelConfig,
                        k: int, region_flags: Optional[np.ndarray] = None) -> MaskedBatch:
     """Give ``batch`` its visual slots: none in placeholder mode, else each
-    row's paired image or ranked images gathered from the store, zeroed where
-    ``region_flags`` (one per slot) flags a filled slot."""
+    row's paired image or ranked images gathered from the store, marked in
+    ``image_slots`` and zeroed where ``region_flags`` (one per slot) flags an
+    image slot. The model lays out ranks, the placeholder and slot validity."""
     if mode == "placeholder":
         return batch
     b_sz = batch.batch_size
     store = corpora.store if corpora is not None else None
-    if store is not None and store.feat_dim != cfg.d_v:
-        raise ValueError(f"{store.path}: feature store holds {store.feat_dim}-dim regions, "
-                         f"the model's d_v is {cfg.d_v}")
-    n = store.n_regions if store is not None else cfg.n_regions
+    if store is not None and (store.n_regions, store.feat_dim) != (cfg.n_regions, cfg.d_v):
+        raise ValueError(f"{store.path}: feature store holds {store.n_regions} "
+                         f"{store.feat_dim}-dim regions per image, the model's n_regions "
+                         f"is {cfg.n_regions} and d_v is {cfg.d_v}")
+    n = cfg.n_regions
     if mode == "paired":
         n_images = 1
         per_example = [[] if image_id is None else [image_id] for image_id, _text in examples]
@@ -319,34 +321,25 @@ def _fill_visual_slots(batch: MaskedBatch, mode: str, examples: Sequence[Example
         n_images = k
         per_example = [[image_id for image_id, _sim in ranked] for ranked in rankings]
 
-    # image j of row b fills slots j*n .. j*n+n-1 with rank j; a row without
-    # images gets one valid placeholder slot
+    # image j of row b fills slots j*n .. j*n+n-1
     counts = np.array([len(images) for images in per_example], dtype=np.int64)
     filled = np.arange(n_images) < counts[:, None]
     regions = np.zeros((b_sz, n_images, n, cfg.d_v), dtype=np.float32)
     if counts.any():
         regions[filled] = store.gather([img for images in per_example for img in images])
     regions = regions.reshape(b_sz, n_images * n, cfg.d_v)
-    slot_valid = np.repeat(filled, n, axis=1)
-    rank_ids = np.where(slot_valid, np.repeat(np.arange(n_images), n), 0)
-    empty = counts == 0
-    placeholder_slots = np.zeros_like(slot_valid)
-    placeholder_slots[empty, 0] = True
-    slot_valid[empty, 0] = True
+    image_slots = np.repeat(filled, n, axis=1)
 
     if region_flags is None:
-        region_flags = np.zeros(slot_valid.shape, dtype=bool)
-    region_flags = region_flags & slot_valid & ~placeholder_slots
+        region_flags = np.zeros(image_slots.shape, dtype=bool)
+    region_flags = region_flags & image_slots
     masked = regions.copy()
     masked[region_flags] = 0.0
 
     batch.regions = masked
     batch.original_regions = regions
     batch.region_mask_flags = region_flags
-    batch.rank_ids = rank_ids
-    batch.placeholder_slots = placeholder_slots
-    batch.attention_pad_mask = np.concatenate([batch.original_tokens != PAD_ID, slot_valid],
-                                              axis=1)
+    batch.image_slots = image_slots
     return batch
 
 

@@ -161,9 +161,7 @@ def test_01_gradient_fidelity():
         reg_in[0, 0] = 0.0
     batch = MaskedBatch(token_ids=corrupted, token_mask_flags=flags,
                         original_tokens=ids, regions=reg_in,
-                        original_regions=regions, region_mask_flags=reg_flags,
-                        rank_ids=np.zeros((2, 1), dtype=np.int64),
-                        placeholder_slots=np.zeros((2, 1), dtype=bool))
+                        original_regions=regions, region_mask_flags=reg_flags)
 
     def loss_value():
         logits, preds, _cls = model.forward(batch)

@@ -508,6 +508,20 @@ class TestStoreWidth:
                               "d_v is 4")
         assert not (tmp_path / "m.glmc").exists()
 
+    def test_store_regions_differ_from_n_regions_names_store(self, tmp_path, capsys):
+        toy = tmp_path / "toy"
+        run_ok(["make-toy-data", "--out", str(toy), "--seed", "3", "--vocab-size", "40",
+                "--n-concepts", "12", "--n-examples", "40", "--d-w", "8", "--d-v", "8",
+                "--n-regions", "2"])
+        capsys.readouterr()
+        argv = pretrain_argv(toy, tmp_path, "TransferredI2T", "m", "--captions",
+                             str(toy / "captions.tsv"), "--features", str(toy / "features.vftr"),
+                             "--k", "1")   # n_regions stays at its default, 1
+        assert main(argv) == 1
+        assert_one_error_line(capsys, str(toy / "features.vftr"), "holds 2 8-dim regions",
+                              "n_regions is 1")
+        assert not (tmp_path / "m.glmc").exists()
+
 
 class TestMissingImage:
     """An image id that the feature store lacks is a runtime error naming

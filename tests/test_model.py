@@ -11,7 +11,7 @@ from groundlm.model import (CrossModalModel, MaskedBatch, Masks, ModelConfig,
                             masked_ce_stats, masked_lm_loss,
                             masked_region_loss, save_checkpoint)
 from groundlm.optim import Adam
-from groundlm.tensor import Tensor, take_rows
+from groundlm.tensor import ShapeError, Tensor, take_rows
 from groundlm.train import evaluate_perplexity
 from groundlm.vocab import MASKED_ID, N_RESERVED, PAD_ID, RESERVED, Vocab
 
@@ -164,8 +164,6 @@ def paired_batch(rng, model, b=2, t=5, mask_regions_too=False):
     regions = rng.normal(size=(b, n_slots, cfg.d_v)).astype(np.float32)
     batch.regions = regions.copy()
     batch.original_regions = regions.copy()
-    batch.rank_ids = np.zeros((b, n_slots), dtype=np.int64)
-    batch.placeholder_slots = np.zeros((b, n_slots), dtype=bool)
     if mask_regions_too:
         flags = np.zeros((b, n_slots), dtype=bool)
         flags[:, 0] = True
@@ -186,20 +184,38 @@ class TestForward:
         assert cls_vec.shape == (3, 8)
 
     def test_rank_swap_changes_visual_inputs(self, rng):
+        """Swapping two images' regions swaps their ranks too; were ranks ignored,
+        the joint attention would give the same predictions in swapped order."""
         model = tiny_model(k_max=2)
         b, t = 1, 4
         batch = placeholder_batch(rng, model, b, t)
         regions = rng.normal(size=(b, 2, model.config.d_v)).astype(np.float32)
-        base = dict(regions=regions, original_regions=regions.copy(),
-                    placeholder_slots=np.zeros((b, 2), dtype=bool),
-                    region_mask_flags=np.ones((b, 2), dtype=bool))
-        batch.rank_ids = np.array([[0, 1]])
-        for k, v in base.items():
-            setattr(batch, k, v)
+        batch.region_mask_flags = np.ones((b, 2), dtype=bool)
+        batch.regions = batch.original_regions = regions
         out_a = model.forward(batch)[1].data.copy()
-        batch.rank_ids = np.array([[1, 0]])
+        batch.regions = batch.original_regions = regions[:, ::-1]
         out_b = model.forward(batch)[1].data
-        assert not np.allclose(out_a, out_b)
+        assert not np.allclose(out_a, out_b[::-1])
+
+    def test_visual_slots_follow_the_slot_layout(self, rng):
+        """Image j fills slots 2j and 2j+1 at n_regions 2: slot s shows its projected
+        regions plus rank embedding s // 2, and is valid iff it holds an image. A row
+        with no image slot shows the placeholder in slot 0, its one valid slot."""
+        model = tiny_model(k_max=3, n_regions=2)
+        p = {name: param.data for name, param in model.params.items()}
+        batch = placeholder_batch(rng, model, b=2, t=4)
+        batch.regions = rng.normal(size=(2, 6, 4)).astype(np.float32)
+        batch.image_slots = np.array([[True] * 4 + [False] * 2, [False] * 6])
+        vis, valid = model._visual_slots(batch)
+        want = (batch.regions @ p["region_projection.W"] + p["region_projection.b"]
+                + p["rank_embeddings"][np.arange(6) // 2])
+        np.testing.assert_allclose(vis.data[0, :4], want[0, :4], rtol=1e-6, atol=1e-7)
+        np.testing.assert_array_equal(vis.data[1, 0], p["placeholder"])
+        np.testing.assert_array_equal(valid, [[True] * 4 + [False] * 2,
+                                              [True] + [False] * 5])
+        batch.regions, batch.image_slots = np.zeros((2, 8, 4), dtype=np.float32), None
+        with pytest.raises(ShapeError):   # slots 6 and 7 would take rank 3 of k_max 3
+            model._visual_slots(batch)
 
     def test_zero_layer_model_is_embedding_lookup(self, rng):
         model = tiny_model(n_layers_text=0, n_layers_cross=0)
@@ -227,12 +243,9 @@ class TestForward:
         padded[1, :3] = ids_b
         flags = np.zeros((2, 5), dtype=bool)
         flags[0, 1] = flags[1, :3] = True
-        pad_valid = padded != 0
 
         joint = MaskedBatch(token_ids=padded, token_mask_flags=flags,
-                            original_tokens=padded.copy(),
-                            attention_pad_mask=np.concatenate(
-                                [pad_valid, np.ones((2, 1), dtype=bool)], axis=1))
+                            original_tokens=padded.copy())
         solo = MaskedBatch(token_ids=ids_b, token_mask_flags=flags[1:, :3],
                            original_tokens=ids_b.copy())
         out_joint = model.forward(joint)[0].data[1:]   # the rows of example b
@@ -271,14 +284,10 @@ def random_batch(rng, model, b, width, kind):
     valid = rng.random((b, r)) < 0.7
     empty = ~valid.any(axis=1) | (rng.random(b) < 0.2)
     valid[empty] = False
-    placeholder = np.zeros((b, r), dtype=bool)
-    placeholder[empty, 0] = valid[empty, 0] = True
     batch.regions = rng.normal(size=(b, r, cfg.d_v)).astype(np.float32)
     batch.original_regions = rng.normal(size=(b, r, cfg.d_v)).astype(np.float32)
-    batch.region_mask_flags = valid & ~placeholder & (rng.random((b, r)) < 0.5)
-    batch.rank_ids = np.where(valid, np.arange(r), 0)
-    batch.placeholder_slots = placeholder
-    batch.attention_pad_mask = np.concatenate([ids != PAD_ID, valid], axis=1)
+    batch.region_mask_flags = valid & (rng.random((b, r)) < 0.5)
+    batch.image_slots = valid
     return batch
 
 

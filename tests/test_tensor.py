@@ -184,6 +184,17 @@ class TestOpGradients:
 
         check_op(build, [a, b])
 
+    @pytest.mark.parametrize("key", [np.array([0, 0, 2]), (slice(None), [1, 1, 0])],
+                             ids=["rows", "columns"])
+    def test_repeated_index_array_slice_sums_gradients(self, rng, key):
+        a = t64(rng.normal(size=(3, 3)), name="a")
+        check_op(lambda: sum_all(mul(a[key], a[key])), [a])
+        a.grad = None
+        a[key].sum().backward()
+        expected = np.zeros((3, 3))
+        np.add.at(expected, key, 1.0)
+        np.testing.assert_array_equal(a.grad, expected)
+
     def test_gelu(self, rng):
         b = t64(rng.normal(size=(3, 5)), name="b")
         check_op(lambda: sum_all(mul(gelu(b), gelu(b))), [b])

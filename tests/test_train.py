@@ -374,9 +374,10 @@ class TestAssociativeFallback:
         rankings = unmasked_rankings(stream, "scene", corpora, 2)
         assert rankings == [[]]
         batch = build_batch(stream, [0], model, "scene", rankings=rankings, corpora=corpora, k=2)
-        assert batch.placeholder_slots[0, 0]
-        assert batch.attention_pad_mask[0, -2 * 1]  # slot 0 valid
-        assert not batch.attention_pad_mask[0, -1]  # slot 1 empty
+        assert not batch.image_slots[0].any()
+        _vis, slot_valid = model._visual_slots(batch)
+        assert slot_valid[0, 0]  # the placeholder slot
+        assert not slot_valid[0, 1]  # slot 1 empty
 
     def test_fallback_forward_close_to_placeholder_mode(self, tmp_path, rng):
         corpora = small_world(tmp_path, rng)
@@ -465,7 +466,7 @@ def reference_build_batch(examples, token_rows, vocab, model, mode, *, raw_rows=
     n = store.n_regions
     if mode == "paired":
         n_slots = n
-        per_example = [[] if image_id is None else [(0, store.get(image_id))]
+        per_example = [[] if image_id is None else [store.get(image_id)]
                        for image_id, _text in examples]
     else:
         n_slots = k * n
@@ -473,40 +474,29 @@ def reference_build_batch(examples, token_rows, vocab, model, mode, *, raw_rows=
         for b in range(b_sz):
             query = _query_text(corrupted[b], flags[b], raw_rows[b], vocab)
             [ranked] = associate_query(mode, [query], corpora, k, kappa, assoc_seed, cache)
-            per_example.append([(rank, store.get(img))
-                                for rank, (img, _s) in enumerate(ranked)])
+            per_example.append([store.get(img) for img, _s in ranked])
     regions = np.zeros((b_sz, n_slots, cfg.d_v), dtype=np.float32)
-    rank_ids = np.zeros((b_sz, n_slots), dtype=np.int64)
-    placeholder_slots = np.zeros((b_sz, n_slots), dtype=bool)
-    slot_valid = np.zeros((b_sz, n_slots), dtype=bool)
+    image_slots = np.zeros((b_sz, n_slots), dtype=bool)
     for b, slots in enumerate(per_example):
-        if not slots:
-            placeholder_slots[b, 0] = True
-            slot_valid[b, 0] = True
-            continue
-        for j, (rank, rows) in enumerate(slots):
+        for j, rows in enumerate(slots):
             lo = j * n
             regions[b, lo:lo + n] = rows
-            rank_ids[b, lo:lo + n] = rank
-            slot_valid[b, lo:lo + n] = True
+            image_slots[b, lo:lo + n] = True
     masked = regions.copy()
     if region_flags is not None:
         masked[region_flags] = 0.0
-        region_flags = region_flags & slot_valid & ~placeholder_slots
+        region_flags = region_flags & image_slots
     else:
         region_flags = np.zeros((b_sz, n_slots), dtype=bool)
     batch.regions = masked
     batch.original_regions = regions
     batch.region_mask_flags = region_flags
-    batch.rank_ids = rank_ids
-    batch.placeholder_slots = placeholder_slots
-    batch.attention_pad_mask = np.concatenate([ids != PAD_ID, slot_valid], axis=1)
+    batch.image_slots = image_slots
     return batch
 
 
 BATCH_FIELDS = ("token_ids", "token_mask_flags", "original_tokens", "regions",
-                "original_regions", "region_mask_flags", "rank_ids",
-                "placeholder_slots", "attention_pad_mask")
+                "original_regions", "region_mask_flags", "image_slots")
 
 # Rows chosen so that every retrieval mode meets an empty association: no
 # usable word for scene ("zzz qqq"), only stopwords for keyword ("sat mat"),
@@ -840,7 +830,8 @@ class TestBuildBatchEquivalence:
         examples = [(img if j % 3 else None, text)
                     for j, (img, text) in enumerate(corpora.paired * 3)]
         got = self.assert_same(corpora, model, "paired", examples, k=1, masks_regions=True)
-        assert got.placeholder_slots[:, 0].any() and not got.placeholder_slots[:, 0].all()
+        empty = ~got.image_slots.any(axis=1)
+        assert empty.any() and not empty.all()
         assert got.region_mask_flags.any()
 
     @pytest.mark.parametrize("mode", ["scene", "object", "keyword"])
@@ -849,9 +840,8 @@ class TestBuildBatchEquivalence:
         corpora = two_region_world(tmp_path, rng)
         model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=8, max_len=8)
         got = self.assert_same(corpora, model, mode, [(None, t) for t in EQUIV_TEXTS], k=k)
-        slots = got.attention_pad_mask[:, -got.rank_ids.shape[1]:]
-        images_per_row = slots.sum(axis=1) // 2
-        empty = got.placeholder_slots[:, 0]
+        images_per_row = got.image_slots.sum(axis=1) // 2
+        empty = ~got.image_slots.any(axis=1)
         assert empty.any() and not empty.all()
         if k == 8:  # six images exist, so some associations are shorter than K
             assert (images_per_row[~empty] < k).any()
@@ -865,7 +855,7 @@ class TestBuildBatchEquivalence:
         batch = build_batch(stream, range(2), model, "paired",
                             corpora=Corpora(vocab=corpora.vocab))
         assert batch.regions.shape == (2, 2, 4) and not batch.regions.any()
-        assert batch.placeholder_slots[:, 0].all()
+        assert not batch.image_slots.any()
 
 
 class TestRegionMasks:
