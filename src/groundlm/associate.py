@@ -11,9 +11,10 @@ Three ways to pick K images for a piece of text:
   appear in their caption.
 
 All strategies return an Association; an empty one signals "fall back to
-the placeholder" to the model layer. Callers reach them through
-``train.associate_query``, which drops ``[masked]`` markers and caches the
-ranked (image id, similarity) pairs.
+the placeholder" to the model layer. Word vectors are plain float32 arrays,
+and the zero vector means "no usable word": it retrieves nothing. Callers
+reach the strategies through ``train.associate_query``, which drops
+``[masked]`` markers and caches the ranked (image id, similarity) pairs.
 """
 
 from __future__ import annotations
@@ -125,8 +126,7 @@ def build_caption_index(corpus: Mapping[str, str], table: WordEmbeddingTable,
     offsets = offsets or {}
     entries = []
     for image_id, caption in corpus.items():
-        qv = encode_cbow(caption, table)
-        entries.append((image_id, qv.values, offsets.get(image_id, 0), "caption"))
+        entries.append((image_id, encode_cbow(caption, table), offsets.get(image_id, 0), "caption"))
     return build_index(entries)
 
 
@@ -138,7 +138,7 @@ def build_synset_index(synsets: Sequence[SynsetEntry], table: WordEmbeddingTable
     for syn in synsets:
         key = encode_synset_key(syn.lemmas, syn.definition, table)
         for image_id in syn.image_ids:
-            entries.append((image_id, key.values, offsets.get(image_id, 0), "synset"))
+            entries.append((image_id, key, offsets.get(image_id, 0), "synset"))
     return build_index(entries)
 
 
@@ -147,10 +147,10 @@ def build_synset_index(synsets: Sequence[SynsetEntry], table: WordEmbeddingTable
 
 def associate_scene(text: str, index: ImageKeyIndex, table: WordEmbeddingTable,
                     k: int, threads: Optional[int] = None) -> Association:
-    """Whole-text CBOW retrieval over caption keys; a degenerate query yields
-    an empty Association."""
+    """Whole-text CBOW retrieval over caption keys; a zero query (no usable
+    word) yields an empty Association."""
     query = encode_cbow(text, table)
-    if query.is_degenerate:
+    if not query.any():
         return Association()
     return Association([AssociationItem(*pair) for pair in top_k(index, query, k, threads=threads)])
 
@@ -215,8 +215,9 @@ def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTab
     their count; each component (heaviest first) nominates its closest noun,
     which retrieves ceil(k / kappa') images, the head of that noun's top-k
     ranking; the concatenation is truncated to k. A single distinct noun
-    skips the fit, which could only nominate it for all k images. Texts with
-    no usable nouns yield an empty Association.
+    skips the fit, which could only nominate it for all k images. A noun
+    whose vector is all zero has nothing to retrieve with and is dropped
+    before the fit; texts with no usable nouns yield an empty Association.
 
     ``texts`` is one text, which returns one Association, or a list, which
     returns one per text. The texts of a list that share a distinct-noun
@@ -228,8 +229,8 @@ def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTab
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     single = isinstance(texts, str)
     batch = [texts] if single else list(texts)
-    nouns = [list(dict.fromkeys(n for n in extract_nouns(text, lexicon) if n in table.entries))
-             for text in batch]
+    nouns = [[n for n in dict.fromkeys(extract_nouns(text, lexicon))
+              if n in table.entries and table.entries[n].any()] for text in batch]
     # no fit below two nouns: a one-point, one-component mixture always
     # nominates that point
     reps: List[Tuple[List[str], int]] = [(distinct, k) for distinct in nouns]
@@ -267,7 +268,7 @@ def associate_keyword_baseline(text: str, caption_corpus: Mapping[str, str], k: 
     The text contributes its non-stopword tokens (stopwords from ``table``
     when given, else the bundled list); captions contribute their full token
     set. Zero overlap still returns k images, ordered by id; a query with no
-    usable tokens at all is degenerate and returns an empty association.
+    usable tokens at all returns an empty association.
     """
     stop = table.stopwords if table is not None else default_stopwords()
     text_tokens = {t for t in tokenize(text) if t not in stop}

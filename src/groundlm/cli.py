@@ -172,7 +172,9 @@ def cmd_build_index(args) -> int:
 def cmd_associate(args) -> int:
     Strategy(next(n for n, s in STRATEGIES.items() if s.mode == args.strategy), k=args.k)
     TrainConfig(kappa=args.kappa)
-    co = Corpora(vocab=None, table=load_word_vectors(_require(args.vectors, "--vectors file")))
+    co = Corpora(vocab=None)
+    if args.strategy != "keyword":   # keyword reads only the bundled stopwords
+        co.table = load_word_vectors(_require(args.vectors, "--vectors file"))
     if args.strategy == "scene":
         co.caption_index = load_index(_require(args.index, "--index file"))
     elif args.strategy == "object":
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("scene", "object", "keyword"), required=True)
     p.add_argument("--queries", default="-", help="query file, - for stdin")
     p.add_argument("--index", help="VIDX file (scene/object)")
-    p.add_argument("--vectors", required=True)
+    p.add_argument("--vectors", help="word-vector file (scene/object)")
     p.add_argument("--nouns", help="noun lexicon (object)")
     p.add_argument("--captions", help="caption TSV (keyword)")
     _add_flags(p, {key: CONFIG_KEYS[key] for key in ("k", "kappa", "seed", "threads")},

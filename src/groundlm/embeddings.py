@@ -1,17 +1,17 @@
 """Word-vector tables and continuous-bag-of-words encoders.
 
-Queries and image keys share one representation: the mean of word vectors
-for the in-vocabulary, non-stopword tokens of a text. Synset keys blend a
-lemma mean with the encoded definition. Out-of-vocabulary or all-stopword
-inputs never raise; they come back flagged as degenerate zero vectors and
-the caller decides what to do.
+Queries and image keys share one representation, a float32 array: the mean
+of word vectors for the in-vocabulary, non-stopword tokens of a text. Synset
+keys blend a lemma mean with the encoded definition. The zero vector is the
+one encoding of "no usable word" (out-of-vocabulary or all-stopword input,
+or words whose vectors are zero); it never raises here, and the caller
+decides what it means.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
@@ -48,14 +48,8 @@ def read_words(path) -> FrozenSet[str]:
     return frozenset(line.split("#", 1)[0].strip().lower() for line in read_lines(path)) - {""}
 
 
-@dataclass
-class QueryVector:
-    values: np.ndarray
-    is_degenerate: bool = False
-
-
 class WordEmbeddingTable:
-    """Token -> R^{d_w} map with case-insensitive lookup and a stopword set."""
+    """Lowercase token -> R^{d_w} map, plus a lowercase stopword set."""
 
     def __init__(self, dim: int, entries: Dict[str, np.ndarray],
                  stopwords: Optional[Iterable[str]] = None):
@@ -63,15 +57,6 @@ class WordEmbeddingTable:
         self.entries = entries
         self.stopwords: FrozenSet[str] = frozenset(
             s.lower() for s in (stopwords if stopwords is not None else default_stopwords()))
-
-    def __contains__(self, token: str) -> bool:
-        return token.lower() in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, token: str) -> Optional[np.ndarray]:
-        return self.entries.get(token.lower())
 
 
 _DEFAULT_STOPWORDS: Optional[FrozenSet[str]] = None
@@ -132,17 +117,18 @@ def load_word_vectors(path) -> WordEmbeddingTable:
     return WordEmbeddingTable(dim, entries)
 
 
-def _mean_of(vectors: Sequence[np.ndarray], dim: int) -> QueryVector:
+def _mean_of(vectors: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """The float32 mean of ``vectors``; the zero vector when there are none."""
     if not vectors:
-        return QueryVector(np.zeros(dim, dtype=np.float32), is_degenerate=True)
-    return QueryVector(np.mean(np.stack(vectors), axis=0).astype(np.float32))
+        return np.zeros(dim, dtype=np.float32)
+    return np.mean(np.stack(vectors), axis=0).astype(np.float32)
 
 
-def encode_cbow(text: str, table: WordEmbeddingTable) -> QueryVector:
+def encode_cbow(text: str, table: WordEmbeddingTable) -> np.ndarray:
     """Mean vector of in-vocabulary non-stopword tokens.
 
     Falls back to all in-vocabulary tokens when stopword filtering empties
-    the bag, then to a degenerate zero vector.
+    the bag, then to the zero vector.
     """
     tokens = tokenize(text)
     in_vocab = [t for t in tokens if t in table.entries]
@@ -152,19 +138,15 @@ def encode_cbow(text: str, table: WordEmbeddingTable) -> QueryVector:
 
 
 def encode_synset_key(lemmas: Sequence[str], definition: str,
-                      table: WordEmbeddingTable) -> QueryVector:
+                      table: WordEmbeddingTable) -> np.ndarray:
     """Average of the lemma mean and the encoded definition.
 
-    Each half that comes out degenerate is dropped; only if both are
-    degenerate is the key itself degenerate. Lemmas are matched as whole
-    lowercase tokens, duplicates counting toward the mean.
+    A half that comes out all zero is dropped; only if both are is the key
+    the zero vector. Lemmas are matched as whole lowercase tokens,
+    duplicates counting toward the mean.
     """
     if not lemmas:
         raise ValueError("encode_synset_key: need at least one lemma")
     lemma_vecs = [table.entries[l.lower()] for l in lemmas if l.lower() in table.entries]
-    lemma_part = _mean_of(lemma_vecs, table.dim)
-    def_part = encode_cbow(definition, table)
-    parts = [p for p in (lemma_part, def_part) if not p.is_degenerate]
-    if not parts:
-        return QueryVector(np.zeros(table.dim, dtype=np.float32), is_degenerate=True)
-    return _mean_of([p.values for p in parts], table.dim)
+    halves = (_mean_of(lemma_vecs, table.dim), encode_cbow(definition, table))
+    return _mean_of([half for half in halves if half.any()], table.dim)

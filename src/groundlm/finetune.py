@@ -67,8 +67,8 @@ def load_task_file(path) -> Task:
     """Parse `label<TAB>text_a[<TAB>text_b]` lines under a key=value header.
 
     The header must declare `metric=accuracy` or `metric=spearman` and may
-    declare the legal class ids as `labels=0,1`. Labels outside a declared
-    set are rejected with their line number.
+    declare the legal class ids, each once, as `labels=0,1`. Labels outside a
+    declared set are rejected with their line number.
     """
     lines = read_lines(path)
     if not lines:
@@ -86,6 +86,8 @@ def load_task_file(path) -> Task:
             label_set = sorted(int(t) for t in header["labels"].split(","))
         except ValueError:
             raise ValueError(f"{at}: labels={header['labels']} are not integer class ids")
+        if len(set(label_set)) < len(label_set):
+            raise ValueError(f"{at}: labels={header['labels']} repeat a class id")
     examples = []
     for n, line in enumerate(lines[1:], start=2):
         if not line.strip():

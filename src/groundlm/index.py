@@ -8,9 +8,10 @@ that good is kept (so a tie group that straddles position K survives whole),
 and only those candidates are sorted, by similarity and then by each id's
 precomputed integer rank. Shard winners are merged the same way, so the
 ranked list is independent of the shard size and the thread count and equal
-to a brute-force sort by (similarity desc, id asc). Keys and queries must be
-finite; non-finite ones are rejected, because they have no place in that
-order.
+to a brute-force sort by (similarity desc, id asc). Keys and queries are
+float32 arrays and must be finite; non-finite ones have no place in that
+order and are rejected. The zero vector ("no usable word") has no direction:
+``build_index`` skips it as a key and ``top_k`` rejects it as a query.
 
 File formats (all little-endian):
   index  — magic ``VIDX``, u32 version=1, u32 dim, u64 count, then per item
@@ -36,8 +37,6 @@ from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .embeddings import QueryVector
 
 INDEX_MAGIC = b"VIDX"
 STORE_MAGIC = b"VFTR"
@@ -145,23 +144,19 @@ def _rank(id_rank: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
     return cand[order[:k]]
 
 
-def top_k(index: ImageKeyIndex, query, k: int,
+def top_k(index: ImageKeyIndex, query: np.ndarray, k: int,
           threads: Optional[int] = None) -> List[Tuple[str, float]]:
     """Exact K-nearest by cosine, descending, ties broken by ascending id.
 
     All keys are scored with one matrix-vector product, so a similarity does
     not depend on how rows are sharded; each shard's slice of the scores is
     reduced to its K best by ``_rank`` and the shard winners are ranked
-    again the same way. Non-finite queries are rejected.
+    again the same way. Non-finite and zero-norm queries are rejected: the
+    zero vector means "no usable word", and callers check for it first.
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
-    if isinstance(query, QueryVector):
-        if query.is_degenerate:
-            raise ValueError("top_k: degenerate query (no in-vocabulary tokens)")
-        q = query.values
-    else:
-        q = np.asarray(query, dtype=np.float32).reshape(-1)
+    q = np.asarray(query, dtype=np.float32).reshape(-1)
     if q.shape[0] != index.dim:
         raise ValueError(f"query dim {q.shape[0]} != index dim {index.dim}")
     if not np.isfinite(q).all():

@@ -75,9 +75,9 @@ class Strategy:
     def __post_init__(self):
         if self.name not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.name!r}; choose from {tuple(STRATEGIES)}")
-        if self.spec.mode == "placeholder":
-            self.k = 0
-        elif self.k < 1:
+        # K counts the images a row shows: none, its one paired image, or K retrieved
+        self.k = {"placeholder": 0, "paired": 1}.get(self.spec.mode, self.k)
+        if self.k < 1 and self.spec.mode != "placeholder":
             raise ValueError(f"strategy {self.name} needs K >= 1, got {self.k}")
 
     @property

@@ -96,11 +96,11 @@ class TestScene:
         query = "red cat"
         out = associate_scene(query, index, table, 7)
 
-        q = encode_cbow(query, table).values
+        q = encode_cbow(query, table)
         q = q / np.linalg.norm(q)
         sims, ids = [], []
         for image_id, caption in captions.items():
-            key = encode_cbow(caption, table).values
+            key = encode_cbow(caption, table)
             key = (key / np.linalg.norm(key)).astype(np.float32)
             sims.append(np.float32(key @ q.astype(np.float32)))
             ids.append(image_id)
@@ -111,6 +111,15 @@ class TestScene:
         index, table = self.make_index({"i1": "red dog"})
         assoc = associate_scene("zzz qqq", index, table, 2)
         assert assoc.items == []
+
+    def test_zero_vector_words_query_empty(self):
+        """In-vocabulary words whose vectors are all zero, or cancel to zero,
+        leave no direction to retrieve with: the association is empty."""
+        index, _table = self.make_index({"i1": "red dog"})
+        table = table_of(dict(SCENE_VECS, blank=[0.0, 0.0, 0.0], anti=[-1.0, 0.0, 0.0]))
+        assert associate_scene("blank zzz blank", index, table, 2).items == []
+        assert associate_scene("red anti", index, table, 2).items == []
+        assert associate_scene("blank dog", index, table, 2).items[0].image_id == "i1"
 
 
 OBJ_VECS = {"dog": [1.0, 0.0], "cat": [0.0, 1.0], "animal": [0.5, 0.5]}
@@ -211,6 +220,22 @@ class TestObject:
         assert nominated == [nouns[j] for j in picks]
         want = [pair for j in picks for pair in top_k(index, table.entries[nouns[j]], k)[:k // 2]]
         assert [(it.image_id, it.similarity) for it in assoc.items] == want
+
+    def test_zero_vector_noun_takes_no_component(self):
+        """A noun whose vector is all zero has nothing to retrieve with: it
+        is dropped before the fit, so the association equals the one made
+        with a table that lacks the noun."""
+        without = table_of(OBJ_VECS)
+        table = table_of(dict(OBJ_VECS, bird=[0.0, 0.0]))
+        index = self.make_index(without)
+        lex = NounLexicon(frozenset({"dog", "cat", "bird"}))
+        for text in ["bird dog", "the dog, a bird and a cat", "bird bird"]:
+            for kappa in (1, 2):
+                want = associate_object(text, index, without, lex, 4, kappa, seed=3)
+                got = associate_object(text, index, table, lex, 4, kappa, seed=3)
+                assert got.items == want.items
+        assert associate_object("bird", index, table, lex, 4, 2).items == []
+        assert len(associate_object("bird cat", index, table, lex, 4, 2).items) == 4
 
     def test_determinism_across_calls(self):
         table = table_of(OBJ_VECS)

@@ -195,6 +195,23 @@ class TestAssociate:
         assert_one_error_line(capsys, needle)
         assert not out.exists()
 
+    def test_keyword_needs_no_vectors(self, bundle, tmp_path):
+        queries = tmp_path / "q.txt"
+        queries.write_text("c000 f001\nthe of and\nc003 f002\n")
+        argv = ["associate", "--strategy", "keyword", "--queries", str(queries),
+                "--captions", str(bundle / "captions.tsv"), "--k", "3"]
+        run_ok(argv + ["--out", str(tmp_path / "bare.jsonl")])
+        run_ok(argv + ["--vectors", str(bundle / "wordvecs.txt"),
+                       "--out", str(tmp_path / "vectors.jsonl")])
+        assert (tmp_path / "bare.jsonl").read_bytes() == (tmp_path / "vectors.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("strategy", ["scene", "object"])
+    def test_retrieval_without_vectors_exits_2(self, bundle, caption_index, strategy, capsys):
+        rc = main(["associate", "--strategy", strategy, "--queries", "-",
+                   "--index", str(caption_index), "--nouns", str(bundle / "nouns.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == "usage error: missing required --vectors file\n"
+
     def test_scene_without_index_exits_2(self, bundle, tmp_path, capsys):
         rc = main(["associate", "--strategy", "scene", "--queries", "-",
                    "--vectors", str(bundle / "wordvecs.txt")])
@@ -418,23 +435,17 @@ class TestTrainEvalRoundTrip:
         assert "fine-tune runs failed" not in err
         assert not (tmp_path / "rep.json").exists()
 
-    def test_finetune_association_error_exits_1_before_any_run(self, bundle, checkpoint,
-                                                               tmp_path, capsys):
-        """A task noun with an all-zero word vector cannot be associated: the
-        probe stops with that error before its runs, not with all runs failed."""
-        lines = (bundle / "wordvecs.txt").read_text().splitlines()
-        zeroed = [" ".join(["c000"] + ["0.0"] * (len(line.split()) - 1))
-                  if line.split()[0] == "c000" else line for line in lines]
-        vectors = tmp_path / "zeroed.txt"
-        vectors.write_text("\n".join(zeroed) + "\n")
+    def test_finetune_zero_vector_noun_completes(self, bundle, checkpoint, tmp_path, capsys):
+        """A task noun with an all-zero word vector retrieves nothing: the
+        probe completes every run, with no error."""
         rc = main(self._finetune_argv(bundle, checkpoint, tmp_path, "AssociativeObject",
-                                      "--vectors", str(vectors), "--kappa", "2",
-                                      "--synsets", str(bundle / "synsets.tsv"),
+                                      "--vectors", str(zeroed_vectors(bundle, tmp_path, "c000")),
+                                      "--kappa", "2", "--synsets", str(bundle / "synsets.tsv"),
                                       "--nouns", str(bundle / "nouns.txt")))
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err == "error: top_k: zero-norm query\n", err
-        assert not (tmp_path / "rep.json").exists()
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        blob = json.loads((tmp_path / "rep.json").read_text())
+        assert blob["n_completed"] == 2 and blob["errors"] == []
 
     @pytest.mark.parametrize("runs", ["0", "-2"])
     def test_finetune_without_runs_exits_1(self, bundle, checkpoint, tmp_path, capsys, runs):
@@ -462,6 +473,18 @@ def pretrain_argv(bundle, tmp_path, strategy, name, *extra):
             "--d", "8", "--d-v", "8", "--n-layers-text", "1",
             "--n-layers-cross", "1", "--n-heads", "2", "--max-len", "8",
             "--k-max", "2", "--max-steps", "2", "--batch-size", "8", *extra]
+
+
+def zeroed_vectors(bundle, tmp_path, *words):
+    """The bundle's word-vector file with ``words`` set to all-zero vectors."""
+    lines = []
+    for line in (bundle / "wordvecs.txt").read_text().splitlines():
+        parts = line.split()
+        lines.append(" ".join([parts[0]] + ["0.0"] * (len(parts) - 1))
+                     if parts[0] in words else line)
+    path = tmp_path / "zeroed.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def assert_one_error_line(capsys, *needles):
@@ -628,3 +651,60 @@ class TestTextInputErrors:
         assert main(self.argv(kind, str(bad), bundle, checkpoint, tmp_path)) == 1
         assert_one_error_line(capsys, f"{bad}: {needle}")
         assert not any((tmp_path / name).exists() for name in ("x.vidx", "rep.json", "m.glmc"))
+
+
+class TestZeroVectorWords:
+    """A word whose vector is all zero is no usable word: a text left with
+    only such words falls back to the placeholder, and no run stops on it."""
+
+    def test_object_pretrain_with_zero_vector_noun(self, bundle, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("c000 f001 f002\n" * 8 + "c000 c001 f003\n" * 8)
+        rc = main(pretrain_argv(bundle, tmp_path, "AssociativeObject", "m",
+                                "--corpus", str(corpus),
+                                "--features", str(bundle / "features.vftr"),
+                                "--vectors", str(zeroed_vectors(bundle, tmp_path, "c000")),
+                                "--synsets", str(bundle / "synsets.tsv"),
+                                "--nouns", str(bundle / "nouns.txt"), "--k", "2", "--kappa", "2"))
+        assert rc == 0 and (tmp_path / "m.glmc").exists()
+
+    def test_scene_pretrain_with_zero_vector_words(self, bundle, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("f001 zzz f002\n" * 16)
+        rc = main(pretrain_argv(bundle, tmp_path, "AssociativeScene", "m",
+                                "--corpus", str(corpus),
+                                "--features", str(bundle / "features.vftr"),
+                                "--vectors", str(zeroed_vectors(bundle, tmp_path, "f001", "f002")),
+                                "--captions", str(bundle / "captions.tsv"), "--k", "2"))
+        assert rc == 0 and (tmp_path / "m.glmc").exists()
+
+    @pytest.mark.parametrize("strategy, kind, usable", [("scene", "caption", "f001 c003"),
+                                                        ("object", "synset", "c000 c001")])
+    def test_associate_reports_degenerate_query(self, bundle, tmp_path, strategy, kind, usable):
+        index = tmp_path / "i.vidx"
+        run_ok(["build-index", "--kind", kind, "--vectors", str(bundle / "wordvecs.txt"),
+                "--input", str(bundle / ("captions.tsv" if kind == "caption" else "synsets.tsv")),
+                "--out", str(index)])
+        queries = tmp_path / "q.txt"
+        queries.write_text(f"c000 f001 zzz\n{usable}\n")
+        out = tmp_path / "o.jsonl"
+        run_ok(["associate", "--strategy", strategy, "--queries", str(queries),
+                "--index", str(index), "--nouns", str(bundle / "nouns.txt"), "--k", "2",
+                "--vectors", str(zeroed_vectors(bundle, tmp_path, "c000", "f001")),
+                "--out", str(out)])
+        zero, kept = [json.loads(line) for line in out.read_text().splitlines()]
+        assert zero["items"] == [] and zero["reason"] == "degenerate query: no usable tokens"
+        assert len(kept["items"]) == 2 and "reason" not in kept
+
+
+class TestPairedK:
+    def test_paired_strategy_ignores_k(self, bundle, tmp_path):
+        """A paired row shows its one image whatever --k says: K=16 and K=0
+        train a k_max=2 model exactly as K=1 does."""
+        outputs = []
+        for k in ("1", "16", "0"):
+            run_ok(pretrain_argv(bundle, tmp_path, "TransferredI2T", f"k{k}",
+                                 "--captions", str(bundle / "captions.tsv"),
+                                 "--features", str(bundle / "features.vftr"), "--k", k))
+            outputs.append([(tmp_path / f"k{k}.{ext}").read_bytes() for ext in ("glmc", "csv")])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

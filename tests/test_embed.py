@@ -36,7 +36,7 @@ class TestLoader:
         duplicates included; a file cut short at a line boundary is rejected."""
         path = tmp_path / "v.txt"
         path.write_text("3 2\na 1.0 2.0\n\nA 3.0 4.0\nb 5.0 6.0\n")
-        assert len(load_word_vectors(path)) == 2   # "A" repeats "a" but is a line
+        assert len(load_word_vectors(path).entries) == 2   # "A" repeats "a" but is a line
         path.write_text("3 2\na 1.0 2.0\nb 5.0 6.0\n")
         with pytest.raises(ValueError) as err:
             load_word_vectors(path)
@@ -46,7 +46,7 @@ class TestLoader:
         paths = generate_grounded_corpus(
             ToySpec(vocab_size=40, n_concepts=12, n_examples=30, d_w=8, d_v=6), tmp_path)
         lines = open(paths.word_vectors, encoding="utf-8").readlines()
-        assert len(load_word_vectors(paths.word_vectors)) == len(lines) - 1
+        assert len(load_word_vectors(paths.word_vectors).entries) == len(lines) - 1
         with open(paths.word_vectors, "w", encoding="utf-8") as fh:
             fh.writelines(lines[:-5])
         with pytest.raises(ValueError, match=f"header declares {len(lines) - 1} vectors, "
@@ -85,43 +85,44 @@ class TestLoader:
         path = tmp_path / "dup.txt"
         path.write_text("a 1.0 2.0\na 9.0 9.0\n")
         table = load_word_vectors(path)
-        np.testing.assert_allclose(table.get("a"), [1.0, 2.0])
+        np.testing.assert_allclose(table.entries["a"], [1.0, 2.0])
 
-    def test_lookup_is_case_insensitive(self, tmp_path):
-        table = make_table(tmp_path, BASE)
-        np.testing.assert_allclose(table.get("DOG"), BASE["dog"])
+    def test_loader_lowercases_tokens(self, tmp_path):
+        table = make_table(tmp_path, {"DOG": BASE["dog"], "Cat": BASE["cat"]})
+        assert sorted(table.entries) == ["cat", "dog"]
+        np.testing.assert_allclose(table.entries["dog"], BASE["dog"])
 
 
 class TestCbow:
     def test_single_word_is_its_vector(self, tmp_path):
         table = make_table(tmp_path, BASE)
         out = encode_cbow("dog", table)
-        assert not out.is_degenerate
-        np.testing.assert_allclose(out.values, BASE["dog"])
+        assert out.dtype == np.float32 and out.any()
+        np.testing.assert_allclose(out, BASE["dog"])
 
     def test_two_words_hand_mean(self, tmp_path):
         table = make_table(tmp_path, BASE)
         out = encode_cbow("dog cat", table)
         expected = (np.array(BASE["dog"]) + np.array(BASE["cat"])) / 2.0
-        np.testing.assert_allclose(out.values, expected)
+        np.testing.assert_allclose(out, expected)
 
     def test_all_stopword_text_degenerate(self, tmp_path):
         table = make_table(tmp_path, BASE)
         out = encode_cbow("the of a", table)
-        assert out.is_degenerate
-        np.testing.assert_allclose(out.values, 0.0)
+        assert out.dtype == np.float32 and out.shape == (3,)
+        np.testing.assert_allclose(out, 0.0)
 
     def test_stopwords_discarded_from_mean(self, tmp_path):
         table = make_table(tmp_path, dict(BASE, the=[9.0, 9.0, 9.0]))
         out = encode_cbow("the dog", table)
-        np.testing.assert_allclose(out.values, BASE["dog"])
+        np.testing.assert_allclose(out, BASE["dog"])
 
     def test_stopword_fallback_when_no_content_word_survives(self, tmp_path):
         # nothing but stopwords is in the table: fall back to in-vocab tokens
         table = make_table(tmp_path, dict(BASE, the=[9.0, 9.0, 9.0]))
         out = encode_cbow("the zzz", table)
-        assert not out.is_degenerate
-        np.testing.assert_allclose(out.values, [9.0, 9.0, 9.0])
+        assert out.any()
+        np.testing.assert_allclose(out, [9.0, 9.0, 9.0])
 
     def test_tokenizer_lowercases_and_splits_non_alnum(self):
         assert tokenize("Dog‑cat, HOUSE!") == ["dog", "cat", "house"]
@@ -133,13 +134,13 @@ class TestCbow:
                                        for w, v in BASE.items()}, frozenset())
         base = encode_cbow("dog cat house", table)
         out = encode_cbow(" ".join(order), table)
-        np.testing.assert_allclose(out.values, base.values)
+        np.testing.assert_allclose(out, base)
 
     def test_duplication_shifts_mean_by_multiplicity(self, tmp_path):
         table = make_table(tmp_path, BASE)
         out = encode_cbow("dog dog cat", table)
         expected = (2 * np.array(BASE["dog"]) + np.array(BASE["cat"])) / 3.0
-        np.testing.assert_allclose(out.values, expected)
+        np.testing.assert_allclose(out, expected)
 
     @given(st.floats(0.25, 4.0))
     @settings(max_examples=20, deadline=None)
@@ -150,14 +151,14 @@ class TestCbow:
                                         for w, v in BASE.items()}, frozenset())
         base = encode_cbow("dog cat", table)
         out = encode_cbow("dog cat", scaled)
-        np.testing.assert_allclose(out.values, factor * base.values, rtol=1e-5)
+        np.testing.assert_allclose(out, factor * base, rtol=1e-5)
 
 
 class TestSynsetKey:
     def test_single_lemma_empty_definition(self, tmp_path):
         table = make_table(tmp_path, BASE)
         out = encode_synset_key(["dog"], "", table)
-        np.testing.assert_allclose(out.values, BASE["dog"])
+        np.testing.assert_allclose(out, BASE["dog"])
 
     def test_lemma_and_definition_half_weighted(self, tmp_path):
         table = make_table(tmp_path, dict(BASE, domestic=[2.0, 2.0, 2.0],
@@ -165,18 +166,28 @@ class TestSynsetKey:
         out = encode_synset_key(["dog"], "a domestic animal", table)
         cbow = (np.array([2.0, 2.0, 2.0]) + np.array([4.0, 0.0, 0.0])) / 2.0
         expected = 0.5 * np.array(BASE["dog"]) + 0.5 * cbow
-        np.testing.assert_allclose(out.values, expected)
+        np.testing.assert_allclose(out, expected)
 
     def test_fully_out_of_vocab_degenerate(self, tmp_path):
         table = make_table(tmp_path, BASE)
         out = encode_synset_key(["zzz"], "qqq www", table)
-        assert out.is_degenerate
+        assert out.shape == (3,) and not out.any()
 
     def test_degenerate_half_dropped(self, tmp_path):
         table = make_table(tmp_path, BASE)
         out = encode_synset_key(["zzz"], "cat", table)
-        assert not out.is_degenerate
-        np.testing.assert_allclose(out.values, BASE["cat"])
+        assert out.any()
+        np.testing.assert_allclose(out, BASE["cat"])
+
+    def test_all_zero_half_dropped(self, tmp_path):
+        """A half whose words are in the table but whose mean is all zero
+        counts as no half: the key is the other half, not half of it."""
+        table = make_table(tmp_path, dict(BASE, blank=[0.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(encode_synset_key(["blank"], "cat", table),
+                                      np.float32(BASE["cat"]))
+        np.testing.assert_array_equal(encode_synset_key(["dog"], "blank", table),
+                                      np.float32(BASE["dog"]))
+        assert not encode_synset_key(["blank"], "blank", table).any()
 
     def test_empty_lemmas_rejected(self, tmp_path):
         table = make_table(tmp_path, BASE)

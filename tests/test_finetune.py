@@ -99,6 +99,13 @@ class TestLoadTaskFile:
         with pytest.raises(ValueError, match="line 3"):
             load_task_file(p)
 
+    def test_repeated_declared_label_names_line_1(self, tmp_path):
+        """A class id declared twice would size the head for a class that no
+        example can reach."""
+        p = write_task(tmp_path / "t.tsv", ["metric=accuracy labels=0,0,1", "0\ta", "1\tb"])
+        with pytest.raises(ValueError, match="line 1: labels=0,0,1 repeat a class id"):
+            load_task_file(p)
+
     def test_non_integer_class_label_names_line(self, tmp_path):
         p = write_task(tmp_path / "t.tsv", ["metric=accuracy", "zero\ta"])
         with pytest.raises(ValueError, match="line 2"):
@@ -390,13 +397,30 @@ class TestFinetune:
     def test_association_error_raised_before_any_run(self, tmp_path, rng):
         """An association that raises fails the whole probe, once: it is the
         same in every run, so it is not a failed run."""
-        corpora = associative_world(tmp_path, rng, zero_noun="dog")
+        corpora = associative_world(tmp_path, rng)
+        four = WordEmbeddingTable(4, {w: rng.normal(size=4).astype(np.float32) for w in WORDS})
+        corpora.synset_index = build_synset_index(
+            [SynsetEntry("s0", ["dog"], "a red dog", ["i0", "i1"])], four)
         model = mk_model(corpora.vocab, model_class=RaisesInForward)   # no run may start
-        with pytest.raises(ValueError, match="top_k: zero-norm query"):
+        with pytest.raises(ValueError, match="query dim 6 != index dim 4"):
             finetune(model, pair_task(8), Strategy("AssociativeObject", k=2),
                      TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=1,
                                  seed=0, val_fraction=0.25, kappa=2),
                      corpora=corpora, n_runs=8)
+
+    @pytest.mark.parametrize("name", ["AssociativeScene", "AssociativeObject"])
+    def test_zero_vector_noun_probe_completes(self, tmp_path, rng, name):
+        """A task noun whose word vector is all zero retrieves nothing; the
+        probe runs on, with that text's other nouns or the placeholder."""
+        corpora = associative_world(tmp_path, rng, zero_noun="dog")
+        task = Task(metric="accuracy", label_set=[0, 1], examples=[
+            TaskExample(j % 2, text) for j, text in
+            enumerate(["dog", "blue cat ran", "red dog", "dog and cat"] * 2)])
+        report = finetune(mk_model(corpora.vocab), task, Strategy(name, k=2),
+                          TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=2,
+                                      seed=0, val_fraction=0.25, kappa=2),
+                          corpora=corpora, n_runs=2)
+        assert report.errors == [] and len(report.runs) == 2
 
     def test_k_beyond_model_capacity_rejected(self, tmp_path, rng):
         corpora = task_world(tmp_path, rng)

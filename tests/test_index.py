@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundlm.embeddings import QueryVector
 from groundlm.index import (ImageFeatureStore, build_index, load_index,
                             save_index, top_k, write_feature_store)
 
 
 def qv(values):
-    return QueryVector(np.asarray(values, dtype=np.float32), False)
+    return np.asarray(values, dtype=np.float32)
 
 
 def entries_from(keys, prefix="img"):
@@ -105,8 +104,8 @@ class TestTopK:
 
     def test_degenerate_query_rejected(self, rng):
         index = build_index(entries_from(rng.normal(size=(3, 4))))
-        with pytest.raises(ValueError):
-            top_k(index, QueryVector(np.zeros(4, dtype=np.float32), True), 2)
+        with pytest.raises(ValueError, match="zero-norm query"):
+            top_k(index, np.zeros(4, dtype=np.float32), 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_rejected(self, rng, bad):

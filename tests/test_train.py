@@ -19,7 +19,7 @@ from groundlm.toydata import ToySpec, generate_grounded_corpus
 from groundlm.train import (STRATEGIES, Corpora, Strategy, Stream, TrainConfig, _pad_rows,
                             _query_text, associate_query, build_batch, encode_stream,
                             evaluate_perplexity, mix_corpora, pretrain, training_batches,
-                            validate_strategy_corpora, write_metrics_csv)
+                            validate_lookup, validate_strategy_corpora, write_metrics_csv)
 from groundlm.vocab import PAD_ID, RESERVED, Vocab
 
 WORDS = ["red", "dog", "cat", "sat", "mat", "hat", "sun", "sky"]
@@ -122,6 +122,16 @@ class TestValidation:
 
     def test_no_grounding_forces_k_zero(self):
         assert Strategy("NoGrounding", k=16).k == 0
+
+    @pytest.mark.parametrize("name", ["TransferredI2T", "TransferredT2I", "TransferredBoth"])
+    def test_paired_strategies_show_one_image(self, name):
+        """K counts the images a row shows, and a paired row shows its own:
+        a paired strategy is neither rejected for a K it never reads nor
+        checked against k_max with it."""
+        for k in (0, 1, 16):
+            strategy = Strategy(name, k=k)
+            assert strategy.k == 1
+            validate_lookup(strategy, Corpora(vocab=None, store=object()), k_max=1)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -347,6 +357,19 @@ class TestPretrain:
         assert len(prepared) == 1
         ppls = [v for _s, split, metric, v in metrics if (split, metric) == ("val", "ppl")]
         assert len(ppls) == 3 and ppls == fresh
+
+    def test_scene_row_of_zero_vector_words_falls_back(self, tmp_path, rng):
+        """A row whose in-vocabulary words all have zero vectors has no usable
+        word: it falls back to the placeholder, and training runs on."""
+        corpora = small_world(tmp_path, rng)
+        for word in WORDS[:2]:
+            corpora.table.entries[word] = np.zeros(6, dtype=np.float32)
+        corpora.text_only = [f"{WORDS[0]} zzz {WORDS[1]}"] * 16 + corpora.text_only
+        assert unmasked_rankings(encode_stream([(None, corpora.text_only[0])], corpora.vocab, 6),
+                                 "scene", corpora, 2) == [[]]
+        _m, metrics = pretrain(Strategy("AssociativeScene", k=2), corpora,
+                               small_model(corpora.vocab), quick_config(), cache=AssociationCache())
+        assert all(np.isfinite(value) for *_head, value in metrics)
 
     def test_strategy_k_capped_by_model(self, tmp_path, rng):
         corpora = small_world(tmp_path, rng)
