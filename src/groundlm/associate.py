@@ -12,7 +12,7 @@ Three ways to pick K images for a piece of text:
 
 All strategies return an Association; an empty one signals "fall back to
 the placeholder" to the model layer. Word vectors are plain float32 arrays,
-and the zero vector means "no usable word": it retrieves nothing. Callers
+and one whose norm is below ``NORM_FLOOR`` means "no usable word". Callers
 reach the strategies through ``train.associate_query``, which drops
 ``[masked]`` markers and caches the ranked (image id, similarity) pairs.
 """
@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, U
 import numpy as np
 
 from .embeddings import (WordEmbeddingTable, default_stopwords, encode_cbow,
-                         encode_synset_key, read_lines, read_words, tokenize)
+                         encode_synset_key, read_lines, read_words, tokenize, usable)
 from .gmm import fit_gmm
 from .index import ImageKeyIndex, build_index, top_k
 
@@ -124,35 +124,33 @@ def build_caption_index(corpus: Mapping[str, str], table: WordEmbeddingTable,
                         offsets: Optional[Mapping[str, int]] = None) -> ImageKeyIndex:
     """Key every image by the CBOW vector of its caption."""
     offsets = offsets or {}
-    entries = []
-    for image_id, caption in corpus.items():
-        entries.append((image_id, encode_cbow(caption, table), offsets.get(image_id, 0), "caption"))
-    return build_index(entries)
+    keys = encode_cbow(list(corpus.values()), table)
+    return build_index((image_id, key, offsets.get(image_id, 0), "caption")
+                       for image_id, key in zip(corpus, keys))
 
 
 def build_synset_index(synsets: Sequence[SynsetEntry], table: WordEmbeddingTable,
                        offsets: Optional[Mapping[str, int]] = None) -> ImageKeyIndex:
     """Key every image by its synset's lemma+definition vector."""
     offsets = offsets or {}
-    entries = []
-    for syn in synsets:
-        key = encode_synset_key(syn.lemmas, syn.definition, table)
-        for image_id in syn.image_ids:
-            entries.append((image_id, key, offsets.get(image_id, 0), "synset"))
-    return build_index(entries)
+    keys = encode_synset_key([syn.lemmas for syn in synsets],
+                             [syn.definition for syn in synsets], table)
+    return build_index((image_id, key, offsets.get(image_id, 0), "synset")
+                       for syn, key in zip(synsets, keys) for image_id in syn.image_ids)
 
 
 # -- strategies ---------------------------------------------------------------
 
 
-def associate_scene(text: str, index: ImageKeyIndex, table: WordEmbeddingTable,
-                    k: int, threads: Optional[int] = None) -> Association:
-    """Whole-text CBOW retrieval over caption keys; a zero query (no usable
-    word) yields an empty Association."""
-    query = encode_cbow(text, table)
-    if not query.any():
-        return Association()
-    return Association([AssociationItem(*pair) for pair in top_k(index, query, k, threads=threads)])
+def associate_scene(texts, index: ImageKeyIndex, table: WordEmbeddingTable, k: int,
+                    threads: Optional[int] = None) -> Union[Association, List[Association]]:
+    """Whole-text CBOW retrieval over caption keys for one text, or for a
+    list encoded in one call; a query with no usable word retrieves nothing."""
+    single = isinstance(texts, str)
+    queries = encode_cbow([texts] if single else list(texts), table)
+    out = [Association([AssociationItem(*pair) for pair in top_k(index, query, k, threads=threads)]
+                       if live else []) for query, live in zip(queries, usable(queries).tolist())]
+    return out[0] if single else out
 
 
 def _gmm_seed(run_seed: int, text: str) -> np.ndarray:
@@ -216,7 +214,7 @@ def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTab
     which retrieves ceil(k / kappa') images, the head of that noun's top-k
     ranking; the concatenation is truncated to k. A single distinct noun
     skips the fit, which could only nominate it for all k images. A noun
-    whose vector is all zero has nothing to retrieve with and is dropped
+    with no usable vector has nothing to retrieve with and is dropped
     before the fit; texts with no usable nouns yield an empty Association.
 
     ``texts`` is one text, which returns one Association, or a list, which
@@ -229,8 +227,11 @@ def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTab
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     single = isinstance(texts, str)
     batch = [texts] if single else list(texts)
-    nouns = [[n for n in dict.fromkeys(extract_nouns(text, lexicon))
-              if n in table.entries and table.entries[n].any()] for text in batch]
+    found = [[n for n in dict.fromkeys(extract_nouns(text, lexicon)) if n in table.rows]
+             for text in batch]
+    words = list(dict.fromkeys(n for distinct in found for n in distinct))
+    live = dict(zip(words, usable(table.vectors[[table.rows[n] for n in words]]).tolist()))
+    nouns = [[n for n in distinct if live[n]] for distinct in found]
     # no fit below two nouns: a one-point, one-component mixture always
     # nominates that point
     reps: List[Tuple[List[str], int]] = [(distinct, k) for distinct in nouns]

@@ -10,8 +10,9 @@ precomputed integer rank. Shard winners are merged the same way, so the
 ranked list is independent of the shard size and the thread count and equal
 to a brute-force sort by (similarity desc, id asc). Keys and queries are
 float32 arrays and must be finite; non-finite ones have no place in that
-order and are rejected. The zero vector ("no usable word") has no direction:
-``build_index`` skips it as a key and ``top_k`` rejects it as a query.
+order and are rejected. A vector of norm below ``embeddings.NORM_FLOOR`` ("no
+usable word", as the zero vector) has no direction: ``build_index`` skips it
+as a key and ``top_k`` rejects it as a query.
 
 File formats (all little-endian):
   index  — magic ``VIDX``, u32 version=1, u32 dim, u64 count, then per item
@@ -33,10 +34,13 @@ import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .embeddings import NORM_FLOOR, norms, usable
 
 INDEX_MAGIC = b"VIDX"
 STORE_MAGIC = b"VFTR"
@@ -56,74 +60,68 @@ class KeyedImage:
 
 
 class ImageKeyIndex:
-    def __init__(self, dim: int, items: List[KeyedImage], shard_size: int = 65536,
-                 skipped: int = 0):
-        self.dim = dim
-        self.items = items
-        self.shard_size = shard_size
-        self.skipped = skipped
-        if items:
-            self._keys = np.ascontiguousarray(np.array([it.key for it in items]))
-            finite = np.isfinite(self._keys).all(axis=1)
-            if not finite.all():
-                bad = items[int(np.argmin(finite))].id
-                raise ValueError(f"non-finite key for id {bad!r}")
-        else:
-            self._keys = np.zeros((0, dim), dtype=np.float32)
+    """Ids, stacked unit keys, payload refs and kinds; ``items`` as records, made on use."""
+
+    def __init__(self, dim: int, ids: Sequence[str], keys: np.ndarray, refs: Sequence[int],
+                 kinds: Sequence[str], shard_size: int = 65536, skipped: int = 0):
+        self.dim, self.ids, self.refs, self.kinds = dim, list(ids), list(refs), list(kinds)
+        self.shard_size, self.skipped = shard_size, skipped
+        self._keys = np.ascontiguousarray(keys, dtype=np.float32).reshape(len(self.ids), dim)
+        finite = np.isfinite(self._keys).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite key for id {self.ids[int(np.argmin(finite))]!r}")
         # each row's position in ascending id order: ties break on an int
-        ids = np.array([it.id for it in items], dtype=str)
-        self._id_rank = np.empty(len(items), dtype=np.int64)
-        self._id_rank[np.argsort(ids, kind="stable")] = np.arange(len(items))
+        self._id_rank = np.argsort(np.argsort(np.array(self.ids, dtype=str), kind="stable"))
         # (query bytes, K) -> top_k result, filled by callers whose queries
         # repeat (object association's nouns); lives and dies with the index
         self.rankings: Dict[Tuple[bytes, int], List[Tuple[str, float]]] = {}
 
+    @cached_property
+    def items(self) -> List[KeyedImage]:
+        return list(map(KeyedImage, self.ids, self._keys, self.refs, self.kinds))
+
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.ids)
 
 
 def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]],
                 shard_size: int = 65536) -> ImageKeyIndex:
     """Normalize and stack (id, raw key, payload_ref, source_kind) entries.
 
-    Zero-norm keys are skipped (counted on ``index.skipped``); duplicate ids
-    and mismatched dimensions raise, naming the first entry that fails.
+    Keys without a direction are skipped (counted on ``index.skipped``); duplicate
+    ids and mismatched dimensions raise, naming the first entry that fails.
     """
     entries = list(entries)
     if not entries:
-        return ImageKeyIndex(0, [], shard_size=shard_size)
+        return ImageKeyIndex(0, [], np.zeros((0, 0)), [], [], shard_size=shard_size)
     ids, raws, refs, kinds = zip(*entries)
-    # each key object is converted once: a synset's images share one
-    distinct = {id(raw): raw for raw in raws}
-    slot = {key: j for j, key in enumerate(distinct)}
-    vecs = [np.asarray(raw, dtype=np.float32).reshape(-1) for raw in distinct.values()]
-    which = np.array([slot[id(raw)] for raw in raws])
-    dims = np.array([vec.shape[0] for vec in vecs])[which]
-    first = {entry_id: i for i, entry_id in reversed(list(enumerate(ids)))}
-    n = len(ids)
-    bad_kind = next((i for i, kind in enumerate(kinds) if kind not in _SOURCE_KINDS), n)
-    bad_dim = int(np.argmax(dims != dims[0])) or n
-    bad_id = next((i for i, entry_id in enumerate(ids) if first[entry_id] != i), n)
-    i = min(bad_kind, bad_dim, bad_id)
-    if i == bad_kind < n:
-        raise ValueError(f"unknown source_kind {kinds[i]!r} for id {ids[i]!r}")
-    if i == bad_dim < n:
-        raise ValueError(f"key for id {ids[i]!r} has dim {dims[i]}, index dim is {dims[0]}")
-    if i < n:
-        raise ValueError(f"duplicate id {ids[i]!r}")
-    keys = np.stack(vecs)[which]
-    # one stacked product gives each row's float32 dot(v, v), bit for bit the
-    # square of np.linalg.norm(v)
-    norms = np.sqrt((keys[:, None, :] @ keys[:, :, None])[:, 0, 0])
-    live = ~(norms.astype(np.float64) < 1e-12)
-    skipped = n - int(live.sum())
+    # each key object is converted and normalized once: a synset's images share one
+    slot: Dict[int, int] = {}
+    which = np.array([slot.setdefault(id(raw), len(slot)) for raw in raws])
+    keys = [np.asarray(raws[i], dtype=np.float32).reshape(-1)
+            for i in np.unique(which, return_index=True)[1]]
+    dims = np.array([key.shape[0] for key in keys])[which]
+    if not (set(kinds) <= set(_SOURCE_KINDS) and len(set(ids)) == len(ids)
+            and (dims == dims[0]).all()):
+        seen = set()
+        for entry_id, kind, dim in zip(ids, kinds, dims):
+            if kind not in _SOURCE_KINDS:
+                raise ValueError(f"unknown source_kind {kind!r} for id {entry_id!r}")
+            if dim != dims[0]:
+                raise ValueError(f"key for id {entry_id!r} has dim {dim}, index dim is {dims[0]}")
+            if entry_id in seen:
+                raise ValueError(f"duplicate id {entry_id!r}")
+            seen.add(entry_id)
+    keys = np.stack(keys)
+    live = usable(keys)[which]
+    skipped = len(ids) - int(live.sum())
     if skipped:
         warnings.warn(f"build_index: skipped {skipped} zero-norm keys", stacklevel=2)
-    unit = keys[live] / norms[live, None]
+    with np.errstate(divide="ignore", invalid="ignore"):   # keys without a direction
+        unit = (keys / norms(keys)[:, None])[which[live]]
     keep = live.tolist()
-    items = list(map(KeyedImage, compress(ids, keep), list(unit),
-                     map(int, compress(refs, keep)), compress(kinds, keep)))
-    return ImageKeyIndex(int(dims[0]), items, shard_size=shard_size, skipped=skipped)
+    return ImageKeyIndex(int(dims[0]), compress(ids, keep), unit, map(int, compress(refs, keep)),
+                         compress(kinds, keep), shard_size=shard_size, skipped=skipped)
 
 
 def _rank(id_rank: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
@@ -162,7 +160,7 @@ def top_k(index: ImageKeyIndex, query: np.ndarray, k: int,
     if not np.isfinite(q).all():
         raise ValueError("top_k: non-finite query")
     norm = float(np.linalg.norm(q))
-    if norm < 1e-12:
+    if norm < NORM_FLOOR:
         raise ValueError("top_k: zero-norm query")
     q = (q / np.float32(norm)).astype(np.float32)
     n = len(index)
@@ -188,7 +186,7 @@ def top_k(index: ImageKeyIndex, query: np.ndarray, k: int,
                 parts = list(pool.map(scan, shards))
         cand_idx = np.concatenate(parts)
         best_idx = cand_idx[_rank(index._id_rank[cand_idx], sims[cand_idx], k)]
-    return [(index.items[i].id, float(sims[i])) for i in best_idx.tolist()]
+    return [(index.ids[i], float(sims[i])) for i in best_idx.tolist()]
 
 
 # -- binary files ------------------------------------------------------------
@@ -261,7 +259,7 @@ def load_index(path) -> ImageKeyIndex:
     reader = ByteReader(path)
     reader.header(INDEX_MAGIC, INDEX_VERSION)
     dim, count = reader.unpack("<IQ", "header")
-    items: List[KeyedImage] = []
+    records: List[tuple] = []
     seen = set()
     for i in range(count):
         start = reader.pos
@@ -272,11 +270,12 @@ def load_index(path) -> ImageKeyIndex:
         kind_byte, payload_ref = reader.unpack("<BQ", f"header of item {i}")
         if kind_byte >= len(_SOURCE_KINDS):
             raise reader.error(f"bad source_kind byte {kind_byte} for item {i}", start)
-        key = np.frombuffer(reader.take(4 * dim, f"key of item {i}"), dtype="<f4").copy()
-        items.append(KeyedImage(item_id, key, payload_ref, _SOURCE_KINDS[kind_byte]))
+        key = np.frombuffer(reader.take(4 * dim, f"key of item {i}"), dtype="<f4")
+        records.append((item_id, key, payload_ref, _SOURCE_KINDS[kind_byte]))
     reader.done()
+    ids, keys, refs, kinds = zip(*records) if records else ((),) * 4
     try:
-        return ImageKeyIndex(dim, items)
+        return ImageKeyIndex(dim, ids, np.array(keys), refs, kinds)
     except ValueError as exc:
         raise ValueError(f"{reader.path}: {exc}") from None
 

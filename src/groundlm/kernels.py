@@ -102,8 +102,8 @@ def _gelu_backward(dy, x, onepe):
 
 
 def _softmax_forward(x):
-    """Row-wise softmax of a 2-D array (stable, max-shifted)."""
-    shifted = x - x.max(axis=1, keepdims=True)
+    """Row-wise softmax of a 2-D array, shifted by the row max (taken down a transposed copy)."""
+    shifted = x - np.ascontiguousarray(x.T).max(axis=0)[:, None]
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 

@@ -268,8 +268,7 @@ def associate_query(mode: str, queries: Sequence[str], corpora: Corpora, k: int,
     missing = [key for key, ranked in found.items() if ranked is None]
     texts = [key[1] for key in missing]
     if mode == "scene":
-        assocs = [associate_scene(text, corpora.caption_index, corpora.table, k, threads=threads)
-                  for text in texts]
+        assocs = associate_scene(texts, corpora.caption_index, corpora.table, k, threads=threads)
     elif mode == "object":
         assocs = associate_object(texts, corpora.synset_index, corpora.table, corpora.lexicon,
                                   k, min(kappa, k), seed=seed, threads=threads)

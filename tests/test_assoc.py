@@ -1,3 +1,4 @@
+import hashlib
 import zlib
 
 import numpy as np
@@ -15,7 +16,9 @@ from groundlm import associate as associate_mod
 from groundlm import gmm as gmm_mod
 from groundlm.embeddings import WordEmbeddingTable, encode_cbow
 from groundlm.gmm import fit_gmm
-from groundlm.index import top_k
+from groundlm.embeddings import load_word_vectors
+from groundlm.index import ImageFeatureStore, save_index, top_k
+from groundlm.toydata import ToySpec, generate_grounded_corpus
 
 
 def table_of(entries) -> WordEmbeddingTable:
@@ -120,6 +123,15 @@ class TestScene:
         assert associate_scene("blank zzz blank", index, table, 2).items == []
         assert associate_scene("red anti", index, table, 2).items == []
         assert associate_scene("blank dog", index, table, 2).items[0].image_id == "i1"
+
+    def test_query_below_the_norm_floor_empty(self):
+        """A query whose norm is below ``NORM_FLOOR`` but not zero has no
+        direction: the association is empty, and ``top_k`` is not reached."""
+        index, _table = self.make_index({"i1": "red dog"})
+        table = table_of(dict(SCENE_VECS, bird=[1e-20, 0.0, 0.0]))
+        assert associate_scene("bird", index, table, 2).items == []
+        assert associate_scene(["bird", "dog"], index, table, 2) == \
+            [associate_scene("bird", index, table, 2), associate_scene("dog", index, table, 2)]
 
 
 OBJ_VECS = {"dog": [1.0, 0.0], "cat": [0.0, 1.0], "animal": [0.5, 0.5]}
@@ -236,6 +248,20 @@ class TestObject:
                 assert got.items == want.items
         assert associate_object("bird", index, table, lex, 4, 2).items == []
         assert len(associate_object("bird cat", index, table, lex, 4, 2).items) == 4
+
+    def test_noun_below_the_norm_floor_is_dropped(self):
+        """A nonzero noun vector whose norm is below ``NORM_FLOOR`` has no
+        direction either: it is dropped as the zero vector is, instead of
+        reaching ``top_k`` and stopping the run."""
+        without = table_of(OBJ_VECS)
+        table = table_of(dict(OBJ_VECS, bird=[1e-20, 0.0]))
+        index = self.make_index(without)
+        lex = NounLexicon(frozenset({"dog", "cat", "bird"}))
+        assert associate_object("bird dog", index, table, lex, 4, 2, seed=3).items == \
+            associate_object("bird dog", index, without, lex, 4, 2, seed=3).items
+        assert associate_object("bird", index, table, lex, 4, 2).items == []
+        assert associate_object(["bird", "bird dog"], index, table, lex, 4, 2, seed=3) == \
+            associate_object(["bird", "dog"], index, without, lex, 4, 2, seed=3)
 
     def test_determinism_across_calls(self):
         table = table_of(OBJ_VECS)
@@ -492,3 +518,31 @@ class TestCache:
             assert cache.get(other) is None, other
         assert cache.get(base) == [("i1", 0.9)]
         assert (cache.hits, cache.misses, len(cache)) == (1, 5, 1)
+
+
+# SHA-256 of the VIDX file of each toy bundle's caption and synset index, as
+# ``groundlm build-index --features`` writes it
+INDEX_GOLDEN = [
+    (ToySpec(seed=0), {
+        "caption": "8c94b22a44904cb55b18dc196ec3f0be0f7397210b34dcecc41eab13750b4df5",
+        "synset": "7451407dbac34cdb35e72473cf8b78249362c2faccf832de543fcfc2d5d57da5",
+    }),
+    (ToySpec(seed=5, grounding_strength=0.0, n_regions=2), {
+        "caption": "99e4eb9af1dc1fe6c29b92e68204f3893b6618eb456629c67a23336432b76048",
+        "synset": "3cf1f318c4131c5718b3cba609f5c4f38a75545dd19dd63141b0a1e1848723f7",
+    }),
+]
+
+
+@pytest.mark.parametrize("spec, digests", INDEX_GOLDEN, ids=["seed0", "seed5-two-regions"])
+def test_index_bytes_pinned(tmp_path, spec, digests):
+    paths = generate_grounded_corpus(spec, tmp_path / "bundle")
+    table = load_word_vectors(paths.word_vectors)
+    offsets = ImageFeatureStore(paths.features).offsets
+    built = {"caption": build_caption_index(load_caption_corpus(paths.captions), table, offsets),
+             "synset": build_synset_index(load_synsets(paths.synsets), table, offsets)}
+    written = {}
+    for kind, index in built.items():
+        save_index(index, tmp_path / f"{kind}.vidx")
+        written[kind] = hashlib.sha256((tmp_path / f"{kind}.vidx").read_bytes()).hexdigest()
+    assert written == digests

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groundlm
-from groundlm.embeddings import (WordEmbeddingTable, encode_cbow,
+from groundlm.embeddings import (NORM_FLOOR, WordEmbeddingTable, encode_cbow,
                                  encode_synset_key, load_word_vectors,
                                  tokenize)
 from groundlm.toydata import ToySpec, generate_grounded_corpus
@@ -74,6 +74,51 @@ class TestLoader:
         path.write_text(f"a 1.0 2.0\nb 0.5 {bad}\nc 3.0 4.0\n")
         with pytest.raises(ValueError, match="line 2: non-finite"):
             load_word_vectors(path)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_float32_overflow_names_line(self, tmp_path):
+        """3.5e38 is a finite double but overflows float32: rejected with its line."""
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2\na 1.0 2.0\nb 3.5e38 1.0\n")
+        with pytest.raises(ValueError) as err:
+            load_word_vectors(path)
+        assert str(err.value) == f"{path}: line 3: non-finite vector component"
+
+    def test_bad_token_on_last_line_names_it(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("a 1.0 2.0\nb 3.0 4.0\n\nc 5.0 six\n")
+        with pytest.raises(ValueError) as err:
+            load_word_vectors(path)
+        assert str(err.value) == f"{path}: line 4: non-numeric vector component"
+
+    def test_header_count_with_trailing_blank_lines(self, tmp_path):
+        """Blank lines after the last vector are not vector lines: the header
+        count matches, and a count one higher does not."""
+        path = tmp_path / "v.txt"
+        path.write_text("2 2\na 1.0 2.0\nb 3.0 4.0\n\n  \n\t\n")
+        table = load_word_vectors(path)
+        assert sorted(table.entries) == ["a", "b"] and table.dim == 2
+        path.write_text("3 2\na 1.0 2.0\nb 3.0 4.0\n\n  \n\t\n")
+        with pytest.raises(ValueError) as err:
+            load_word_vectors(path)
+        assert str(err.value) == f"{path}: header declares 3 vectors, read 2 lines"
+
+    def test_numbers_only_python_float_reads_are_accepted(self, tmp_path):
+        """An underscore digit group or a non-ASCII digit is a number to
+        Python's float, as the line-by-line parse has always read it."""
+        path = tmp_path / "v.txt"
+        path.write_text("a 1_0 2.0\nb \u0663 -0.0\n", encoding="utf-8")
+        table = load_word_vectors(path)
+        assert table.entries["a"].tolist() == [10.0, 2.0]
+        assert table.entries["b"].tobytes() == np.float32([3.0, -0.0]).tobytes()
+
+    def test_table_stacks_rows_over_a_negative_zero_pad(self, tmp_path):
+        table = make_table(tmp_path, {"a": [1, 2], "B": [3, 4], "A": [9, 9]})
+        assert table.rows == {"a": 0, "b": 1}
+        assert table.vectors.tobytes() == np.float32([[1, 2], [3, 4], [-0.0, -0.0]]).tobytes()
+        assert all(np.shares_memory(table.entries[w], table.vectors) for w in table.rows)
+        with pytest.raises(TypeError):
+            table.entries["c"] = np.zeros(2, dtype=np.float32)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -152,6 +197,70 @@ class TestCbow:
         base = encode_cbow("dog cat", table)
         out = encode_cbow("dog cat", scaled)
         np.testing.assert_allclose(out, factor * base, rtol=1e-5)
+
+
+def mean_of(vectors, dim):
+    """The per-text mean the batched encoders replaced."""
+    if not vectors:
+        return np.zeros(dim, dtype=np.float32)
+    return np.mean(np.stack(vectors), axis=0).astype(np.float32)
+
+
+def cbow_one_by_one(text, table):
+    in_vocab = [t for t in tokenize(text) if t in table.entries]
+    content = [t for t in in_vocab if t not in table.stopwords]
+    return mean_of([table.entries[t] for t in content or in_vocab], table.dim)
+
+
+def synset_key_one_by_one(lemmas, definition, table):
+    halves = (mean_of([table.entries[l.lower()] for l in lemmas if l.lower() in table.entries],
+                      table.dim),
+              cbow_one_by_one(definition, table))
+    return mean_of([h for h in halves if np.linalg.norm(h) >= NORM_FLOOR], table.dim)
+
+
+WORDS = ["dog", "cat", "house", "red", "run", "the", "a", "zzz", "qqq"]
+COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 1e-20, -1e-20]),
+                      st.floats(-1e3, 1e3, allow_nan=False, width=32))
+
+
+@st.composite
+def tables_and_texts(draw):
+    """A table over the first six words (two of them stopwords; "zzz" and
+    "qqq" are out of vocabulary) with signed-zero and tiny components, and
+    texts that may be empty, stopword-only, out-of-vocabulary or repetitive."""
+    dim = draw(st.integers(2, 6))
+    entries = {w: np.float32(draw(st.lists(COMPONENT, min_size=dim, max_size=dim)))
+               for w in WORDS[:6]}
+    if draw(st.booleans()):
+        entries["house"] = np.float32([-0.0] * dim)
+    table = WordEmbeddingTable(dim, entries, ["the", "a"])
+    text = st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join)
+    texts = draw(st.lists(text, min_size=1, max_size=8))
+    lemmas = draw(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
+                           min_size=len(texts), max_size=len(texts)))
+    return table, texts, lemmas
+
+
+@given(tables_and_texts())
+@settings(max_examples=300, deadline=None)
+def test_batched_encoders_equal_the_per_text_mean_bitwise(case):
+    table, texts, lemmas = case
+    rows = encode_cbow(texts, table)
+    assert rows.dtype == np.float32 and rows.shape == (len(texts), table.dim)
+    for text, row in zip(texts, rows):
+        assert row.tobytes() == cbow_one_by_one(text, table).tobytes()
+        assert encode_cbow(text, table).tobytes() == row.tobytes()
+    keys = encode_synset_key(lemmas, texts, table)
+    for group, text, key in zip(lemmas, texts, keys):
+        assert key.tobytes() == synset_key_one_by_one(group, text, table).tobytes()
+        assert encode_synset_key(group, text, table).tobytes() == key.tobytes()
+
+
+def test_empty_batch_encodes_to_no_rows(tmp_path):
+    table = make_table(tmp_path, BASE)
+    assert encode_cbow([], table).shape == (0, 3)
+    assert encode_synset_key([], [], table).shape == (0, 3)
 
 
 class TestSynsetKey:

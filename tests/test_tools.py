@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,15 +12,26 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def test_ab_setups_of_a_checkout_against_itself():
     """``ab_steps.py --setups`` times both orders and finds the two sides'
-    bundles byte-identical. It runs in a subprocess because the script pins
+    bundles, word-vector tables and (on the object workload) synset index
+    files byte-identical. It runs in a subprocess because the script pins
     the thread variables of the process that imports it."""
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab_steps.py"), "--a", str(ROOT),
-         "--b", str(ROOT), "--setups", "2", "--seed", "1"],
-        capture_output=True, text=True, timeout=300, check=True).stdout
-    assert "A first: set-up ms" in out and "B first: set-up ms" in out
-    assert "geometric mean of both orders" in out
-    assert "bundle files byte-identical: True (8 files A, 8 files B)" in out
+    for workload in ("paired", "object"):
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "ab_steps.py"), "--a", str(ROOT),
+             "--b", str(ROOT), "--setups", "2", "--seed", "1", "--workload", workload],
+            capture_output=True, text=True, timeout=300, check=True).stdout
+        assert "A first: set-up ms" in out and "B first: set-up ms" in out
+        assert "geometric mean of both orders" in out
+        assert "bundle files byte-identical: True (8 files A, 8 files B)" in out
+        table = re.search(r"word-vector tables byte-identical: True \((\d+) bytes A, "
+                          r"(\d+) bytes B\)", out)
+        assert table and table[1] == table[2] and int(table[1]) > 0, out
+        index = re.search(r"synset index save_index bytes identical: True \((\d+) bytes A, "
+                          r"(\d+) bytes B\)", out)
+        if workload == "object":
+            assert index and index[1] == index[2] and int(index[1]) > 0, out
+        else:
+            assert not index and "none built (no synset index on this workload)" in out
 
 
 def test_ab_probes_of_a_checkout_against_itself():

@@ -363,7 +363,7 @@ class TestPretrain:
         word: it falls back to the placeholder, and training runs on."""
         corpora = small_world(tmp_path, rng)
         for word in WORDS[:2]:
-            corpora.table.entries[word] = np.zeros(6, dtype=np.float32)
+            corpora.table.entries[word][:] = 0.0   # a view of the word's table row
         corpora.text_only = [f"{WORDS[0]} zzz {WORDS[1]}"] * 16 + corpora.text_only
         assert unmasked_rankings(encode_stream([(None, corpora.text_only[0])], corpora.vocab, 6),
                                  "scene", corpora, 2) == [[]]

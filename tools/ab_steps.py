@@ -57,7 +57,9 @@ write the bundle, load it and build the workload's index), alternating
 single set-ups of A and B, N of each side with A first and then N with B
 first. It prints each side's median set-up ms and the B/A of medians for
 each order, their geometric mean, and whether the two sides wrote
-byte-identical bundle files.
+byte-identical bundle files, built byte-identical word-vector tables (each
+word and its float32 vector, in table order) and, on the object workload,
+synset indexes whose ``save_index`` files are byte-identical.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 import threading  # noqa: E402
 import time  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.dont_write_bytecode = True   # import perfbench/session.py without writing beside it
@@ -246,10 +250,24 @@ def bundle_files(bundle_dir: str) -> dict:
     return out
 
 
+def built_bytes(glm, world, path: str) -> dict:
+    """The bytes of what a set-up built from its bundle: the word-vector
+    table, and the synset index as ``save_index`` writes it to ``path``."""
+    table = world.corpora.table
+    built = {"table": b"".join(word.encode("utf-8") + b"\0" + np.asarray(vec, "<f4").tobytes()
+                               for word, vec in table.entries.items())}
+    if world.corpora.synset_index is not None:
+        glm.index.save_index(world.corpora.synset_index, path)
+        with open(path, "rb") as fh:
+            built["index"] = fh.read()
+    return built
+
+
 def compare_setups(checkouts, workload, seed: int, n: int, tmp: str) -> None:
     """Alternate ``n`` set-ups of each side in each order and print the times."""
     sides = [load_checkout(checkout, f"glm_{'ab'[i]}") for i, checkout in enumerate(checkouts)]
     bundles = [None, None]
+    built = [None, None]
     ratios = []
     print(f"workload {workload.name} ({workload.strategy}), bundle seed {seed}, "
           f"{n} set-ups per side and order")
@@ -262,6 +280,7 @@ def compare_setups(checkouts, workload, seed: int, n: int, tmp: str) -> None:
                 secs[i].append(elapsed)
                 if bundles[i] is None:
                     bundles[i] = bundle_files(bundle_dir)
+                    built[i] = built_bytes(sides[i], world, os.path.join(tmp, f"index_{'ab'[i]}"))
                 S.close(world)
         (qa, qb), wins = map(quartiles, secs), sum(b < a for a, b in zip(*secs))
         ratios.append(qb[1] / qa[1])
@@ -272,6 +291,15 @@ def compare_setups(checkouts, workload, seed: int, n: int, tmp: str) -> None:
           f"{math.sqrt(ratios[0] * ratios[1]):.3f}")
     print(f"bundle files byte-identical: {bundles[0] == bundles[1]} "
           f"({len(bundles[0])} files A, {len(bundles[1])} files B)")
+    tables = [b["table"] for b in built]
+    print(f"word-vector tables byte-identical: {tables[0] == tables[1]} "
+          f"({len(tables[0])} bytes A, {len(tables[1])} bytes B)")
+    if "index" in built[0]:
+        indexes = [b["index"] for b in built]
+        print(f"synset index save_index bytes identical: {indexes[0] == indexes[1]} "
+              f"({len(indexes[0])} bytes A, {len(indexes[1])} bytes B)")
+    else:
+        print("synset index save_index bytes: none built (no synset index on this workload)")
 
 
 def main(argv=None) -> int:
