@@ -142,13 +142,13 @@ def build_synset_index(synsets: Sequence[SynsetEntry], table: WordEmbeddingTable
 # -- strategies ---------------------------------------------------------------
 
 
-def associate_scene(texts, index: ImageKeyIndex, table: WordEmbeddingTable, k: int,
-                    threads: Optional[int] = None) -> Union[Association, List[Association]]:
+def associate_scene(texts, index: ImageKeyIndex, table: WordEmbeddingTable,
+                    k: int) -> Union[Association, List[Association]]:
     """Whole-text CBOW retrieval over caption keys for one text, or for a
     list encoded in one call; a query with no usable word retrieves nothing."""
     single = isinstance(texts, str)
     queries = encode_cbow([texts] if single else list(texts), table)
-    out = [Association([AssociationItem(*pair) for pair in top_k(index, query, k, threads=threads)]
+    out = [Association([AssociationItem(*pair) for pair in top_k(index, query, k)]
                        if live else []) for query, live in zip(queries, usable(queries).tolist())]
     return out[0] if single else out
 
@@ -158,8 +158,7 @@ def _gmm_seed(run_seed: int, text: str) -> np.ndarray:
     return np.array([int(run_seed) & 0xFFFFFFFF, zlib.crc32(text.encode("utf-8"))], np.uint32)
 
 
-def _noun_ranking(index: ImageKeyIndex, vector: np.ndarray, k: int,
-                  threads: Optional[int]) -> List[AssociationItem]:
+def _noun_ranking(index: ImageKeyIndex, vector: np.ndarray, k: int) -> List[AssociationItem]:
     """``top_k(index, vector, k)`` as items, computed once per index and noun vector.
 
     The result is kept in ``index.rankings`` under the vector's float32 bytes
@@ -169,8 +168,8 @@ def _noun_ranking(index: ImageKeyIndex, vector: np.ndarray, k: int,
     key = (np.asarray(vector, dtype=np.float32).tobytes(), k)
     ranked = index.rankings.get(key)
     if ranked is None:
-        ranked = index.rankings[key] = [AssociationItem(*pair) for pair in
-                                        top_k(index, vector, k, threads=threads)]
+        ranked = index.rankings[key] = [AssociationItem(*pair)
+                                        for pair in top_k(index, vector, k)]
     return ranked
 
 
@@ -205,8 +204,8 @@ MAX_STACK = 128   # texts per GMM stack: bounds the memory of one EM loop
 
 
 def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTable,
-                     lexicon: NounLexicon, k: int, kappa: int, seed: int = 0,
-                     threads: Optional[int] = None) -> Union[Association, List[Association]]:
+                     lexicon: NounLexicon, k: int, kappa: int,
+                     seed: int = 0) -> Union[Association, List[Association]]:
     """Noun clustering + representatives over synset keys.
 
     Distinct in-vocabulary nouns feed a diagonal GMM with kappa capped at
@@ -256,7 +255,7 @@ def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTab
         for noun in chosen:
             if len(items) >= k:   # a representative after the k-th image computes no ranking
                 break
-            items += _noun_ranking(synset_index, table.entries[noun], k, threads)[:per_component]
+            items += _noun_ranking(synset_index, table.entries[noun], k)[:per_component]
         del items[k:]
         out.append(Association(items))
     return out[0] if single else out

@@ -44,7 +44,6 @@ CONFIG_KEYS: Dict[str, tuple] = {
     **_dataclass_keys(ModelConfig, skip=("vocab_size", "n_labels", "freeze_text")),
     **_dataclass_keys(Strategy, skip=("name",)),
     "runs": (int, 8),
-    "threads": (int, None),
 }
 
 _CONFIG_HELP = "config keys: " + ", ".join(
@@ -193,7 +192,7 @@ def cmd_associate(args) -> int:
             record = {"query": query, "strategy": args.strategy, "items": []}
             try:
                 ranked = associate_query(args.strategy, [query], co, args.k, args.kappa,
-                                         args.seed, threads=args.threads)[0]
+                                         args.seed)[0]
                 if not ranked:
                     record["reason"] = "degenerate query: no usable tokens"
                 record["items"] = [{"id": image_id, "rank": rank, "similarity": sim}
@@ -214,8 +213,7 @@ def cmd_pretrain(args) -> int:
     model = CrossModalModel(cfg.build(ModelConfig, vocab_size=len(corpora.vocab)),
                             seed=cfg.seed)
     cache = AssociationCache()
-    model, metrics = pretrain(strategy, corpora, model, cfg.build(TrainConfig),
-                              cache=cache, threads=cfg.threads)
+    model, metrics = pretrain(strategy, corpora, model, cfg.build(TrainConfig), cache=cache)
     save_checkpoint(model, args.out_model)
     if args.metrics:
         write_metrics_csv(metrics, args.metrics)
@@ -243,8 +241,7 @@ def cmd_eval_ppl(args) -> int:
     cache = AssociationCache()
     ppl = evaluate_perplexity(model, examples, corpora.vocab, seed=config.seed,
                               mode=strategy.spec.mode, corpora=corpora, k=strategy.k,
-                              kappa=config.kappa, batch_size=config.batch_size, cache=cache,
-                              threads=cfg.threads)
+                              kappa=config.kappa, batch_size=config.batch_size, cache=cache)
     print(f"{strategy.name}\t{ppl!r}")
     return 0
 
@@ -264,8 +261,7 @@ def cmd_finetune(args) -> int:
     corpora = _load_corpora(args, strategy, need_text=False)
     cache = AssociationCache()
     report = finetune(model, task, strategy, cfg.build(TrainConfig), corpora=corpora,
-                      eval_examples=eval_examples, n_runs=cfg.runs, cache=cache,
-                      threads=cfg.threads)
+                      eval_examples=eval_examples, n_runs=cfg.runs, cache=cache)
     blob = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
     with open(args.out_report, "w", encoding="utf-8") as fh:
         fh.write(blob)
@@ -320,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", help="word-vector file (scene/object)")
     p.add_argument("--nouns", help="noun lexicon (object)")
     p.add_argument("--captions", help="caption TSV (keyword)")
-    _add_flags(p, {key: CONFIG_KEYS[key] for key in ("k", "kappa", "seed", "threads")},
-               defaults=True)
+    _add_flags(p, {key: CONFIG_KEYS[key] for key in ("k", "kappa", "seed")}, defaults=True)
     p.add_argument("--out", default="-", help="output path, - for stdout")
     p.set_defaults(func=cmd_associate)
 

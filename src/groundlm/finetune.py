@@ -166,7 +166,8 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
     Run r uses seed config.seed + r for head init and batch order. When
     ``eval_examples`` is omitted, a fixed fraction of the task is held out
     once (same split for every run). Each run trains a copy; the model
-    passed in is never modified.
+    passed in is never modified. ``threads`` is accepted and ignored:
+    retrieval is one single-threaded scan.
     """
     if n_runs < 1:
         raise ValueError(f"finetune needs n_runs >= 1, got {n_runs}")
@@ -205,7 +206,7 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
                                model.config.max_len, [ex.text_b for ex in examples])
         return stream, _associate_rows(mode, stream.ids, np.zeros_like(stream.ids, dtype=bool),
                                        stream.raw, vocab, corpora, strategy.k, config.kappa,
-                                       config.seed, cache, threads)
+                                       config.seed, cache)
 
     if task.metric == "accuracy":
         unseen = sorted({ex.label for ex in eval_ex} - set(classes))

@@ -1,18 +1,17 @@
 """Image-key archive: exact top-K cosine retrieval plus binary persistence.
 
-Keys are unit-normalized at build time, so cosine similarity is a single
-matrix-vector product over all keys. Retrieval is exact: each shard of that
-similarity vector is reduced to its K best by selection rather than a full
-sort. ``np.partition`` finds the K-th best similarity, every row at least
-that good is kept (so a tie group that straddles position K survives whole),
-and only those candidates are sorted, by similarity and then by each id's
-precomputed integer rank. Shard winners are merged the same way, so the
-ranked list is independent of the shard size and the thread count and equal
-to a brute-force sort by (similarity desc, id asc). Keys and queries are
-float32 arrays and must be finite; non-finite ones have no place in that
-order and are rejected. A vector of norm below ``embeddings.NORM_FLOOR`` ("no
-usable word", as the zero vector) has no direction: ``build_index`` skips it
-as a key and ``top_k`` rejects it as a query.
+Keys are unit-normalized at build time, so cosine similarity is one
+matrix-vector product over all keys. Retrieval is exact: that similarity
+vector is reduced to its K best by selection rather than a full sort.
+``np.partition`` finds the K-th best similarity, every row at least that
+good is kept (so a tie group that straddles position K survives whole), and
+only those candidates are sorted, by similarity and then by each id's
+precomputed integer rank, which equals a brute-force sort by (similarity
+desc, id asc). Keys and queries are float32 arrays and must be finite;
+non-finite ones have no place in that order and are rejected. A vector of
+norm below ``embeddings.NORM_FLOOR`` ("no usable word", as the zero vector)
+has no direction: ``build_index`` skips it as a key and ``top_k`` rejects it
+as a query.
 
 File formats (all little-endian):
   index  — magic ``VIDX``, u32 version=1, u32 dim, u64 count, then per item
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -63,9 +61,9 @@ class ImageKeyIndex:
     """Ids, stacked unit keys, payload refs and kinds; ``items`` as records, made on use."""
 
     def __init__(self, dim: int, ids: Sequence[str], keys: np.ndarray, refs: Sequence[int],
-                 kinds: Sequence[str], shard_size: int = 65536, skipped: int = 0):
+                 kinds: Sequence[str], skipped: int = 0):
         self.dim, self.ids, self.refs, self.kinds = dim, list(ids), list(refs), list(kinds)
-        self.shard_size, self.skipped = shard_size, skipped
+        self.skipped = skipped
         self._keys = np.ascontiguousarray(keys, dtype=np.float32).reshape(len(self.ids), dim)
         finite = np.isfinite(self._keys).all(axis=1)
         if not finite.all():
@@ -84,8 +82,7 @@ class ImageKeyIndex:
         return len(self.ids)
 
 
-def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]],
-                shard_size: int = 65536) -> ImageKeyIndex:
+def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]]) -> ImageKeyIndex:
     """Normalize and stack (id, raw key, payload_ref, source_kind) entries.
 
     Keys without a direction are skipped (counted on ``index.skipped``); duplicate
@@ -93,7 +90,7 @@ def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]],
     """
     entries = list(entries)
     if not entries:
-        return ImageKeyIndex(0, [], np.zeros((0, 0)), [], [], shard_size=shard_size)
+        return ImageKeyIndex(0, [], np.zeros((0, 0)), [], [])
     ids, raws, refs, kinds = zip(*entries)
     # each key object is converted and normalized once: a synset's images share one
     slot: Dict[int, int] = {}
@@ -121,7 +118,7 @@ def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]],
         unit = (keys / norms(keys)[:, None])[which[live]]
     keep = live.tolist()
     return ImageKeyIndex(int(dims[0]), compress(ids, keep), unit, map(int, compress(refs, keep)),
-                         compress(kinds, keep), shard_size=shard_size, skipped=skipped)
+                         compress(kinds, keep), skipped=skipped)
 
 
 def _rank(id_rank: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
@@ -142,15 +139,12 @@ def _rank(id_rank: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
     return cand[order[:k]]
 
 
-def top_k(index: ImageKeyIndex, query: np.ndarray, k: int,
-          threads: Optional[int] = None) -> List[Tuple[str, float]]:
+def top_k(index: ImageKeyIndex, query: np.ndarray, k: int) -> List[Tuple[str, float]]:
     """Exact K-nearest by cosine, descending, ties broken by ascending id.
 
-    All keys are scored with one matrix-vector product, so a similarity does
-    not depend on how rows are sharded; each shard's slice of the scores is
-    reduced to its K best by ``_rank`` and the shard winners are ranked
-    again the same way. Non-finite and zero-norm queries are rejected: the
-    zero vector means "no usable word", and callers check for it first.
+    All keys are scored with one matrix-vector product and the scores are
+    ranked by one ``_rank``. Non-finite and zero-norm queries are rejected:
+    the zero vector means "no usable word", and callers check for it first.
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
@@ -163,30 +157,10 @@ def top_k(index: ImageKeyIndex, query: np.ndarray, k: int,
     if norm < NORM_FLOOR:
         raise ValueError("top_k: zero-norm query")
     q = (q / np.float32(norm)).astype(np.float32)
-    n = len(index)
-    if n == 0:
+    if len(index) == 0:
         return []
-
-    threads = max(1, threads or 1)
-    shards = [(s, min(s + index.shard_size, n)) for s in range(0, n, index.shard_size)]
-
     sims = index._keys @ q
-
-    def scan(bounds):
-        lo, hi = bounds
-        return _rank(index._id_rank[lo:hi], sims[lo:hi], k) + lo
-
-    if len(shards) == 1:
-        best_idx = scan(shards[0])
-    else:
-        if threads == 1:
-            parts = [scan(b) for b in shards]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(scan, shards))
-        cand_idx = np.concatenate(parts)
-        best_idx = cand_idx[_rank(index._id_rank[cand_idx], sims[cand_idx], k)]
-    return [(index.ids[i], float(sims[i])) for i in best_idx.tolist()]
+    return [(index.ids[i], float(sims[i])) for i in _rank(index._id_rank, sims, k).tolist()]
 
 
 # -- binary files ------------------------------------------------------------

@@ -245,8 +245,8 @@ def _query_text(corrupted_row: Sequence[int], flag_row: Sequence[bool],
 
 
 def associate_query(mode: str, queries: Sequence[str], corpora: Corpora, k: int, kappa: int,
-                    seed: int, cache: Optional[AssociationCache] = None,
-                    threads: Optional[int] = None) -> List[List[Tuple[str, float]]]:
+                    seed: int,
+                    cache: Optional[AssociationCache] = None) -> List[List[Tuple[str, float]]]:
     """For each query, the ranked (image id, similarity) pairs that the
     scene, object or keyword strategy associates with it; empty when no
     usable word is left.
@@ -268,10 +268,10 @@ def associate_query(mode: str, queries: Sequence[str], corpora: Corpora, k: int,
     missing = [key for key, ranked in found.items() if ranked is None]
     texts = [key[1] for key in missing]
     if mode == "scene":
-        assocs = associate_scene(texts, corpora.caption_index, corpora.table, k, threads=threads)
+        assocs = associate_scene(texts, corpora.caption_index, corpora.table, k)
     elif mode == "object":
         assocs = associate_object(texts, corpora.synset_index, corpora.table, corpora.lexicon,
-                                  k, min(kappa, k), seed=seed, threads=threads)
+                                  k, min(kappa, k), seed=seed)
     else:
         assocs = [associate_keyword_baseline(text, corpora.caption_corpus, k, table=corpora.table)
                   for text in texts]
@@ -285,8 +285,7 @@ def associate_query(mode: str, queries: Sequence[str], corpora: Corpora, k: int,
 def _associate_rows(mode: str, tokens: np.ndarray, flags: np.ndarray,
                     raw_rows: Sequence[Sequence[str]], vocab: Vocab,
                     corpora: Optional[Corpora], k: int, kappa: int, seed: int,
-                    cache: Optional[AssociationCache],
-                    threads: Optional[int]) -> List[Optional[List[Tuple[str, float]]]]:
+                    cache: Optional[AssociationCache]) -> List[Optional[List[Tuple[str, float]]]]:
     """One ranking per row of the masked ``tokens``, from one ``associate_query``
     call; None per row in the placeholder and paired modes, which retrieve nothing."""
     if mode not in VISUAL_MODES:
@@ -294,7 +293,7 @@ def _associate_rows(mode: str, tokens: np.ndarray, flags: np.ndarray,
     if mode in ("placeholder", "paired"):
         return [None] * len(tokens)
     queries = [_query_text(*row, vocab) for row in zip(tokens.tolist(), flags.tolist(), raw_rows)]
-    return associate_query(mode, queries, corpora, k, kappa, seed, cache, threads)
+    return associate_query(mode, queries, corpora, k, kappa, seed, cache)
 
 
 def _fill_visual_slots(batch: MaskedBatch, mode: str, examples: Sequence[ExampleTuple],
@@ -394,8 +393,8 @@ def _prepare(examples: Sequence[ExampleTuple], vocab: Vocab, cfg: ModelConfig,
 
 def _evaluate(model: CrossModalModel, stream: Stream, vocab: Vocab, heads: Tuple[str, ...],
               *, masks: Masks, seed: int, mode: str, corpora: Optional[Corpora], k: int,
-              kappa: int, batch_size: int, cache: Optional[AssociationCache],
-              threads: Optional[int]) -> Tuple[float, int, float, int]:
+              kappa: int, batch_size: int,
+              cache: Optional[AssociationCache]) -> Tuple[float, int, float, int]:
     """(masked-token cross-entropy sum, count, region error sum, count) over
     ``stream`` under the ``masks`` that ``_prepare`` drew for ``heads`` and
     ``seed``, in float64; zeros for a head not in ``heads``. The "lm" head
@@ -404,7 +403,7 @@ def _evaluate(model: CrossModalModel, stream: Stream, vocab: Vocab, heads: Tuple
     cfg = model.config
     lm, region = "lm" in heads, "region" in heads
     rankings = _associate_rows(mode, masks.tokens, masks.token_flags, stream.raw, vocab,
-                               corpora, k, kappa, seed, cache, threads)
+                               corpora, k, kappa, seed, cache)
     n = len(stream.ids)
     totals = np.zeros(4)
     with T.no_grad():
@@ -436,14 +435,15 @@ def evaluate_perplexity(model: CrossModalModel, examples, vocab: Vocab, *,
                         threads: Optional[int] = None) -> float:
     """Masked-LM perplexity over a fixed, seed-determined masking of ``examples``:
     exp(masked-token cross-entropy sum / count), in float64 over the whole
-    stream. Neither the masking nor the value depends on ``batch_size``."""
+    stream. Neither the masking nor the value depends on ``batch_size``.
+    ``threads`` is accepted and ignored: retrieval is one single-threaded scan."""
     examples = [(None, ex) if isinstance(ex, str) else ex for ex in examples]
     if not examples:
         raise ValueError("evaluate_perplexity: empty evaluation stream")
     stream, masks = _prepare(examples, vocab, model.config, ("lm",), seed, corpora)
     total, count, _, _ = _evaluate(model, stream, vocab, ("lm",), masks=masks, seed=seed,
                                    mode=mode, corpora=corpora, k=k, kappa=kappa,
-                                   batch_size=batch_size, cache=cache, threads=threads)
+                                   batch_size=batch_size, cache=cache)
     return float(np.exp(total / count))
 
 
@@ -487,7 +487,8 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     ``eval_every`` steps, plus `val/region_loss` for the strategies with a
     region loss (it drives the region-only strategy's early stopping). The
     validation stream is evaluated in one pass; `val/ppl` equals
-    ``evaluate_perplexity`` over it.
+    ``evaluate_perplexity`` over it. ``threads`` is accepted and ignored:
+    retrieval is one single-threaded scan.
     """
     validate_strategy_corpora(strategy, corpora, config.mix_ratio)
     validate_lookup(strategy, corpora, model.config.k_max)
@@ -524,7 +525,7 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
         lm_sum, lm_count, region_sum, region_count = _evaluate(
             model, val, vocab, heads, masks=val_masks, seed=config.seed, mode=mode,
             corpora=corpora, k=strategy.k, kappa=config.kappa, batch_size=config.batch_size,
-            cache=cache, threads=threads)
+            cache=cache)
         if "lm" in heads:
             ppl = float(np.exp(lm_sum / lm_count))
             metrics.append((step, "val", "ppl", ppl))
@@ -557,7 +558,7 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
                     rankings = dict(zip(rows.tolist(), _associate_rows(
                         mode, masks.tokens[rows], masks.token_flags[rows],
                         [train.raw[i] for i in rows], vocab, corpora, strategy.k,
-                        config.kappa, config.seed, cache, threads)))
+                        config.kappa, config.seed, cache)))
                 yield from ((p, masks, rankings) for p in picks[lo:hi])
             done += len(picks)
 

@@ -223,9 +223,9 @@ class TestObject:
         nominated = []
         ranking = associate_mod._noun_ranking
 
-        def recorded(index, vector, k, threads):
+        def recorded(index, vector, k):
             nominated.append(next(w for w, v in table.entries.items() if v is vector))
-            return ranking(index, vector, k, threads)
+            return ranking(index, vector, k)
         monkeypatch.setattr(associate_mod, "_noun_ranking", recorded)
         assoc = associate_object(text, index, table, NounLexicon(frozenset(nouns)), k, kappa,
                                  seed=seed)
@@ -325,7 +325,7 @@ class TestNounRankings:
         table, index = self.make_world(rng)
         for noun in self.NOUNS:
             vec = table.entries[noun]
-            ranked = associate_mod._noun_ranking(index, vec, self.K, None)
+            ranked = associate_mod._noun_ranking(index, vec, self.K)
             for kappa in range(1, 9):
                 m = -(-self.K // kappa)
                 assert ranked[:m] == top_k(index, vec, m), (noun, kappa)
@@ -334,14 +334,14 @@ class TestNounRankings:
     def test_other_vector_or_k_never_gets_a_stale_entry(self, rng):
         table, index = self.make_world(rng)
         vec = table.entries["n0"]
-        associate_mod._noun_ranking(index, vec, self.K, None)
+        associate_mod._noun_ranking(index, vec, self.K)
         nudged = vec.copy()
         nudged[0] = np.nextafter(nudged[0], np.float32(np.inf))
-        assert associate_mod._noun_ranking(index, nudged, self.K, None) == \
+        assert associate_mod._noun_ranking(index, nudged, self.K) == \
             top_k(index, nudged, self.K)
-        assert associate_mod._noun_ranking(index, vec, 5, None) == top_k(index, vec, 5)
+        assert associate_mod._noun_ranking(index, vec, 5) == top_k(index, vec, 5)
         other = table.entries["n1"]
-        assert associate_mod._noun_ranking(index, other, self.K, None) == \
+        assert associate_mod._noun_ranking(index, other, self.K) == \
             top_k(index, other, self.K)
         assert len(index.rankings) == 4
 

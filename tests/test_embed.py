@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groundlm
@@ -216,7 +216,9 @@ def synset_key_one_by_one(lemmas, definition, table):
     halves = (mean_of([table.entries[l.lower()] for l in lemmas if l.lower() in table.entries],
                       table.dim),
               cbow_one_by_one(definition, table))
-    return mean_of([h for h in halves if np.linalg.norm(h) >= NORM_FLOOR], table.dim)
+    # compared in float64, as ``usable`` does: NumPy would compare a float32
+    # norm with float32(NORM_FLOOR), which is just below 1e-12
+    return mean_of([h for h in halves if float(np.linalg.norm(h)) >= NORM_FLOOR], table.dim)
 
 
 WORDS = ["dog", "cat", "house", "red", "run", "the", "a", "zzz", "qqq"]
@@ -243,6 +245,8 @@ def tables_and_texts(draw):
 
 
 @given(tables_and_texts())
+@example((WordEmbeddingTable(2, {"the": np.float32([0.0, 1e-12])}, ["the", "a"]),
+          [""], [["the"]]))   # a lemma half of norm float32(1e-12): below the floor
 @settings(max_examples=300, deadline=None)
 def test_batched_encoders_equal_the_per_text_mean_bitwise(case):
     table, texts, lemmas = case

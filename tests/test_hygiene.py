@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package, its tests or its tools
 imports a name it never uses, no private module-level function or class
-goes unused, the package reads no environment variable, numpy is its only
+goes unused, no package function has a parameter it never reads, the
+package reads no environment variable, numpy is its only
 third-party runtime import (scipy is a test-only oracle), and no two
 derived generators of the training code share a key.
 
@@ -88,6 +89,52 @@ def test_private_scan_flags_unused_and_keeps_used():
                        "class _Row:\n    pass\n",
                "b.py": "from .a import _Row\n\ndef f():\n    return a._kept()\n"}
     assert unused_private_definitions(sources) == [("a.py", "_dead")]
+
+
+def unread_parameters(source: str):
+    """(line, function, parameter) of each parameter of a function or lambda
+    that its body never names; ``self``, ``cls`` and ``_``-prefixed names are
+    exempt. A nested function or lambda that reads the name counts as the body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [arg for arg in (*args.posonlyargs, *args.args, args.vararg,
+                                 *args.kwonlyargs, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), arg.arg) for arg in params
+                  if arg.arg not in named and arg.arg not in ("self", "cls")
+                  and not arg.arg.startswith("_")]
+    return found
+
+
+# Kept only because the frozen benchmark session (perfbench/session.py) passes
+# ``threads=1`` to these three; tests/test_bench_contract.py asserts the keyword.
+IGNORED_PARAMETERS = {("finetune.py", "finetune", "threads"),
+                      ("train.py", "evaluate_perplexity", "threads"),
+                      ("train.py", "pretrain", "threads")}
+
+
+def test_no_unread_parameters():
+    found = {(path.name, function, param): line
+             for path in sorted((ROOT / "src" / "groundlm").glob("*.py"))
+             for line, function, param in unread_parameters(path.read_text(encoding="utf-8"))}
+    unread = sorted(set(found) - IGNORED_PARAMETERS)
+    assert not unread, "parameters their function never reads: " + ", ".join(
+        f"{module}:{found[module, function, param]} {function}({param})"
+        for module, function, param in unread)
+    assert set(found) == IGNORED_PARAMETERS, "stale allowlist entries: " + \
+        ", ".join(map(str, sorted(IGNORED_PARAMETERS - set(found))))
+
+
+def test_parameter_scan_flags_unread_and_keeps_read():
+    source = ("def f(self, a, b, _c, *args, d=1, **kw):\n    return a + kw['x']\n"
+              "def g(x):\n    def inner():\n        return x\n    return inner\n"
+              "h = lambda y, z: y\n")
+    assert unread_parameters(source) == [(1, "f", "b"), (1, "f", "args"), (1, "f", "d"),
+                                         (7, "<lambda>", "z")]
 
 
 def test_no_environment_reads():

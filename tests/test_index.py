@@ -90,18 +90,6 @@ class TestTopK:
         out = top_k(index, qv([1.0, 0.0]), 2)
         assert [i for i, _s in out] == ["img0000", "img0001"]
 
-    def test_sharded_equals_single_thread(self, rng):
-        keys = rng.normal(size=(500, 8))
-        index = build_index(entries_from(keys), shard_size=64)
-        query = qv(rng.normal(size=8))
-        assert top_k(index, query, 20, threads=1) == top_k(index, query, 20, threads=4)
-
-    def test_default_thread_count_equals_one_thread(self, rng):
-        keys = rng.normal(size=(100, 4))
-        index = build_index(entries_from(keys), shard_size=16)
-        query = qv(rng.normal(size=4))
-        assert top_k(index, query, 5) == top_k(index, query, 5, threads=1)
-
     def test_degenerate_query_rejected(self, rng):
         index = build_index(entries_from(rng.normal(size=(3, 4))))
         with pytest.raises(ValueError, match="zero-norm query"):
@@ -123,7 +111,7 @@ class TestTopK:
 
 # Distinct directions whose unit vectors and pairwise dot products are exact
 # in float32 (components 0, +-1/2 or +-1), so the oracle's similarities are
-# the same floats however the scan splits rows into shards and BLAS blocks.
+# the same floats however BLAS blocks the scan's matrix-vector product.
 DYADIC_DIRS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1), (1, 1, 1, 1),
                (1, -1, 1, -1), (-1, -1, 1, 1), (1, 1, -1, 1), (-1, 0, 0, 0)]
 ID_TEXT = st.text(alphabet="ab0", min_size=1, max_size=4)
@@ -156,14 +144,11 @@ def tie_heavy_case(draw, dirs):
 
 class TestTieHeavyOracle:
     @settings(max_examples=150, deadline=None)
-    @given(case=tie_heavy_case(DYADIC_DIRS), shard_size=st.sampled_from([1, 3, 64]),
-           threads=st.sampled_from([1, 3]))
-    def test_sharded_top_k_equals_oracle(self, case, shard_size, threads):
+    @given(case=tie_heavy_case(DYADIC_DIRS))
+    def test_sharded_top_k_equals_oracle(self, case):
         ids, raw, query, k = case
-        index = build_index([(i, v, 0, "caption") for i, v in zip(ids, raw)],
-                            shard_size=shard_size)
-        assert top_k(index, qv(query), k, threads=threads) == \
-            oracle_top_k(ids, raw, query, k)
+        index = build_index([(i, v, 0, "caption") for i, v in zip(ids, raw)])
+        assert top_k(index, qv(query), k) == oracle_top_k(ids, raw, query, k)
 
     @settings(max_examples=100, deadline=None)
     @given(case=tie_heavy_case([tuple(r) for r in
@@ -178,7 +163,8 @@ class TestTieHeavyOracle:
 def gaussian_case(draw):
     """Gaussian keys with some rows repeated (exact ties) and ids whose
     order differs from row order; similarities are not dyadic, so a scan
-    that scored shards separately could round them differently."""
+    that did not score every key in the one product could round them
+    differently from the oracle."""
     n = draw(st.integers(1, 60))
     d = draw(st.integers(2, 32))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -194,14 +180,11 @@ def gaussian_case(draw):
 
 class TestShardIndependence:
     @settings(max_examples=150, deadline=None)
-    @given(case=gaussian_case(), shard_size=st.sampled_from([1, 3, 64]),
-           threads=st.sampled_from([1, 3]))
-    def test_gaussian_keys_equal_oracle_at_any_shard_size(self, case, shard_size, threads):
+    @given(case=gaussian_case())
+    def test_gaussian_keys_equal_oracle_at_any_shard_size(self, case):
         ids, raw, query, k = case
-        index = build_index([(i, v, 0, "caption") for i, v in zip(ids, raw)],
-                            shard_size=shard_size)
-        assert top_k(index, qv(query), k, threads=threads) == \
-            oracle_top_k(ids, raw, query, k)
+        index = build_index([(i, v, 0, "caption") for i, v in zip(ids, raw)])
+        assert top_k(index, qv(query), k) == oracle_top_k(ids, raw, query, k)
 
 
 class TestPersistence:

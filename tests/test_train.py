@@ -382,8 +382,7 @@ def unmasked_rankings(stream, mode, corpora, k, kappa=8, seed=0, cache=None):
     """The rankings of every row of the unmasked ``stream``, from one
     ``_associate_rows`` call, as a training chunk or held-out pass gets them."""
     return train_mod._associate_rows(mode, stream.ids, np.zeros(stream.ids.shape, dtype=bool),
-                                     stream.raw, corpora.vocab, corpora, k, kappa, seed,
-                                     cache, None)
+                                     stream.raw, corpora.vocab, corpora, k, kappa, seed, cache)
 
 
 class TestAssociativeFallback:
@@ -751,7 +750,7 @@ class TestChunkedAssociation:
                     tokens, flags, _regions = masks.rows(rows)
                     rankings = dict(zip(rows.tolist(), associate(
                         mode, tokens, flags, [stream.raw[i] for i in rows], corpora.vocab,
-                        corpora, self.K, config.kappa, config.seed, cache, None)))
+                        corpora, self.K, config.kappa, config.seed, cache)))
             return build(stream, rows, model, mode, masks=masks, rankings=rankings, **kwargs)
         monkeypatch.setattr(train_mod, "associate_query", counted)
         monkeypatch.setattr(train_mod, "_associate_rows", chunk_associated)
@@ -824,7 +823,7 @@ class TestBuildBatchEquivalence:
                 stream, range(len(examples)), model, mode,
                 masks=Masks(corrupted, flags, region_flags), corpora=corpora, k=k,
                 rankings=None if mode in ("placeholder", "paired") else train_mod._associate_rows(
-                    mode, corrupted, flags, stream.raw, vocab, corpora, k, 8, 3, None, None))]
+                    mode, corrupted, flags, stream.raw, vocab, corpora, k, 8, 3, None))]
         batches, reads = [], []
         for build in builds:
             before = corpora.store.reads
@@ -948,8 +947,7 @@ class TestBatchSizeInvariance:
         for size in (1, 7, 32, 200, drawn):
             lm_sum, lm_count, total, count = train_mod._evaluate(
                 model, stream, corpora.vocab, ("region",), masks=masks, seed=seed,
-                mode="paired", corpora=corpora, k=1, kappa=8, batch_size=size, cache=None,
-                threads=None)
+                mode="paired", corpora=corpora, k=1, kappa=8, batch_size=size, cache=None)
             assert (lm_sum, lm_count) == (0.0, 0)
             means.append(total / count if count else 0.0)
         assert max(means) - min(means) <= 1e-6 * max(means), means

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GLM_THREADS"):
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
@@ -135,8 +135,7 @@ class Side:
 
     def pretrain(self):
         self.glm.train.pretrain(self.strategy, self.world.corpora, self.model,
-                                self.train_cfg, cache=self.glm.associate.AssociationCache(),
-                                threads=1)
+                                self.train_cfg, cache=self.glm.associate.AssociationCache())
 
     def eval_pass(self, workload) -> tuple:
         held_out = self.world.paired[S.HELD_OUT] if workload.mode == "paired" \
@@ -145,7 +144,7 @@ class Side:
         ppl = self.glm.train.evaluate_perplexity(
             self.model, held_out, self.world.corpora.vocab, seed=S.EVAL_SEED,
             mode=workload.mode, corpora=self.world.corpora, k=workload.k, kappa=S.KAPPA,
-            batch_size=S.BATCH_SIZE, cache=self.glm.associate.AssociationCache(), threads=1)
+            batch_size=S.BATCH_SIZE, cache=self.glm.associate.AssociationCache())
         return time.perf_counter() - t0, ppl
 
     def probe(self) -> float:
@@ -156,7 +155,7 @@ class Side:
         t0 = time.perf_counter()
         glm.finetune.finetune(self.model, S.probe_task(glm, self.world), self.strategy, cfg,
                               corpora=self.world.corpora, n_runs=S.PROBE_RUNS,
-                              cache=glm.associate.AssociationCache(), threads=1)
+                              cache=glm.associate.AssociationCache())
         return time.perf_counter() - t0
 
 
