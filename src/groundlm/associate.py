@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,28 +44,16 @@ class Association:
     items: List[AssociationItem] = field(default_factory=list)
 
 
-@dataclass
-class NounLexicon:
-    nouns: frozenset
-
-    def __post_init__(self):
-        if not self.nouns:
-            raise ValueError("noun lexicon is empty")
-        self.nouns = frozenset(n.lower() for n in self.nouns)
-
-    def __contains__(self, token: str) -> bool:
-        return token.lower() in self.nouns
-
-
-def load_noun_lexicon(path) -> NounLexicon:
-    """One noun per line; `#` comments and blank lines skipped."""
+def load_noun_lexicon(path) -> FrozenSet[str]:
+    """The lowercased nouns of a one-noun-per-line file; `#` comments and blank
+    lines skipped."""
     nouns = read_words(path)
     if not nouns:
         raise ValueError(f"{path}: noun lexicon is empty")
-    return NounLexicon(nouns)
+    return nouns
 
 
-def extract_nouns(text: str, lexicon: NounLexicon) -> List[str]:
+def extract_nouns(text: str, lexicon: FrozenSet[str]) -> List[str]:
     """In-order lexicon hits, duplicates preserved."""
     return [t for t in tokenize(text) if t in lexicon]
 
@@ -120,23 +108,19 @@ def load_synsets(path) -> List[SynsetEntry]:
 # -- index builders -----------------------------------------------------------
 
 
-def build_caption_index(corpus: Mapping[str, str], table: WordEmbeddingTable,
-                        offsets: Optional[Mapping[str, int]] = None) -> ImageKeyIndex:
+def build_caption_index(corpus: Mapping[str, str], table: WordEmbeddingTable) -> ImageKeyIndex:
     """Key every image by the CBOW vector of its caption."""
-    offsets = offsets or {}
-    keys = encode_cbow(list(corpus.values()), table)
-    return build_index((image_id, key, offsets.get(image_id, 0), "caption")
-                       for image_id, key in zip(corpus, keys))
+    return build_index(zip(corpus, encode_cbow(list(corpus.values()), table)))
 
 
 def build_synset_index(synsets: Sequence[SynsetEntry], table: WordEmbeddingTable,
-                       offsets: Optional[Mapping[str, int]] = None) -> ImageKeyIndex:
-    """Key every image by its synset's lemma+definition vector."""
-    offsets = offsets or {}
+                       offsets=None) -> ImageKeyIndex:
+    """Key every image by its synset's lemma+definition vector. ``offsets`` is
+    ignored: the benchmark session passes the feature store's record offsets."""
     keys = encode_synset_key([syn.lemmas for syn in synsets],
                              [syn.definition for syn in synsets], table)
-    return build_index((image_id, key, offsets.get(image_id, 0), "synset")
-                       for syn, key in zip(synsets, keys) for image_id in syn.image_ids)
+    return build_index((image_id, key) for syn, key in zip(synsets, keys)
+                       for image_id in syn.image_ids)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -204,7 +188,7 @@ MAX_STACK = 128   # texts per GMM stack: bounds the memory of one EM loop
 
 
 def associate_object(texts, synset_index: ImageKeyIndex, table: WordEmbeddingTable,
-                     lexicon: NounLexicon, k: int, kappa: int,
+                     lexicon: FrozenSet[str], k: int, kappa: int,
                      seed: int = 0) -> Union[Association, List[Association]]:
     """Noun clustering + representatives over synset keys.
 

@@ -125,13 +125,10 @@ def _load_corpora(args, strategy: Strategy, need_text: bool) -> Corpora:
         co.lexicon = load_noun_lexicon(_require(args.nouns, "--nouns file"))
     needs = strategy.spec.needs
     if "caption_index" in needs and co.caption_corpus is not None and co.table is not None:
-        offsets = co.store.offsets if co.store is not None else None
-        co.caption_index = build_caption_index(co.caption_corpus, co.table, offsets)
+        co.caption_index = build_caption_index(co.caption_corpus, co.table)
     if "synset_index" in needs and getattr(args, "synsets", None):
         synsets = load_synsets(_require(args.synsets, "--synsets file"))
-        offsets = co.store.offsets if co.store is not None else None
-        co.synset_index = build_synset_index(synsets, co.table, offsets) \
-            if co.table is not None else None
+        co.synset_index = build_synset_index(synsets, co.table) if co.table is not None else None
     if need_text and not co.text_only and not co.paired:
         raise UsageError("no training text: pass --corpus and/or --captions")
     return co
@@ -150,19 +147,16 @@ def cmd_make_toy_data(args) -> int:
 
 def cmd_build_index(args) -> int:
     table = load_word_vectors(_require(args.vectors, "--vectors file"))
-    offsets = None
-    if args.features:
-        offsets = ImageFeatureStore(_require(args.features, "--features file")).offsets
     if args.kind == "caption":
         corpus = load_caption_corpus(_require(args.input, "--input file"))
         if not corpus:
             raise ValueError("no entries in caption file")
-        index = build_caption_index(corpus, table, offsets)
+        index = build_caption_index(corpus, table)
     else:
         synsets = load_synsets(_require(args.input, "--input file"))
         if not synsets:
             raise ValueError("no entries in synset file")
-        index = build_synset_index(synsets, table, offsets)
+        index = build_synset_index(synsets, table)
     save_index(index, args.out)
     print(f"indexed {len(index.items)} keys ({index.skipped} degenerate skipped) -> {args.out}")
     return 0
@@ -305,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("caption", "synset"), required=True)
     p.add_argument("--input", required=True, help="caption or synset TSV")
     p.add_argument("--vectors", required=True, help="word-vector file")
-    p.add_argument("--features", help="feature store; payload refs become record offsets")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_index)
 

@@ -14,9 +14,8 @@ has no direction: ``build_index`` skips it as a key and ``top_k`` rejects it
 as a query.
 
 File formats (all little-endian):
-  index  — magic ``VIDX``, u32 version=1, u32 dim, u64 count, then per item
-           u32-length-prefixed UTF-8 id, u8 source kind, u64 payload ref,
-           dim float32 key components.
+  index  — magic ``VIDX``, u32 version=2, u32 dim, u64 count, then per item
+           u32-length-prefixed UTF-8 id followed by dim float32 key components.
   store  — magic ``VFTR``, u32 version=1, u32 n_regions, u32 feat_dim,
            u64 count, then per image u32-length-prefixed UTF-8 id followed
            by n_regions*feat_dim float32s. The file is the whole store: ids
@@ -42,10 +41,9 @@ from .embeddings import NORM_FLOOR, norms, usable
 
 INDEX_MAGIC = b"VIDX"
 STORE_MAGIC = b"VFTR"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 STORE_VERSION = 1
 
-_SOURCE_KINDS = ("caption", "synset")
 _U32 = struct.Struct("<I")
 
 
@@ -53,17 +51,13 @@ _U32 = struct.Struct("<I")
 class KeyedImage:
     id: str
     key: np.ndarray          # unit vector, float32
-    payload_ref: int
-    source_kind: str = "caption"
 
 
 class ImageKeyIndex:
-    """Ids, stacked unit keys, payload refs and kinds; ``items`` as records, made on use."""
+    """Ids and stacked unit keys; ``items`` as records, made on use."""
 
-    def __init__(self, dim: int, ids: Sequence[str], keys: np.ndarray, refs: Sequence[int],
-                 kinds: Sequence[str], skipped: int = 0):
-        self.dim, self.ids, self.refs, self.kinds = dim, list(ids), list(refs), list(kinds)
-        self.skipped = skipped
+    def __init__(self, dim: int, ids: Sequence[str], keys: np.ndarray, skipped: int = 0):
+        self.dim, self.ids, self.skipped = dim, list(ids), skipped
         self._keys = np.ascontiguousarray(keys, dtype=np.float32).reshape(len(self.ids), dim)
         finite = np.isfinite(self._keys).all(axis=1)
         if not finite.all():
@@ -76,34 +70,31 @@ class ImageKeyIndex:
 
     @cached_property
     def items(self) -> List[KeyedImage]:
-        return list(map(KeyedImage, self.ids, self._keys, self.refs, self.kinds))
+        return list(map(KeyedImage, self.ids, self._keys))
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
-def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]]) -> ImageKeyIndex:
-    """Normalize and stack (id, raw key, payload_ref, source_kind) entries.
+def build_index(entries: Iterable[Tuple[str, np.ndarray]]) -> ImageKeyIndex:
+    """Normalize and stack (id, raw key) entries.
 
     Keys without a direction are skipped (counted on ``index.skipped``); duplicate
     ids and mismatched dimensions raise, naming the first entry that fails.
     """
     entries = list(entries)
     if not entries:
-        return ImageKeyIndex(0, [], np.zeros((0, 0)), [], [])
-    ids, raws, refs, kinds = zip(*entries)
+        return ImageKeyIndex(0, [], np.zeros((0, 0)))
+    ids, raws = zip(*entries)
     # each key object is converted and normalized once: a synset's images share one
     slot: Dict[int, int] = {}
     which = np.array([slot.setdefault(id(raw), len(slot)) for raw in raws])
     keys = [np.asarray(raws[i], dtype=np.float32).reshape(-1)
             for i in np.unique(which, return_index=True)[1]]
     dims = np.array([key.shape[0] for key in keys])[which]
-    if not (set(kinds) <= set(_SOURCE_KINDS) and len(set(ids)) == len(ids)
-            and (dims == dims[0]).all()):
+    if not (len(set(ids)) == len(ids) and (dims == dims[0]).all()):
         seen = set()
-        for entry_id, kind, dim in zip(ids, kinds, dims):
-            if kind not in _SOURCE_KINDS:
-                raise ValueError(f"unknown source_kind {kind!r} for id {entry_id!r}")
+        for entry_id, dim in zip(ids, dims):
             if dim != dims[0]:
                 raise ValueError(f"key for id {entry_id!r} has dim {dim}, index dim is {dims[0]}")
             if entry_id in seen:
@@ -116,9 +107,7 @@ def build_index(entries: Iterable[Tuple[str, np.ndarray, int, str]]) -> ImageKey
         warnings.warn(f"build_index: skipped {skipped} zero-norm keys", stacklevel=2)
     with np.errstate(divide="ignore", invalid="ignore"):   # keys without a direction
         unit = (keys / norms(keys)[:, None])[which[live]]
-    keep = live.tolist()
-    return ImageKeyIndex(int(dims[0]), compress(ids, keep), unit, map(int, compress(refs, keep)),
-                         compress(kinds, keep), skipped=skipped)
+    return ImageKeyIndex(int(dims[0]), compress(ids, live.tolist()), unit, skipped=skipped)
 
 
 def _rank(id_rank: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:
@@ -225,7 +214,6 @@ def save_index(index: ImageKeyIndex, path) -> None:
             raw_id = it.id.encode("utf-8")
             fh.write(struct.pack("<I", len(raw_id)))
             fh.write(raw_id)
-            fh.write(struct.pack("<BQ", _SOURCE_KINDS.index(it.source_kind), it.payload_ref))
             fh.write(np.ascontiguousarray(it.key, dtype="<f4").tobytes())
 
 
@@ -241,15 +229,12 @@ def load_index(path) -> ImageKeyIndex:
         if item_id in seen:
             raise reader.error(f"duplicate id {item_id!r}", start)
         seen.add(item_id)
-        kind_byte, payload_ref = reader.unpack("<BQ", f"header of item {i}")
-        if kind_byte >= len(_SOURCE_KINDS):
-            raise reader.error(f"bad source_kind byte {kind_byte} for item {i}", start)
         key = np.frombuffer(reader.take(4 * dim, f"key of item {i}"), dtype="<f4")
-        records.append((item_id, key, payload_ref, _SOURCE_KINDS[kind_byte]))
+        records.append((item_id, key))
     reader.done()
-    ids, keys, refs, kinds = zip(*records) if records else ((),) * 4
+    ids, keys = zip(*records) if records else ((), ())
     try:
-        return ImageKeyIndex(dim, ids, np.array(keys), refs, kinds)
+        return ImageKeyIndex(dim, ids, np.array(keys))
     except ValueError as exc:
         raise ValueError(f"{reader.path}: {exc}") from None
 

@@ -27,12 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .associate import (AssociationCache, CacheKey, NounLexicon, associate_keyword_baseline,
+from .associate import (AssociationCache, CacheKey, associate_keyword_baseline,
                         associate_object, associate_scene)
 from .embeddings import WordEmbeddingTable
 from .index import ImageFeatureStore, ImageKeyIndex
@@ -57,9 +57,9 @@ STRATEGIES: Dict[str, StrategySpec] = {
     "TransferredT2I": StrategySpec("paired", ("region",), "paired", ("paired", "store")),
     "TransferredBoth": StrategySpec("paired", ("lm", "region"), "mixed", ("paired", "store")),
     "AssociativeScene": StrategySpec(
-        "scene", ("lm",), "text", ("text_only", "store", "caption_index", "table")),
+        "scene", ("lm",), "text", ("text_only", "store", "table", "caption_index")),
     "AssociativeObject": StrategySpec(
-        "object", ("lm",), "text", ("text_only", "store", "synset_index", "table", "lexicon")),
+        "object", ("lm",), "text", ("text_only", "store", "table", "lexicon", "synset_index")),
     "AssociativeKeyword": StrategySpec(
         "keyword", ("lm",), "text", ("text_only", "store", "caption_corpus")),
 }
@@ -120,7 +120,7 @@ class Corpora:
     caption_index: Optional[ImageKeyIndex] = None
     synset_index: Optional[ImageKeyIndex] = None
     table: Optional[WordEmbeddingTable] = None
-    lexicon: Optional[NounLexicon] = None
+    lexicon: Optional[FrozenSet[str]] = None
     caption_corpus: Optional[Dict[str, str]] = None
 
 

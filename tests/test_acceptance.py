@@ -215,7 +215,7 @@ def test_02_retrieval_oracle():
         ids = [f"i{j:05d}" for j in range(n)]
         query = rng.normal(size=d).astype(np.float32)
 
-        index = build_index((i, v, j, "caption") for j, (i, v) in enumerate(zip(ids, keys)))
+        index = build_index(zip(ids, keys))
         got = top_k(index, query, k)
 
         # oracle: same normalization, full sort, similarity desc then id asc

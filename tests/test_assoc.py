@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
+from groundlm.associate import (AssociationCache, SynsetEntry,
                                 associate_keyword_baseline, associate_object,
                                 associate_scene,
                                 build_caption_index, build_synset_index,
@@ -17,7 +17,7 @@ from groundlm import gmm as gmm_mod
 from groundlm.embeddings import WordEmbeddingTable, encode_cbow
 from groundlm.gmm import fit_gmm
 from groundlm.embeddings import load_word_vectors
-from groundlm.index import ImageFeatureStore, save_index, top_k
+from groundlm.index import save_index, top_k
 from groundlm.toydata import ToySpec, generate_grounded_corpus
 
 
@@ -29,7 +29,7 @@ def table_of(entries) -> WordEmbeddingTable:
 
 
 class TestNouns:
-    LEX = NounLexicon(frozenset({"dog", "cat", "house"}))
+    LEX = frozenset({"dog", "cat", "house"})
 
     def test_lexicon_words_in_order(self):
         assert extract_nouns("the dog chased a cat", self.LEX) == ["dog", "cat"]
@@ -44,7 +44,7 @@ class TestNouns:
         path = tmp_path / "nouns.txt"
         path.write_text("Dog\ncat\n\n# comment\n")
         lex = load_noun_lexicon(path)
-        assert "dog" in lex.nouns and "cat" in lex.nouns
+        assert lex == frozenset({"dog", "cat"})
 
 
 class TestLoaders:
@@ -138,7 +138,7 @@ OBJ_VECS = {"dog": [1.0, 0.0], "cat": [0.0, 1.0], "animal": [0.5, 0.5]}
 
 
 class TestObject:
-    LEX = NounLexicon(frozenset({"dog", "cat"}))
+    LEX = frozenset({"dog", "cat"})
 
     def make_index(self, table):
         synsets = [SynsetEntry("s-dog", ["dog"], "dog animal", ["d1", "d2", "d3", "d4"]),
@@ -227,7 +227,7 @@ class TestObject:
             nominated.append(next(w for w, v in table.entries.items() if v is vector))
             return ranking(index, vector, k)
         monkeypatch.setattr(associate_mod, "_noun_ranking", recorded)
-        assoc = associate_object(text, index, table, NounLexicon(frozenset(nouns)), k, kappa,
+        assoc = associate_object(text, index, table, frozenset(nouns), k, kappa,
                                  seed=seed)
         assert nominated == [nouns[j] for j in picks]
         want = [pair for j in picks for pair in top_k(index, table.entries[nouns[j]], k)[:k // 2]]
@@ -240,7 +240,7 @@ class TestObject:
         without = table_of(OBJ_VECS)
         table = table_of(dict(OBJ_VECS, bird=[0.0, 0.0]))
         index = self.make_index(without)
-        lex = NounLexicon(frozenset({"dog", "cat", "bird"}))
+        lex = frozenset({"dog", "cat", "bird"})
         for text in ["bird dog", "the dog, a bird and a cat", "bird bird"]:
             for kappa in (1, 2):
                 want = associate_object(text, index, without, lex, 4, kappa, seed=3)
@@ -256,7 +256,7 @@ class TestObject:
         without = table_of(OBJ_VECS)
         table = table_of(dict(OBJ_VECS, bird=[1e-20, 0.0]))
         index = self.make_index(without)
-        lex = NounLexicon(frozenset({"dog", "cat", "bird"}))
+        lex = frozenset({"dog", "cat", "bird"})
         assert associate_object("bird dog", index, table, lex, 4, 2, seed=3).items == \
             associate_object("bird dog", index, without, lex, 4, 2, seed=3).items
         assert associate_object("bird", index, table, lex, 4, 2).items == []
@@ -278,7 +278,7 @@ class TestObject:
         table = table_of({w: rng.normal(size=4) for w in nouns})
         index = build_synset_index([SynsetEntry(f"s-{w}", [w], w, [f"{w}-{j}" for j in range(5)])
                                     for w in nouns], table)
-        lex = NounLexicon(frozenset(nouns))
+        lex = frozenset(nouns)
         texts = [" ".join([*rng.choice(nouns, size=3, replace=False), f"w{j}"])
                  for j in range(600)]
         sizes, fit = [], associate_mod.fit_gmm
@@ -347,7 +347,7 @@ class TestNounRankings:
 
     def test_one_top_k_per_noun_and_index(self, rng, monkeypatch):
         table, index = self.make_world(rng)
-        lexicon = NounLexicon(frozenset(self.NOUNS))
+        lexicon = frozenset(self.NOUNS)
         texts = [" ".join(rng.choice(self.NOUNS, size=3)) for _ in range(40)]
         want = [associate_object(t, index, table, lexicon, self.K, 8, seed=2).items
                 for t in texts]
@@ -378,7 +378,7 @@ class TestNounRankings:
 
     def test_list_call_equals_one_call_per_text(self, rng, monkeypatch):
         table, index = self.make_world(rng)
-        lexicon = NounLexicon(frozenset(self.NOUNS))
+        lexicon = frozenset(self.NOUNS)
         texts = self.batch_texts(rng)
         runs = []
         for batched in (False, True):
@@ -521,15 +521,15 @@ class TestCache:
 
 
 # SHA-256 of the VIDX file of each toy bundle's caption and synset index, as
-# ``groundlm build-index --features`` writes it
+# ``groundlm build-index`` writes it
 INDEX_GOLDEN = [
     (ToySpec(seed=0), {
-        "caption": "8c94b22a44904cb55b18dc196ec3f0be0f7397210b34dcecc41eab13750b4df5",
-        "synset": "7451407dbac34cdb35e72473cf8b78249362c2faccf832de543fcfc2d5d57da5",
+        "caption": "ed3197cd6d0ecc63c854c53e04dff95a81fa984e1ec2f8e92ad60e0dad1ee153",
+        "synset": "246f48672c4547619186e6faa1bec9e3fc9da76afed6c1557db488f561df0baa",
     }),
     (ToySpec(seed=5, grounding_strength=0.0, n_regions=2), {
-        "caption": "99e4eb9af1dc1fe6c29b92e68204f3893b6618eb456629c67a23336432b76048",
-        "synset": "3cf1f318c4131c5718b3cba609f5c4f38a75545dd19dd63141b0a1e1848723f7",
+        "caption": "e641f67d34692e55a08abbcf5a8e0262a429f76b42d609f76040190e567b7a06",
+        "synset": "c89291ecd53742e272515eec61026b0f92dd508cbb111839d8ed0b917784ad7d",
     }),
 ]
 
@@ -538,9 +538,8 @@ INDEX_GOLDEN = [
 def test_index_bytes_pinned(tmp_path, spec, digests):
     paths = generate_grounded_corpus(spec, tmp_path / "bundle")
     table = load_word_vectors(paths.word_vectors)
-    offsets = ImageFeatureStore(paths.features).offsets
-    built = {"caption": build_caption_index(load_caption_corpus(paths.captions), table, offsets),
-             "synset": build_synset_index(load_synsets(paths.synsets), table, offsets)}
+    built = {"caption": build_caption_index(load_caption_corpus(paths.captions), table),
+             "synset": build_synset_index(load_synsets(paths.synsets), table)}
     written = {}
     for kind, index in built.items():
         save_index(index, tmp_path / f"{kind}.vidx")

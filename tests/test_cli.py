@@ -81,8 +81,7 @@ class TestBuildIndex:
         out = tmp_path / "caps.vidx"
         run_ok(["build-index", "--kind", "caption", "--input",
                 str(bundle / "captions.tsv"), "--vectors",
-                str(bundle / "wordvecs.txt"), "--features",
-                str(bundle / "features.vftr"), "--out", str(out)])
+                str(bundle / "wordvecs.txt"), "--out", str(out)])
         report = capsys.readouterr().out
         assert "indexed 40 keys (0 degenerate skipped)" in report
         assert out.exists()
@@ -308,7 +307,10 @@ class TestTrainEvalRoundTrip:
 
     @pytest.mark.parametrize("strategy, flags, needle", [
         ("AssociativeScene", {"--features": "features.vftr", "--captions": "captions.tsv"},
-         "AssociativeScene requires a caption-keyed index"),
+         "AssociativeScene requires a word-embedding table"),
+        ("AssociativeObject", {"--features": "features.vftr", "--synsets": "synsets.tsv",
+                               "--nouns": "nouns.txt"},
+         "AssociativeObject requires a word-embedding table"),
         ("TransferredI2T", {"--captions": "captions.tsv"},
          "TransferredI2T requires an image feature store"),
         ("AssociativeObject", {"--features": "features.vftr", "--vectors": "wordvecs.txt",
@@ -321,8 +323,8 @@ class TestTrainEvalRoundTrip:
         ("AssociativeScene", {"--k": 3, "--features": "features.vftr",
                               "--captions": "captions.tsv", "--vectors": "wordvecs.txt"},
          "strategy K=3 exceeds model k_max=2"),
-    ], ids=["scene_no_vectors", "i2t_no_features", "object_no_nouns", "keyword_no_captions",
-            "batch_size_0", "batch_size_-1", "k_over_k_max"])
+    ], ids=["scene_no_vectors", "object_no_vectors", "i2t_no_features", "object_no_nouns",
+            "keyword_no_captions", "batch_size_0", "batch_size_-1", "k_over_k_max"])
     def test_eval_ppl_checks_its_inputs(self, bundle, checkpoint, capsys, strategy, flags,
                                         needle):
         """eval-ppl checks what a strategy reads as pretrain and finetune do:
@@ -594,6 +596,30 @@ class TestTrailingBytes:
         assert rc == 1
         assert_one_error_line(capsys, str(index), "8 trailing byte(s)",
                               f"offset {caption_index.stat().st_size}")
+
+
+class TestOldIndexVersion:
+    def test_associate_rejects_version_1_index_naming_both_versions(self, bundle,
+                                                                    caption_index,
+                                                                    tmp_path, capsys):
+        """A version 1 index (each item also held a kind byte and a u64 ref)
+        must be rebuilt: loading it names the file and both versions."""
+        index = load_index(caption_index)
+        old = tmp_path / "v1.vidx"
+        with open(old, "wb") as fh:
+            fh.write(b"VIDX" + struct.pack("<IIQ", 1, index.dim, len(index)))
+            for it in index.items:
+                raw_id = it.id.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw_id)) + raw_id + struct.pack("<BQ", 0, 0))
+                fh.write(it.key.astype("<f4").tobytes())
+        queries = tmp_path / "q.txt"
+        queries.write_text("c000 u000\n")
+        rc = main(["associate", "--strategy", "scene", "--queries", str(queries),
+                   "--index", str(old), "--vectors", str(bundle / "wordvecs.txt"),
+                   "--out", str(tmp_path / "o.jsonl")])
+        assert rc == 1
+        assert_one_error_line(capsys, str(old), "unsupported VIDX version 1, expected 2")
+        assert not (tmp_path / "o.jsonl").exists()
 
 
 class TestDuplicateIndexIds:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from groundlm import train as train_mod
-from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
+from groundlm.associate import (AssociationCache, SynsetEntry,
                                 build_caption_index, build_synset_index)
 from groundlm.embeddings import WordEmbeddingTable
 from groundlm.finetune import (Task, TaskExample, finetune, load_task_file,
@@ -60,7 +60,7 @@ def associative_world(tmp_path, rng, zero_noun=None):
     corpora.synset_index = build_synset_index(
         [SynsetEntry("s0", ["dog"], "a red dog", images[:3]),
          SynsetEntry("s1", ["cat"], "a cat on a mat", images[3:])], corpora.table)
-    corpora.lexicon = NounLexicon(frozenset({"dog", "cat", "mat"}))
+    corpora.lexicon = frozenset({"dog", "cat", "mat"})
     return corpora
 
 

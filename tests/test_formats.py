@@ -5,8 +5,9 @@ A file either loads exactly what was written or raises one ``ValueError``
 whose message names the file. Every strict prefix of a small file and the
 file with one byte appended are checked, and a Hypothesis fuzz truncates,
 inserts into and flips bytes of each format. A flipped byte inside a value
-(a float, an id, a payload ref, a config number) cannot be detected without
-a checksum, so a flipped file may load; it must then keep every shape.
+(a float, an id, a config number) cannot be detected without a checksum, so
+a flipped file may load; it must then keep every shape. A VIDX item is only
+an id and its key, so a VIDX flip that loads changed one of those.
 """
 
 from dataclasses import asdict
@@ -24,9 +25,7 @@ from groundlm.model import load_checkpoint, save_checkpoint
 
 def write_vidx(path):
     rng = np.random.default_rng(1)
-    entries = [(f"img{i}", rng.normal(size=3), 7 * i, ("caption", "synset")[i % 2])
-               for i in range(3)]
-    save_index(build_index(entries), path)
+    save_index(build_index((f"img{i}", rng.normal(size=3)) for i in range(3)), path)
 
 
 def write_vftr(path):
@@ -90,8 +89,7 @@ def test_store_rejects_duplicate_and_non_utf8_ids(tmp_path):
 def written_as(fmt, loaded):
     """Everything a loaded file holds, in comparable form."""
     if fmt == "vidx":
-        return loaded.dim, [(it.id, it.key.tobytes(), it.payload_ref, it.source_kind)
-                            for it in loaded.items]
+        return loaded.dim, [(it.id, it.key.tobytes()) for it in loaded.items]
     if fmt == "vftr":
         return (loaded.n_regions, loaded.feat_dim, loaded.offsets,
                 loaded.gather(list(loaded.offsets)).tobytes())

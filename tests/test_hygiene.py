@@ -111,8 +111,11 @@ def unread_parameters(source: str):
 
 
 # Kept only because the frozen benchmark session (perfbench/session.py) passes
-# ``threads=1`` to these three; tests/test_bench_contract.py asserts the keyword.
-IGNORED_PARAMETERS = {("finetune.py", "finetune", "threads"),
+# ``threads=1`` to the three ``threads`` entries and the store's offsets as
+# ``build_synset_index``'s third argument; tests/test_bench_contract.py
+# asserts both call forms.
+IGNORED_PARAMETERS = {("associate.py", "build_synset_index", "offsets"),
+                      ("finetune.py", "finetune", "threads"),
                       ("train.py", "evaluate_perplexity", "threads"),
                       ("train.py", "pretrain", "threads")}
 

@@ -14,8 +14,7 @@ def qv(values):
 
 
 def entries_from(keys, prefix="img"):
-    return [(f"{prefix}{i:04d}", np.asarray(k, dtype=np.float32), 0, "caption")
-            for i, k in enumerate(keys)]
+    return [(f"{prefix}{i:04d}", np.asarray(k, dtype=np.float32)) for i, k in enumerate(keys)]
 
 
 class TestBuild:
@@ -38,14 +37,9 @@ class TestBuild:
         assert index.skipped == 1
 
     def test_mixed_dim_rejected(self):
-        rows = [("a", np.ones(2, dtype=np.float32), 0, "caption"),
-                ("b", np.ones(3, dtype=np.float32), 0, "caption")]
+        rows = [("a", np.ones(2, dtype=np.float32)), ("b", np.ones(3, dtype=np.float32))]
         with pytest.raises(ValueError):
             build_index(rows)
-
-    def test_bad_source_kind_rejected(self):
-        with pytest.raises(ValueError):
-            build_index([("a", np.ones(2, dtype=np.float32), 0, "banana")])
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -147,7 +141,7 @@ class TestTieHeavyOracle:
     @given(case=tie_heavy_case(DYADIC_DIRS))
     def test_sharded_top_k_equals_oracle(self, case):
         ids, raw, query, k = case
-        index = build_index([(i, v, 0, "caption") for i, v in zip(ids, raw)])
+        index = build_index(zip(ids, raw))
         assert top_k(index, qv(query), k) == oracle_top_k(ids, raw, query, k)
 
     @settings(max_examples=100, deadline=None)
@@ -155,7 +149,7 @@ class TestTieHeavyOracle:
                                 np.random.default_rng(5).normal(size=(6, 5))]))
     def test_single_shard_top_k_equals_oracle(self, case):
         ids, raw, query, k = case
-        index = build_index([(i, v, 0, "caption") for i, v in zip(ids, raw)])
+        index = build_index(zip(ids, raw))
         assert top_k(index, qv(query), k) == oracle_top_k(ids, raw, query, k)
 
 
@@ -183,7 +177,7 @@ class TestShardIndependence:
     @given(case=gaussian_case())
     def test_gaussian_keys_equal_oracle_at_any_shard_size(self, case):
         ids, raw, query, k = case
-        index = build_index([(i, v, 0, "caption") for i, v in zip(ids, raw)])
+        index = build_index(zip(ids, raw))
         assert top_k(index, qv(query), k) == oracle_top_k(ids, raw, query, k)
 
 
@@ -197,7 +191,6 @@ class TestPersistence:
         assert [it.id for it in back.items] == [it.id for it in index.items]
         for a, b in zip(index.items, back.items):
             np.testing.assert_array_equal(a.key, b.key)
-            assert a.payload_ref == b.payload_ref and a.source_kind == b.source_kind
 
     def test_rewrite_byte_identical(self, tmp_path, rng):
         index = build_index(entries_from(rng.normal(size=(4, 3))))
@@ -235,11 +228,11 @@ class TestPersistence:
             load_index(path)
 
     def test_duplicate_id_rejected_naming_file_id_and_offset(self, tmp_path):
-        index = build_index([("aa", [1.0, 0.0], 0, "caption"), ("ab", [0.99, 0.1], 1, "caption")])
+        index = build_index([("aa", [1.0, 0.0]), ("ab", [0.99, 0.1])])
         index.items[1].id = "aa"
         path = tmp_path / "x.vidx"
         save_index(index, path)
-        second = 20 + (4 + 2 + 1 + 8 + 4 * 2)   # header, then the first record
+        second = 20 + (4 + 2 + 4 * 2)   # header, then the first record
         with pytest.raises(ValueError) as err:
             load_index(path)
         assert str(err.value) == f"{path}: duplicate id 'aa' at offset {second}"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from groundlm import associate as associate_mod
 from groundlm import kernels
 from groundlm import train as train_mod
-from groundlm.associate import (AssociationCache, NounLexicon, SynsetEntry,
+from groundlm.associate import (AssociationCache, SynsetEntry,
                                 build_caption_index, build_synset_index,
                                 load_caption_corpus)
 from groundlm.embeddings import WordEmbeddingTable, load_word_vectors
@@ -545,7 +545,7 @@ def two_region_world(tmp_path, rng):
                    store=ImageFeatureStore(tmp_path / "f2.vftr"),
                    caption_index=build_caption_index(captions, table),
                    synset_index=build_synset_index(synsets, table),
-                   table=table, lexicon=NounLexicon(frozenset({"dog", "cat", "sun", "hat"})),
+                   table=table, lexicon=frozenset({"dog", "cat", "sun", "hat"}),
                    caption_corpus=captions)
 
 
