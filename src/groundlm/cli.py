@@ -147,18 +147,16 @@ def cmd_make_toy_data(args) -> int:
 
 def cmd_build_index(args) -> int:
     table = load_word_vectors(_require(args.vectors, "--vectors file"))
+    path = _require(args.input, "--input file")
     if args.kind == "caption":
-        corpus = load_caption_corpus(_require(args.input, "--input file"))
-        if not corpus:
-            raise ValueError("no entries in caption file")
-        index = build_caption_index(corpus, table)
+        entries, build = load_caption_corpus(path), build_caption_index
     else:
-        synsets = load_synsets(_require(args.input, "--input file"))
-        if not synsets:
-            raise ValueError("no entries in synset file")
-        index = build_synset_index(synsets, table)
+        entries, build = load_synsets(path), build_synset_index
+    if not entries:
+        raise ValueError(f"{path}: no entries in {args.kind} file")
+    index = build(entries, table)
     save_index(index, args.out)
-    print(f"indexed {len(index.items)} keys ({index.skipped} degenerate skipped) -> {args.out}")
+    print(f"indexed {len(index)} keys ({index.skipped} degenerate skipped) -> {args.out}")
     return 0
 
 

@@ -12,7 +12,11 @@ reported as per-run scores plus their median.
 import copy
 import hashlib
 import json
+import os
+import pickle
+import signal
 import statistics
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -166,8 +170,12 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
     Run r uses seed config.seed + r for head init and batch order. When
     ``eval_examples`` is omitted, a fixed fraction of the task is held out
     once (same split for every run). Each run trains a copy; the model
-    passed in is never modified. ``threads`` is accepted and ignored:
-    retrieval is one single-threaded scan.
+    passed in is never modified. The runs spread over W = min(n_runs, CPUs
+    this process may use) processes, one without ``os.fork`` or while other
+    threads run: this one runs r = 0 (mod W), W - 1 forked children the other
+    residues. Outcomes merge in run order, so the report and
+    ``corpora.store.reads`` do not depend on W, and every child is reaped
+    before this returns or raises. ``threads`` is accepted and ignored.
     """
     if n_runs < 1:
         raise ValueError(f"finetune needs n_runs >= 1, got {n_runs}")
@@ -262,19 +270,71 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
             return float(np.mean(out.argmax(axis=1) == ev_gold))
         return spearman(out[:, 0], ev_gold)
 
-    scores: List[Optional[float]] = []
-    errors: List[str] = []
-    for r in range(n_runs):
-        try:
-            scores.append(train_and_score(config.seed + r))
-        except ShapeError:
-            raise
-        except (FloatingPointError, ValueError) as exc:
-            # the run failed: a non-finite loss or gradient, non-finite eval
-            # outputs or an undefined Spearman. It is left out of the median;
-            # any other error is a fault and propagates
-            scores.append(None)
-            errors.append(f"run {r}: {exc}")
+    workers = (min(n_runs, len(os.sched_getaffinity(0))) if hasattr(os, "fork")
+               and hasattr(os, "sched_getaffinity") and threading.active_count() == 1 else 1)
+
+    def share(first: int) -> Dict[int, object]:
+        # runs first, first + W, ...: a score, a failure message or a fault,
+        # which ends the share. Only a failed run (a non-finite loss, gradient
+        # or eval output, an undefined Spearman) is left out of the median
+        out: Dict[int, object] = {}
+        for r in range(first, n_runs, workers):
+            try:
+                out[r] = train_and_score(config.seed + r)
+            except Exception as exc:
+                if isinstance(exc, ShapeError) or not isinstance(exc, (FloatingPointError,
+                                                                      ValueError)):
+                    out[r] = exc
+                    break
+                out[r] = f"run {r}: {exc}"
+        return out
+
+    children = {}   # first run -> (pid, read end of its pipe), per child not yet reaped
+    try:
+        for first in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:   # the child: send its outcomes and reads, leave by os._exit
+                try:
+                    reads, got = getattr(corpora.store, "reads", 0), share(first)
+                    for r, value in got.items():
+                        try:
+                            pickle.loads(pickle.dumps(value))
+                        except Exception:
+                            got[r] = RuntimeError(f"run {r}: {type(value).__name__} cannot "
+                                                  f"be pickled: {value}")
+                    with open(write_fd, "wb") as fh:
+                        pickle.dump((got, getattr(corpora.store, "reads", 0) - reads), fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children[first] = pid, open(read_fd, "rb")
+        outcomes = share(0)
+        for first, (pid, pipe) in list(children.items()):
+            with pipe:
+                blob = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[first]
+            if status:
+                raise RuntimeError(f"fine-tune runs {list(range(first, n_runs, workers))} ended "
+                                   f"with exit status {os.waitstatus_to_exitcode(status)}")
+            got, reads = pickle.loads(blob)
+            outcomes.update(got)
+            if reads:
+                corpora.store.reads += reads
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    for r in range(n_runs):   # a fault ends its share: later runs of it have no outcome
+        if isinstance(outcomes[r], Exception):
+            raise outcomes[r]
+    ordered = [outcomes[r] for r in range(n_runs)]
+    scores = [None if isinstance(o, str) else o for o in ordered]
+    errors = [o for o in ordered if isinstance(o, str)]
 
     completed = [s for s in scores if s is not None]
     if not completed:

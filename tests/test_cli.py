@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +16,8 @@ from groundlm.model import ModelConfig
 from groundlm.toydata import ToySpec
 from groundlm.train import Strategy, TrainConfig
 from groundlm.vocab import RESERVED, Vocab
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -92,13 +98,15 @@ class TestBuildIndex:
                 str(bundle / "wordvecs.txt"), "--out", str(tmp_path / "syn.vidx")])
 
     def test_empty_input_exits_1(self, bundle, tmp_path, capsys):
-        empty = tmp_path / "empty.tsv"
-        empty.write_text("")
-        rc = main(["build-index", "--kind", "caption", "--input", str(empty),
-                   "--vectors", str(bundle / "wordvecs.txt"),
-                   "--out", str(tmp_path / "x.vidx")])
-        assert rc == 1
-        assert "no entries" in capsys.readouterr().err
+        for kind in ("caption", "synset"):
+            empty = tmp_path / f"empty_{kind}.tsv"
+            empty.write_text("")
+            rc = main(["build-index", "--kind", kind, "--input", str(empty),
+                       "--vectors", str(bundle / "wordvecs.txt"),
+                       "--out", str(tmp_path / "x.vidx")])
+            assert rc == 1
+            assert_one_error_line(capsys, f"error: {empty}: no entries in {kind} file")
+            assert not (tmp_path / "x.vidx").exists()
 
     def test_missing_input_exits_2(self, bundle, tmp_path, capsys):
         rc = main(["build-index", "--kind", "caption", "--input",
@@ -398,6 +406,23 @@ class TestTrainEvalRoundTrip:
         assert blob["n_runs"] == 2
         assert blob["strategy"] == "NoGrounding"
         assert "median" in blob
+
+    def test_finetune_outputs_do_not_depend_on_cpus(self, bundle, checkpoint, tmp_path):
+        """A run pinned to one CPU writes the same report bytes and prints the
+        same stdout as a run on every CPU this test may use."""
+        argv = self._finetune_argv(bundle, checkpoint, tmp_path, "NoGrounding", "--runs", "8")
+        code = "import sys; from groundlm.cli import main; sys.exit(main(sys.argv[1:]))"
+        one_cpu = {min(os.sched_getaffinity(0))}
+        outs = []
+        for pin in (None, lambda: os.sched_setaffinity(0, one_cpu)):
+            run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                 timeout=300, preexec_fn=pin,
+                                 env=dict(os.environ, PYTHONPATH=str(SRC)))
+            assert run.returncode == 0, run.stderr
+            outs.append((run.stdout, (tmp_path / "rep.json").read_bytes()))
+            (tmp_path / "rep.json").unlink()
+        assert outs[1] == outs[0]
+        assert json.loads(outs[0][1])["n_completed"] == 8
 
     def _finetune_argv(self, bundle, checkpoint, tmp_path, strategy, *extra):
         model, _ = checkpoint

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -204,12 +206,55 @@ class NanAtEval(CrossModalModel):
 
 
 class RaisesInForward(CrossModalModel):
-    """A model whose forward raises ``error``: a fault, not a failed run."""
+    """A model whose forward raises ``error``: a fault, not a failed run. With
+    ``fault_seed`` set, only the run whose head seed it is raises."""
 
     error = TypeError
+    fault_seed = None
+
+    def add_cls_head(self, n_labels, seed=0):
+        super().add_cls_head(n_labels, seed)
+        self.head_seed = seed
 
     def forward(self, batch):
-        raise self.error("forward is broken")
+        if self.fault_seed in (None, getattr(self, "head_seed", None)):
+            raise self.error("forward is broken")
+        return super().forward(batch)
+
+
+class Unpicklable(Exception):
+    """Pickles, but cannot be rebuilt from its pickle: ``__init__`` takes two
+    arguments and ``args`` holds one."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def usable_cpus(monkeypatch, n):
+    """Make finetune see ``n`` CPUs it may use; returns the list that every
+    fork it makes appends to."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(n) or fork())
+    return forks
+
+
+def assert_no_children():
+    """Every child that finetune forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def finetune_on(monkeypatch, cpus, *args, **kwargs):
+    """``finetune`` seeing ``cpus`` usable CPUs: it forks ``cpus - 1``
+    children and has reaped every one when it returns or raises."""
+    with monkeypatch.context() as patch:
+        forks = usable_cpus(patch, cpus)
+        try:
+            return finetune(*args, **kwargs)
+        finally:
+            assert len(forks) == cpus - 1
+            assert_no_children()
 
 
 class TestFinetune:
@@ -356,17 +401,19 @@ class TestFinetune:
         assert report.median == (report.runs[0] + report.runs[2]) / 2
 
     @pytest.mark.parametrize("error", [TypeError, ShapeError])
-    def test_programming_error_propagates(self, tmp_path, rng, error):
+    def test_programming_error_propagates(self, tmp_path, rng, monkeypatch, error):
         # only a failed run (non-finite values, undefined Spearman) is kept out
-        # of the median; any other error, a ShapeError included, is a traceback
+        # of the median; any other error, a ShapeError included, is a traceback.
+        # The fault is in run 1 only, a child's run on two or three CPUs
         corpora = task_world(tmp_path, rng)
         model = mk_model(corpora.vocab, model_class=RaisesInForward)
-        model.error = error
-        with pytest.raises(error, match="forward is broken"):
-            finetune(model, pair_task(8), Strategy("NoGrounding"),
-                     TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=1,
-                                 seed=0, val_fraction=0.25),
-                     corpora=corpora, n_runs=2)
+        model.error, model.fault_seed = error, 1
+        for cpus in (1, 2, 3):
+            with pytest.raises(error, match="forward is broken"):
+                finetune_on(monkeypatch, cpus, model, pair_task(8), Strategy("NoGrounding"),
+                            TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=1,
+                                        seed=0, val_fraction=0.25),
+                            corpora=corpora, n_runs=3)
 
     @pytest.mark.parametrize("n_runs", [1, 3])
     @pytest.mark.parametrize("name", ["AssociativeScene", "AssociativeObject",
@@ -450,3 +497,130 @@ class TestFinetune:
                      TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=1,
                                  seed=0, val_fraction=0.25),
                      corpora=corpora, n_runs=1)
+
+
+class ExitsInChild(CrossModalModel):
+    """A model whose run with head seed ``exit_seed`` ends its process with
+    status 3 when that process is not ``parent``: a child dying mid-run."""
+
+    exit_seed, parent = None, None
+
+    def add_cls_head(self, n_labels, seed=0):
+        super().add_cls_head(n_labels, seed)
+        if seed == self.exit_seed and os.getpid() != self.parent:
+            os._exit(3)
+
+
+class InterruptedInParent(CrossModalModel):
+    """A model whose every run in process ``parent`` is interrupted, as by ^C."""
+
+    parent = None
+
+    def add_cls_head(self, n_labels, seed=0):
+        super().add_cls_head(n_labels, seed)
+        if os.getpid() == self.parent:
+            raise KeyboardInterrupt
+
+
+class TestRunsOnEveryCPU:
+    """The runs spread over one process per usable CPU; the report, the store
+    counter and the association cache do not depend on how many there are."""
+
+    CONFIG = TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=2, seed=4,
+                         val_fraction=0.5)
+
+    @pytest.mark.parametrize("case", ["accuracy", "spearman", "nan_at_eval"])
+    def test_report_does_not_depend_on_cpus(self, tmp_path, rng, monkeypatch, case):
+        corpora = task_world(tmp_path, rng)
+        metric = "spearman" if case == "spearman" else "accuracy"
+        task = Task(metric=metric, examples=[
+            TaskExample(j % 2 if metric == "accuracy" else float(j % 3),
+                        f"{WORDS[j % len(WORDS)]} sat") for j in range(12)])
+        model = mk_model(corpora.vocab, model_class=NanAtEval)
+        if case != "nan_at_eval":
+            model.poison_seed = -1        # no run is poisoned
+        else:
+            model.poison_seed = self.CONFIG.seed + 1   # run 1: a child's on 2 or 3 CPUs
+        reports = [finetune_on(monkeypatch, cpus, model, task, Strategy("NoGrounding"),
+                               self.CONFIG, corpora=corpora, n_runs=5).to_json()
+                   for cpus in (1, 2, 3)]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        want_errors = ["run 1: 3 of 6 eval outputs are not finite"] if case == "nan_at_eval" \
+            else []
+        assert reports[0]["errors"] == want_errors
+        assert reports[0]["n_completed"] == 5 - len(want_errors)
+
+    def test_store_reads_and_cache_do_not_depend_on_cpus(self, tmp_path, rng, monkeypatch):
+        corpora = associative_world(tmp_path, rng)
+        model = mk_model(corpora.vocab)
+        texts = [" ".join(pair) for pair in itertools.permutations(WORDS[:4], 2)]
+        task = Task(metric="accuracy", label_set=[0, 1],
+                    examples=[TaskExample(j % 2, text) for j, text in enumerate(texts)])
+        seen = []
+        for cpus in (1, 2, 3):
+            corpora.store.reads, cache = 0, AssociationCache()
+            report = finetune_on(monkeypatch, cpus, model, task, Strategy("AssociativeObject", k=2),
+                                 dataclasses.replace(self.CONFIG, kappa=2), corpora=corpora,
+                                 n_runs=3, cache=cache)
+            seen.append((report.to_json(), corpora.store.reads, cache.hits, cache.misses))
+        assert seen[0][1] > 0
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    def test_unpicklable_fault_comes_back_naming_run_and_type(self, tmp_path, rng,
+                                                                monkeypatch):
+        corpora = task_world(tmp_path, rng)
+        model = mk_model(corpora.vocab, model_class=RaisesInForward)
+        model.error, model.fault_seed = (lambda msg: Unpicklable(msg, "the head")), 5
+        with pytest.raises(Unpicklable, match="forward is broken at the head"):
+            finetune_on(monkeypatch, 1, model, pair_task(8), Strategy("NoGrounding"),
+                        self.CONFIG, corpora=corpora, n_runs=2)
+        with pytest.raises(RuntimeError, match="^run 1: Unpicklable cannot be pickled: "
+                                               "forward is broken at the head$"):
+            finetune_on(monkeypatch, 2, model, pair_task(8), Strategy("NoGrounding"),
+                        self.CONFIG, corpora=corpora, n_runs=2)
+
+    def test_child_ending_without_result_names_runs_and_status(self, tmp_path, rng,
+                                                               monkeypatch):
+        corpora = task_world(tmp_path, rng)
+        model = mk_model(corpora.vocab, model_class=ExitsInChild)
+        model.exit_seed, model.parent = self.CONFIG.seed + 2, os.getpid()
+        with pytest.raises(RuntimeError,
+                           match=r"fine-tune runs \[2\] ended with exit status 3"):
+            finetune_on(monkeypatch, 3, model, pair_task(8), Strategy("NoGrounding"),
+                        self.CONFIG, corpora=corpora, n_runs=3)
+
+    def test_interrupt_in_own_runs_reaps_every_child(self, tmp_path, rng, monkeypatch):
+        corpora = task_world(tmp_path, rng)
+        model = mk_model(corpora.vocab, model_class=InterruptedInParent)
+        model.parent = os.getpid()
+        with pytest.raises(KeyboardInterrupt):
+            finetune_on(monkeypatch, 3, model, pair_task(8), Strategy("NoGrounding"),
+                        self.CONFIG, corpora=corpora, n_runs=8)
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_process_without_fork_or_cpu_lookup(self, tmp_path, rng, monkeypatch, missing):
+        corpora = task_world(tmp_path, rng)
+        want = finetune_on(monkeypatch, 1, mk_model(corpora.vocab), pair_task(8),
+                           Strategy("NoGrounding"), self.CONFIG, corpora=corpora, n_runs=3)
+        with monkeypatch.context() as patch:
+            forks = usable_cpus(patch, 3)
+            patch.delattr(os, missing)
+            got = finetune(mk_model(corpora.vocab), pair_task(8), Strategy("NoGrounding"),
+                           self.CONFIG, corpora=corpora, n_runs=3)
+        assert forks == [] and got.to_json() == want.to_json()
+
+    def test_one_process_while_other_threads_run(self, tmp_path, rng, monkeypatch):
+        corpora = task_world(tmp_path, rng)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            with monkeypatch.context() as patch:
+                forks = usable_cpus(patch, 3)
+                report = finetune(mk_model(corpora.vocab), pair_task(8), Strategy("NoGrounding"),
+                                  self.CONFIG, corpora=corpora, n_runs=3)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == [] and len(report.runs) == 3

@@ -14,6 +14,14 @@ reports its array buffers to ``tracemalloc``, so these are the bytes the
 session's arrays and objects hold, not the process RSS that perfbench's
 ``peak_rss_mb`` reads. Tracing slows the session several times over; the
 figures do not depend on speed. BLAS runs on one thread, as in perfbench.
+
+The probe's runs spread over forked worker processes (one per usable CPU),
+whose memory neither ``tracemalloc`` nor perfbench's ``peak_rss_mb`` (the
+calling process's own peak RSS) sees. The probe line therefore also prints
+the largest worker's peak RSS, which the kernel reports for the reaped
+children of this process (``RUSAGE_CHILDREN``). That figure is kept across
+``exec``, so it starts at the largest child the launching shell reaped; a
+probe whose workers stay below it prints that starting figure instead.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import functools  # noqa: E402
 import importlib  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -97,6 +106,7 @@ def main(argv=None) -> int:
     workload = S.WORKLOADS[args.workload]
     glm = import_checkout(args.checkout)
 
+    inherited_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss   # KiB on Linux
     meter = PhaseMeter()
     meter.wrap(glm.train, "pretrain", "pretrain")
     meter.wrap(glm.train, "evaluate_perplexity", "held-out")
@@ -112,9 +122,15 @@ def main(argv=None) -> int:
     print(f"workload {workload.name} ({workload.strategy}), bundle seed {args.seed}, "
           f"checkout {os.path.abspath(args.checkout)}")
     print(f"{'phase':10s} {'calls':>5s} {'peak MiB':>9s} {'held at end MiB':>16s}")
+    worker_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     for phase in ("set-up", "pretrain", "held-out", "probe"):
         calls, peak, held = meter.rows[phase]
-        print(f"{phase:10s} {calls:5d} {peak / MIB:9.2f} {held / MIB:16.2f}")
+        line = f"{phase:10s} {calls:5d} {peak / MIB:9.2f} {held / MIB:16.2f}"
+        if phase == "probe":
+            line += (f"   largest worker peak RSS {worker_kib / 1024:.1f} MiB"
+                     if worker_kib > inherited_kib else
+                     f"   no worker peak RSS above the inherited {inherited_kib / 1024:.1f} MiB")
+        print(line)
     session_peak = max(peak for _calls, peak, _held in meter.rows.values())
     print(f"session peak {session_peak / MIB:.2f} MiB; final held-out ppl "
           f"{result.final_val_ppl!r}")
