@@ -27,7 +27,7 @@ from .embeddings import read_lines
 from .model import CrossModalModel, MaskedBatch
 from .optim import Adam
 from .tensor import ShapeError, Tensor, masked_cross_entropy, mean_all, mul, no_grad
-from .train import (Corpora, Strategy, TrainConfig, _associate_rows, build_batch,
+from .train import (Corpora, Draw, Strategy, TrainConfig, build_batch, draw_pass,
                     encode_stream, training_batches, validate_lookup)
 
 
@@ -169,7 +169,10 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
 
     Run r uses seed config.seed + r for head init and batch order. When
     ``eval_examples`` is omitted, a fixed fraction of the task is held out
-    once (same split for every run). Each run trains a copy; the model
+    once (same split for every run). Each split is drawn once, before the
+    runs, as a ``train.draw_pass`` with no heads: its text unmasked and, for
+    a retrieval strategy, its rows associated in one call, so an association
+    error fails the probe before any run. Each run trains a copy; the model
     passed in is never modified. The runs spread over W = min(n_runs, CPUs
     this process may use) processes, one without ``os.fork`` or while other
     threads run: this one runs r = 0 (mod W), W - 1 forked children the other
@@ -208,13 +211,13 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
         train_ex = list(task.examples)
         eval_ex = list(eval_examples)
 
-    def prepare(examples: Sequence[TaskExample]) -> tuple:
-        # task sentences pair with no image; runs differ only by init and order
+    def prepare(examples: Sequence[TaskExample]) -> Draw:
+        # unmasked task text with no paired image: runs differ only by init and order
         stream = encode_stream([(None, ex.text_a) for ex in examples], vocab,
                                model.config.max_len, [ex.text_b for ex in examples])
-        return stream, _associate_rows(mode, stream.ids, np.zeros_like(stream.ids, dtype=bool),
-                                       stream.raw, vocab, corpora, strategy.k, config.kappa,
-                                       config.seed, cache)
+        return draw_pass(stream, list(range(len(examples))), vocab, model.config, (), None, None,
+                         mode=mode, corpora=corpora, k=strategy.k, kappa=config.kappa,
+                         seed=config.seed, cache=cache)
 
     if task.metric == "accuracy":
         unseen = sorted({ex.label for ex in eval_ex} - set(classes))
@@ -228,10 +231,10 @@ def finetune(model: CrossModalModel, task: Task, strategy: Strategy,
 
     train_split, eval_split = prepare(train_ex), prepare(eval_ex)
 
-    def batch_for(run: CrossModalModel, split, picks) -> MaskedBatch:
-        stream, rankings = split   # only the [cls] row is read
-        return build_batch(stream, picks, run, mode, rankings=rankings, corpora=corpora,
-                           k=strategy.k, heads=())
+    def batch_for(run: CrossModalModel, split: Draw, picks) -> MaskedBatch:
+        # only the [cls] row is read
+        return build_batch(split.stream, picks, run, mode, masks=split.masks,
+                           rankings=split.rankings, corpora=corpora, k=strategy.k, heads=())
 
     def train_and_score(run_seed: int) -> float:
         run = copy.deepcopy(model)

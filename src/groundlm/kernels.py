@@ -169,8 +169,9 @@ def _gmm_estep(points, means, variances, log_weights):
     with the same leading axes, one mixture each. Returns (resp (..., n, k)
     responsibilities, loglik (...) per mixture).
     """
-    diff = points[..., :, None, :] - means[..., None, :, :]
-    quad = (diff * diff / variances[..., None, :, :]).sum(axis=-1)
+    # one component at a time: a (..., n, d) block, never a (..., n, k, d) one
+    quad = np.stack([((points - means[..., j, None, :]) ** 2 / variances[..., j, None, :])
+                     .sum(axis=-1) for j in range(means.shape[-2])], axis=-1)
     logdet = np.log(variances).sum(axis=-1)
     d = points.shape[-1]
     logp = log_weights[..., None, :] - 0.5 * (quad + logdet[..., None, :]

@@ -19,7 +19,7 @@ and its runs' orders use key 1000 + e at their own seeds):
 
 Every batch is a set of rows of one ``Stream``, encoded once, and takes its rows
 of the stream's masks, drawn once in example order: no mask depends on batch size.
-An evaluated stream is associated in one call, a training stream one chunk at a time.
+An evaluated stream is associated in one call, a training stream one epoch at a time.
 """
 
 from __future__ import annotations
@@ -282,20 +282,6 @@ def associate_query(mode: str, queries: Sequence[str], corpora: Corpora, k: int,
     return [found[key] for key in keys]
 
 
-def _associate_rows(mode: str, tokens: np.ndarray, flags: np.ndarray,
-                    raw_rows: Sequence[Sequence[str]], vocab: Vocab,
-                    corpora: Optional[Corpora], k: int, kappa: int, seed: int,
-                    cache: Optional[AssociationCache]) -> List[Optional[List[Tuple[str, float]]]]:
-    """One ranking per row of the masked ``tokens``, from one ``associate_query``
-    call; None per row in the placeholder and paired modes, which retrieve nothing."""
-    if mode not in VISUAL_MODES:
-        raise ValueError(f"unknown visual mode {mode!r}")
-    if mode in ("placeholder", "paired"):
-        return [None] * len(tokens)
-    queries = [_query_text(*row, vocab) for row in zip(tokens.tolist(), flags.tolist(), raw_rows)]
-    return associate_query(mode, queries, corpora, k, kappa, seed, cache)
-
-
 def _fill_visual_slots(batch: MaskedBatch, mode: str, examples: Sequence[ExampleTuple],
                        rankings: Sequence, corpora: Optional[Corpora], cfg: ModelConfig,
                        k: int, region_flags: Optional[np.ndarray] = None) -> MaskedBatch:
@@ -370,47 +356,66 @@ def build_batch(stream: Stream, rows: Sequence[int], model: CrossModalModel, mod
                               corpora, model.config, k, masks.region_flags)
 
 
-# -- evaluation ----------------------------------------------------------------
+# -- drawing and evaluating a pass ----------------------------------------------
 
 
-def _head_masks(ids: np.ndarray, cfg: ModelConfig, heads: Tuple[str, ...], text_rng,
-                region_rng, corpora: Optional[Corpora]) -> Masks:
-    """A stream's masks for ``heads``, the rule of every stream: text masked by
-    ``text_rng`` iff "lm" is a head, region slots flagged by ``region_rng`` iff "region" is."""
+class Draw(NamedTuple):
+    """One pass over rows of ``stream``: the whole stream's masks and, in a
+    retrieval mode, the rankings of the rows the pass visits, by stream row."""
+    stream: Stream
+    masks: Masks
+    rankings: Optional[Dict[int, List[Tuple[str, float]]]]
+
+
+def draw_pass(stream: Stream, rows: Sequence[int], vocab: Vocab, cfg: ModelConfig,
+              heads: Tuple[str, ...], text_rng, region_rng, *, mode: str,
+              corpora: Optional[Corpora], k: int, kappa: int, seed: int,
+              cache: Optional[AssociationCache]) -> Draw:
+    """The pass's ``Draw``, the one place masks and rankings are made: text
+    masked by ``text_rng`` iff "lm" is in ``heads``, region slots flagged by
+    ``region_rng`` iff "region" is, and, in a retrieval mode, ``rows``
+    associated under those masks in one ``associate_query`` call, in the given
+    order. The placeholder and paired modes associate nothing."""
+    if mode not in VISUAL_MODES:
+        raise ValueError(f"unknown visual mode {mode!r}")
     region = "region" in heads
-    return mask_stream(ids, cfg, text_rng if "lm" in heads else None,
-                       region_rng if region else None, corpora.store.n_regions if region else 0)
+    masks = mask_stream(stream.ids, cfg, text_rng if "lm" in heads else None,
+                        region_rng if region else None, corpora.store.n_regions if region else 0)
+    if mode in ("placeholder", "paired"):
+        return Draw(stream, masks, None)
+    queries = [_query_text(*row, stream.raw[i], vocab) for i, *row in zip(
+        rows, masks.tokens[rows].tolist(), masks.token_flags[rows].tolist())]
+    return Draw(stream, masks, dict(zip(rows, associate_query(mode, queries, corpora, k, kappa,
+                                                              seed, cache))))
 
 
-def _prepare(examples: Sequence[ExampleTuple], vocab: Vocab, cfg: ModelConfig,
-             heads: Tuple[str, ...], seed: int,
-             corpora: Optional[Corpora]) -> Tuple[Stream, Masks]:
-    """The stream of ``examples`` and its masks for ``heads``, as ``_evaluate`` reads them."""
+def _held_out(examples: Sequence[ExampleTuple], vocab: Vocab, cfg: ModelConfig,
+              heads: Tuple[str, ...], *, seed: int, mode: str, corpora: Optional[Corpora],
+              k: int, kappa: int, cache: Optional[AssociationCache]) -> Draw:
+    """The draw of a held-out stream of ``examples``, as ``_evaluate`` reads it:
+    every row, masked for ``heads`` once, associated in one call."""
     stream = encode_stream(examples, vocab, cfg.max_len)
-    return stream, _head_masks(stream.ids, cfg, heads, np.random.default_rng([seed, 7]),
-                               np.random.default_rng([seed, 11]), corpora)
+    return draw_pass(stream, list(range(len(examples))), vocab, cfg, heads,
+                     np.random.default_rng([seed, 7]), np.random.default_rng([seed, 11]),
+                     seed=seed, mode=mode, corpora=corpora, k=k, kappa=kappa, cache=cache)
 
 
-def _evaluate(model: CrossModalModel, stream: Stream, vocab: Vocab, heads: Tuple[str, ...],
-              *, masks: Masks, seed: int, mode: str, corpora: Optional[Corpora], k: int,
-              kappa: int, batch_size: int,
-              cache: Optional[AssociationCache]) -> Tuple[float, int, float, int]:
+def _evaluate(model: CrossModalModel, drawn: Draw, heads: Tuple[str, ...], *, mode: str,
+              corpora: Optional[Corpora], k: int,
+              batch_size: int) -> Tuple[float, int, float, int]:
     """(masked-token cross-entropy sum, count, region error sum, count) over
-    ``stream`` under the ``masks`` that ``_prepare`` drew for ``heads`` and
-    ``seed``, in float64; zeros for a head not in ``heads``. The "lm" head
-    reads masked text beside whole regions, the "region" head masked regions
-    beside whole text. Rows are associated in one call; each batch is built once."""
+    the stream of ``drawn``, a draw for ``heads``, in float64; zeros for a head
+    not in ``heads``. The "lm" head reads masked text beside whole regions, the
+    "region" head masked regions beside whole text. Each batch is built once."""
     cfg = model.config
     lm, region = "lm" in heads, "region" in heads
-    rankings = _associate_rows(mode, masks.tokens, masks.token_flags, stream.raw, vocab,
-                               corpora, k, kappa, seed, cache)
-    n = len(stream.ids)
+    n = len(drawn.stream.ids)
     totals = np.zeros(4)
     with T.no_grad():
         for lo in range(0, n, batch_size):
-            batch = build_batch(stream, range(lo, min(lo + batch_size, n)), model, mode,
-                                masks=masks, rankings=rankings, corpora=corpora, k=k,
-                                heads=heads)
+            batch = build_batch(drawn.stream, range(lo, min(lo + batch_size, n)), model, mode,
+                                masks=drawn.masks, rankings=drawn.rankings, corpora=corpora,
+                                k=k, heads=heads)
             if lm:
                 logits, _preds, _cls = model.forward(
                     replace(batch, regions=batch.original_regions, heads=("lm",)))
@@ -435,15 +440,16 @@ def evaluate_perplexity(model: CrossModalModel, examples, vocab: Vocab, *,
                         threads: Optional[int] = None) -> float:
     """Masked-LM perplexity over a fixed, seed-determined masking of ``examples``:
     exp(masked-token cross-entropy sum / count), in float64 over the whole
-    stream. Neither the masking nor the value depends on ``batch_size``.
-    ``threads`` is accepted and ignored: retrieval is one single-threaded scan."""
+    stream. The masking does not depend on ``batch_size``, nor does the value,
+    to rounding. ``threads`` is accepted and ignored: retrieval is one
+    single-threaded scan."""
     examples = [(None, ex) if isinstance(ex, str) else ex for ex in examples]
     if not examples:
         raise ValueError("evaluate_perplexity: empty evaluation stream")
-    stream, masks = _prepare(examples, vocab, model.config, ("lm",), seed, corpora)
-    total, count, _, _ = _evaluate(model, stream, vocab, ("lm",), masks=masks, seed=seed,
-                                   mode=mode, corpora=corpora, k=k, kappa=kappa,
-                                   batch_size=batch_size, cache=cache)
+    drawn = _held_out(examples, vocab, model.config, ("lm",), seed=seed, mode=mode,
+                      corpora=corpora, k=k, kappa=kappa, cache=cache)
+    total, count, _, _ = _evaluate(model, drawn, ("lm",), mode=mode, corpora=corpora, k=k,
+                                   batch_size=batch_size)
     return float(np.exp(total / count))
 
 
@@ -510,9 +516,11 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
     window: List[float] = []
     step, best, bad_evals = 0, math.inf, 0
 
-    # the split is encoded and masked once; each evaluation associates it anew
-    val, val_masks = (_prepare(val_examples, vocab, model.config, heads, config.seed, corpora)
-                      if val_examples else (None, None))
+    # the split is drawn once, before training: every validation reads the same draw
+    association = dict(mode=mode, corpora=corpora, k=strategy.k, kappa=config.kappa,
+                       seed=config.seed, cache=cache)
+    val = _held_out(val_examples, vocab, model.config, heads, **association) \
+        if val_examples else None
 
     def run_eval() -> bool:
         """Log the train window and validate; True once patience has run out."""
@@ -520,12 +528,11 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
         if window:
             metrics.append((step, "train", "loss", float(np.mean(window))))
             window.clear()
-        if not val_examples:
+        if val is None:
             return False
         lm_sum, lm_count, region_sum, region_count = _evaluate(
-            model, val, vocab, heads, masks=val_masks, seed=config.seed, mode=mode,
-            corpora=corpora, k=strategy.k, kappa=config.kappa, batch_size=config.batch_size,
-            cache=cache)
+            model, val, heads, mode=mode, corpora=corpora, k=strategy.k,
+            batch_size=config.batch_size)
         if "lm" in heads:
             ppl = float(np.exp(lm_sum / lm_count))
             metrics.append((step, "val", "ppl", ppl))
@@ -538,33 +545,20 @@ def pretrain(strategy: Strategy, corpora: Corpora, model: CrossModalModel,
         best, bad_evals = (objective, 0) if objective < best - 1e-12 else (best, bad_evals + 1)
         return bad_evals >= config.patience
 
-    def steps() -> Iterator[Tuple[np.ndarray, Masks, Optional[Dict[int, list]]]]:
-        """(picks, the epoch's masks, the chunk's rankings) of each step. A chunk runs from
-        an epoch start or an evaluation to the next evaluation or epoch end. An epoch's
-        masks are drawn, and a chunk's rows associated in one call, when its first step
-        is reached."""
-        done = 0
+    def steps() -> Iterator[Tuple[np.ndarray, Draw]]:
+        """(picks, the epoch's draw) of each step. An epoch is drawn over the rows
+        it visits, in visit order, when its first step is reached."""
         for epoch, group in itertools.groupby(
                 training_batches(len(train.examples), config, config.seed), lambda s: s[0]):
             picks = [p for _epoch, p in group]
-            masks = _head_masks(train.ids, model.config, heads,
-                                np.random.default_rng([config.seed, 2000 + epoch]),
-                                np.random.default_rng([config.seed, 3000 + epoch]), corpora)
-            cuts = [j for j in range(len(picks)) if j == 0 or (done + j) % config.eval_every == 0]
-            for lo, hi in zip(cuts, cuts[1:] + [len(picks)]):
-                rankings = None   # the placeholder and paired modes associate nothing
-                if mode not in ("placeholder", "paired"):
-                    rows = np.concatenate(picks[lo:hi])
-                    rankings = dict(zip(rows.tolist(), _associate_rows(
-                        mode, masks.tokens[rows], masks.token_flags[rows],
-                        [train.raw[i] for i in rows], vocab, corpora, strategy.k,
-                        config.kappa, config.seed, cache)))
-                yield from ((p, masks, rankings) for p in picks[lo:hi])
-            done += len(picks)
+            drawn = draw_pass(train, np.concatenate(picks).tolist(), vocab, model.config, heads,
+                              np.random.default_rng([config.seed, 2000 + epoch]),
+                              np.random.default_rng([config.seed, 3000 + epoch]), **association)
+            yield from ((p, drawn) for p in picks)
 
-    for picks, masks, rankings in steps():
-        batch = build_batch(train, picks, model, mode, masks=masks, rankings=rankings,
-                            corpora=corpora, k=strategy.k, heads=heads)
+    for picks, drawn in steps():
+        batch = build_batch(train, picks, model, mode, masks=drawn.masks,
+                            rankings=drawn.rankings, corpora=corpora, k=strategy.k, heads=heads)
         logits, preds, _cls = model.forward(batch)
         loss = (masked_lm_loss(logits, batch.original_tokens, batch.token_mask_flags)
                 if "lm" in heads else None)

@@ -6,13 +6,18 @@ builds the synset index from the store's offsets and passes one association
 cache and a thread count to pretraining, evaluation and the probe, and its
 step clock wraps ``model.forward`` as a function of the batch alone; a rename
 or a signature change here would otherwise first show up as a crash in a
-benchmark run. The tracer is loaded from its file and only read.
+benchmark run. The tracer is loaded from its file and only read, and a
+one-second run of each workload runs the benchmark itself on a copy.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +34,8 @@ from groundlm.toydata import ToySpec, generate_grounded_corpus
 from groundlm.train import Corpora, Strategy, TrainConfig, evaluate_perplexity, pretrain
 from groundlm.vocab import Vocab
 
-TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +158,21 @@ def test_every_forward_call_passes_one_argument(tmp_path):
     counts = list(phases.values())
     assert all(b > a for a, b in zip([0] + counts, counts)), phases
     assert all(len(args) == 1 and not kwargs for args, kwargs in calls)
+
+
+@pytest.mark.parametrize("workload", ["paired", "object"])
+def test_benchmark_runs_and_passes_its_checks(tmp_path, workload):
+    """The shortest run of the benchmark, untraced, on a copy of the checkout:
+    every session completes and every output check passes. (A traced run is
+    left out: its coverage check has too little margin to hold on a busy host.)"""
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__", "_work"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", "0", "--seconds", "1", "--trace", "0"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, out.stdout[-2000:]

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groundlm import associate as associate_mod
+from groundlm import finetune as finetune_mod
 from groundlm import kernels
 from groundlm import train as train_mod
 from groundlm.associate import (AssociationCache, SynsetEntry,
                                 build_caption_index, build_synset_index,
                                 load_caption_corpus)
 from groundlm.embeddings import WordEmbeddingTable, load_word_vectors
+from groundlm.finetune import Task, TaskExample
 from groundlm.gmm import fit_gmm
 from groundlm.index import ImageFeatureStore, write_feature_store
 from groundlm.model import (CrossModalModel, MaskedBatch, Masks, ModelConfig, mask_tokens,
@@ -312,51 +314,69 @@ class TestPretrain:
         corpora = small_world(tmp_path, rng)
         model = small_model(corpora.vocab)
         evaluate, seen = train_mod._evaluate, []
+        config = quick_config(max_steps=6, eval_every=6)
 
-        def recorded(model, stream, vocab, heads, *, masks, **kwargs):
-            seen.append((list(stream[0]), heads, kwargs))
-            return evaluate(model, stream, vocab, heads, masks=masks, **kwargs)
+        def recorded(model, drawn, heads, **kwargs):
+            seen.append((list(drawn.stream.examples), heads, kwargs))
+            return evaluate(model, drawn, heads, **kwargs)
         monkeypatch.setattr(train_mod, "_evaluate", recorded)
-        _m, metrics = pretrain(Strategy("TransferredBoth", k=1), corpora, model,
-                               quick_config(max_steps=6, eval_every=6))
+        _m, metrics = pretrain(Strategy("TransferredBoth", k=1), corpora, model, config)
         monkeypatch.undo()
         [(examples, heads, kwargs)] = seen
         assert heads == ("lm", "region")
         [ppl] = [v for _s, split, metric, v in metrics if (split, metric) == ("val", "ppl")]
-        assert ppl == evaluate_perplexity(model, examples, corpora.vocab, **kwargs)
+        assert ppl == evaluate_perplexity(model, examples, corpora.vocab, seed=config.seed,
+                                          kappa=config.kappa, **kwargs)
 
     @pytest.mark.parametrize("name", ["TransferredBoth", "AssociativeScene"])
     def test_split_prepared_once_and_each_eval_is_a_fresh_pass(self, tmp_path, rng,
                                                                monkeypatch, name):
-        """The validation split is encoded and masked once, before training;
-        every evaluation of it still reads what a held-out pass over the split
-        reports for the model of that moment, with its own association."""
+        """The validation split is drawn once, before training: encoded,
+        masked and associated; every evaluation of it still reads what a
+        held-out pass over the split reports for the model of that moment,
+        with its own draw and association."""
         corpora = small_world(tmp_path, rng)
         model = small_model(corpora.vocab)
-        prepare, evaluate = train_mod._prepare, train_mod._evaluate
+        held_out, evaluate = train_mod._held_out, train_mod._evaluate
+        config = quick_config(max_steps=9, eval_every=3)
         prepared, fresh = [], []
 
-        def recorded_prepare(*args):
-            prepared.append(prepare(*args))
+        def recorded_held_out(*args, **kwargs):
+            prepared.append(held_out(*args, **kwargs))
             return prepared[-1]
 
-        def recorded_evaluate(model, stream, vocab, heads, **kwargs):
-            # evaluate_perplexity's own steps, unrecorded, over a fresh preparation
-            again, masks = prepare(stream[0], vocab, model.config, ("lm",), kwargs["seed"],
-                                   kwargs["corpora"])
-            lm_sum, lm_count, _, _ = evaluate(
-                model, again, vocab, ("lm",),
-                **{**kwargs, "masks": masks, "cache": AssociationCache()})
+        def recorded_evaluate(model, drawn, heads, **kwargs):
+            # evaluate_perplexity's own steps, unrecorded, over a fresh draw
+            again = held_out(list(drawn.stream.examples), corpora.vocab, model.config, ("lm",),
+                             seed=config.seed, mode=kwargs["mode"], corpora=kwargs["corpora"],
+                             k=kwargs["k"], kappa=config.kappa, cache=AssociationCache())
+            lm_sum, lm_count, _, _ = evaluate(model, again, ("lm",), **kwargs)
             fresh.append(float(np.exp(lm_sum / lm_count)))
-            return evaluate(model, stream, vocab, heads, **kwargs)
-        monkeypatch.setattr(train_mod, "_prepare", recorded_prepare)
+            return evaluate(model, drawn, heads, **kwargs)
+        monkeypatch.setattr(train_mod, "_held_out", recorded_held_out)
         monkeypatch.setattr(train_mod, "_evaluate", recorded_evaluate)
-        _m, metrics = pretrain(Strategy(name, k=1), corpora, model,
-                               quick_config(max_steps=9, eval_every=3),
+        _m, metrics = pretrain(Strategy(name, k=1), corpora, model, config,
                                cache=AssociationCache())
         assert len(prepared) == 1
         ppls = [v for _s, split, metric, v in metrics if (split, metric) == ("val", "ppl")]
         assert len(ppls) == 3 and ppls == fresh
+
+    def test_split_associated_once_without_a_cache(self, tmp_path, rng, monkeypatch):
+        """With no cache to absorb repeats, three validations still associate
+        the split once: one call before training, then one per epoch."""
+        corpora = small_world(tmp_path, rng)
+        query, calls = train_mod.associate_query, []
+
+        def counted(mode, queries, *args, **kwargs):
+            calls.append(len(queries))
+            return query(mode, queries, *args, **kwargs)
+        monkeypatch.setattr(train_mod, "associate_query", counted)
+        # 27 training rows in batches of 8: epochs of 4, 4 and 1 steps
+        _m, metrics = pretrain(Strategy("AssociativeScene", k=1), corpora,
+                               small_model(corpora.vocab), quick_config(max_steps=9, eval_every=3,
+                                                                        max_epochs=3))
+        assert [split for _s, split, metric, _v in metrics if metric == "ppl"] == ["val"] * 3
+        assert calls == [3, 27, 27, 8]
 
     def test_scene_row_of_zero_vector_words_falls_back(self, tmp_path, rng):
         """A row whose in-vocabulary words all have zero vectors has no usable
@@ -379,10 +399,13 @@ class TestPretrain:
 
 
 def unmasked_rankings(stream, mode, corpora, k, kappa=8, seed=0, cache=None):
-    """The rankings of every row of the unmasked ``stream``, from one
-    ``_associate_rows`` call, as a training chunk or held-out pass gets them."""
-    return train_mod._associate_rows(mode, stream.ids, np.zeros(stream.ids.shape, dtype=bool),
-                                     stream.raw, corpora.vocab, corpora, k, kappa, seed, cache)
+    """The rankings of every row of the unmasked ``stream``, in row order,
+    from the draw of a pass with no heads, as a probe split gets them."""
+    rows = list(range(len(stream.ids)))
+    drawn = train_mod.draw_pass(stream, rows, corpora.vocab, small_model(corpora.vocab).config,
+                                (), None, None, mode=mode, corpora=corpora, k=k, kappa=kappa,
+                                seed=seed, cache=cache)
+    return [drawn.rankings[i] for i in rows]
 
 
 class TestAssociativeFallback:
@@ -701,10 +724,10 @@ class TestAssociateQuery:
         assert sum(f.n_iter for f in per_text) > len(groups) * iterations
 
 
-class TestChunkedAssociation:
-    """pretrain associates its training rows one chunk at a time: a chunk runs
-    from an epoch start or an evaluation to the next evaluation or the epoch
-    end, and one ``associate_query`` call covers its rows in visit order."""
+class TestEpochDraw:
+    """pretrain draws each epoch when its first step is reached: the epoch's
+    masks, and its rows associated in one ``associate_query`` call, in visit
+    order."""
 
     K = 2
 
@@ -717,44 +740,56 @@ class TestChunkedAssociation:
 
     def run(self, corpora, config, monkeypatch, per_batch=False, flat_val=False):
         """(metrics rows, parameter bytes, cache counts, the size of each training
-        association call, the size of each training batch) of an object
-        pretrain. ``per_batch`` makes it the reference that associates each
-        batch's own rows when the batch is built; ``flat_val`` makes every
-        validation read the same, so patience stops at the second one."""
+        association call, the rows each epoch draw associates, the rows of each
+        training batch) of an object pretrain. ``per_batch`` makes it the
+        reference that associates each batch's own rows when the batch is built;
+        ``flat_val`` makes every validation read the same, so patience stops at
+        the second one."""
         cache = AssociationCache()
-        calls, trained, evaluating = [], [], []
-        query, build, evaluate, associate = train_mod.associate_query, train_mod.build_batch, \
-            train_mod._evaluate, train_mod._associate_rows
+        calls, drawn_rows, trained, evaluating = [], [], [], []
+        query, build, evaluate, draw, held_out = (
+            train_mod.associate_query, train_mod.build_batch, train_mod._evaluate,
+            train_mod.draw_pass, train_mod._held_out)
 
         def counted(mode, queries, *args, **kwargs):
             if not evaluating:
                 calls.append(len(queries))
             return query(mode, queries, *args, **kwargs)
 
-        def evaluated(*args, **kwargs):
-            evaluating.append(True)
-            try:
-                return (1.0, 1, 0.0, 0) if flat_val else evaluate(*args, **kwargs)
-            finally:
-                evaluating.pop()
+        def evaluation(step):
+            def wrapped(*args, **kwargs):
+                evaluating.append(True)
+                try:
+                    return step(*args, **kwargs)
+                finally:
+                    evaluating.pop()
+            return wrapped
 
-        def chunk_associated(mode, tokens, *args):
-            # the reference associates no chunk: each batch's rows, when it is built
-            return [None] * len(tokens) if per_batch and not evaluating else \
-                associate(mode, tokens, *args)
+        def flat(*_args, **_kwargs):
+            return 1.0, 1, 0.0, 0
+
+        def epoch_drawn(stream, rows, *args, mode, **kwargs):
+            if evaluating:
+                return draw(stream, rows, *args, mode=mode, **kwargs)
+            drawn_rows.append(rows)
+            # the reference draws the epoch's masks but associates no rows here
+            return draw(stream, rows, *args, mode="placeholder" if per_batch else mode, **kwargs)
 
         def built(stream, rows, model, mode, *, masks, rankings, **kwargs):
-            if not evaluating:
-                trained.append(len(rows))
-                if per_batch:
-                    tokens, flags, _regions = masks.rows(rows)
-                    rankings = dict(zip(rows.tolist(), associate(
-                        mode, tokens, flags, [stream.raw[i] for i in rows], corpora.vocab,
-                        corpora, self.K, config.kappa, config.seed, cache)))
+            if evaluating:
+                return build(stream, rows, model, mode, masks=masks, rankings=rankings, **kwargs)
+            trained.append(rows.tolist())
+            if per_batch:
+                tokens, flags, _regions = masks.rows(rows)
+                queries = [train_mod._query_text(*row, corpora.vocab) for row in zip(
+                    tokens.tolist(), flags.tolist(), [stream.raw[i] for i in rows])]
+                rankings = dict(zip(rows.tolist(), train_mod.associate_query(
+                    mode, queries, corpora, self.K, config.kappa, config.seed, cache)))
             return build(stream, rows, model, mode, masks=masks, rankings=rankings, **kwargs)
         monkeypatch.setattr(train_mod, "associate_query", counted)
-        monkeypatch.setattr(train_mod, "_associate_rows", chunk_associated)
-        monkeypatch.setattr(train_mod, "_evaluate", evaluated)
+        monkeypatch.setattr(train_mod, "draw_pass", epoch_drawn)
+        monkeypatch.setattr(train_mod, "_held_out", evaluation(held_out))
+        monkeypatch.setattr(train_mod, "_evaluate", evaluation(flat if flat_val else evaluate))
         monkeypatch.setattr(train_mod, "build_batch", built)
         model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=self.K)
         try:
@@ -763,40 +798,84 @@ class TestChunkedAssociation:
         finally:
             monkeypatch.undo()
         params = {name: p.data.tobytes() for name, p in model.params.items()}
-        return metrics, params, (cache.hits, cache.misses), calls, trained
+        return metrics, params, (cache.hits, cache.misses), calls, drawn_rows, trained
 
-    @staticmethod
-    def chunk_starts(steps, per_epoch, eval_every):
-        return [s for s in range(1, steps + 1)
-                if (s - 1) % per_epoch == 0 or (s - 1) % eval_every == 0]
-
-    def test_one_call_per_chunk_equals_one_per_batch(self, tmp_path, rng, monkeypatch):
+    def test_one_call_per_epoch_equals_one_per_batch(self, tmp_path, rng, monkeypatch):
         corpora = self.world(tmp_path, rng)
         # 49 training rows in batches of 4: 13 steps an epoch, which 5 does not divide
         config = quick_config(batch_size=4, max_epochs=3, max_steps=None, eval_every=5,
                               kappa=2)
-        chunked = self.run(corpora, config, monkeypatch)
+        drawn = self.run(corpora, config, monkeypatch)
         reference = self.run(corpora, config, monkeypatch, per_batch=True)
-        metrics, params, counts, calls, trained = chunked
-        assert len(trained) == 39 and sum(trained) == 3 * 49
-        starts = self.chunk_starts(39, 13, 5)
-        assert starts == [1, 6, 11, 14, 16, 21, 26, 27, 31, 36]
-        assert calls == [sum(trained[lo - 1:hi - 1])
-                         for lo, hi in zip(starts, starts[1:] + [40])]
-        assert reference[3] == reference[4] == trained   # one call per batch
+        metrics, params, counts, calls, drawn_rows, trained = drawn
+        assert len(trained) == 39 and sum(map(len, trained)) == 3 * 49
+        # each epoch's one call covers exactly the rows it visits, in visit order
+        assert calls == [49, 49, 49]
+        assert drawn_rows == [sum(trained[lo:lo + 13], []) for lo in (0, 13, 26)]
+        assert reference[3] == [len(rows) for rows in trained]   # one call per batch
+        assert reference[4] == drawn_rows and reference[5] == trained
         assert metrics == reference[0] and params == reference[1]
         assert counts == reference[2] and counts[0] > 0 and counts[1] > 0
 
-    def test_no_row_past_an_early_stop_is_associated(self, tmp_path, rng, monkeypatch):
+    def test_early_stop_mid_epoch_associates_the_whole_epoch(self, tmp_path, rng,
+                                                             monkeypatch):
         corpora = self.world(tmp_path, rng)
         config = quick_config(batch_size=4, max_epochs=3, max_steps=None, eval_every=5,
                               kappa=2, patience=1)
-        chunked = self.run(corpora, config, monkeypatch, flat_val=True)
+        drawn = self.run(corpora, config, monkeypatch, flat_val=True)
         reference = self.run(corpora, config, monkeypatch, per_batch=True, flat_val=True)
-        metrics, params, counts, calls, trained = chunked
-        assert trained == [4] * 10   # stopped at the second validation
-        assert calls == [20, 20]
-        assert metrics == reference[0] and params == reference[1] and counts == reference[2]
+        metrics, params, counts, calls, drawn_rows, trained = drawn
+        assert [len(rows) for rows in trained] == [4] * 10   # stopped at the second validation
+        _epoch, order = next(training_batches(49, quick_config(batch_size=49), config.seed))
+        assert calls == [49] and drawn_rows == [order.tolist()]   # the stopping epoch's rows
+        assert sum(trained, []) == order[:40].tolist()
+        assert metrics == reference[0] and params == reference[1]
+        # the rows past the stop were associated too: more lookups, no fewer misses
+        assert counts[1] >= reference[2][1] and sum(counts) > sum(reference[2])
+
+
+def test_every_pass_is_drawn_by_draw_pass(tmp_path, rng, monkeypatch):
+    """Every training epoch, the validation split, a held-out pass and both
+    probe splits get their masks and rankings from ``draw_pass``, and nothing
+    else on those paths calls ``associate_query``."""
+    corpora = TestEpochDraw.world(tmp_path, rng)
+    draw, query = train_mod.draw_pass, train_mod.associate_query
+    draws, drawing, outside = [], [], []
+
+    def counted_draw(stream, rows, vocab, cfg, heads, *args, **kwargs):
+        draws.append((len(stream.ids), len(rows), heads))
+        drawing.append(True)
+        try:
+            return draw(stream, rows, vocab, cfg, heads, *args, **kwargs)
+        finally:
+            drawing.pop()
+
+    def counted_query(mode, queries, *args, **kwargs):
+        if not drawing:
+            outside.append(len(queries))
+        return query(mode, queries, *args, **kwargs)
+    for module in (train_mod, finetune_mod):
+        monkeypatch.setattr(module, "draw_pass", counted_draw)
+    monkeypatch.setattr(train_mod, "associate_query", counted_query)
+    strategy = Strategy("AssociativeObject", k=2)
+    model = small_model(corpora.vocab, d_v=4, n_regions=2, k_max=2)
+    # 5 validation and 49 training rows; 13 steps an epoch
+    pretrain(strategy, corpora, model, quick_config(batch_size=4, max_epochs=3, max_steps=None,
+                                                    eval_every=5, kappa=2),
+             cache=AssociationCache())
+    assert draws == [(5, 5, ("lm",))] + [(49, 49, ("lm",))] * 3
+    evaluate_perplexity(model, corpora.text_only[:7], corpora.vocab, seed=1, mode="object",
+                        corpora=corpora, k=2, kappa=2)
+    texts = corpora.text_only[:12]
+    task = Task(metric="accuracy", label_set=[0, 1],
+                examples=[TaskExample(j % 2, text) for j, text in enumerate(texts)])
+    report = finetune_mod.finetune(model, task, strategy,
+                                   TrainConfig(batch_size=4, lr=1e-2, max_epochs=1, max_steps=2,
+                                               seed=5, val_fraction=0.25, kappa=2),
+                                   corpora=corpora, n_runs=1)
+    assert report.errors == []
+    assert draws[4:] == [(7, 7, ("lm",)), (9, 9, ()), (3, 3, ())]
+    assert outside == []
 
 
 class TestBuildBatchEquivalence:
@@ -814,16 +893,23 @@ class TestBuildBatchEquivalence:
             n_slots = corpora.store.n_regions
             region_flags = (np.random.default_rng(seed + 1).random((len(examples), n_slots))
                             < cfg.mask_rate)
+        def drawn_build():
+            # the draw's generators are the ones the masks above were drawn by
+            drawn = train_mod.draw_pass(
+                stream, list(range(len(examples))), vocab, cfg,
+                ("lm", "region") if masks_regions else ("lm",), np.random.default_rng(seed),
+                np.random.default_rng(seed + 1), mode=mode, corpora=corpora, k=k, kappa=8,
+                seed=3, cache=None)
+            for got, want in zip(drawn.masks, (corrupted, flags, region_flags)):
+                assert np.array_equal(got, want) if want is not None else got is None
+            return build_batch(stream, range(len(examples)), model, mode, masks=drawn.masks,
+                               rankings=drawn.rankings, corpora=corpora, k=k)
         builds = [
             lambda: reference_build_batch(
                 examples, [e[0] for e in encoded], vocab, model, mode,
                 raw_rows=[e[1] for e in encoded], text_masks=(corrupted, flags),
                 region_flags=region_flags, corpora=corpora, k=k, kappa=8, assoc_seed=3),
-            lambda: build_batch(
-                stream, range(len(examples)), model, mode,
-                masks=Masks(corrupted, flags, region_flags), corpora=corpora, k=k,
-                rankings=None if mode in ("placeholder", "paired") else train_mod._associate_rows(
-                    mode, corrupted, flags, stream.raw, vocab, corpora, k, 8, 3, None))]
+            drawn_build]
         batches, reads = [], []
         for build in builds:
             before = corpora.store.reads
@@ -942,12 +1028,13 @@ class TestBatchSizeInvariance:
         corpora, model = invariance_world
         examples = mixed_stream(corpora, np.random.default_rng(seed), n)
         means = []
-        stream, masks = train_mod._prepare(examples, corpora.vocab, model.config, ("region",),
-                                           seed, corpora)
+        held_out = train_mod._held_out(examples, corpora.vocab, model.config, ("region",),
+                                       seed=seed, mode="paired", corpora=corpora, k=1, kappa=8,
+                                       cache=None)
         for size in (1, 7, 32, 200, drawn):
             lm_sum, lm_count, total, count = train_mod._evaluate(
-                model, stream, corpora.vocab, ("region",), masks=masks, seed=seed,
-                mode="paired", corpora=corpora, k=1, kappa=8, batch_size=size, cache=None)
+                model, held_out, ("region",), mode="paired", corpora=corpora, k=1,
+                batch_size=size)
             assert (lm_sum, lm_count) == (0.0, 0)
             means.append(total / count if count else 0.0)
         assert max(means) - min(means) <= 1e-6 * max(means), means

@@ -47,10 +47,9 @@ BLAS runs on one thread, as in perfbench.
 The sum of steps is the lockstep view of perfbench's
 ``train_examples_per_s``. The median step says what a typical step costs,
 but work that runs in a few steps only is not in it: object pretraining
-associates its rows once per chunk (the steps from an epoch start or a
-validation to the next validation or the epoch end), so on the object
-workload 4 of the 128 steps carry all of training's association, and a
-change to association shows in the sum, not in the median.
+associates its rows once per epoch, when the epoch's first step is reached,
+so on the object workload 3 of the 128 steps carry all of training's
+association, and a change to association shows in the sum, not in the median.
 
 With ``--setups N`` it times perfbench's set-up instead (``session.setup``:
 write the bundle, load it and build the workload's index), alternating
